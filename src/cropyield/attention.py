@@ -23,12 +23,21 @@ from .errors import ConfigError, DomainError, ShapeMismatchError
 from .tensor import Tensor
 
 ATTENTION_MODES = ("senet_shuffle", "shuffle_senet", "se_only", "shuffle_only", "none")
-RESERVED_ATTENTION_MODES = ("cbam", "transformer")
 CONV_MODES = ("conv_condconv", "conv_only", "condconv_only", "dilated")
 
 
+def check_modes(attention_mode: str, conv_mode: str) -> None:
+    """The one validation of the ablation modes, for configs and parameter sets."""
+    if attention_mode not in ATTENTION_MODES:
+        raise ConfigError(
+            f"unknown attention_mode {attention_mode!r}, expected one of {ATTENTION_MODES}"
+        )
+    if conv_mode not in CONV_MODES:
+        raise ConfigError(f"unknown conv_mode {conv_mode!r}, expected one of {CONV_MODES}")
+
+
 @dataclass
-class SeParams:
+class SeParams(tc.ParamTree):
     w1: Tensor  # [C/r, C]
     w2: Tensor  # [C, C/r]
 
@@ -38,48 +47,28 @@ class SeParams:
 
 
 @dataclass
-class SsaParams:
+class SsaParams(tc.ParamTree):
+    prefix = "ssa"
+
     se: SeParams
     groups: int  # channel-shuffle group count, divides C
     w_temporal: Tensor  # [a], one weight per history offset
     conv_kernel: Tensor  # [C_out, C, k, k] standard conv of the spatial stack
     conv_bias: Tensor  # [C_out]
-    experts: list  # K kernels [C_out, C, k, k] for the conditional conv
     routing: Tensor  # [K, C] routing matrix applied to pooled input
+    # K kernels [C_out, C, k, k] for the conditional conv
+    experts: list[Tensor] = field(metadata={"stem": "expert"})
     attention_mode: str = "senet_shuffle"
     conv_mode: str = "conv_condconv"
     dilation: int = 2
 
     def __post_init__(self):
-        if self.attention_mode in RESERVED_ATTENTION_MODES:
-            raise ConfigError(
-                f"attention mode {self.attention_mode!r} is reserved but not implemented"
-            )
-        if self.attention_mode not in ATTENTION_MODES:
-            raise ConfigError(f"unknown attention mode {self.attention_mode!r}")
-        if self.conv_mode not in CONV_MODES:
-            raise ConfigError(f"unknown conv mode {self.conv_mode!r}")
+        # _attend and conv_stack fall through to "none"/"dilated" on any other value
+        check_modes(self.attention_mode, self.conv_mode)
 
     @property
     def history(self) -> int:
         return self.w_temporal.data.shape[0]
-
-    def parameters(self) -> list[Tensor]:
-        return [self.se.w1, self.se.w2, self.w_temporal, self.conv_kernel,
-                self.conv_bias, self.routing, *self.experts]
-
-    def named(self, prefix: str = "ssa") -> dict:
-        out = {
-            f"{prefix}/se_w1": self.se.w1.data,
-            f"{prefix}/se_w2": self.se.w2.data,
-            f"{prefix}/w_temporal": self.w_temporal.data,
-            f"{prefix}/conv_kernel": self.conv_kernel.data,
-            f"{prefix}/conv_bias": self.conv_bias.data,
-            f"{prefix}/routing": self.routing.data,
-        }
-        for i, e in enumerate(self.experts):
-            out[f"{prefix}/expert_{i}"] = e.data
-        return out
 
 
 def init_ssa_params(channels: int, rng, reduction: int = 2, groups: int = 2,

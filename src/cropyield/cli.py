@@ -11,7 +11,9 @@ import argparse
 import sys
 from pathlib import Path
 
+from .attention import ATTENTION_MODES, CONV_MODES
 from .config import load_config
+from .eo import FEATURE_SELECTORS
 from .errors import (
     ConfigError,
     CropYieldError,
@@ -28,11 +30,9 @@ def _add_config_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--config", type=Path, default=None, help="key=value config file")
     parser.add_argument("--seed", type=int, default=None, help="master RNG seed")
     parser.add_argument("--percent", action="store_true", help="report metrics as percentages")
-    parser.add_argument("--attention-mode", default=None,
-                        help="senet_shuffle | shuffle_senet | se_only | shuffle_only | none")
-    parser.add_argument("--conv-mode", default=None,
-                        help="conv_condconv | conv_only | condconv_only | dilated")
-    parser.add_argument("--feature-selector", default=None, help="eo | none")
+    parser.add_argument("--attention-mode", default=None, help=" | ".join(ATTENTION_MODES))
+    parser.add_argument("--conv-mode", default=None, help=" | ".join(CONV_MODES))
+    parser.add_argument("--feature-selector", default=None, help=" | ".join(FEATURE_SELECTORS))
 
 
 def _collect_overrides(args) -> dict:

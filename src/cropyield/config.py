@@ -10,9 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .attention import ATTENTION_MODES, CONV_MODES, RESERVED_ATTENTION_MODES
-from .eo import FEATURE_SELECTORS, RESERVED_SELECTORS
+from .attention import check_modes
+from .eo import FEATURE_SELECTORS
 from .errors import ConfigError
+
+
+# batch_size: every anchor needs a negative; eo_particles: the equilibrium pool holds 4
+_LOWER_BOUNDS = {"batch_size": 2, "denoiser_epochs": 0, "pretrain_epochs": 0, "train_epochs": 0,
+                 "finetune_epochs": 0, "eo_iters": 1, "eo_particles": 4, "sigma_scale": 0.0}
 
 
 @dataclass
@@ -53,7 +58,7 @@ class RunConfig:
     pretrain_lr: float = 0.01
     batch_size: int = 8
     # feature selection
-    feature_selector: str = "eo"  # eo | none (golden_ratio, sailfish reserved)
+    feature_selector: str = "eo"  # eo | none
     eo_particles: int = 20
     eo_iters: int = 100
     eo_alpha: float = 0.5
@@ -61,14 +66,12 @@ class RunConfig:
     ridge_penalty: float = 0.01
     sparsity_weight: float = 0.01
     # final training: head-only warm-up, then optional joint fine-tune
-    head_activation: str = "identity"  # identity | relu
     train_epochs: int = 600
     train_lr: float = 0.3
     finetune_encoder: bool = True
     finetune_epochs: int = 100
     finetune_lr: float = 0.05
     patience: int = 8
-    head_bias_only: bool = False
     # reporting
     percent: bool = False
 
@@ -77,22 +80,14 @@ class RunConfig:
             raise ConfigError(f"source must be S1, S2 or L8, got {self.source!r}")
         if self.preprocess not in ("laplacian", "none"):
             raise ConfigError(f"preprocess must be laplacian or none, got {self.preprocess!r}")
-        if self.attention_mode in RESERVED_ATTENTION_MODES:
-            raise ConfigError(
-                f"attention_mode {self.attention_mode!r} is a reserved tag without an implementation"
-            )
-        if self.attention_mode not in ATTENTION_MODES:
-            raise ConfigError(f"unknown attention_mode {self.attention_mode!r}")
-        if self.conv_mode not in CONV_MODES:
-            raise ConfigError(f"unknown conv_mode {self.conv_mode!r}")
-        if self.feature_selector in RESERVED_SELECTORS:
-            raise ConfigError(
-                f"feature_selector {self.feature_selector!r} is a reserved tag without an implementation"
-            )
+        check_modes(self.attention_mode, self.conv_mode)
         if self.feature_selector not in FEATURE_SELECTORS:
             raise ConfigError(f"unknown feature_selector {self.feature_selector!r}")
-        if self.head_activation not in ("identity", "relu"):
-            raise ConfigError(f"head_activation must be identity or relu, got {self.head_activation!r}")
+        for key, low in _LOWER_BOUNDS.items():
+            if not getattr(self, key) >= low:
+                raise ConfigError(f"{key} must be >= {low}, got {getattr(self, key)}")
+        if not self.temperature > 0:
+            raise ConfigError(f"temperature must be > 0, got {self.temperature}")
         if self.t_steps < self.history + 1:
             raise ConfigError(
                 f"t_steps={self.t_steps} too short for history={self.history} (need history+1)"

@@ -177,15 +177,19 @@ def pretrain_encoder(frames_by_sample, tags, train_idx, val_idx, den, sched,
             holdout_rng, sigma_scale,
         )
         stats["holdout_pos_sim"] = pos
-        stats["holdout_neg_sim"] = neg
-        stats["holdout_separation"] = pos - neg
+        if neg is not None:  # one held-out sample has no negative pair
+            stats["holdout_neg_sim"] = neg
+            stats["holdout_separation"] = pos - neg
     return PretrainResult(lstm=lstm_p, ssa=ssa_p, projection=proj,
                           loss_history=history_losses, stats=stats)
 
 
 def holdout_similarities(frames_by_sample, idx, lstm_p, ssa_p, proj, den, sched,
                          depth, rng, sigma_scale: float = 0.1):
-    """Mean positive-pair and negative-pair cosine similarity on held-out samples."""
+    """Mean positive-pair and negative-pair cosine similarity on held-out samples.
+
+    The negative mean is None when ``idx`` holds a single sample.
+    """
     v1s, v2s = [], []
     for i in idx:
         f1, f2 = _augment_views(frames_by_sample[i], den, sched, depth, rng, sigma_scale)
@@ -196,4 +200,4 @@ def holdout_similarities(frames_by_sample, idx, lstm_p, ssa_p, proj, den, sched,
         for j, v2 in enumerate(v2s):
             sim = tc.cosine_similarity(v1, v2).item()
             (pos if i == j else neg).append(sim)
-    return float(np.mean(pos)), float(np.mean(neg)) if neg else 0.0
+    return float(np.mean(pos)), float(np.mean(neg)) if neg else None

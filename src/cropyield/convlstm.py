@@ -25,7 +25,9 @@ class ConvLstmState:
 
 
 @dataclass
-class ConvLstmParams:
+class ConvLstmParams(tc.ParamTree):
+    prefix = "convlstm"
+
     w_fi: Tensor  # input -> gate convs, [C_hid, C_in, k, k]
     w_ff: Tensor
     w_fo: Tensor
@@ -53,12 +55,6 @@ class ConvLstmParams:
     @property
     def hidden_channels(self) -> int:
         return self.w_fi.data.shape[0]
-
-    def parameters(self) -> list[Tensor]:
-        return [getattr(self, f.name) for f in self.__dataclass_fields__.values()]
-
-    def named(self, prefix: str = "convlstm") -> dict:
-        return {f"{prefix}/{f.name}": getattr(self, f.name).data for f in self.__dataclass_fields__.values()}
 
 
 def init_convlstm_params(c_in: int, c_hid: int, height: int, width: int, k: int, rng) -> ConvLstmParams:

@@ -48,22 +48,21 @@ def linear_schedule(steps: int = 10, beta_start: float = 0.95, beta_end: float =
     return NoiseSchedule(tuple(np.linspace(beta_start, beta_end, steps)))
 
 
-class DenoiserParams:
+@dataclass
+class DenoiserParams(tc.ParamTree):
     """Two-layer conv net predicting the clean image from (noisy image, t)."""
 
-    def __init__(self, channels: int, hidden: int, steps: int, rng):
-        k = 3
-        s1 = 1.0 / math.sqrt((channels + 1) * k * k)
-        s2 = 1.0 / math.sqrt(hidden * k * k)
-        self.channels = channels
-        self.steps = steps
-        self.conv1 = tc.param(rng.uniform(-s1, s1, size=(hidden, channels + 1, k, k)))
-        self.b1 = tc.param(np.zeros(hidden))
-        self.conv2 = tc.param(rng.uniform(-s2, s2, size=(channels, hidden, k, k)))
-        self.b2 = tc.param(np.zeros(channels))
+    prefix = "denoiser"
 
-    def parameters(self):
-        return [self.conv1, self.b1, self.conv2, self.b2]
+    conv1: Tensor  # [hidden, C+1, 3, 3]; the extra input channel carries t
+    b1: Tensor  # [hidden]
+    conv2: Tensor  # [C, hidden, 3, 3]
+    b2: Tensor  # [C]
+    steps: int  # schedule length; t enters as t / steps
+
+    @property
+    def channels(self) -> int:
+        return self.conv2.data.shape[0]
 
     def forward(self, z: Tensor, t: int) -> Tensor:
         if z.data.ndim != 3 or z.data.shape[0] != self.channels:
@@ -74,6 +73,20 @@ class DenoiserParams:
         x = tc.concat([z, t_map], axis=0)
         h = tc.relu(tc.conv2d(x, self.conv1, padding=1) + tc.reshape(self.b1, (-1, 1, 1)))
         return tc.conv2d(h, self.conv2, padding=1) + tc.reshape(self.b2, (-1, 1, 1))
+
+
+def init_denoiser(channels: int, hidden: int, steps: int, rng) -> DenoiserParams:
+    """Seeded uniform init in [-s, s] with s = 1/sqrt(fan_in); zero biases."""
+    k = 3
+    s1 = 1.0 / math.sqrt((channels + 1) * k * k)
+    s2 = 1.0 / math.sqrt(hidden * k * k)
+    return DenoiserParams(
+        conv1=tc.param(rng.uniform(-s1, s1, size=(hidden, channels + 1, k, k))),
+        b1=tc.param(np.zeros(hidden)),
+        conv2=tc.param(rng.uniform(-s2, s2, size=(channels, hidden, k, k))),
+        b2=tc.param(np.zeros(channels)),
+        steps=steps,
+    )
 
 
 def forward_diffuse(z0: np.ndarray, t: int, sched: NoiseSchedule, rng) -> np.ndarray:
@@ -151,7 +164,7 @@ def train_denoiser(frames, channels: int, sched: NoiseSchedule, rng, epochs: int
 
     Returns the trained denoiser and the per-epoch mean loss.
     """
-    den = DenoiserParams(channels, hidden, sched.steps, rng)
+    den = init_denoiser(channels, hidden, sched.steps, rng)
     params = den.parameters()
     history = []
     for _ in range(epochs):

@@ -27,7 +27,6 @@ from .errors import DomainError
 from .fileio import rng_for
 
 FEATURE_SELECTORS = ("eo", "none")
-RESERVED_SELECTORS = ("golden_ratio", "sailfish")
 
 
 @dataclass(frozen=True)
@@ -135,11 +134,22 @@ class EoResult:
 
 def run_eo(dim: int, fitness_fn, config: EoConfig,
            binarize_position: bool = True) -> EoResult:
-    """Full optimization loop; returns the best mask ever seen and its fitness."""
+    """Full optimization loop; returns the best mask ever seen and its fitness.
+
+    ``fitness_fn`` must be deterministic: each distinct mask is scored once.
+    """
+    scores = {}
+
+    def fitness_once(x: np.ndarray) -> float:
+        key = x.tobytes()
+        if key not in scores:
+            scores[key] = fitness_fn(x)
+        return scores[key]
+
     rng = rng_for(config.seed, "eo")
     state = initialize(dim, config, rng)
     for particle in state.particles:
-        particle.fitness = evaluate_fitness(particle, fitness_fn, binarize_position)
+        particle.fitness = evaluate_fitness(particle, fitness_once, binarize_position)
     update_pool(state)
 
     def snapshot(p: Particle):
@@ -150,7 +160,7 @@ def run_eo(dim: int, fitness_fn, config: EoConfig,
     best_mask = snapshot(state.particles[best_idx])
     history = [best_fitness]
     for _ in range(config.max_iter):
-        step(state, fitness_fn, rng, binarize_position)
+        step(state, fitness_once, rng, binarize_position)
         cand = state.particles[state.pool[0]]
         if cand.fitness < best_fitness:
             best_fitness = cand.fitness

@@ -10,7 +10,7 @@ class CropYieldError(Exception):
 
 
 class ConfigError(CropYieldError):
-    """Bad configuration: unknown key, bad value, reserved-but-unimplemented variant."""
+    """Bad configuration: unknown key, bad or out-of-range value, config and data disagree."""
 
 
 class ShapeMismatchError(CropYieldError):

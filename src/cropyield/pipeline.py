@@ -26,9 +26,8 @@ from . import eo
 from . import evalmetrics as em
 from . import predictor as pr
 from . import synthdata as sd
-from . import tensor as tc
 from .config import RunConfig, config_text
-from .errors import DomainError, StagePrerequisiteError
+from .errors import ConfigError, DomainError, StagePrerequisiteError
 from .fileio import load_checkpoint, rng_for, save_checkpoint
 from .tensor import Tensor
 
@@ -65,54 +64,20 @@ def prepare_frames(ds: sd.Dataset, cfg: RunConfig):
 
 def _load_split_dataset(data_path, cfg: RunConfig) -> sd.Dataset:
     ds = sd.load_dataset(data_path)
+    t_steps = ds.dims[0]
+    if t_steps < cfg.history + 1:
+        raise ConfigError(
+            f"dataset has T={t_steps} time steps, too few for history={cfg.history} "
+            f"(need history+1)"
+        )
     return sd.split_dataset(ds, cfg.seed)
 
 
-# -- checkpoint (de)serialization -------------------------------------------------
-
-
-def _restore_lstm(named: dict, prefix: str = "convlstm") -> cl.ConvLstmParams:
-    kwargs = {}
-    for field in cl.ConvLstmParams.__dataclass_fields__:
-        kwargs[field] = tc.param(named[f"{prefix}/{field}"])
-    return cl.ConvLstmParams(**kwargs)
-
-
-def _restore_ssa(named: dict, cfg: RunConfig, prefix: str = "ssa") -> at.SsaParams:
-    experts = []
-    i = 0
-    while f"{prefix}/expert_{i}" in named:
-        experts.append(tc.param(named[f"{prefix}/expert_{i}"]))
-        i += 1
-    return at.SsaParams(
-        se=at.SeParams(w1=tc.param(named[f"{prefix}/se_w1"]),
-                       w2=tc.param(named[f"{prefix}/se_w2"])),
-        groups=cfg.shuffle_groups,
-        w_temporal=tc.param(named[f"{prefix}/w_temporal"]),
-        conv_kernel=tc.param(named[f"{prefix}/conv_kernel"]),
-        conv_bias=tc.param(named[f"{prefix}/conv_bias"]),
-        experts=experts,
-        routing=tc.param(named[f"{prefix}/routing"]),
-        attention_mode=cfg.attention_mode,
-        conv_mode=cfg.conv_mode,
-    )
-
-
-def _restore_denoiser(named: dict, cfg: RunConfig, channels: int) -> df.DenoiserParams:
-    den = df.DenoiserParams(channels, cfg.denoiser_hidden, cfg.diff_steps,
-                            np.random.default_rng(0))
-    den.conv1 = tc.param(named["denoiser/conv1"])
-    den.b1 = tc.param(named["denoiser/b1"])
-    den.conv2 = tc.param(named["denoiser/conv2"])
-    den.b2 = tc.param(named["denoiser/b2"])
-    return den
-
-
-def _denoiser_named(den: df.DenoiserParams) -> dict:
-    return {
-        "denoiser/conv1": den.conv1.data, "denoiser/b1": den.b1.data,
-        "denoiser/conv2": den.conv2.data, "denoiser/b2": den.b2.data,
-    }
+def _load_encoder(named: dict, cfg: RunConfig):
+    return (cl.ConvLstmParams.from_named(named),
+            at.SsaParams.from_named(named, groups=cfg.shuffle_groups,
+                                    attention_mode=cfg.attention_mode,
+                                    conv_mode=cfg.conv_mode))
 
 
 # -- stages ------------------------------------------------------------------------
@@ -121,7 +86,7 @@ def _denoiser_named(den: df.DenoiserParams) -> dict:
 def run_stage_pretrain(run_dir: Path, ds: sd.Dataset, frames, cfg: RunConfig) -> None:
     channels = ds.band_spec.channels
     sched = df.linear_schedule(cfg.diff_steps, cfg.beta_start, cfg.beta_end)
-    den_frames = [frames[i][t] for i in ds.split.train for t in range(0, cfg.t_steps, 2)]
+    den_frames = [frames[i][t] for i in ds.split.train for t in range(0, ds.dims[0], 2)]
     den, den_history = df.train_denoiser(
         den_frames, channels, sched, rng_for(cfg.seed, "denoiser"),
         epochs=cfg.denoiser_epochs, lr=cfg.denoiser_lr,
@@ -138,7 +103,7 @@ def run_stage_pretrain(run_dir: Path, ds: sd.Dataset, frames, cfg: RunConfig) ->
         experts=cfg.experts, history=cfg.history,
         attention_mode=cfg.attention_mode, conv_mode=cfg.conv_mode,
     )
-    named = {**_denoiser_named(den), **result.lstm.named(), **result.ssa.named(),
+    named = {**den.named(), **result.lstm.named(), **result.ssa.named(),
              "projection": result.projection.data}
     save_checkpoint(run_dir / "pretrain.ckpt", named)
     with open(run_dir / "pretrain_loss.txt", "w") as fh:
@@ -151,15 +116,6 @@ def run_stage_pretrain(run_dir: Path, ds: sd.Dataset, frames, cfg: RunConfig) ->
             fh.write(f"{key}={result.stats[key]!r}\n")
 
 
-def _load_encoder(run_dir: Path, cfg: RunConfig, channels: int):
-    named = load_checkpoint(run_dir / "pretrain.ckpt")
-    lstm = _restore_lstm(named)
-    ssa = _restore_ssa(named, cfg)
-    den = _restore_denoiser(named, cfg, channels)
-    proj = tc.param(named["projection"])
-    return lstm, ssa, den, proj
-
-
 def _pooled_features(frames, lstm, ssa) -> np.ndarray:
     rows = []
     for f in frames:
@@ -170,7 +126,7 @@ def _pooled_features(frames, lstm, ssa) -> np.ndarray:
 
 def run_stage_select(run_dir: Path, ds: sd.Dataset, frames, cfg: RunConfig) -> None:
     _require_stage(run_dir, "pretrain")
-    lstm, ssa, _, _ = _load_encoder(run_dir, cfg, ds.band_spec.channels)
+    lstm, ssa = _load_encoder(load_checkpoint(run_dir / "pretrain.ckpt"), cfg)
     feats = _pooled_features(frames, lstm, ssa)
     y = np.array([s.y for s in ds.samples])
     y_std = (y - y[ds.split.train].mean()) / (y[ds.split.train].std() or 1.0)
@@ -206,25 +162,23 @@ def load_mask(run_dir: Path) -> tuple[np.ndarray, float]:
 def run_stage_train(run_dir: Path, ds: sd.Dataset, frames, cfg: RunConfig) -> None:
     _require_stage(run_dir, "pretrain")
     _require_stage(run_dir, "select")
-    lstm, ssa, _, _ = _load_encoder(run_dir, cfg, ds.band_spec.channels)
+    lstm, ssa = _load_encoder(load_checkpoint(run_dir / "pretrain.ckpt"), cfg)
     mask, _ = load_mask(run_dir)
     y = np.array([s.y for s in ds.samples])
-    # warm-up: with the encoder frozen and identity activation the head is a
-    # least-squares problem, so full-batch descent runs to convergence
+    # warm-up: with the encoder frozen the head is a least-squares problem, so
+    # full-batch descent runs to convergence
     result = pr.train_final(
         frames, lstm, ssa, mask, y, ds.split.train, ds.split.val,
         rng_for(cfg.seed, "train"), epochs=cfg.train_epochs, lr=cfg.train_lr,
         batch_size=len(ds.split.train), patience=None,
-        activation=cfg.head_activation, bias_only=cfg.head_bias_only,
     )
     curve = result.curve
-    if cfg.finetune_encoder and not cfg.head_bias_only:
+    if cfg.finetune_encoder:
         ft = pr.train_final(
             frames, result.lstm, result.ssa, mask, y, ds.split.train, ds.split.val,
             rng_for(cfg.seed, "train-finetune"), epochs=cfg.finetune_epochs,
             lr=cfg.finetune_lr, batch_size=cfg.batch_size,
-            patience=cfg.patience or None, activation=cfg.head_activation,
-            finetune_encoder=True, head=result.head,
+            patience=cfg.patience or None, finetune_encoder=True, head=result.head,
         )
         offset = curve[-1][0]
         curve = curve + [(offset + e, tr, va) for e, tr, va in ft.curve[1:]]
@@ -252,12 +206,9 @@ class YieldModel:
     @classmethod
     def load(cls, run_dir: Path, cfg: RunConfig) -> "YieldModel":
         named = load_checkpoint(Path(run_dir) / "model.ckpt")
-        head = pr.HeadParams(
-            w=tc.param(named["head/w"]), b=tc.param(named["head/b"]),
-            activation=cfg.head_activation, bias_only=cfg.head_bias_only,
-        )
+        lstm, ssa = _load_encoder(named, cfg)
         return cls(
-            lstm=_restore_lstm(named), ssa=_restore_ssa(named, cfg), head=head,
+            lstm=lstm, ssa=ssa, head=pr.HeadParams.from_named(named),
             mask=named["mask"] > 0.5, y_mean=float(named["norm/y_mean"]),
             y_std=float(named["norm/y_std"]), cfg=cfg,
         )
@@ -322,7 +273,7 @@ def merge_reports(run_dirs, percent: bool = False):
         try:
             kv = em.read_report_kv(path)
             row = (Path(run_dir).name, float(kv["mape"]), float(kv["rmsle"]), float(kv["smape"]))
-        except Exception:
+        except (OSError, ValueError, KeyError, DomainError):
             skipped.append(str(run_dir))
             continue
         rows.append(row)

@@ -19,37 +19,24 @@ from .tensor import Tensor
 
 
 @dataclass
-class HeadParams:
+class HeadParams(tc.ParamTree):
+    prefix = "head"
+
     w: Tensor  # [1, C_sel, 3, 3]
     b: Tensor  # scalar bias
-    activation: str = "identity"  # identity | relu
-    bias_only: bool = False  # freeze w at zero (constant-predictor probe)
-
-    def parameters(self):
-        return [self.b] if self.bias_only else [self.w, self.b]
-
-    def named(self, prefix: str = "head"):
-        return {f"{prefix}/w": self.w.data, f"{prefix}/b": self.b.data}
 
 
-def init_head(c_sel: int, activation: str = "identity", bias_only: bool = False) -> HeadParams:
+def init_head(c_sel: int) -> HeadParams:
     if c_sel < 1:
         raise DomainError("yield head needs a non-empty feature selection")
-    if activation not in ("identity", "relu"):
-        raise DomainError(f"head activation must be identity or relu, got {activation!r}")
-    return HeadParams(
-        w=tc.param(np.zeros((1, c_sel, 3, 3))),
-        b=tc.param(np.zeros(())),
-        activation=activation,
-        bias_only=bias_only,
-    )
+    return HeadParams(w=tc.param(np.zeros((1, c_sel, 3, 3))), b=tc.param(np.zeros(())))
 
 
 def predict_yield(f_opt: Tensor, p: HeadParams):
-    """Yield map sigma(W * F + b) and its spatial mean as the scalar prediction."""
+    """Yield map W * F + b and its spatial mean as the scalar prediction."""
     if f_opt.data.ndim != 3 or f_opt.data.shape[0] < 1:
         raise DomainError(f"expected non-empty [C_sel,H,W] features, got {f_opt.data.shape}")
-    ymap = tc.activation(tc.conv2d(f_opt, p.w, padding=1) + p.b, p.activation)
+    ymap = tc.conv2d(f_opt, p.w, padding=1) + p.b
     return ymap, ymap.mean()
 
 
@@ -77,8 +64,7 @@ class TrainResult:
 
 def train_final(frames_by_sample, lstm_p, ssa_p, mask, y, train_idx, val_idx, rng,
                 epochs: int = 80, lr: float = 0.05, batch_size: int = 8,
-                patience: int | None = 5, activation: str = "identity",
-                bias_only: bool = False, finetune_encoder: bool = False,
+                patience: int | None = 5, finetune_encoder: bool = False,
                 head: HeadParams | None = None) -> TrainResult:
     """SGD on the prediction MSE over the train split.
 
@@ -98,7 +84,7 @@ def train_final(frames_by_sample, lstm_p, ssa_p, mask, y, train_idx, val_idx, rn
     y_star = (y - y_mean) / y_std
 
     if head is None:
-        head = init_head(sel.size, activation=activation, bias_only=bias_only)
+        head = init_head(sel.size)
     params = list(head.parameters())
     if finetune_encoder:
         params += lstm_p.parameters() + ssa_p.parameters()

@@ -15,9 +15,12 @@ matter more than correctness.
 
 from __future__ import annotations
 
+from dataclasses import fields
+from typing import ClassVar, get_origin, get_type_hints
+
 import numpy as np
 
-from .errors import DomainError, NumericalError, ShapeMismatchError
+from .errors import DataFormatError, DomainError, NumericalError, ShapeMismatchError
 
 
 class Tensor:
@@ -129,6 +132,65 @@ def param(data, rng=None, scale: float | None = None, shape=None) -> Tensor:
             raise ValueError("rng initialization needs shape and scale")
         data = rng.uniform(-scale, scale, size=shape)
     return Tensor(data, requires_grad=True)
+
+
+class ParamTree:
+    """Base of the parameter dataclasses: one walk for training and checkpoints.
+
+    A ``Tensor`` field is a leaf, a list of Tensors gives the leaves
+    ``<name>_0``, ``<name>_1``, ..., and a nested tree is flattened with ``_``
+    (``se`` + ``w1`` -> ``se_w1``). A field's ``stem`` metadata replaces its
+    name on disk. Other fields (ints, strs) are static: they are not stored
+    and are passed to ``from_named``.
+    """
+
+    prefix: ClassVar[str] = ""
+
+    def _leaves(self, stem: str = ""):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            name = stem + f.metadata.get("stem", f.name)
+            if isinstance(value, Tensor):
+                yield name, value
+            elif isinstance(value, ParamTree):
+                yield from value._leaves(name + "_")
+            elif isinstance(value, list):
+                for i, t in enumerate(value):
+                    yield f"{name}_{i}", t
+
+    def parameters(self) -> list[Tensor]:
+        return [t for _, t in self._leaves()]
+
+    def named(self, prefix: str | None = None) -> dict:
+        """Checkpoint arrays keyed ``<prefix>/<leaf name>``."""
+        prefix = self.prefix if prefix is None else prefix
+        return {f"{prefix}/{name}": t.data for name, t in self._leaves()}
+
+    @classmethod
+    def from_named(cls, named: dict, prefix: str | None = None, **static):
+        """Rebuild from ``named()`` output; ``static`` supplies the non-tensor fields."""
+        prefix = cls.prefix if prefix is None else prefix
+        return cls._build(named, prefix + "/", static)
+
+    @classmethod
+    def _build(cls, named: dict, stem: str, static: dict):
+        kwargs = dict(static)
+        hints = get_type_hints(cls)
+        for f in fields(cls):
+            kind = hints[f.name]
+            name = stem + f.metadata.get("stem", f.name)
+            if kind is Tensor:
+                if name not in named:
+                    raise DataFormatError(f"checkpoint has no tensor {name!r}")
+                kwargs[f.name] = param(named[name])
+            elif get_origin(kind) is list:
+                items = []
+                while f"{name}_{len(items)}" in named:
+                    items.append(param(named[f"{name}_{len(items)}"]))
+                kwargs[f.name] = items
+            elif isinstance(kind, type) and issubclass(kind, ParamTree):
+                kwargs[f.name] = kind._build(named, name + "_", {})
+        return cls(**kwargs)
 
 
 def _as_tensor(x) -> Tensor:
@@ -298,17 +360,6 @@ def relu(a: Tensor) -> Tensor:
         _acc(a, g * mask)
 
     return _node(np.where(mask, a.data, 0.0), (a,), bw)
-
-
-_ACTIVATIONS = {"sigmoid": sigmoid, "tanh": tanh, "relu": relu, "identity": lambda t: t}
-
-
-def activation(a: Tensor, kind: str) -> Tensor:
-    """Elementwise activation dispatch: sigmoid | tanh | relu | identity."""
-    try:
-        return _ACTIVATIONS[kind](a)
-    except KeyError:
-        raise DomainError(f"unknown activation kind {kind!r}") from None
 
 
 # -- shape manipulation --------------------------------------------------------

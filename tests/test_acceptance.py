@@ -81,7 +81,7 @@ def test_criterion_1_gradient_suite():
     worst["ssa_forward"] = max(tc.grad_check(ssa_loss, t) for t in ssa.parameters())
 
     sched = df.linear_schedule(6, 0.95, 0.4)
-    den = df.DenoiserParams(2, 3, sched.steps, np.random.default_rng(103))
+    den = df.init_denoiser(2, 3, sched.steps, np.random.default_rng(103))
     z0 = rng.normal(size=(2, 5, 5)) * 0.5
     worst["diffusion_loss"] = max(
         tc.grad_check(lambda _t: df.diffusion_loss(z0, den, sched, 0.1,

@@ -195,9 +195,12 @@ class TestFusedForward:
         assert np.all(np.isfinite(out.data))
 
     def test_reserved_modes_rejected(self):
-        for mode in at.RESERVED_ATTENTION_MODES:
+        # the tags once reserved for later variants are unknown modes like any other
+        for mode in ("cbam", "transformer"):
             with pytest.raises(ConfigError):
                 make_params(attention_mode=mode)
+        with pytest.raises(ConfigError):
+            make_params(conv_mode="deformable")
 
     def test_gradients_all_params(self):
         rng = np.random.default_rng(16)

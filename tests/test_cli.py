@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 
+from cropyield import attention as at
+from cropyield import convlstm as cl
+from cropyield import diffusion as df
+from cropyield import predictor as pr
 from cropyield import synthdata as sd
 from cropyield.cli import main
 from cropyield.config import RunConfig, config_text, load_config, parse_overrides
 from cropyield.errors import ConfigError
+from cropyield.fileio import load_checkpoint
 
 FAST = [
     "n_plots=12", "t_steps=4", "height=8", "width=8",
@@ -46,6 +51,14 @@ class TestConfig:
             parse_overrides("finetune_encoder=maybe")
         with pytest.raises(ConfigError):
             load_config(None, {"t_steps": 2, "history": 2})
+        for key, value in (("batch_size", 1), ("denoiser_epochs", -1), ("pretrain_epochs", -1),
+                           ("train_epochs", -1), ("finetune_epochs", -1), ("eo_iters", 0),
+                           ("eo_particles", 3), ("temperature", 0.0), ("sigma_scale", -0.1)):
+            with pytest.raises(ConfigError):
+                load_config(None, {key: value})
+        # the benchmark's shortened schedules stay valid
+        load_config(None, {"pretrain_epochs": 0, "denoiser_epochs": 0, "batch_size": 2,
+                           "eo_iters": 2})
 
     def test_comments_and_blank_lines(self):
         out = parse_overrides("# a comment\n\nseed=3  # trailing\n")
@@ -95,6 +108,44 @@ class TestPipelineCommand:
                      "mask.txt", "eo_history.txt", "model.ckpt", "train_curve.txt",
                      "report.txt", "report.kv"):
             assert (run_dir / name).exists(), name
+
+    def test_checkpoint_keys_are_the_parts_named_keys(self, tiny_dataset, fast_config,
+                                                      tmp_path):
+        run_dir = tmp_path / "run"
+        assert main(["pipeline", "--data", str(tiny_dataset), "--out", str(run_dir),
+                     "--config", str(fast_config)]) == 0
+        cfg = load_config(fast_config)
+        rng = np.random.default_rng(0)
+        encoder = {**cl.init_convlstm_params(12, cfg.hidden_channels, 8, 8, 3, rng).named(),
+                   **at.init_ssa_params(cfg.hidden_channels, rng, experts=cfg.experts).named()}
+        den = df.init_denoiser(12, cfg.denoiser_hidden, cfg.diff_steps, rng).named()
+        head = pr.init_head(1).named()
+        assert set(load_checkpoint(run_dir / "pretrain.ckpt")) == {*den, *encoder, "projection"}
+        assert set(load_checkpoint(run_dir / "model.ckpt")) == {
+            *encoder, *head, "norm/y_mean", "norm/y_std", "mask"}
+        # one held-out sample (12 plots) has no negative pair: no separation is written
+        stats = (run_dir / "pretrain_stats.kv").read_text()
+        assert "holdout_pos_sim=" in stats
+        assert "holdout_neg_sim" not in stats and "holdout_separation" not in stats
+
+    def test_time_steps_come_from_the_dataset(self, tiny_dataset, tmp_path):
+        # tiny_dataset has T=4; this config leaves t_steps at its default of 6
+        cfg = tmp_path / "default_t.cfg"
+        cfg.write_text("\n".join(k for k in FAST if not k.startswith("t_steps=")) + "\n")
+        assert main(["pipeline", "--data", str(tiny_dataset), "--out", str(tmp_path / "r"),
+                     "--config", str(cfg)]) == 0
+
+    def test_dataset_shorter_than_history_exits_2(self, fast_config, tmp_path):
+        short_cfg = tmp_path / "short.cfg"
+        short_cfg.write_text("history=1\n")
+        data = tmp_path / "short.mtms"
+        assert main(["synth", "--source", "S1", "--plots", "10", "--t-steps", "2",
+                     "--height", "8", "--width", "8", "--config", str(short_cfg),
+                     "--out", str(data)]) == 0
+        run_dir = tmp_path / "r"
+        assert main(["pipeline", "--data", str(data), "--out", str(run_dir),
+                     "--config", str(fast_config)]) == 2
+        assert not (run_dir / "pretrain.ckpt").exists()
 
     def test_stage_resume(self, tiny_dataset, fast_config, tmp_path):
         run_dir = tmp_path / "staged"

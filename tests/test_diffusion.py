@@ -82,7 +82,7 @@ class TestForwardDiffuse:
 class TestReverseStep:
     def test_sigma_zero_returns_mean_exactly(self, sched):
         rng = np.random.default_rng(4)
-        den = df.DenoiserParams(2, 4, sched.steps, rng)
+        den = df.init_denoiser(2, 4, sched.steps, rng)
         z = rng.normal(size=(2, 5, 5))
         out = df.reverse_step(z, 3, den, 0.0, rng)
         np.testing.assert_array_equal(out, den.forward(Tensor(z), 3).data)
@@ -97,7 +97,7 @@ class TestReverseStep:
 
     def test_shape_preserved(self, sched):
         rng = np.random.default_rng(6)
-        den = df.DenoiserParams(3, 4, sched.steps, rng)
+        den = df.init_denoiser(3, 4, sched.steps, rng)
         z = rng.normal(size=(3, 6, 7))
         assert df.reverse_step(z, 2, den, 0.5, rng).shape == z.shape
 
@@ -118,7 +118,7 @@ class TestTrajectoryConsistency:
 
     def test_non_negative(self, sched):
         rng = np.random.default_rng(9)
-        den = df.DenoiserParams(2, 4, sched.steps, rng)
+        den = df.init_denoiser(2, 4, sched.steps, rng)
         for seed in range(5):
             z0 = np.random.default_rng(seed).normal(size=(2, 4, 4))
             assert df.trajectory_consistency(z0, 3, den, sched, np.random.default_rng(seed)).item() >= 0.0
@@ -127,7 +127,7 @@ class TestTrajectoryConsistency:
 class TestDiffusionLoss:
     def test_lambda_zero_equals_reconstruction_sum(self, sched):
         rng = np.random.default_rng(10)
-        den = df.DenoiserParams(2, 4, sched.steps, rng)
+        den = df.init_denoiser(2, 4, sched.steps, rng)
         z0 = rng.normal(size=(2, 5, 5))
         got = df.diffusion_loss(z0, den, sched, 0.0, np.random.default_rng(77))
         # independent recomputation with the identical rng stream
@@ -146,7 +146,7 @@ class TestDiffusionLoss:
 
     def test_gradient_wrt_denoiser_params(self, sched):
         rng = np.random.default_rng(12)
-        den = df.DenoiserParams(2, 3, sched.steps, rng)
+        den = df.init_denoiser(2, 3, sched.steps, rng)
         z0 = rng.normal(size=(2, 5, 5)) * 0.5
 
         worst = 0.0
@@ -161,7 +161,7 @@ class TestDiffusionLoss:
 class TestAugmentPair:
     def test_depth_zero_is_identity(self, sched):
         rng = np.random.default_rng(13)
-        den = df.DenoiserParams(2, 4, sched.steps, rng)
+        den = df.init_denoiser(2, 4, sched.steps, rng)
         frame = rng.uniform(size=(2, 5, 5))
         a, b = df.augment_pair(frame, den, sched, 0, rng)
         np.testing.assert_array_equal(a, frame)
@@ -169,7 +169,7 @@ class TestAugmentPair:
 
     def test_same_seed_same_pair(self, sched):
         rng = np.random.default_rng(14)
-        den = df.DenoiserParams(2, 4, sched.steps, rng)
+        den = df.init_denoiser(2, 4, sched.steps, rng)
         frame = rng.uniform(size=(2, 5, 5))
         a1, b1 = df.augment_pair(frame, den, sched, 5, np.random.default_rng(99))
         a2, b2 = df.augment_pair(frame, den, sched, 5, np.random.default_rng(99))
@@ -178,7 +178,7 @@ class TestAugmentPair:
 
     def test_views_differ_from_input_and_each_other(self, sched):
         rng = np.random.default_rng(15)
-        den = df.DenoiserParams(2, 4, sched.steps, rng)
+        den = df.init_denoiser(2, 4, sched.steps, rng)
         frame = rng.uniform(size=(2, 5, 5))
         a, b = df.augment_pair(frame, den, sched, 5, rng)
         assert not np.array_equal(a, frame)

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -102,8 +103,14 @@ class TestRunEo:
         wins = 0
         for seed in range(10):
             planted = np.random.default_rng(1000 + seed).random(dim) >= 0.5
-            fitness = lambda mask: float(np.sum(mask != planted))
+            seen = Counter()
+
+            def fitness(mask):
+                seen[mask.tobytes()] += 1
+                return float(np.sum(mask != planted))
+
             res = eo.run_eo(dim, fitness, eo.EoConfig(n_particles=20, max_iter=100, seed=seed))
+            assert max(seen.values()) == 1  # each distinct mask is scored once
             assert res.history == sorted(res.history, reverse=True)
             if res.best_fitness == 0.0:
                 wins += 1

@@ -104,13 +104,13 @@ class TestPoolAndActivations:
         assert np.all(tc.global_avg_pool(Tensor(np.zeros((2, 3, 3)))).data == 0.0)
 
     def test_sigmoid_symmetry_point(self):
-        assert tc.activation(Tensor(0.0), "sigmoid").item() == 0.5
+        assert tc.sigmoid(Tensor(0.0)).item() == 0.5
 
     def test_tanh_odd(self):
-        assert tc.activation(Tensor(0.0), "tanh").item() == 0.0
+        assert tc.tanh(Tensor(0.0)).item() == 0.0
 
     def test_sigmoid_ln3(self):
-        got = tc.activation(Tensor(math.log(3.0)), "sigmoid").item()
+        got = tc.sigmoid(Tensor(math.log(3.0))).item()
         assert abs(got - 0.75) < 1e-9
 
     def test_sigmoid_extreme_is_finite(self):
@@ -119,13 +119,9 @@ class TestPoolAndActivations:
         assert 0.0 <= out[0] and out[1] <= 1.0
 
     def test_identity_and_relu(self):
-        x = Tensor([-1.0, 2.0])
-        assert np.all(tc.activation(x, "identity").data == x.data)
-        np.testing.assert_array_equal(tc.activation(x, "relu").data, [0.0, 2.0])
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(DomainError):
-            tc.activation(Tensor(1.0), "softplus")
+        # relu is the identity on positive inputs and zero elsewhere
+        x = Tensor([-1.0, 0.0, 2.0])
+        np.testing.assert_array_equal(tc.relu(x).data, [0.0, 0.0, 2.0])
 
 
 class TestCosine:
