@@ -25,14 +25,10 @@ from .tensor import Tensor
 
 @dataclass
 class ContrastiveBatch:
-    """Positive pairs (two views per sample) plus provenance for negatives.
-
-    A positive pair shares its (plot_id, season_tag) tag; every other second
-    view in the batch is a negative for an anchor.
-    """
+    """Positive pairs, two views per sample; every other second view in the
+    batch is a negative for an anchor."""
 
     pairs: list  # [(v1, v2)] embedding Tensors
-    tags: list  # [(plot_id, season_tag)]
 
 
 def embed_sequence(frames, lstm_p: cl.ConvLstmParams, ssa_p: at.SsaParams,
@@ -101,7 +97,7 @@ def _augment_views(frames_tchw: np.ndarray, den, sched, depth: int, rng, sigma_s
     return v1, v2
 
 
-def pretrain_encoder(frames_by_sample, tags, train_idx, val_idx, den, sched,
+def pretrain_encoder(frames_by_sample, train_idx, val_idx, den, sched,
                      seed_rng, channels: int, epochs: int = 20, lr: float = 0.01,
                      batch_size: int = 8, tau: float = 0.5, embed_dim: int = 16,
                      hidden_channels: int = 8, kernel: int = 3, depth: int = 2,
@@ -127,7 +123,7 @@ def pretrain_encoder(frames_by_sample, tags, train_idx, val_idx, den, sched,
     params = lstm_p.parameters() + ssa_p.parameters() + [proj]
 
     def batch_loss(idx_batch, rng):
-        pairs, tag_list = [], []
+        pairs = []
         for i in idx_batch:
             v1_frames, v2_frames = _augment_views(
                 frames_by_sample[i], den, sched, depth, rng, sigma_scale
@@ -135,8 +131,7 @@ def pretrain_encoder(frames_by_sample, tags, train_idx, val_idx, den, sched,
             v1 = embed_sequence(v1_frames, lstm_p, ssa_p, proj)
             v2 = embed_sequence(v2_frames, lstm_p, ssa_p, proj)
             pairs.append((v1, v2))
-            tag_list.append(tags[i])
-        return contrastive_loss(ContrastiveBatch(pairs, tag_list), tau)
+        return contrastive_loss(ContrastiveBatch(pairs), tau)
 
     def epoch_batches(rng):
         order = [train_idx[k] for k in rng.permutation(len(train_idx))]

@@ -109,10 +109,12 @@ def reverse_step(z_t: np.ndarray, t: int, den, sigma_t: float, rng) -> np.ndarra
     return mu + sigma_t * rng.standard_normal(mu.shape)
 
 
-def trajectory_consistency(z0: np.ndarray, t: int, den, sched: NoiseSchedule, rng) -> Tensor:
+def trajectory_consistency(z0: np.ndarray, t: int, den, sched: NoiseSchedule, rng,
+                           z_t: np.ndarray | None = None) -> Tensor:
     """Squared L2 gap between the recorded noisy target z_t and the generator's
-    prediction from the clean image."""
-    z_t = forward_diffuse(z0, t, sched, rng)
+    prediction from the clean image; z_t is drawn from ``rng`` unless given."""
+    if z_t is None:
+        z_t = forward_diffuse(z0, t, sched, rng)
     pred = den.forward(Tensor(z0), t)
     diff = Tensor(z_t) - pred
     return (diff * diff).sum()
@@ -134,9 +136,7 @@ def diffusion_loss(z0: np.ndarray, den, sched: NoiseSchedule, lam: float, rng) -
     if lam > 0:
         subset = rng.choice(sched.steps, size=math.ceil(sched.steps / 2), replace=False) + 1
         for t in sorted(int(t) for t in subset):
-            pred = den.forward(z0_t, t)
-            gap = Tensor(targets[t]) - pred
-            total = total + lam * (gap * gap).sum()
+            total = total + lam * trajectory_consistency(z0, t, den, sched, rng, z_t=targets[t])
     return total
 
 

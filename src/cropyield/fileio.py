@@ -1,13 +1,17 @@
-"""Shared on-disk conventions: FNV-1a checksums, seeded RNG streams, checkpoints.
+"""Shared on-disk conventions: FNV-1a checksums, seeded RNG streams, the container codec.
 
-Dataset and checkpoint files use the same skeleton: a text header line, text
-metadata lines interleaved with raw little-endian float64 payloads, and a
-trailing 8-byte little-endian FNV-1a checksum over every payload byte after
-the header.
+Dataset and checkpoint files are one container format: text header lines,
+then records of one text metadata line and one raw little-endian float64
+payload each, then a trailing 8-byte little-endian FNV-1a checksum over every
+record byte (the header lines are outside it). ``write_container`` and
+``ContainerReader`` are the only writer and reader; ``synthdata`` and the
+checkpoint functions below are schemas over them.
 """
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 
 import numpy as np
@@ -17,6 +21,7 @@ from .errors import ChecksumMismatchError, MalformedHeaderError, TruncatedPayloa
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+_MAX_LINE = 4096  # longest text line a reader accepts, newline included
 
 CHECKPOINT_MAGIC = "MTMSCK"
 
@@ -33,66 +38,108 @@ def rng_for(seed: int, label: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed & _MASK64, fnv1a64(label.encode())]))
 
 
-def _read_exact(fh, n: int, what: str) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise TruncatedPayloadError(f"file ended inside {what}: wanted {n} bytes, got {len(buf)}")
-    return buf
+# -- container codec ----------------------------------------------------------------
 
 
-def _read_text_line(fh, what: str) -> bytes:
-    """Read up to and including a newline; raw bytes returned for checksumming."""
-    chunks = []
-    while True:
-        c = fh.read(1)
-        if not c:
-            raise TruncatedPayloadError(f"file ended inside {what}")
-        chunks.append(c)
-        if c == b"\n":
-            return b"".join(chunks)
+def write_container(path, header: list, records) -> None:
+    """Write the ``header`` lines, one (metadata line, float64 array) pair per
+    item of ``records`` (any iterable), then the checksum trailer."""
+    with open(path, "wb") as fh:
+        fh.write("".join(line + "\n" for line in header).encode())
+        digest = _FNV_OFFSET
+        for meta, arr in records:
+            meta = (meta + "\n").encode()
+            payload = np.asarray(arr, dtype="<f8").tobytes()  # C order whatever the layout
+            fh.write(meta)
+            fh.write(payload)
+            digest = fnv1a64(payload, fnv1a64(meta, digest))
+        fh.write(struct.pack("<Q", digest))
+
+
+def positive_int(field: str) -> int:
+    """Field converter for a dimension: a positive integer, else ValueError."""
+    value = int(field)
+    if value < 1:
+        raise ValueError(f"{field} is not a positive integer")
+    return value
+
+
+class ContainerReader:
+    """Streams one container record by record, as a context manager that checks
+    the trailer on a clean exit. Every disagreement between the bytes and their
+    declared layout raises a ``DataFormatError`` subclass."""
+
+    def __init__(self, path, what: str):
+        self._fh = open(path, "rb")
+        self._size = os.fstat(self._fh.fileno()).st_size
+        self.what = what
+        self.digest = _FNV_OFFSET
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, *_):
+        with self._fh:
+            if exc_type is None:
+                self._check_trailer()
+
+    def fields(self, what: str, types, rest=None, checksum: bool = True) -> list:
+        """The next line's whitespace-separated fields, each converted by its
+        entry of ``types``; fields beyond those by ``rest`` if given."""
+        raw = self._fh.readline(_MAX_LINE)
+        if not raw.endswith(b"\n"):
+            raise (MalformedHeaderError if len(raw) == _MAX_LINE else TruncatedPayloadError)(
+                f"{self.what} {what}: no newline in the {len(raw)} bytes read")
+        if checksum:
+            self.digest = fnv1a64(raw, self.digest)
+        try:  # UnicodeDecodeError is a ValueError too
+            values = raw.decode().split()
+            extra = len(values) - len(types)
+            if extra < 0 or (extra and rest is None):
+                raise ValueError(f"{len(values)} fields, expected {len(types)}")
+            return [conv(v) for conv, v in zip([*types, *[rest] * extra], values)]
+        except ValueError as err:
+            raise MalformedHeaderError(f"{self.what} {what} {raw[:80]!r}: {err}") from None
+
+    def payload(self, shape: tuple, what: str) -> np.ndarray:
+        """The next float64 array; its size is checked against the file before reading."""
+        size, left = 8 * math.prod(shape), self._size - self._fh.tell() - 8
+        if size > left:
+            raise TruncatedPayloadError(
+                f"{self.what} {what}: {size} payload bytes declared, only {left} left")
+        buf = self._fh.read(size)
+        self.digest = fnv1a64(buf, self.digest)
+        return np.frombuffer(buf, dtype="<f8").reshape(shape).astype(np.float64)
+
+    def _check_trailer(self) -> None:
+        left = self._size - self._fh.tell()
+        if left != 8:
+            raise (TruncatedPayloadError if left < 8 else MalformedHeaderError)(
+                f"{self.what}: {left} bytes after the declared records, not the 8-byte checksum")
+        stored = struct.unpack("<Q", self._fh.read(8))[0]
+        if stored != self.digest:
+            raise ChecksumMismatchError(f"{self.what} checksum mismatch: stored {stored:016x}, "
+                                        f"computed {self.digest:016x}")
+
+
+# -- checkpoint schema --------------------------------------------------------------
 
 
 def save_checkpoint(path, tensors: dict) -> None:
     """Write named float64 arrays; names are sorted so output is byte-stable."""
     names = sorted(tensors)
-    with open(path, "wb") as fh:
-        fh.write(f"{CHECKPOINT_MAGIC} v1 {len(names)}\n".encode())
-        h = _FNV_OFFSET
-        for name in names:
-            arr = np.asarray(tensors[name], dtype=np.float64)
-            meta = (name + " " + " ".join(str(d) for d in arr.shape) + "\n").encode()
-            payload = arr.astype("<f8").tobytes()  # astype copies C-contiguous
-            fh.write(meta)
-            fh.write(payload)
-            h = fnv1a64(meta, h)
-            h = fnv1a64(payload, h)
-        fh.write(struct.pack("<Q", h))
+    write_container(path, [f"{CHECKPOINT_MAGIC} v1 {len(names)}"], (
+        (name + " " + " ".join(str(d) for d in np.shape(tensors[name])), tensors[name])
+        for name in names))
 
 
 def load_checkpoint(path) -> dict:
-    with open(path, "rb") as fh:
-        header = _read_text_line(fh, "checkpoint header")
-        fields = header.decode(errors="replace").split()
-        if len(fields) != 3 or fields[0] != CHECKPOINT_MAGIC or fields[1] != "v1":
-            raise MalformedHeaderError(f"bad checkpoint header: {header!r}")
-        try:
-            count = int(fields[2])
-        except ValueError:
-            raise MalformedHeaderError(f"bad tensor count in header: {header!r}") from None
+    with ContainerReader(path, "checkpoint") as rd:
+        magic, version, count = rd.fields("header", (str, str, int), checksum=False)
+        if (magic, version) != (CHECKPOINT_MAGIC, "v1") or count < 0:
+            raise MalformedHeaderError(f"bad checkpoint header: {magic} {version} {count}")
         tensors = {}
-        h = _FNV_OFFSET
         for _ in range(count):
-            meta = _read_text_line(fh, "tensor metadata")
-            h = fnv1a64(meta, h)
-            parts = meta.decode().split()
-            name, shape = parts[0], tuple(int(d) for d in parts[1:])
-            n = int(np.prod(shape)) if shape else 1
-            payload = _read_exact(fh, n * 8, f"tensor {name!r}")
-            h = fnv1a64(payload, h)
-            tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
-        stored = struct.unpack("<Q", _read_exact(fh, 8, "checksum"))[0]
-        if stored != h:
-            raise ChecksumMismatchError(
-                f"checkpoint checksum mismatch: stored {stored:016x}, computed {h:016x}"
-            )
+            name, *shape = rd.fields("tensor metadata", (str,), rest=positive_int)
+            tensors[name] = rd.payload(tuple(shape), f"tensor {name!r}")
     return tensors

@@ -93,8 +93,7 @@ def run_stage_pretrain(run_dir: Path, ds: sd.Dataset, frames, cfg: RunConfig) ->
         lam=cfg.lambda_consistency, hidden=cfg.denoiser_hidden,
     )
     result = ct.pretrain_encoder(
-        frames, [(s.plot_id, s.season_tag) for s in ds.samples],
-        ds.split.train, ds.split.val, den, sched, rng_for(cfg.seed, "pretrain"),
+        frames, ds.split.train, ds.split.val, den, sched, rng_for(cfg.seed, "pretrain"),
         channels=channels, epochs=cfg.pretrain_epochs, lr=cfg.pretrain_lr,
         batch_size=cfg.batch_size, tau=cfg.temperature, embed_dim=cfg.embed_dim,
         hidden_channels=cfg.hidden_channels, kernel=cfg.kernel_size,

@@ -11,18 +11,12 @@ same dataset byte for byte.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (
-    ChecksumMismatchError,
-    DomainError,
-    MalformedHeaderError,
-    TruncatedPayloadError,
-)
-from .fileio import _FNV_OFFSET, _read_exact, _read_text_line, fnv1a64, rng_for
+from .errors import DomainError, MalformedHeaderError
+from .fileio import ContainerReader, positive_int, rng_for, write_container
 
 DATASET_MAGIC = "MTMSDS"
 
@@ -67,8 +61,8 @@ class PlotSample:
     y: float  # scalar yield, > 0
 
     def __post_init__(self):
-        if self.y <= 0:
-            raise DomainError(f"plot {self.plot_id}: yield must be positive, got {self.y}")
+        if not 0.0 < self.y < math.inf:
+            raise DomainError(f"plot {self.plot_id}: yield {self.y} is not positive and finite")
         if self.x.ndim != 4 or self.x.shape[0] < 2:
             raise DomainError(
                 f"plot {self.plot_id}: x must be [T>=2,H,W,C], got shape {self.x.shape}"
@@ -219,56 +213,24 @@ def split_dataset(ds: Dataset, seed: int) -> Dataset:
 
 def save_dataset(ds: Dataset, path) -> None:
     t, h, w, c = ds.dims
-    with open(path, "wb") as fh:
-        fh.write(
-            f"{DATASET_MAGIC} v1 {ds.band_spec.source} {len(ds.samples)} {t} {h} {w} {c}\n".encode()
-        )
-        fh.write((",".join(ds.band_spec.band_names) + "\n").encode())
-        digest = _FNV_OFFSET
-        for s in ds.samples:
-            meta = f"{s.plot_id} {s.season_tag} {s.y!r}\n".encode()
-            payload = np.ascontiguousarray(s.x, dtype="<f8").tobytes()
-            fh.write(meta)
-            fh.write(payload)
-            digest = fnv1a64(meta, digest)
-            digest = fnv1a64(payload, digest)
-        fh.write(struct.pack("<Q", digest))
+    write_container(path, [
+        f"{DATASET_MAGIC} v1 {ds.band_spec.source} {len(ds.samples)} {t} {h} {w} {c}",
+        ",".join(ds.band_spec.band_names),
+    ], ((f"{s.plot_id} {s.season_tag} {s.y!r}", s.x) for s in ds.samples))
 
 
 def load_dataset(path) -> Dataset:
-    with open(path, "rb") as fh:
-        header = _read_text_line(fh, "dataset header")
-        fields = header.decode(errors="replace").split()
-        if len(fields) != 8 or fields[0] != DATASET_MAGIC or fields[1] != "v1":
-            raise MalformedHeaderError(f"bad dataset header: {header!r}")
-        source = fields[2]
-        try:
-            n, t, h, w, c = (int(v) for v in fields[3:])
-        except ValueError:
-            raise MalformedHeaderError(f"non-integer dimensions in header: {header!r}") from None
+    with ContainerReader(path, "dataset") as rd:
+        magic, version, source, n, *shape = rd.fields(
+            "header", (str, str, str) + (positive_int,) * 5, checksum=False)
+        if (magic, version) != (DATASET_MAGIC, "v1") or source not in _BANDS:
+            raise MalformedHeaderError(f"bad dataset header: {magic} {version} {source}")
         spec = BandSpec(source)
-        names_line = _read_text_line(fh, "band name line").decode().rstrip("\n")
-        if names_line.split(",") != spec.band_names or spec.channels != c:
-            raise MalformedHeaderError(
-                f"band list {names_line!r} does not match source {source} with C={c}"
-            )
-        digest = _FNV_OFFSET
+        (bands,) = rd.fields("band name line", (str,), checksum=False)
+        if bands.split(",") != spec.band_names or shape[3] != spec.channels:
+            raise MalformedHeaderError(f"bands {bands!r} do not match {source} with C={shape[3]}")
         samples = []
         for _ in range(n):
-            meta = _read_text_line(fh, "sample metadata")
-            digest = fnv1a64(meta, digest)
-            parts = meta.decode().split()
-            if len(parts) != 3:
-                raise MalformedHeaderError(f"bad sample metadata line: {meta!r}")
-            payload = _read_exact(fh, t * h * w * c * 8, f"sample {parts[0]} payload")
-            digest = fnv1a64(payload, digest)
-            x = np.frombuffer(payload, dtype="<f8").reshape(t, h, w, c).astype(np.float64)
-            samples.append(
-                PlotSample(plot_id=int(parts[0]), season_tag=parts[1], x=x, y=float(parts[2]))
-            )
-        stored = struct.unpack("<Q", _read_exact(fh, 8, "checksum"))[0]
-        if stored != digest:
-            raise ChecksumMismatchError(
-                f"dataset checksum mismatch: stored {stored:016x}, computed {digest:016x}"
-            )
+            plot_id, tag, y = rd.fields("sample metadata", (int, str, float))
+            samples.append(PlotSample(plot_id, tag, rd.payload(tuple(shape), f"plot {plot_id}"), y))
     return Dataset(band_spec=spec, samples=samples)

@@ -54,9 +54,6 @@ class Tensor:
     def zero_grad(self):
         self._grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def item(self) -> float:
         return float(self.data)
 

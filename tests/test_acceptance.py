@@ -101,7 +101,7 @@ def test_criterion_1_gradient_suite():
             (ct.embed_sequence(seqs[2], lstm2, ssa2, proj),
              ct.embed_sequence(seqs[3], lstm2, ssa2, proj)),
         ]
-        batch = ct.ContrastiveBatch(pairs, [(0, "s"), (1, "s")])
+        batch = ct.ContrastiveBatch(pairs)
         return ct.contrastive_loss(batch, 0.5)
 
     worst["contrastive_loss"] = max(
@@ -156,7 +156,7 @@ def test_criterion_2_equation_oracles():
 
     # contrastive hand value, tolerance 1e-5 as stated
     ex, ey = Tensor([1.0, 0.0]), Tensor([0.0, 1.0])
-    batch = ct.ContrastiveBatch([(ex, ex), (ey, ey)], [(0, "s"), (1, "s")])
+    batch = ct.ContrastiveBatch([(ex, ex), (ey, ey)])
     loss = ct.contrastive_loss(batch, 1.0).item()
     checks.append(("contrastive -log(e/(e+1))", abs(loss - 0.31326) < 1e-5))
 

@@ -62,7 +62,7 @@ class TestContrastiveLoss:
     def test_one_positive_one_negative_hand_value(self):
         # both anchors: positive sim 1 (identical), negative sim 0 (orthogonal)
         ex, ey = unit(1, 0), unit(0, 1)
-        batch = ct.ContrastiveBatch(pairs=[(ex, ex), (ey, ey)], tags=[(0, "s"), (1, "s")])
+        batch = ct.ContrastiveBatch(pairs=[(ex, ex), (ey, ey)])
         got = ct.contrastive_loss(batch, tau=1.0).item()
         want = -math.log(math.e / (math.e + 1.0))
         assert abs(got - want) < 1e-9
@@ -71,14 +71,14 @@ class TestContrastiveLoss:
     def test_all_identical_gives_log_n(self):
         v = unit(1, 2, 3)
         for n in (2, 5, 8):
-            batch = ct.ContrastiveBatch(pairs=[(v, v)] * n, tags=[(i, "s") for i in range(n)])
+            batch = ct.ContrastiveBatch(pairs=[(v, v)] * n)
             got = ct.contrastive_loss(batch, tau=0.7).item()
             assert abs(got - math.log(n)) < 1e-9
 
     def test_sharp_temperature_drives_loss_to_zero(self):
         pairs = [(unit(1, 0, 0), unit(1, 0, 0)), (unit(0, 1, 0), unit(0, 1, 0)),
                  (unit(0, 0, 1), unit(0, 0, 1))]
-        batch = ct.ContrastiveBatch(pairs=pairs, tags=[(i, "s") for i in range(3)])
+        batch = ct.ContrastiveBatch(pairs=pairs)
         assert ct.contrastive_loss(batch, tau=0.01).item() < 1e-3
 
     def test_scale_invariance(self):
@@ -86,61 +86,54 @@ class TestContrastiveLoss:
         vs = [rng.normal(size=5) for _ in range(6)]
         pairs = [(Tensor(vs[2 * i]), Tensor(vs[2 * i + 1])) for i in range(3)]
         scaled = [(Tensor(3.7 * vs[2 * i]), Tensor(3.7 * vs[2 * i + 1])) for i in range(3)]
-        tags = [(i, "s") for i in range(3)]
-        a = ct.contrastive_loss(ct.ContrastiveBatch(pairs, tags), 0.5).item()
-        b = ct.contrastive_loss(ct.ContrastiveBatch(scaled, tags), 0.5).item()
+        a = ct.contrastive_loss(ct.ContrastiveBatch(pairs), 0.5).item()
+        b = ct.contrastive_loss(ct.ContrastiveBatch(scaled), 0.5).item()
         assert abs(a - b) < 1e-12
 
     def test_permutation_invariance_of_negatives(self):
         rng = np.random.default_rng(5)
         vs = [(Tensor(rng.normal(size=4)), Tensor(rng.normal(size=4))) for _ in range(4)]
-        tags = [(i, "s") for i in range(4)]
-        base = ct.contrastive_loss(ct.ContrastiveBatch(list(vs), tags), 0.5).item()
+        base = ct.contrastive_loss(ct.ContrastiveBatch(list(vs)), 0.5).item()
         # swapping two non-anchor pairs permutes every anchor's negative set
         swapped = [vs[0], vs[2], vs[1], vs[3]]
-        got = ct.contrastive_loss(ct.ContrastiveBatch(swapped, tags), 0.5).item()
+        got = ct.contrastive_loss(ct.ContrastiveBatch(swapped), 0.5).item()
         assert abs(base - got) < 1e-12
 
     def test_loss_decreases_when_positive_sim_rises(self):
         neg = unit(0, 1)
-        tags = [(0, "s"), (1, "s")]
 
         def loss_at(angle):
             v1 = unit(1, 0)
             v2 = unit(math.cos(angle), math.sin(angle))
-            batch = ct.ContrastiveBatch(pairs=[(v1, v2), (neg, neg)], tags=tags)
+            batch = ct.ContrastiveBatch(pairs=[(v1, v2), (neg, neg)])
             return ct.contrastive_loss(batch, 0.5).item()
 
         losses = [loss_at(a) for a in (0.9, 0.6, 0.3, 0.0)]  # positive sim rising
         assert all(l2 < l1 for l1, l2 in zip(losses, losses[1:]))
 
     def test_zero_norm_embedding_rejected(self):
-        batch = ct.ContrastiveBatch(
-            pairs=[(Tensor([0.0, 0.0]), unit(1, 0)), (unit(0, 1), unit(0, 1))],
-            tags=[(0, "s"), (1, "s")],
-        )
+        batch = ct.ContrastiveBatch([(Tensor([0.0, 0.0]), unit(1, 0)), (unit(0, 1), unit(0, 1))])
         with pytest.raises(DomainError):
             ct.contrastive_loss(batch, 0.5)
 
     def test_bad_temperature_and_tiny_batch_rejected(self):
         v = unit(1, 1)
         with pytest.raises(DomainError):
-            ct.contrastive_loss(ct.ContrastiveBatch([(v, v)] * 2, [(0, "s"), (1, "s")]), 0.0)
+            ct.contrastive_loss(ct.ContrastiveBatch([(v, v)] * 2), 0.0)
         with pytest.raises(DomainError):
-            ct.contrastiveLoss = ct.contrastive_loss(ct.ContrastiveBatch([(v, v)], [(0, "s")]), 0.5)
+            ct.contrastive_loss(ct.ContrastiveBatch([(v, v)]), 0.5)
 
     def test_gradient_through_embeddings(self):
         lstm, ssa, proj = make_encoder(seed=6)
         rng = np.random.default_rng(6)
         seqs = [[rng.normal(size=(3, 6, 6)) * 0.5 for _ in range(3)] for _ in range(4)]
-        tags = [(i, "s") for i in range(2)]
 
         def loss(_p):
             pairs = [
                 (ct.embed_sequence(seqs[0], lstm, ssa, proj), ct.embed_sequence(seqs[1], lstm, ssa, proj)),
                 (ct.embed_sequence(seqs[2], lstm, ssa, proj), ct.embed_sequence(seqs[3], lstm, ssa, proj)),
             ]
-            return ct.contrastive_loss(ct.ContrastiveBatch(pairs, tags), 0.5)
+            return ct.contrastive_loss(ct.ContrastiveBatch(pairs), 0.5)
 
         worst = max(tc.grad_check(loss, proj), tc.grad_check(loss, lstm.b_o),
                     tc.grad_check(loss, ssa.w_temporal))

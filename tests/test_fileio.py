@@ -1,0 +1,173 @@
+"""The container codec under corruption: every one-byte mutation of a dataset or
+a checkpoint is refused with an error the CLI exits 3 on, or loads what was
+saved; the corruptions once seen to crash the loaders are explicit cases."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cropyield import fileio
+from cropyield import synthdata as sd
+from cropyield.cli import main
+from cropyield.errors import (
+    ConfigError,
+    CropYieldError,
+    MalformedHeaderError,
+    NumericalError,
+    TruncatedPayloadError,
+)
+
+KINDS = ("flip", "delete", "insert", "truncate")
+
+
+@pytest.fixture(scope="module")
+def originals(containers, tmp_path_factory):
+    """(container, its saved bytes, a path to write mutants to) for each container."""
+    work = tmp_path_factory.mktemp("fuzz")
+    out = []
+    for c in containers:
+        c.write(work / c.name)
+        out.append((c, (work / c.name).read_bytes(), work / f"{c.name}.mutant"))
+    return out
+
+
+def mutate(raw: bytes, kind: str, offset: int, value: int) -> bytes:
+    if kind == "truncate":
+        return raw[:offset]
+    if kind == "delete":
+        return raw[:offset] + raw[offset + 1:]
+    if kind == "insert":
+        return raw[:offset] + bytes([value]) + raw[offset:]
+    return raw[:offset] + bytes([raw[offset] ^ value]) + raw[offset + 1:]  # flip, value != 0
+
+
+def assert_refused_or_equal(container, path, mutant: bytes):
+    path.write_bytes(mutant)
+    try:
+        got = container.read(path)
+    except CropYieldError as err:
+        # the CLI exits 2 on ConfigError, 4 on NumericalError and 3 on every other one
+        assert not isinstance(err, (ConfigError, NumericalError)), repr(err)
+        return
+    # only whitespace in the unchecksummed header lines can change and still load
+    assert got == container.expected
+
+
+class TestMutationFuzz:
+    def test_every_offset_of_every_kind(self, originals):
+        for c, raw, path in originals:
+            for offset in range(len(raw)):
+                for kind in KINDS:
+                    assert_refused_or_equal(c, path, mutate(raw, kind, offset, 0xFF))
+
+    @settings(deadline=None, max_examples=300)
+    @given(which=st.integers(0, 1), kind=st.sampled_from(KINDS), offset=st.integers(0, 10**6),
+           value=st.integers(1, 255))
+    def test_random_byte_values(self, originals, which, kind, offset, value):
+        c, raw, path = originals[which]
+        assert_refused_or_equal(c, path, mutate(raw, kind, offset % len(raw), value))
+
+    def test_header_whitespace_loads_the_same(self, originals):
+        c, raw, path = originals[0]
+        path.write_bytes(raw.replace(b" ", b"  ", 1))
+        assert c.read(path) == c.expected
+
+
+# -- corruptions that crashed the loaders with ValueError, UnicodeDecodeError or MemoryError
+
+def _dataset_bytes(tmp_path) -> bytes:
+    ds = sd.generate_dataset(sd.BandSpec("S1"), 10, 3, 8, 8, seed=1)
+    sd.save_dataset(ds, tmp_path / "good.mtms")
+    return (tmp_path / "good.mtms").read_bytes()
+
+
+def _first_yield_prefixed(raw: bytes) -> bytes:
+    header_end = raw.index(b"\n", raw.index(b"\n") + 1) + 1  # after the band line
+    yield_at = raw.rindex(b" ", header_end, raw.index(b"\n", header_end)) + 1
+    return raw[:yield_at] + b"x" + raw[yield_at:]
+
+
+def _band_line_not_utf8(raw: bytes) -> bytes:
+    at = raw.index(b"\n") + 1
+    return raw[:at] + b"\xff" + raw[at + 1:]
+
+
+DATASET_CASES = {
+    "yield_not_a_number": (_first_yield_prefixed, MalformedHeaderError),
+    "band_line_not_utf8": (_band_line_not_utf8, MalformedHeaderError),
+    "dims_1e6_by_1e6": (lambda raw: raw.replace(b" 8 8 2\n", b" 1000000 1000000 2\n", 1),
+                        TruncatedPayloadError),
+    "negative_dims": (lambda raw: raw.replace(b" 8 8 2\n", b" -8 8 2\n", 1), MalformedHeaderError),
+}
+CHECKPOINT_CASES = {"shape_not_a_number": b"a 2 x\n", "negative_shape": b"a 2 -3\n"}
+
+
+def _checkpoint_bytes(tmp_path, meta: bytes) -> bytes:
+    fileio.save_checkpoint(tmp_path / "good.ckpt", {"a": np.arange(2.0)})
+    return (tmp_path / "good.ckpt").read_bytes().replace(b"a 2\n", meta, 1)
+
+
+class TestReproducedCorruptions:
+    @pytest.mark.parametrize("case", sorted(DATASET_CASES))
+    def test_dataset_refused_with_its_type(self, case, tmp_path):
+        corrupt, error = DATASET_CASES[case]
+        bad = tmp_path / "bad.mtms"
+        bad.write_bytes(corrupt(_dataset_bytes(tmp_path)))
+        with pytest.raises(error):
+            sd.load_dataset(bad)
+
+    @pytest.mark.parametrize("case", sorted(CHECKPOINT_CASES))
+    def test_checkpoint_refused_with_its_type(self, case, tmp_path):
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(_checkpoint_bytes(tmp_path, CHECKPOINT_CASES[case]))
+        with pytest.raises(MalformedHeaderError):
+            fileio.load_checkpoint(bad)
+
+    def test_huge_dims_refused_before_any_allocation(self, tmp_path):
+        bad = tmp_path / "bad.mtms"
+        bad.write_bytes(DATASET_CASES["dims_1e6_by_1e6"][0](_dataset_bytes(tmp_path)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncatedPayloadError):
+                sd.load_dataset(bad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # a 10^6 x 10^6 plot would need 96 TB
+
+    @pytest.mark.parametrize("case", sorted(DATASET_CASES))
+    def test_pipeline_exits_3_on_a_corrupt_dataset(self, case, tmp_path, capsys):
+        bad = tmp_path / "bad.mtms"
+        bad.write_bytes(DATASET_CASES[case][0](_dataset_bytes(tmp_path)))
+        assert main(["pipeline", "--data", str(bad), "--out", str(tmp_path / "run")]) == 3
+        assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(CHECKPOINT_CASES))
+    def test_pipeline_exits_3_on_a_corrupt_checkpoint(self, case, tmp_path, capsys):
+        data, run = tmp_path / "good.mtms", tmp_path / "run"
+        data.write_bytes(_dataset_bytes(tmp_path))
+        run.mkdir()
+        for name in ("pretrain_loss.txt", "pretrain_stats.kv"):
+            (run / name).write_text("")
+        (run / "pretrain.ckpt").write_bytes(_checkpoint_bytes(tmp_path, CHECKPOINT_CASES[case]))
+        argv = ["pipeline", "--data", str(data), "--out", str(run), "--stage", "select"]
+        assert main(argv) == 3
+        assert "checkpoint tensor metadata" in capsys.readouterr().err
+
+
+def test_bytes_after_the_checksum_refused(originals):
+    for c, raw, path in originals:
+        path.write_bytes(raw + b"\n")
+        with pytest.raises(MalformedHeaderError):
+            c.read(path)
+
+
+def test_line_longer_than_the_limit_refused(originals):
+    # a reader never buffers more than one line's limit looking for a newline
+    for c, raw, path in originals:
+        path.write_bytes(raw[:6] + b"x" * 10_000 + raw[6:])
+        with pytest.raises(MalformedHeaderError, match="no newline in the 4096 bytes"):
+            c.read(path)

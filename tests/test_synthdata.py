@@ -1,10 +1,9 @@
-import struct
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cropyield import fileio
 from cropyield import synthdata as sd
 from cropyield.errors import (
     ChecksumMismatchError,
@@ -137,48 +136,48 @@ class TestSplit:
 
 
 class TestFileFormat:
-    def test_round_trip_bit_exact(self, small_ds, tmp_path):
-        p = tmp_path / "ds.mtms"
-        sd.save_dataset(small_ds, p)
-        back = sd.load_dataset(p)
-        assert back.band_spec == small_ds.band_spec
-        assert len(back.samples) == len(small_ds.samples)
-        for a, b in zip(small_ds.samples, back.samples):
-            assert (a.plot_id, a.season_tag, a.y) == (b.plot_id, b.season_tag, b.y)
-            np.testing.assert_array_equal(a.x, b.x)
+    """Every test runs on both containers, the dataset and the checkpoint."""
 
-    def test_save_is_deterministic(self, small_ds, tmp_path):
-        p1, p2 = tmp_path / "a.mtms", tmp_path / "b.mtms"
-        sd.save_dataset(small_ds, p1)
-        sd.save_dataset(small_ds, p2)
-        assert p1.read_bytes() == p2.read_bytes()
+    def test_round_trip_bit_exact(self, containers, tmp_path):
+        for c in containers:
+            p = tmp_path / c.name
+            c.write(p)
+            assert c.read(p) == c.expected, c.name
 
-    def test_wrong_magic(self, small_ds, tmp_path):
-        p = tmp_path / "ds.mtms"
-        sd.save_dataset(small_ds, p)
-        raw = p.read_bytes()
-        p.write_bytes(b"XXXXXX" + raw[6:])
-        with pytest.raises(MalformedHeaderError):
-            sd.load_dataset(p)
+    def test_save_is_deterministic(self, containers, tmp_path):
+        for c in containers:
+            p1, p2 = tmp_path / f"{c.name}.a", tmp_path / f"{c.name}.b"
+            c.write(p1)
+            c.write(p2)
+            assert p1.read_bytes() == p2.read_bytes(), c.name
 
-    def test_truncated_by_one_byte(self, small_ds, tmp_path):
-        p = tmp_path / "ds.mtms"
-        sd.save_dataset(small_ds, p)
-        raw = p.read_bytes()
-        p.write_bytes(raw[:-1])
-        with pytest.raises(TruncatedPayloadError):
-            sd.load_dataset(p)
+    def test_wrong_magic(self, containers, tmp_path):
+        for c in containers:
+            p = tmp_path / c.name
+            c.write(p)
+            p.write_bytes(b"XXXXXX" + p.read_bytes()[6:])
+            with pytest.raises(MalformedHeaderError):
+                c.read(p)
 
-    def test_corrupted_payload_byte(self, small_ds, tmp_path):
-        p = tmp_path / "ds.mtms"
-        sd.save_dataset(small_ds, p)
-        raw = bytearray(p.read_bytes())
-        raw[len(raw) // 2] ^= 0xFF
-        p.write_bytes(bytes(raw))
-        with pytest.raises(ChecksumMismatchError):
-            sd.load_dataset(p)
+    def test_truncated_by_one_byte(self, containers, tmp_path):
+        for c in containers:
+            p = tmp_path / c.name
+            c.write(p)
+            p.write_bytes(p.read_bytes()[:-1])
+            with pytest.raises(TruncatedPayloadError):
+                c.read(p)
+
+    def test_corrupted_payload_byte(self, containers, tmp_path):
+        for c in containers:
+            p = tmp_path / c.name
+            c.write(p)
+            raw = bytearray(p.read_bytes())
+            raw[len(raw) // 2] ^= 0xFF  # inside a payload in both small containers
+            p.write_bytes(bytes(raw))
+            with pytest.raises(ChecksumMismatchError):
+                c.read(p)
 
     def test_fnv_reference_value(self):
         # published FNV-1a 64-bit test vector
-        assert sd.fnv1a64(b"") == 0xCBF29CE484222325
-        assert sd.fnv1a64(b"a") == 0xAF63DC4C8601EC8C
+        assert fileio.fnv1a64(b"") == 0xCBF29CE484222325
+        assert fileio.fnv1a64(b"a") == 0xAF63DC4C8601EC8C
