@@ -1,8 +1,8 @@
 """Command-line entry points: synth, pipeline, report.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 data error
-(missing files, malformed formats, domain violations, missing stage
-prerequisites), 4 numerical failure.
+(missing or unreadable files and any other OS error, malformed formats,
+domain violations, missing stage prerequisites), 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -131,7 +131,7 @@ def main(argv=None) -> int:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     except (DataFormatError, DomainError, ShapeMismatchError, StagePrerequisiteError,
-            FileNotFoundError) as err:
+            OSError) as err:
         print(f"data error: {err}", file=sys.stderr)
         return 3
     except NumericalError as err:

@@ -167,6 +167,12 @@ class TestPipelineCommand:
                      "--out", str(tmp_path / "r"), "--config", str(fast_config)])
         assert code == 3
 
+    def test_dataset_path_is_a_directory_exits_3(self, fast_config, tmp_path, capsys):
+        code = main(["pipeline", "--data", str(tmp_path), "--out", str(tmp_path / "r"),
+                     "--config", str(fast_config)])
+        assert code == 3
+        assert "data error" in capsys.readouterr().err
+
     def test_reserved_selector_exits_2(self, tiny_dataset, fast_config, tmp_path):
         code = main(["pipeline", "--data", str(tiny_dataset), "--out", str(tmp_path / "r"),
                      "--config", str(fast_config), "--feature-selector", "sailfish"])
@@ -208,6 +214,13 @@ class TestReportCommand:
         assert any("mean-baseline" in l for l in lines)
         mapes = [float(l.split(",")[1]) for l in lines[1:]]
         assert mapes == sorted(mapes)
+
+    def test_out_is_a_directory_exits_3(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "report.kv").write_text("mape=0.1\nrmsle=0.2\nsmape=0.3\n")
+        assert main(["report", str(run), "--out", str(tmp_path)]) == 3
+        assert "data error" in capsys.readouterr().err
 
     def test_empty_input_exits_2(self):
         assert main(["report"]) == 2

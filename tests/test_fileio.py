@@ -1,6 +1,7 @@
 """The container codec under corruption: every one-byte mutation of a dataset or
 a checkpoint is refused with an error the CLI exits 3 on, or loads what was
-saved; the corruptions once seen to crash the loaders are explicit cases."""
+saved; the corruptions once seen to crash the loaders are explicit cases. The
+array evaluation of FNV-1a-64 agrees with the per-byte definition."""
 
 import tracemalloc
 
@@ -13,6 +14,7 @@ from cropyield import fileio
 from cropyield import synthdata as sd
 from cropyield.cli import main
 from cropyield.errors import (
+    ChecksumMismatchError,
     ConfigError,
     CropYieldError,
     MalformedHeaderError,
@@ -171,3 +173,99 @@ def test_line_longer_than_the_limit_refused(originals):
         path.write_bytes(raw[:6] + b"x" * 10_000 + raw[6:])
         with pytest.raises(MalformedHeaderError, match="no newline in the 4096 bytes"):
             c.read(path)
+
+
+# -- FNV-1a-64: the array evaluation against the per-byte definition ----------------
+
+B, SWITCH = fileio._FNV_BLOCK, fileio._FNV_ARRAY_MIN
+OFFSET = 0xCBF29CE484222325  # the digest of no bytes
+STARTS = [0, 1, 2**64 - 1, OFFSET,
+          *map(int, np.random.default_rng(5).integers(0, 2**64, 4, dtype=np.uint64))]
+reference = fileio._fnv1a64_loop
+
+
+def random_bytes(n: int, seed: int = 0) -> bytes:
+    return np.random.default_rng(seed).integers(0, 256, n, dtype=np.uint8).tobytes()
+
+
+class TestFnv1a64:
+    def test_every_short_length(self):
+        data = random_bytes(300)
+        for n in range(301):
+            for h in STARTS:
+                assert fileio._fnv1a64_array(data[:n], h) == reference(data[:n], h), (n, h)
+
+    @pytest.mark.parametrize("n", [B - 1, B, B + 1, 2 * B + 1, SWITCH - 1, SWITCH, SWITCH + 1])
+    def test_block_edges_and_the_switch(self, n):
+        data = random_bytes(n, seed=n)
+        for h in STARTS:
+            want = reference(data, h)
+            assert fileio.fnv1a64(data, h) == want
+            assert fileio._fnv1a64_array(data, h) == want
+
+    @pytest.mark.parametrize("fill", [0x00, 0xFF])
+    def test_constant_buffers(self, fill):
+        for n in (1, 63, 64, 65, 300, SWITCH, B + 1):
+            data = bytes([fill]) * n
+            for h in STARTS:
+                assert fileio._fnv1a64_array(data, h) == reference(data, h), (n, h)
+
+    def test_every_split_continues_the_stream(self):
+        data = random_bytes(1024, seed=1)
+        whole = reference(data, OFFSET)
+        for at in range(len(data) + 1):
+            head = fileio._fnv1a64_array(data[:at], OFFSET)
+            assert fileio._fnv1a64_array(data[at:], head) == whole
+            assert fileio.fnv1a64(data[at:], fileio.fnv1a64(data[:at])) == whole
+
+    @settings(deadline=None, max_examples=200)
+    @given(data=st.binary(max_size=3 * SWITCH), h=st.integers(0, 2**64 - 1))
+    def test_property_any_bytes_any_start(self, data, h):
+        want = reference(data, h)
+        assert fileio._fnv1a64_array(data, h) == want
+        assert fileio.fnv1a64(data, h) == want
+
+    @pytest.mark.parametrize("data, digest", [(b"foobar", 0x85944171F73967E8),
+                                              (b"chongo was here!\n", 0x46810940EFF5F915)])
+    def test_published_vectors(self, data, digest):
+        assert fileio.fnv1a64(data) == digest
+        assert fileio._fnv1a64_array(data, OFFSET) == digest
+
+
+def test_a_line_with_no_payload_after_it_is_checksummed(tmp_path):
+    def read_line(path):
+        with fileio.ContainerReader(path, "lines") as rd:
+            rd.fields("header", (str,), checksum=False)
+            return rd.fields("line", (str, int))
+
+    path, line = tmp_path / "lines", b"x 1\n"
+    path.write_bytes(b"header\n" + line + reference(line, OFFSET).to_bytes(8, "little"))
+    assert read_line(path) == ["x", 1]
+    path.write_bytes(b"header\n" + line + OFFSET.to_bytes(8, "little"))
+    with pytest.raises(ChecksumMismatchError):
+        read_line(path)
+
+
+def test_checkpoint_records_straddling_the_hash_block(tmp_path):
+    """A 70,000-float tensor spans several hash blocks and sits between two
+    records short enough for the per-byte loop."""
+    rng = np.random.default_rng(3)
+    tensors = {"a": np.array(-1.5), "b": rng.standard_normal(70_000), "c": rng.standard_normal(8)}
+    path = tmp_path / "big.ckpt"
+    fileio.save_checkpoint(path, tensors)
+    raw = path.read_bytes()
+    records = raw[raw.index(b"\n") + 1:-8]
+    assert int.from_bytes(raw[-8:], "little") == reference(records, OFFSET)
+    loaded = fileio.load_checkpoint(path)
+    assert all(loaded[name].tobytes() == t.tobytes() for name, t in tensors.items())
+    at = raw.index(b"\n") + 1
+    for name, tensor in sorted(tensors.items()):  # a flipped byte in every record is refused
+        at += len(f"{name} {' '.join(map(str, tensor.shape))}\n")  # past the metadata line
+        for offset in {0, tensor.nbytes // 2, tensor.nbytes - 1}:
+            bad = bytearray(raw)
+            bad[at + offset] ^= 0x01
+            path.write_bytes(bytes(bad))
+            with pytest.raises(ChecksumMismatchError):
+                fileio.load_checkpoint(path)
+        at += tensor.nbytes
+    assert at == len(raw) - 8
