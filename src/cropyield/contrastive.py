@@ -142,7 +142,8 @@ def pretrain_encoder(frames_by_sample, train_idx, val_idx, den, sched,
 
     history_losses = []
     eval_rng = np.random.default_rng(seed_rng.integers(2**63))
-    losses = [batch_loss(b, eval_rng).item() for b in epoch_batches(eval_rng)]
+    with tc.no_grad():
+        losses = [batch_loss(b, eval_rng).item() for b in epoch_batches(eval_rng)]
     history_losses.append(float(np.mean(losses)))
 
     for _ in range(epochs):
@@ -167,10 +168,11 @@ def pretrain_encoder(frames_by_sample, train_idx, val_idx, den, sched,
     }
     if val_idx:
         holdout_rng = np.random.default_rng(seed_rng.integers(2**63))
-        pos, neg = holdout_similarities(
-            frames_by_sample, val_idx, lstm_p, ssa_p, proj, den, sched, depth,
-            holdout_rng, sigma_scale,
-        )
+        with tc.no_grad():
+            pos, neg = holdout_similarities(
+                frames_by_sample, val_idx, lstm_p, ssa_p, proj, den, sched, depth,
+                holdout_rng, sigma_scale,
+            )
         stats["holdout_pos_sim"] = pos
         if neg is not None:  # one held-out sample has no negative pair
             stats["holdout_neg_sim"] = neg

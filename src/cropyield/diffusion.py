@@ -103,7 +103,8 @@ def reverse_step(z_t: np.ndarray, t: int, den, sigma_t: float, rng) -> np.ndarra
         raise DomainError(f"reverse step needs t >= 1, got {t}")
     if sigma_t < 0:
         raise DomainError(f"sigma_t must be >= 0, got {sigma_t}")
-    mu = den.forward(Tensor(z_t), t).data
+    with tc.no_grad():
+        mu = den.forward(Tensor(z_t), t).data
     if sigma_t == 0.0:
         return mu
     return mu + sigma_t * rng.standard_normal(mu.shape)

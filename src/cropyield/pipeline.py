@@ -8,7 +8,8 @@ never writes outside itself. Stages run in the fixed order
 
 A full invocation executes all four. Invoking a single stage resumes from
 the artifacts earlier stages left behind; a missing upstream artifact is an
-explicit error rather than a silent recompute, so resumed runs stay
+explicit error rather than a silent recompute, and a resume under a config
+that differs from the directory's snapshot is refused, so resumed runs stay
 attributable to their snapshots.
 """
 
@@ -26,6 +27,7 @@ from . import eo
 from . import evalmetrics as em
 from . import predictor as pr
 from . import synthdata as sd
+from . import tensor as tc
 from .config import RunConfig, config_text
 from .errors import ConfigError, DomainError, StagePrerequisiteError
 from .fileio import load_checkpoint, rng_for, save_checkpoint
@@ -116,11 +118,8 @@ def run_stage_pretrain(run_dir: Path, ds: sd.Dataset, frames, cfg: RunConfig) ->
 
 
 def _pooled_features(frames, lstm, ssa) -> np.ndarray:
-    rows = []
-    for f in frames:
-        fused = ct.encode_features(f, lstm, ssa)
-        rows.append(fused.data.mean(axis=(1, 2)))
-    return np.array(rows)
+    with tc.no_grad():
+        return np.array([ct.encode_features(f, lstm, ssa).data.mean(axis=(1, 2)) for f in frames])
 
 
 def run_stage_select(run_dir: Path, ds: sd.Dataset, frames, cfg: RunConfig) -> None:
@@ -213,8 +212,9 @@ class YieldModel:
         )
 
     def predict_frames(self, frames_tchw) -> float:
-        fused = ct.encode_features(frames_tchw, self.lstm, self.ssa)
-        _, scalar = pr.predict_yield(Tensor(fused.data[self.sel]), self.head)
+        with tc.no_grad():
+            fused = ct.encode_features(frames_tchw, self.lstm, self.ssa)
+            _, scalar = pr.predict_yield(Tensor(fused.data[self.sel]), self.head)
         return self.y_mean + self.y_std * scalar.item()
 
     def predictor_for(self, ds: sd.Dataset, frames):
@@ -246,7 +246,17 @@ def run_pipeline(cfg: RunConfig, data_path, out_dir, stage: str | None = None) -
         raise DomainError(f"unknown stage {stage!r}, expected one of {STAGES}")
     run_dir = Path(out_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / "config.txt").write_text(config_text(cfg))
+    snapshot = run_dir / "config.txt"
+    text = config_text(cfg)
+    if stage is not None and snapshot.exists():
+        diff = set(snapshot.read_text().splitlines()) ^ set(text.splitlines())
+        if diff:
+            keys = sorted({line.split("=", 1)[0] for line in diff})
+            raise ConfigError(
+                f"cannot resume stage {stage!r} in {run_dir}: its config.txt differs in "
+                f"{', '.join(keys)}; use the same config or a new run directory"
+            )
+    snapshot.write_text(text)
     ds = _load_split_dataset(data_path, cfg)
     frames = prepare_frames(ds, cfg)
     todo = STAGES if stage is None else (stage,)

@@ -96,7 +96,8 @@ def train_final(frames_by_sample, lstm_p, ssa_p, mask, y, train_idx, val_idx, rn
             fused = ct.encode_features(frames_by_sample[i], lstm_p, ssa_p)
             return tc.take_channels(fused, sel)
         if i not in cache:
-            fused = ct.encode_features(frames_by_sample[i], lstm_p, ssa_p)
+            with tc.no_grad():
+                fused = ct.encode_features(frames_by_sample[i], lstm_p, ssa_p)
             cache[i] = fused.data[sel]
         return Tensor(cache[i])
 
@@ -105,7 +106,8 @@ def train_final(frames_by_sample, lstm_p, ssa_p, mask, y, train_idx, val_idx, rn
         return scalar
 
     def split_mse(idx):
-        preds = np.array([predict_standardized(i).item() for i in idx])
+        with tc.no_grad():
+            preds = np.array([predict_standardized(i).item() for i in idx])
         return float(np.mean((preds - y_star[list(idx)]) ** 2))
 
     def snapshot():

@@ -167,26 +167,22 @@ def generate_dataset(
 # -- preprocessing ----------------------------------------------------------------
 
 
-LAPLACIAN_KERNEL = np.array([[0.0, -1.0, 0.0], [-1.0, 4.0, -1.0], [0.0, -1.0, 0.0]])
-
-
-def laplacian_enhance(image: np.ndarray) -> np.ndarray:
-    """Edge-emphasizing sharpening: image plus its 4-neighbor Laplacian response.
+def enhance_sample(x: np.ndarray) -> np.ndarray:
+    """Edge-emphasizing sharpening of a [T,H,W,C] cube, per band and time step:
+    each image plus its 4-neighbor Laplacian response.
 
     Zero padding at the border; linear in the input.
     """
-    if image.ndim != 2 or image.shape[0] < 3 or image.shape[1] < 3:
-        raise DomainError(f"laplacian_enhance expects [H>=3, W>=3], got {image.shape}")
-    p = np.pad(image, 1)
-    lap = 4.0 * p[1:-1, 1:-1] - p[:-2, 1:-1] - p[2:, 1:-1] - p[1:-1, :-2] - p[1:-1, 2:]
-    return image + lap
-
-
-def enhance_sample(x: np.ndarray) -> np.ndarray:
-    """Apply Laplacian sharpening per band and per time step of a [T,H,W,C] cube."""
     p = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
     lap = 4.0 * p[:, 1:-1, 1:-1] - p[:, :-2, 1:-1] - p[:, 2:, 1:-1] - p[:, 1:-1, :-2] - p[:, 1:-1, 2:]
     return x + lap
+
+
+def laplacian_enhance(image: np.ndarray) -> np.ndarray:
+    """``enhance_sample`` on a single [H,W] image."""
+    if image.ndim != 2 or image.shape[0] < 3 or image.shape[1] < 3:
+        raise DomainError(f"laplacian_enhance expects [H>=3, W>=3], got {image.shape}")
+    return enhance_sample(image[None, :, :, None])[0, :, :, 0]
 
 
 # -- splits -------------------------------------------------------------------------

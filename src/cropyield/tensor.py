@@ -6,17 +6,27 @@ inputs they reproduce identical outputs bit for bit, so a recorded
 computation can be replayed exactly. Gradients are accumulated into the
 tensors that participated in a computation when ``backward`` is called on a
 scalar result; tensors that never entered the graph report an exactly-zero
-gradient.
+gradient. Inside ``no_grad()`` primitives record no graph at all.
 
 All data lives in 64-bit floats. Gradient checks at 1e-4 relative tolerance
-are not reliable in 32-bit, and nothing here is large enough for speed to
-matter more than correctness.
+are not reliable in 32-bit.
+
+The primitives are written for low per-call overhead (the pipeline makes
+hundreds of thousands of small ``conv2d`` calls), under a bit-exact
+contract: every output and gradient must stay identical, bit for bit, to
+the plain formulation it replaces. That fixes the GEMM operands and their
+memory layout (BLAS sums in the order of the inner dimension), the order in
+which contributions are accumulated into a gradient, and the layout of a
+gradient's first buffer. ``tests/test_tensor.py`` checks ``conv2d``,
+``sigmoid`` and gradient accumulation against those reference forms.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import fields
-from typing import ClassVar, get_origin, get_type_hints
+from functools import lru_cache
+from typing import ClassVar, NamedTuple, get_origin, get_type_hints
 
 import numpy as np
 
@@ -27,8 +37,8 @@ class Tensor:
     """N-dimensional float64 array, optionally tracked for gradients.
 
     ``requires_grad=True`` marks a leaf parameter. Results of primitive ops
-    track gradients iff any input does, so pure data paths (augmentation,
-    evaluation) build no graph at all.
+    track gradients iff any input does (and not inside ``no_grad()``), so
+    pure data paths (augmentation, evaluation) build no graph at all.
     """
 
     __slots__ = ("data", "requires_grad", "_grad", "_parents", "_bw")
@@ -194,12 +204,34 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Run a forward-only pass: primitives inside record no graph.
+
+    Values are identical to a recording pass; results just have no parents
+    and no backward closure, so nothing stays alive past the pass.
+    """
+    global _grad_enabled
+    saved = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = saved
+
+
 def _node(data, parents, bw) -> Tensor:
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._bw = bw
+    if _grad_enabled:
+        for p in parents:
+            if p.requires_grad:
+                out.requires_grad = True
+                out._parents = parents
+                out._bw = bw
+                break
     return out
 
 
@@ -212,12 +244,12 @@ def _toposort(root: Tensor):
         if expanded:
             order.append(node)
             continue
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
+        seen.add(node)
         stack.append((node, True))
         for p in node._parents:
-            if id(p) not in seen:
+            if p not in seen:
                 stack.append((p, False))
     return order
 
@@ -226,8 +258,10 @@ def _acc(t: Tensor, g: np.ndarray):
     if not t.requires_grad:
         return
     if t._grad is None:
-        t._grad = np.zeros_like(t.data)
-    t._grad += g
+        # one allocation with the values and memory layout of zeros_like(t.data) += g
+        t._grad = np.add(g, 0.0, out=np.empty_like(t.data))
+    else:
+        t._grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -287,7 +321,7 @@ def neg(a: Tensor) -> Tensor:
 
 def tsum(a: Tensor) -> Tensor:
     def bw(g):
-        _acc(a, np.broadcast_to(g, a.data.shape).copy())
+        _acc(a, np.full(a.data.shape, g))
 
     return _node(a.data.sum(), (a,), bw)
 
@@ -296,9 +330,9 @@ def tmean(a: Tensor) -> Tensor:
     n = a.data.size
 
     def bw(g):
-        _acc(a, np.broadcast_to(g / n, a.data.shape).copy())
+        _acc(a, np.full(a.data.shape, g / n))
 
-    return _node(a.data.mean(), (a,), bw)
+    return _node(a.data.sum() / n, (a,), bw)  # ndarray.mean's arithmetic
 
 
 def exp(a: Tensor) -> Tensor:
@@ -332,8 +366,9 @@ def sqrt(a: Tensor) -> Tensor:
 def sigmoid(a: Tensor) -> Tensor:
     x = a.data
     # split form avoids overflow in exp for large |x|
-    out_data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                        np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    out_data = np.where(x >= 0, 1.0 / d, e / d)
 
     def bw(g):
         _acc(a, g * out_data * (1.0 - out_data))
@@ -425,6 +460,48 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # -- spatial primitives ---------------------------------------------------------
 
 
+class _ConvPlan(NamedTuple):
+    c_out: int
+    c_in: int
+    h_out: int
+    w_out: int
+    padded: tuple  # [C, H+2p, W+2p]
+    gather: np.ndarray | None  # [H'W', C k k] flat im2col indices; None for k = 1
+    scatter: np.ndarray  # the same indices flattened and reversed
+
+
+@lru_cache(maxsize=32)
+def _conv_plan(x_shape, k_shape, padding, dilation) -> _ConvPlan:
+    """Check one conv2d geometry and build its im2col index tables."""
+    if len(x_shape) != 3 or len(k_shape) != 4:
+        raise ShapeMismatchError(
+            f"conv2d expects input [C,H,W] and kernels [O,C,k,k], got {x_shape} and {k_shape}"
+        )
+    c_out, c_in, kh, kw = k_shape
+    if kh != kw or kh % 2 == 0:
+        raise ShapeMismatchError(f"kernels must be square with odd size, got {kh}x{kw}")
+    if x_shape[0] != c_in:
+        raise ShapeMismatchError(
+            f"input has {x_shape[0]} channels but kernels expect {c_in}"
+        )
+    if padding < 0 or dilation < 1:
+        raise ShapeMismatchError(f"bad padding={padding} / dilation={dilation}")
+    k_eff = kh + (kh - 1) * (dilation - 1)
+    hp, wp = x_shape[1] + 2 * padding, x_shape[2] + 2 * padding
+    h_out, w_out = hp - k_eff + 1, wp - k_eff + 1
+    if h_out < 1 or w_out < 1:
+        raise ShapeMismatchError(
+            f"conv2d output would be {h_out}x{w_out} for input {x_shape}, "
+            f"kernel {kh} (dilation {dilation}), padding {padding}"
+        )
+    i, j, c, a, b = np.ix_(*(np.arange(n, dtype=np.intp) for n in (h_out, w_out, c_in, kh, kw)))
+    flat = ((c * hp + i + a * dilation) * wp + j + b * dilation).reshape(h_out * w_out, -1)
+    scatter = flat.ravel()[::-1].copy()
+    flat.flags.writeable = scatter.flags.writeable = False
+    return _ConvPlan(c_out, c_in, h_out, w_out, (c_in, hp, wp),
+                     None if kh == 1 else flat, scatter)
+
+
 def conv2d(x: Tensor, kernels: Tensor, padding: int = 0, dilation: int = 1) -> Tensor:
     """Cross-correlation of a [C_in,H,W] map with [C_out,C_in,k,k] kernels.
 
@@ -432,46 +509,31 @@ def conv2d(x: Tensor, kernels: Tensor, padding: int = 0, dilation: int = 1) -> T
     kernel taps (effective size k + (k-1)(dilation-1)).
     """
     xd, kd = x.data, kernels.data
-    if xd.ndim != 3 or kd.ndim != 4:
-        raise ShapeMismatchError(
-            f"conv2d expects input [C,H,W] and kernels [O,C,k,k], got {xd.shape} and {kd.shape}"
-        )
-    c_out, c_in, kh, kw = kd.shape
-    if kh != kw or kh % 2 == 0:
-        raise ShapeMismatchError(f"kernels must be square with odd size, got {kh}x{kw}")
-    if xd.shape[0] != c_in:
-        raise ShapeMismatchError(
-            f"input has {xd.shape[0]} channels but kernels expect {c_in}"
-        )
-    if padding < 0 or dilation < 1:
-        raise ShapeMismatchError(f"bad padding={padding} / dilation={dilation}")
-    k_eff = kh + (kh - 1) * (dilation - 1)
-    h_out = xd.shape[1] + 2 * padding - k_eff + 1
-    w_out = xd.shape[2] + 2 * padding - k_eff + 1
-    if h_out < 1 or w_out < 1:
-        raise ShapeMismatchError(
-            f"conv2d output would be {h_out}x{w_out} for input {xd.shape}, "
-            f"kernel {kh} (dilation {dilation}), padding {padding}"
-        )
-
-    xp = np.pad(xd, ((0, 0), (padding, padding), (padding, padding)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (k_eff, k_eff), axis=(1, 2))
-    win = win[:, :, :, ::dilation, ::dilation]  # [C,H',W',k,k]
-    cols = win.transpose(1, 2, 0, 3, 4).reshape(h_out * w_out, c_in * kh * kw)
-    kmat = kd.reshape(c_out, c_in * kh * kw)
+    c_out, c_in, h_out, w_out, padded, gather, scatter = _conv_plan(
+        xd.shape, kd.shape, padding, dilation)
+    if padding:
+        xp = np.zeros(padded)
+        xp[:, padding:-padding, padding:-padding] = xd
+    else:
+        xp = np.ascontiguousarray(xd)
+    # im2col: row (i, j), column (c, a, b) holds xp[c, i + a*dilation, j + b*dilation],
+    # C-contiguous. For a 1x1 kernel it is the [H*W, C] transposed view of xp:
+    # the GEMM's rounding depends on its operands' layout, so that layout stays.
+    cols = xp.reshape(c_in, -1).T if gather is None else xp.ravel()[gather]
+    kmat = kd.reshape(c_out, -1)
     out_data = (cols @ kmat.T).T.reshape(c_out, h_out, w_out)
+    n_padded = xp.size
 
     def bw(g):
         gmat = g.reshape(c_out, h_out * w_out)
         if kernels.requires_grad:
             _acc(kernels, (gmat @ cols).reshape(kd.shape))
         if x.requires_grad:
-            dcols = (gmat.T @ kmat).reshape(h_out, w_out, c_in, kh, kw)
-            dxp = np.zeros_like(xp)
-            for a in range(kh):
-                for b in range(kw):
-                    dxp[:, a * dilation:a * dilation + h_out,
-                        b * dilation:b * dilation + w_out] += dcols[:, :, :, a, b].transpose(2, 0, 1)
+            # col2im. bincount adds in input order from 0.0, and ``scatter``
+            # lists dcols in reverse, so each pixel sums its taps in (a, b)
+            # order: the order of a tap loop adding into a zeroed buffer
+            dcols = gmat.T @ kmat
+            dxp = np.bincount(scatter, dcols.ravel()[::-1], n_padded).reshape(padded)
             if padding:
                 dxp = dxp[:, padding:-padding, padding:-padding]
             _acc(x, dxp)
@@ -489,7 +551,7 @@ def global_avg_pool(x: Tensor) -> Tensor:
     def bw(g):
         _acc(x, np.repeat(g, n).reshape(x.data.shape) / n)
 
-    return _node(x.data.mean(axis=(1, 2)), (x,), bw)
+    return _node(x.data.sum(axis=(1, 2)) / n, (x,), bw)  # ndarray.mean's arithmetic
 
 
 def cosine_similarity(u: Tensor, v: Tensor) -> Tensor:

@@ -187,6 +187,22 @@ class TestPipelineCommand:
         assert (r1 / "report.kv").read_bytes() == (r2 / "report.kv").read_bytes()
         assert (r1 / "model.ckpt").read_bytes() == (r2 / "model.ckpt").read_bytes()
 
+    def test_resume_under_a_different_config_exits_2(self, tiny_dataset, fast_config, tmp_path):
+        run_dir = tmp_path / "run"
+        base = ["pipeline", "--data", str(tiny_dataset), "--out", str(run_dir), "--seed", "5"]
+        assert main(base + ["--config", str(fast_config)]) == 0
+        before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+        changed = tmp_path / "changed.cfg"
+        changed.write_text(fast_config.read_text() + "train_lr=0.1\n")
+        assert main(base + ["--config", str(changed), "--stage", "train"]) == 2
+        assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+        # the same config resumes, and the stage reproduces its artifacts
+        assert main(base + ["--config", str(fast_config), "--stage", "train"]) == 0
+        assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+        # a full run is not a resume: it writes the new snapshot
+        assert main(base + ["--config", str(changed)]) == 0
+        assert load_config(run_dir / "config.txt").train_lr == 0.1
+
     def test_config_snapshot_written_verbatim(self, tiny_dataset, fast_config, tmp_path):
         run_dir = tmp_path / "snap"
         assert main(["pipeline", "--data", str(tiny_dataset), "--out", str(run_dir),

@@ -1,10 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from cropyield import attention as at
+from cropyield import contrastive as ct
 from cropyield import convlstm as cl
 from cropyield import predictor as pr
 from cropyield import tensor as tc
+from cropyield.config import RunConfig
+from cropyield.pipeline import YieldModel
 from cropyield.errors import DomainError, ShapeMismatchError
 from cropyield.tensor import Tensor
 
@@ -120,3 +125,31 @@ class TestTrainFinal:
         with pytest.raises(DomainError):
             pr.train_final(frames, lstm, ssa, np.zeros(8, bool), y, range(10),
                            range(10, 14), np.random.default_rng(0))
+
+
+class TestForwardOnlyPrediction:
+    def test_predict_frames_records_no_graph(self):
+        rng = np.random.default_rng(4)
+        c, h, w = 6, 24, 24
+        lstm = cl.init_convlstm_params(c, 8, h, w, 3, rng)
+        ssa = at.init_ssa_params(8, rng)
+        mask = np.arange(16) % 3 == 0
+        head = pr.init_head(int(mask.sum()))
+        head.w.data[:] = rng.normal(size=head.w.data.shape)
+        model = YieldModel(lstm, ssa, head, mask, y_mean=3.0, y_std=0.5, cfg=RunConfig())
+        frames = rng.normal(size=(4, c, h, w))
+
+        def recorded():  # the same pass with the graph kept alive until it returns
+            fused = ct.encode_features(frames, lstm, ssa)
+            _, scalar = pr.predict_yield(Tensor(fused.data[model.sel]), head)
+            assert fused._bw is not None and scalar._bw is not None
+            return model.y_mean + model.y_std * scalar.item()
+
+        peaks = {}
+        for name, fn in (("free", lambda: model.predict_frames(frames)), ("recorded", recorded)):
+            tracemalloc.start()
+            value = fn()
+            peaks[name] = (tracemalloc.get_traced_memory()[1], value)
+            tracemalloc.stop()
+        assert peaks["free"][1] == peaks["recorded"][1]
+        assert peaks["free"][0] < 0.5 * peaks["recorded"][0]

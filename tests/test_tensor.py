@@ -243,3 +243,143 @@ class TestTapeContract:
     def test_backward_needs_scalar(self):
         with pytest.raises(ShapeMismatchError):
             param(np.ones(3)).backward()
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def _reference_conv2d(xd, kd, padding, dilation, g):
+    """The np.pad + sliding_window_view conv2d that the primitive must reproduce
+    bit for bit: forward output, kernel gradient and input gradient for an
+    upstream gradient ``g``, each accumulated as ``zeros_like(...) += ...``."""
+    c_out, c_in, kh, kw = kd.shape
+    k_eff = kh + (kh - 1) * (dilation - 1)
+    xp = np.pad(xd, ((0, 0), (padding, padding), (padding, padding)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, (k_eff, k_eff), axis=(1, 2))
+    win = win[:, :, :, ::dilation, ::dilation]
+    h_out, w_out = win.shape[1:3]
+    cols = win.transpose(1, 2, 0, 3, 4).reshape(h_out * w_out, c_in * kh * kw)
+    kmat = kd.reshape(c_out, c_in * kh * kw)
+    out = (cols @ kmat.T).T.reshape(c_out, h_out, w_out)
+    g_out = np.zeros_like(out)  # the upstream gradient as accumulated onto ``out``
+    g_out += g
+    gmat = g_out.reshape(c_out, h_out * w_out)
+    dk = np.zeros_like(kd)
+    dk += (gmat @ cols).reshape(kd.shape)
+    dcols = (gmat.T @ kmat).reshape(h_out, w_out, c_in, kh, kw)
+    dxp = np.zeros_like(xp)
+    for a in range(kh):
+        for b in range(kw):
+            dxp[:, a * dilation:a * dilation + h_out,
+                b * dilation:b * dilation + w_out] += dcols[:, :, :, a, b].transpose(2, 0, 1)
+    if padding:
+        dxp = dxp[:, padding:-padding, padding:-padding]
+    dx = np.zeros_like(xd)
+    dx += dxp
+    return out, dk, dx
+
+
+class TestBitExact:
+    """The low-overhead primitives against the plain formulations they replace."""
+
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    @pytest.mark.parametrize("dilation", [1, 2])
+    @pytest.mark.parametrize("c_out", [1, 3])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("c_in", [1, 4])
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_conv2d_matches_reference(self, padding, dilation, c_out, k, c_in, transposed):
+        rng = np.random.default_rng([padding, dilation, c_out, k, c_in, int(transposed)])
+        h, w = 9, 8
+        xd = rng.normal(size=(c_in, h, w))
+        if transposed:  # a [C, W, H] view whose last axis is not contiguous
+            xd = rng.normal(size=(c_in, w, h)).transpose(0, 2, 1)
+            assert not xd.flags.c_contiguous
+        xd[0, 0, 0] = -0.0
+        kd = rng.normal(size=(c_out, c_in, k, k))
+        k_eff = k + (k - 1) * (dilation - 1)
+        g = rng.normal(size=(c_out, h + 2 * padding - k_eff + 1, w + 2 * padding - k_eff + 1))
+
+        x, kern = Tensor(xd, requires_grad=True), param(np.array(kd))
+        out = tc.conv2d(x, kern, padding=padding, dilation=dilation)
+        (out * Tensor(g)).sum().backward()
+
+        ref_out, ref_dk, ref_dx = _reference_conv2d(xd, kd, padding, dilation, g)
+        assert np.array_equal(_bits(out.data), _bits(ref_out))
+        assert np.array_equal(_bits(kern.grad), _bits(ref_dk))
+        assert np.array_equal(_bits(x.grad), _bits(ref_dx))
+        assert x.grad.strides == ref_dx.strides
+
+    def test_first_gradient_gets_zeros_like_layout(self):
+        g = np.arange(12.0).reshape(3, 4).T - 5.0  # non-contiguous [4, 3]
+        g[1, 1] = -0.0
+        for data in (np.ones((4, 3)), np.asfortranarray(np.ones((4, 3)))):
+            leaf = param(data)
+            tc._acc(leaf, g)
+            ref = np.zeros_like(data)
+            ref += g
+            assert leaf.grad.strides == ref.strides
+            assert leaf.grad.flags.c_contiguous == ref.flags.c_contiguous
+            assert np.array_equal(_bits(leaf.grad), _bits(ref))
+            assert leaf.grad is not g and not np.shares_memory(leaf.grad, g)
+            tc._acc(leaf, g)
+            ref += g
+            assert np.array_equal(_bits(leaf.grad), _bits(ref))
+
+    def test_sigmoid_matches_three_exp_form(self):
+        x = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 0.5, -0.5, 36.7, -36.7,
+                      709.0, -709.0, 710.0, -710.0, 745.2, -745.2, 1e4, -1e4,
+                      np.finfo(float).max, -np.finfo(float).max, np.inf, -np.inf])
+        ref = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                       np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+        leaf = param(np.array(x))
+        out = tc.sigmoid(leaf)
+        assert np.array_equal(_bits(out.data), _bits(ref))
+        out.sum().backward()
+        assert np.array_equal(_bits(leaf.grad), _bits(ref * (1.0 - ref)))
+
+    @pytest.mark.parametrize("shape", [(), (1,), (7,), (3, 10, 10), (13, 9, 11), (2, 1, 1)])
+    def test_means_match_ndarray_mean(self, shape):
+        x = np.random.default_rng(len(shape)).normal(size=shape) * 1e3
+        assert np.array_equal(_bits(tc.tmean(Tensor(x)).data), _bits(x.mean()))
+        if len(shape) == 3:
+            assert np.array_equal(_bits(tc.global_avg_pool(Tensor(x)).data),
+                                  _bits(x.mean(axis=(1, 2))))
+
+    def test_sum_and_mean_gradients_fill(self):
+        for op, scale in ((tc.tsum, 1.0), (tc.tmean, 1.0 / 12)):
+            leaf = param(np.ones((3, 4)))
+            (op(leaf) * Tensor(3.0)).backward()
+            assert np.array_equal(_bits(leaf.grad),
+                                  _bits(np.broadcast_to(np.float64(3.0) * scale, (3, 4)).copy()))
+
+
+class TestNoGrad:
+    def test_outputs_record_no_graph_and_match(self):
+        rng = np.random.default_rng(5)
+        x = param(rng.normal(size=(2, 5, 5)))
+        k = param(rng.normal(size=(3, 2, 3, 3)))
+
+        def forward():
+            return tc.sigmoid(tc.conv2d(x, k, padding=1)).mean()
+
+        recorded = forward()
+        with tc.no_grad():
+            inner = tc.conv2d(x, k, padding=1)
+            free = forward()
+        assert recorded._bw is not None and recorded._parents
+        for t in (inner, free):
+            assert t._bw is None and t._parents == () and not t.requires_grad
+        assert np.array_equal(_bits(recorded.data), _bits(free.data))
+        assert forward()._bw is not None  # recording resumes after the block
+
+    def test_flag_restored_after_error_and_nesting(self):
+        x = param(np.ones(3))
+        with pytest.raises(RuntimeError):
+            with tc.no_grad():
+                with tc.no_grad():
+                    pass
+                assert (x * x)._bw is None
+                raise RuntimeError("boom")
+        assert (x * x)._bw is not None
