@@ -173,22 +173,16 @@ def routing_weights(x: Tensor, p: SsaParams) -> np.ndarray:
 
 
 def conv_stack(h_t: Tensor, p: SsaParams) -> Tensor:
-    """Spatial branch: standard conv (+ReLU) then conditional conv, mode-toggled."""
-    pad = (p.conv_kernel.data.shape[2] - 1) // 2
-    if p.conv_mode == "conv_condconv":
-        mid = tc.relu(tc.conv2d(h_t, p.conv_kernel, pad) + tc.reshape(p.conv_bias, (-1, 1, 1)))
-        return cond_conv(mid, p)
-    if p.conv_mode == "conv_only":
-        return tc.relu(tc.conv2d(h_t, p.conv_kernel, pad) + tc.reshape(p.conv_bias, (-1, 1, 1)))
+    """Spatial branch: standard or dilated conv (+ReLU), then conditional conv,
+    mode-toggled."""
     if p.conv_mode == "condconv_only":
         return cond_conv(h_t, p)
     # dilated: same kernel tensor, taps spread by the dilation factor
-    k = p.conv_kernel.data.shape[2]
-    k_eff = k + (k - 1) * (p.dilation - 1)
-    return tc.relu(
-        tc.conv2d(h_t, p.conv_kernel, (k_eff - 1) // 2, dilation=p.dilation)
-        + tc.reshape(p.conv_bias, (-1, 1, 1))
-    )
+    dilation = p.dilation if p.conv_mode == "dilated" else 1
+    pad = (p.conv_kernel.data.shape[2] - 1) * dilation // 2
+    mid = tc.relu(tc.conv2d(h_t, p.conv_kernel, pad, dilation=dilation)
+                  + tc.reshape(p.conv_bias, (-1, 1, 1)))
+    return cond_conv(mid, p) if p.conv_mode == "conv_condconv" else mid
 
 
 def ssa_forward(h_t: Tensor, hist, p: SsaParams) -> Tensor:

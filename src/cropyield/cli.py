@@ -52,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="synthetic multi-spectral yield prediction pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_synth = sub.add_parser("synth", help="generate, split and save a synthetic dataset")
+    p_synth = sub.add_parser("synth", help="generate and save a synthetic dataset")
     p_synth.add_argument("--source", required=True, choices=["S1", "S2", "L8"])
     p_synth.add_argument("--plots", required=True, type=int)
     p_synth.add_argument("--t-steps", type=int, default=None)
@@ -87,7 +87,6 @@ def cmd_synth(args) -> int:
     cfg = load_config(args.config, overrides)
     ds = sd.generate_dataset(sd.BandSpec(cfg.source), cfg.n_plots, cfg.t_steps,
                              cfg.height, cfg.width, cfg.seed, yield_noise=cfg.yield_noise)
-    ds = sd.split_dataset(ds, cfg.seed)
     sd.save_dataset(ds, args.out)
     print(f"wrote {len(ds.samples)} samples ({cfg.source}, C={ds.band_spec.channels}) to {args.out}")
     return 0

@@ -15,9 +15,11 @@ from .eo import FEATURE_SELECTORS
 from .errors import ConfigError
 
 
-# batch_size: every anchor needs a negative; eo_particles: the equilibrium pool holds 4
-_LOWER_BOUNDS = {"batch_size": 2, "denoiser_epochs": 0, "pretrain_epochs": 0, "train_epochs": 0,
-                 "finetune_epochs": 0, "eo_iters": 1, "eo_particles": 4, "sigma_scale": 0.0}
+# n_plots: the 80-10-10 split needs 10; batch_size: every anchor needs a negative;
+# eo_particles: the equilibrium pool holds 4
+_LOWER_BOUNDS = {"n_plots": 10, "batch_size": 2, "denoiser_epochs": 0, "pretrain_epochs": 0,
+                 "train_epochs": 0, "finetune_epochs": 0, "eo_iters": 1, "eo_particles": 4,
+                 "sigma_scale": 0.0}
 
 
 @dataclass

@@ -19,7 +19,7 @@ from . import attention as at
 from . import convlstm as cl
 from . import diffusion as df
 from . import tensor as tc
-from .errors import DomainError, NumericalError, ShapeMismatchError
+from .errors import DomainError, ShapeMismatchError
 from .tensor import Tensor
 
 
@@ -34,22 +34,23 @@ class ContrastiveBatch:
 def embed_sequence(frames, lstm_p: cl.ConvLstmParams, ssa_p: at.SsaParams,
                    proj: Tensor) -> Tensor:
     """Embed a [C,H,W] frame sequence into a fixed-length vector."""
+    return proj @ tc.global_avg_pool(encode_features(frames, lstm_p, ssa_p))
+
+
+def encode_features(frames, lstm_p: cl.ConvLstmParams, ssa_p: at.SsaParams) -> Tensor:
+    """Fused feature map at the final step: the channel-selectable representation.
+
+    The attention reads the ``history`` states before the last one, so the
+    sequence needs at least history + 1 frames.
+    """
     frames = [f if isinstance(f, Tensor) else Tensor(f) for f in frames]
     a = ssa_p.history
     if len(frames) < a + 1:
         raise ShapeMismatchError(
             f"need at least history+1 = {a + 1} frames, got {len(frames)}"
         )
-    fused = encode_features(frames, lstm_p, ssa_p)
-    return proj @ tc.global_avg_pool(fused)
-
-
-def encode_features(frames, lstm_p: cl.ConvLstmParams, ssa_p: at.SsaParams) -> Tensor:
-    """Fused feature map at the final step: the channel-selectable representation."""
-    frames = [f if isinstance(f, Tensor) else Tensor(f) for f in frames]
     _, h, w = frames[0].data.shape
     states = cl.convlstm_sequence(frames, lstm_p, cl.zero_state(lstm_p.hidden_channels, h, w))
-    a = ssa_p.history
     hist = [states[t].h for t in range(len(states) - 1 - a, len(states) - 1)]
     return at.ssa_forward(states[-1].h, hist, ssa_p)
 
@@ -133,12 +134,8 @@ def pretrain_encoder(frames_by_sample, train_idx, val_idx, den, sched,
             pairs.append((v1, v2))
         return contrastive_loss(ContrastiveBatch(pairs), tau)
 
-    def epoch_batches(rng):
-        order = [train_idx[k] for k in rng.permutation(len(train_idx))]
-        for start in range(0, len(order), batch_size):
-            chunk = order[start:start + batch_size]
-            if len(chunk) >= 2:
-                yield chunk
+    def epoch_batches(rng):  # a one-sample chunk has no negative pair
+        return [b for b in tc.minibatches(train_idx, batch_size, rng) if len(b) >= 2]
 
     history_losses = []
     eval_rng = np.random.default_rng(seed_rng.integers(2**63))
@@ -148,17 +145,11 @@ def pretrain_encoder(frames_by_sample, train_idx, val_idx, den, sched,
 
     for _ in range(epochs):
         epoch_rng = np.random.default_rng(seed_rng.integers(2**63))
-        epoch_losses = []
-        for batch in epoch_batches(epoch_rng):
-            for p in params:
-                p.zero_grad()
-            loss = batch_loss(batch, epoch_rng)
-            if not np.isfinite(loss.data):
-                raise NumericalError("contrastive pre-training diverged (non-finite loss)")
-            loss.backward()
-            for p in params:
-                p.data -= lr * p.grad
-            epoch_losses.append(loss.item())
+        epoch_losses = [
+            tc.sgd_step(params, lambda: batch_loss(batch, epoch_rng), lr,
+                        "contrastive pre-training")
+            for batch in epoch_batches(epoch_rng)
+        ]
         history_losses.append(float(np.mean(epoch_losses)))
 
     stats = {

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tc
-from .errors import DomainError, NumericalError, ShapeMismatchError
+from .errors import DomainError, ShapeMismatchError
 from .tensor import Tensor
 
 
@@ -169,17 +169,11 @@ def train_denoiser(frames, channels: int, sched: NoiseSchedule, rng, epochs: int
     params = den.parameters()
     history = []
     for _ in range(epochs):
-        order = rng.permutation(len(frames))
         epoch_loss = 0.0
-        for i in order:
-            for p in params:
-                p.zero_grad()
-            loss = diffusion_loss(frames[i], den, sched, lam, rng)
-            if not np.isfinite(loss.data):
-                raise NumericalError("denoiser training diverged (non-finite loss)")
-            loss.backward()
-            for p in params:
-                p.data -= lr * p.grad
-            epoch_loss += loss.item()
+        for (i,) in tc.minibatches(range(len(frames)), 1, rng):
+            epoch_loss += tc.sgd_step(
+                params, lambda: diffusion_loss(frames[i], den, sched, lam, rng), lr,
+                "denoiser training",
+            )
         history.append(epoch_loss / len(frames))
     return den, history

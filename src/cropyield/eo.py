@@ -1,25 +1,30 @@
 """Equilibrium-optimizer feature selection over pooled encoder features.
 
-Particles live in [0,1]^dim and are thresholded at 0.5 into binary masks for
-fitness evaluation. The four best particles form the equilibrium pool whose
-coordinatewise mean is the global attractor; each particle then moves by a
-random multiple of its offset from the attractor plus a momentum-like
-generation term, and is clamped back into the unit box.
+The population is one ``[n_particles, dim]`` array of positions in the unit
+box, thresholded at 0.5 into binary masks for fitness evaluation. The four
+best particles form the equilibrium pool whose coordinatewise mean is the
+global attractor; each particle then moves by a random multiple of its
+offset from the attractor plus a momentum-like generation term, and is
+clamped back into the unit box.
 
 The exploration term applies a fresh random sign per coordinate. With the
-sign always positive the attractor is purely repulsive: every coordinate
-races monotonically to a wall, the population freezes on whatever corners
-the first few iterations happened to visit, and the search cannot recover a
-planted mask. The signed form keeps the same arithmetic (step sizes
-proportional to the attractor offset) while turning the dynamics into a
-contraction-with-excursions around the pool consensus, which is what makes
-the optimizer actually converge. See scripts/eo_dynamics_study.py.
+sign always positive (the literal reading of the update) the attractor is
+purely repulsive: every coordinate races monotonically to a wall, the
+population freezes on whatever corners the first few iterations happened to
+visit, and the search cannot recover a planted mask. Measured over 10 seeds
+(20-dim planted masks, 20 particles, 100 iterations) the literal reading
+recovered 0/10 planted masks and the signed one 10/10; on the relaxed
+10-dim sphere sum((x - 0.5)^2) (20 particles, 200 iterations, 5 seeds) the
+best values were 0.29-0.58 against 0.020-0.032. The signed form keeps the
+same arithmetic (step sizes proportional to the attractor offset) while
+turning the dynamics into a contraction-with-excursions around the pool
+consensus, which is what makes the optimizer converge.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +41,6 @@ class EoConfig:
     alpha: float = 0.5
     lam: float = 1.0
     seed: int = 0
-    signed_exploration: bool = True
 
     def __post_init__(self):
         if self.n_particles < 4:
@@ -45,84 +49,16 @@ class EoConfig:
             )
 
 
-@dataclass
-class Particle:
-    position: np.ndarray  # in [0,1]^dim
-    fitness: float = math.inf
-    prev_position: np.ndarray | None = None
-
-
-@dataclass
-class EoState:
-    particles: list
-    config: EoConfig
-    pool: list = field(default_factory=list)  # indices of the 4 best, fitness-ascending
-    p_avg: np.ndarray | None = None
-    iteration: int = 0
-
-
-def binarize(position: np.ndarray) -> np.ndarray:
-    return position >= 0.5
-
-
-def initialize(dim: int, config: EoConfig, rng) -> EoState:
-    """Particles seeded uniform in [0,1]^dim: base position 0 plus a random
-    adjustment in the all-ones direction."""
-    if dim < 1:
-        raise DomainError(f"dim must be >= 1, got {dim}")
-    particles = [Particle(position=rng.random(dim)) for _ in range(config.n_particles)]
-    return EoState(particles=particles, config=config)
-
-
-def evaluate_fitness(particle: Particle, fitness_fn, binarize_position: bool = True) -> float:
-    """Fitness of the thresholded mask; an empty mask draws an infinite penalty."""
-    if binarize_position:
-        mask = binarize(particle.position)
-        if not mask.any():
-            return math.inf
-        return float(fitness_fn(mask))
-    return float(fitness_fn(particle.position))
-
-
-def update_pool(state: EoState) -> EoState:
-    """Keep the 4 lowest-fitness particles (ties broken by index) and their mean."""
-    order = sorted(range(len(state.particles)), key=lambda i: (state.particles[i].fitness, i))
-    state.pool = order[:4]
-    state.p_avg = np.mean([state.particles[i].position for i in state.pool], axis=0)
-    return state
-
-
 def position_update(position: np.ndarray, prev_position, p_avg: np.ndarray,
-                    delta: float, signs, alpha: float, lam: float) -> np.ndarray:
-    """One particle move: position + signs*delta*(position - p_avg) + G*lam,
-    with G = (position - prev_position)*alpha, clamped to [0,1]."""
+                    delta, signs, alpha: float, lam: float) -> np.ndarray:
+    """One move: position + signs*delta*(position - p_avg) + G*lam,
+    with G = (position - prev_position)*alpha (0.0 on the first move),
+    clamped to [0,1]. Works on one particle or, broadcast, on all of them."""
     if prev_position is None:
         g = 0.0
     else:
         g = (position - prev_position) * alpha
     return np.clip(position + signs * delta * (position - p_avg) + g * lam, 0.0, 1.0)
-
-
-def step(state: EoState, fitness_fn, rng, binarize_position: bool = True) -> EoState:
-    """Move every particle, re-evaluate fitness, refresh the pool."""
-    if state.p_avg is None:
-        raise DomainError("pool not populated; call update_pool after initial evaluation")
-    cfg = state.config
-    for particle in state.particles:
-        delta = rng.random()
-        if cfg.signed_exploration:
-            signs = np.where(rng.random(particle.position.shape) < 0.5, -1.0, 1.0)
-        else:
-            signs = 1.0
-        new_pos = position_update(
-            particle.position, particle.prev_position, state.p_avg,
-            delta, signs, cfg.alpha, cfg.lam,
-        )
-        particle.prev_position = particle.position
-        particle.position = new_pos
-        particle.fitness = evaluate_fitness(particle, fitness_fn, binarize_position)
-    state.iteration += 1
-    return update_pool(state)
 
 
 @dataclass
@@ -132,39 +68,45 @@ class EoResult:
     history: list  # best-ever fitness after each iteration (including iteration 0)
 
 
-def run_eo(dim: int, fitness_fn, config: EoConfig,
-           binarize_position: bool = True) -> EoResult:
+def run_eo(dim: int, fitness_fn, config: EoConfig) -> EoResult:
     """Full optimization loop; returns the best mask ever seen and its fitness.
 
-    ``fitness_fn`` must be deterministic: each distinct mask is scored once.
+    ``fitness_fn`` must be deterministic: masks are scored in particle order,
+    each distinct mask once. An empty mask scores ``inf`` and is never passed
+    to ``fitness_fn``. The pool is the four lowest scores, ties going to the
+    lower particle index.
     """
+    if dim < 1:
+        raise DomainError(f"dim must be >= 1, got {dim}")
     scores = {}
 
-    def fitness_once(x: np.ndarray) -> float:
-        key = x.tobytes()
-        if key not in scores:
-            scores[key] = fitness_fn(x)
-        return scores[key]
+    def score(masks: np.ndarray) -> np.ndarray:
+        fit = np.full(len(masks), math.inf)
+        for i, mask in enumerate(masks):
+            if mask.any():
+                key = mask.tobytes()
+                if key not in scores:
+                    scores[key] = float(fitness_fn(mask))
+                fit[i] = scores[key]
+        return fit
 
+    n = config.n_particles
     rng = rng_for(config.seed, "eo")
-    state = initialize(dim, config, rng)
-    for particle in state.particles:
-        particle.fitness = evaluate_fitness(particle, fitness_once, binarize_position)
-    update_pool(state)
-
-    def snapshot(p: Particle):
-        return binarize(p.position) if binarize_position else p.position.copy()
-
-    best_idx = state.pool[0]
-    best_fitness = state.particles[best_idx].fitness
-    best_mask = snapshot(state.particles[best_idx])
-    history = [best_fitness]
-    for _ in range(config.max_iter):
-        step(state, fitness_once, rng, binarize_position)
-        cand = state.particles[state.pool[0]]
-        if cand.fitness < best_fitness:
-            best_fitness = cand.fitness
-            best_mask = snapshot(cand)
+    pos, prev = rng.random((n, dim)), None
+    history = []
+    for it in range(config.max_iter + 1):
+        if it:
+            # per particle: one step size, then one sign draw per coordinate
+            draws = rng.random((n, 1 + dim))
+            signs = np.where(draws[:, 1:] < 0.5, -1.0, 1.0)
+            pos, prev = position_update(pos, prev, p_avg, draws[:, :1], signs,
+                                        config.alpha, config.lam), pos
+        masks = pos >= 0.5
+        fit = score(masks)
+        pool = np.argsort(fit, kind="stable")[:4]
+        p_avg = pos[pool].mean(axis=0)
+        if not history or fit[pool[0]] < best_fitness:
+            best_fitness, best_mask = float(fit[pool[0]]), masks[pool[0]].copy()
         history.append(best_fitness)
     return EoResult(best_mask=best_mask, best_fitness=best_fitness, history=history)
 

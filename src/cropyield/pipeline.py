@@ -189,6 +189,8 @@ def run_stage_train(run_dir: Path, ds: sd.Dataset, frames, cfg: RunConfig) -> No
         fh.write("epoch,train_mse,val_mse\n")
         for epoch, tr, va in curve:
             fh.write(f"{epoch},{tr!r},{va!r}\n")
+        if result.diverged_at is not None:
+            fh.write(f"# finetune_diverged_at={result.diverged_at}\n")
         fh.write(f"# best_epoch={result.best_epoch}\n")
 
 

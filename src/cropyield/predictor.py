@@ -60,6 +60,7 @@ class TrainResult:
     y_std: float
     curve: list  # (epoch, train_mse, val_mse) in standardized units; epoch 0 = init
     best_epoch: int
+    diverged_at: int | None = None  # fine-tune epoch whose loss went non-finite
 
 
 def train_final(frames_by_sample, lstm_p, ssa_p, mask, y, train_idx, val_idx, rng,
@@ -70,7 +71,9 @@ def train_final(frames_by_sample, lstm_p, ssa_p, mask, y, train_idx, val_idx, rn
 
     The head always trains; the encoder joins in when ``finetune_encoder``.
     Early stopping restores the parameters of the best validation epoch;
-    ``patience=None`` disables it.
+    ``patience=None`` disables it. A non-finite minibatch loss raises
+    NumericalError, except in the fine-tune: there it ends training at that
+    epoch (``diverged_at``) and the best validation epoch is restored.
     """
     mask = np.asarray(mask, dtype=bool)
     sel = np.flatnonzero(mask)
@@ -117,27 +120,28 @@ def train_final(frames_by_sample, lstm_p, ssa_p, mask, y, train_idx, val_idx, rn
         for p, s in zip(params, snap):
             p.data[...] = s
 
+    def batch_mse(chunk):
+        preds = [predict_standardized(i) for i in chunk]
+        pred_vec = tc.concat([tc.reshape(s, (1,)) for s in preds], axis=0)
+        return mse_loss(Tensor(y_star[chunk]), pred_vec)
+
     train_list = list(train_idx)
     val_list = list(val_idx)
     curve = [(0, split_mse(train_list), split_mse(val_list))]
     best_val = curve[0][2]
     best_snap = snapshot()
     best_epoch = 0
+    diverged_at = None
     stale = 0
     for epoch in range(1, epochs + 1):
-        order = [train_list[k] for k in rng.permutation(len(train_list))]
-        for start in range(0, len(order), batch_size):
-            chunk = order[start:start + batch_size]
-            for p in params:
-                p.zero_grad()
-            preds = [predict_standardized(i) for i in chunk]
-            pred_vec = tc.concat([tc.reshape(s, (1,)) for s in preds], axis=0)
-            loss = mse_loss(Tensor(y_star[chunk]), pred_vec)
-            if not np.isfinite(loss.data):
-                raise NumericalError("final training diverged (non-finite loss)")
-            loss.backward()
-            for p in params:
-                p.data -= lr * p.grad
+        try:
+            for chunk in tc.minibatches(train_list, batch_size, rng):
+                tc.sgd_step(params, lambda: batch_mse(chunk), lr, "final training")
+        except NumericalError:
+            if not finetune_encoder:
+                raise
+            diverged_at = epoch  # the fine-tune ends; the best snapshot is restored below
+            break
         tr, va = split_mse(train_list), split_mse(val_list)
         curve.append((epoch, tr, va))
         if va < best_val - 1e-12:
@@ -146,7 +150,7 @@ def train_final(frames_by_sample, lstm_p, ssa_p, mask, y, train_idx, val_idx, rn
             stale += 1
             if patience is not None and stale >= patience:
                 break
-    if patience is not None:  # early stopping restores the best validation epoch
+    if patience is not None or diverged_at is not None:
         restore(best_snap)
     return TrainResult(head=head, lstm=lstm_p, ssa=ssa_p, y_mean=y_mean, y_std=y_std,
-                       curve=curve, best_epoch=best_epoch)
+                       curve=curve, best_epoch=best_epoch, diverged_at=diverged_at)

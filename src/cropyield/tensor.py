@@ -574,6 +574,33 @@ def softmax1d(logits: Tensor) -> Tensor:
     return div(e, tsum(e))
 
 
+# -- training -------------------------------------------------------------------
+
+
+def minibatches(idx, batch_size: int, rng) -> list:
+    """One ``rng.permutation`` draw over ``idx``, cut into consecutive chunks
+    of ``batch_size`` (the last one may be shorter)."""
+    order = [idx[k] for k in rng.permutation(len(idx))]
+    return [order[start:start + batch_size] for start in range(0, len(order), batch_size)]
+
+
+def sgd_step(params, loss_fn, lr: float, what: str) -> float:
+    """One gradient-descent step on the scalar ``loss_fn()``; returns the loss.
+
+    A non-finite loss raises NumericalError naming ``what`` before any
+    parameter moves.
+    """
+    for p in params:
+        p.zero_grad()
+    loss = loss_fn()
+    if not np.isfinite(loss.data):
+        raise NumericalError(f"{what} diverged (non-finite loss)")
+    loss.backward()
+    for p in params:
+        p.data -= lr * p.grad
+    return loss.item()
+
+
 # -- verification ---------------------------------------------------------------
 
 

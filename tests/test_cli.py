@@ -75,6 +75,11 @@ class TestSynthCommand:
         assert ds.band_spec.channels == 12
         assert len(ds.samples) == 12
 
+    def test_too_few_plots_to_split_exits_2(self, tmp_path):
+        out = tmp_path / "ds.mtms"
+        assert main(["synth", "--source", "S2", "--plots", "9", "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_missing_required_flag_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["synth", "--plots", "12"])
@@ -202,6 +207,36 @@ class TestPipelineCommand:
         # a full run is not a resume: it writes the new snapshot
         assert main(base + ["--config", str(changed)]) == 0
         assert load_config(run_dir / "config.txt").train_lr == 0.1
+
+    def test_overflowing_denoiser_lr_exits_4(self, tiny_dataset, fast_config, tmp_path,
+                                             capsys):
+        cfg = tmp_path / "overflow.cfg"
+        cfg.write_text(fast_config.read_text() + "denoiser_lr=1e300\n")
+        run_dir = tmp_path / "r"
+        with np.errstate(all="ignore"):
+            code = main(["pipeline", "--data", str(tiny_dataset), "--out", str(run_dir),
+                         "--config", str(cfg)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: denoiser training diverged")
+        assert "Traceback" not in err
+        assert not (run_dir / "pretrain.ckpt").exists()
+
+    def test_finetune_divergence_is_recorded_not_fatal(self, tiny_dataset, fast_config,
+                                                       tmp_path):
+        cfg = tmp_path / "diverge.cfg"
+        cfg.write_text(fast_config.read_text() + "finetune_lr=1e6\n")
+        run_dir = tmp_path / "r"
+        with np.errstate(all="ignore"):
+            assert main(["pipeline", "--data", str(tiny_dataset), "--out", str(run_dir),
+                         "--config", str(cfg), "--seed", "5"]) == 0
+        curve = (run_dir / "train_curve.txt").read_text().splitlines()
+        assert curve[-2].startswith("# finetune_diverged_at=")
+        for name in ("train_curve.txt", "report.txt", "report.kv", "mask.txt", "eo_history.txt"):
+            text = (run_dir / name).read_text().lower()
+            assert "nan" not in text and "inf" not in text, name
+        for name in ("model.ckpt", "pretrain.ckpt"):
+            assert all(np.all(np.isfinite(a)) for a in load_checkpoint(run_dir / name).values())
 
     def test_config_snapshot_written_verbatim(self, tiny_dataset, fast_config, tmp_path):
         run_dir = tmp_path / "snap"

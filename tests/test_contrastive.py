@@ -6,8 +6,9 @@ import pytest
 from cropyield import attention as at
 from cropyield import contrastive as ct
 from cropyield import convlstm as cl
+from cropyield import diffusion as df
 from cropyield import tensor as tc
-from cropyield.errors import DomainError, ShapeMismatchError
+from cropyield.errors import DomainError, NumericalError, ShapeMismatchError
 from cropyield.tensor import Tensor
 
 
@@ -45,6 +46,15 @@ class TestEmbedSequence:
         frames = [np.zeros((3, 6, 6))] * 2  # history=2 needs >= 3
         with pytest.raises(ShapeMismatchError):
             ct.embed_sequence(frames, lstm, ssa, proj)
+
+    @pytest.mark.parametrize("n_frames", [1, 2])
+    def test_encode_features_needs_history_plus_one_frames(self, n_frames):
+        # history=2 reads the two states before the last one; with fewer
+        # frames the index range used to wrap around the sequence
+        lstm, ssa, _ = make_encoder()
+        frames = np.zeros((n_frames, 3, 6, 6))
+        with pytest.raises(ShapeMismatchError, match="history\\+1 = 3 frames, got %d" % n_frames):
+            ct.encode_features(frames, lstm, ssa)
 
     def test_projection_gradient(self):
         lstm, ssa, proj = make_encoder(seed=3)
@@ -138,3 +148,16 @@ class TestContrastiveLoss:
         worst = max(tc.grad_check(loss, proj), tc.grad_check(loss, lstm.b_o),
                     tc.grad_check(loss, ssa.w_temporal))
         assert worst < 1e-4
+
+
+def test_pretrain_raise_names_its_stage():
+    rng = np.random.default_rng(7)
+    frames = [rng.normal(size=(3, 2, 5, 5)) for _ in range(4)]
+    frames[2][1, 0, 0, 0] = np.nan
+    sched = df.linear_schedule(4, 0.95, 0.5)
+    den = df.init_denoiser(2, 4, sched.steps, rng)
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(NumericalError, match="^contrastive pre-training diverged"):
+        ct.pretrain_encoder(frames, [0, 1, 2, 3], [], den, sched, np.random.default_rng(8),
+                            channels=2, epochs=1, batch_size=4, hidden_channels=4,
+                            embed_dim=4, depth=0)

@@ -5,7 +5,7 @@ import pytest
 
 from cropyield import diffusion as df
 from cropyield import tensor as tc
-from cropyield.errors import DomainError
+from cropyield.errors import DomainError, NumericalError
 from cropyield.tensor import Tensor
 
 
@@ -212,3 +212,10 @@ def test_trained_round_trip_stays_near_input():
         mads.append(np.mean(np.abs(a - probe)))
         mads.append(np.mean(np.abs(b - probe)))
     assert np.mean(mads) < 0.5 * dyn
+
+
+def test_train_denoiser_raise_names_its_stage():
+    sched = df.linear_schedule(4, 0.95, 0.5)
+    frames = [np.full((2, 5, 5), np.nan)]
+    with pytest.raises(NumericalError, match="^denoiser training diverged"):
+        df.train_denoiser(frames, 2, sched, np.random.default_rng(0), epochs=1)

@@ -10,7 +10,7 @@ from cropyield import predictor as pr
 from cropyield import tensor as tc
 from cropyield.config import RunConfig
 from cropyield.pipeline import YieldModel
-from cropyield.errors import DomainError, ShapeMismatchError
+from cropyield.errors import DomainError, NumericalError, ShapeMismatchError
 from cropyield.tensor import Tensor
 
 
@@ -126,8 +126,48 @@ class TestTrainFinal:
             pr.train_final(frames, lstm, ssa, np.zeros(8, bool), y, range(10),
                            range(10, 14), np.random.default_rng(0))
 
+    def test_warmup_raise_names_its_stage(self):
+        lstm, ssa, frames, y = tiny_encoder_setup(seed=2)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericalError, match="^final training diverged"):
+            pr.train_final(frames, lstm, ssa, np.ones(8, bool), y, range(10), range(10, 14),
+                           np.random.default_rng(3), epochs=40, lr=1e6, patience=None)
+
+    def test_finetune_divergence_ends_the_finetune_and_restores_the_best_epoch(self):
+        # lr=1.0 improves the validation error until epoch 6, then blows up;
+        # the minibatch loss of epoch 13 overflows
+        lstm, ssa, frames, y = tiny_encoder_setup(seed=2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = pr.train_final(frames, lstm, ssa, np.ones(8, bool), y, range(10),
+                                 range(10, 14), np.random.default_rng(3), epochs=40, lr=1.0,
+                                 batch_size=4, patience=None, finetune_encoder=True)
+        assert res.diverged_at == 13
+        assert [e for e, _, _ in res.curve] == list(range(13))
+        assert np.all(np.isfinite(res.curve))
+        val = [v for _, _, v in res.curve]
+        assert res.best_epoch == 6 and val[6] == min(val)
+        # the returned parameters are those of the best epoch, not the last
+        y_star = (y - res.y_mean) / res.y_std
+        with tc.no_grad():
+            preds = np.array([pr.predict_yield(Tensor(ct.encode_features(
+                frames[i], res.lstm, res.ssa).data), res.head)[1].item() for i in range(10, 14)])
+        assert float(np.mean((preds - y_star[10:14]) ** 2)) == val[6]
+        for p in res.lstm.parameters() + res.ssa.parameters() + res.head.parameters():
+            assert np.all(np.isfinite(p.data))
+
 
 class TestForwardOnlyPrediction:
+    @pytest.mark.parametrize("n_frames", [1, 2])
+    def test_predict_frames_needs_history_plus_one_frames(self, n_frames):
+        rng = np.random.default_rng(5)
+        lstm = cl.init_convlstm_params(3, 4, 6, 6, 3, rng)
+        ssa = at.init_ssa_params(4, rng)  # history=2
+        model = YieldModel(lstm, ssa, pr.init_head(8), np.ones(8, bool), y_mean=1.0,
+                           y_std=1.0, cfg=RunConfig())
+        with pytest.raises(ShapeMismatchError):
+            model.predict_frames(rng.normal(size=(n_frames, 3, 6, 6)))
+        model.predict_frames(rng.normal(size=(3, 3, 6, 6)))
+
     def test_predict_frames_records_no_graph(self):
         rng = np.random.default_rng(4)
         c, h, w = 6, 24, 24

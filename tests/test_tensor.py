@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cropyield import tensor as tc
-from cropyield.errors import DomainError, ShapeMismatchError
+from cropyield.errors import DomainError, NumericalError, ShapeMismatchError
 from cropyield.tensor import Tensor, param
 
 
@@ -383,3 +383,49 @@ class TestNoGrad:
                 assert (x * x)._bw is None
                 raise RuntimeError("boom")
         assert (x * x)._bw is not None
+
+
+class TestTraining:
+    def _quadratic(self):
+        w = param(np.array([1.0, -2.0, 0.5]))
+        target = Tensor(np.array([0.3, 0.1, -0.4]))
+
+        def loss():
+            d = w - target
+            return (d * d).sum()
+
+        return w, target, loss
+
+    def test_step_is_plain_gradient_descent(self):
+        w, target, loss = self._quadratic()
+        before = w.data.copy()
+        value = tc.sgd_step([w], loss, 0.1, "probe")
+        assert value == float(np.sum((before - target.data) ** 2))
+        assert w.data.tobytes() == (before - 0.1 * (2.0 * (before - target.data))).tobytes()
+        # gradients are zeroed before each loss, not accumulated across steps
+        tc.sgd_step([w], loss, 0.0, "probe")
+        np.testing.assert_array_equal(w.grad, 2.0 * (w.data - target.data))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_loss_leaves_parameters_bit_unchanged(self, bad):
+        w, _, _ = self._quadratic()
+        w.data[1] = -0.0
+        b = param(np.array(3.0))
+        before = w.data.tobytes() + b.data.tobytes()
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(NumericalError, match="^probe stage diverged"):
+            tc.sgd_step([w, b], lambda: (w * Tensor(bad)).sum() + b, 1e-3, "probe stage")
+        assert w.data.tobytes() + b.data.tobytes() == before
+
+    def test_minibatches_cut_one_permutation(self):
+        idx = [10, 11, 12, 13, 14, 15, 16]
+        batches = tc.minibatches(idx, 3, np.random.default_rng(4))
+        perm = np.random.default_rng(4).permutation(len(idx))
+        assert batches == [[idx[k] for k in perm[s:s + 3]] for s in (0, 3, 6)]
+        assert [len(b) for b in batches] == [3, 3, 1]
+        # exactly one draw: the generator then continues where the permutation left it
+        rng = np.random.default_rng(4)
+        tc.minibatches(range(7), 2, rng)
+        ref = np.random.default_rng(4)
+        ref.permutation(7)
+        assert rng.random() == ref.random()
