@@ -61,6 +61,13 @@ def position_update(position: np.ndarray, prev_position, p_avg: np.ndarray,
     return np.clip(position + signs * delta * (position - p_avg) + g * lam, 0.0, 1.0)
 
 
+def equilibrium_pool(positions: np.ndarray, fitness: np.ndarray):
+    """The four lowest-fitness particles, ties to the lower index, and the
+    coordinatewise mean of their positions."""
+    pool = np.argsort(fitness, kind="stable")[:4]
+    return pool, positions[pool].mean(axis=0)
+
+
 @dataclass
 class EoResult:
     best_mask: np.ndarray
@@ -103,8 +110,7 @@ def run_eo(dim: int, fitness_fn, config: EoConfig) -> EoResult:
                                         config.alpha, config.lam), pos
         masks = pos >= 0.5
         fit = score(masks)
-        pool = np.argsort(fit, kind="stable")[:4]
-        p_avg = pos[pool].mean(axis=0)
+        pool, p_avg = equilibrium_pool(pos, fit)
         if not history or fit[pool[0]] < best_fitness:
             best_fitness, best_mask = float(fit[pool[0]]), masks[pool[0]].copy()
         history.append(best_fitness)

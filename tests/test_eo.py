@@ -143,6 +143,20 @@ class TestFitness:
 
 
 class TestPool:
+    def test_identical_particles_average(self):
+        shared = np.array([0.2, 0.6, 0.8])
+        pool, p_avg = eo.equilibrium_pool(np.tile(shared, (4, 1)), np.ones(4))
+        assert sorted(pool.tolist()) == [0, 1, 2, 3]
+        np.testing.assert_array_equal(p_avg, shared)
+
+    def test_pool_fitnesses_ascending(self):
+        fits = np.array([5.0, 2.0, 8.0, 1.0, 9.0, 3.0])
+        pos = np.random.default_rng(5).random((6, 3))
+        pool, p_avg = eo.equilibrium_pool(pos, fits)
+        assert pool.tolist() == [3, 1, 5, 0]
+        assert fits[pool].tolist() == sorted(fits[pool].tolist())
+        np.testing.assert_array_equal(p_avg, pos[[3, 1, 5, 0]].mean(axis=0))
+
     def test_value_then_index_order(self):
         # every non-empty mask ties, so the pool and the best mask go by index:
         # the best mask stays the first particle's with a non-empty mask
