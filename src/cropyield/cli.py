@@ -11,6 +11,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .attention import ATTENTION_MODES, CONV_MODES
 from .config import load_config
 from .eo import FEATURE_SELECTORS
@@ -125,7 +127,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        # typed checks catch every non-finite value; numpy's own warnings stay off stderr
+        with np.errstate(all="ignore"):
+            return _COMMANDS[args.command](args)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

@@ -106,6 +106,13 @@ def write_container(path, header: list, records) -> None:
         fh.write(struct.pack("<Q", digest))
 
 
+def container_trailer(path) -> int:
+    """The checksum trailer of a container file (its last 8 bytes)."""
+    with open(path, "rb") as fh:
+        fh.seek(-8, os.SEEK_END)
+        return struct.unpack("<Q", fh.read(8))[0]
+
+
 def positive_int(field: str) -> int:
     """Field converter for a dimension: a positive integer, else ValueError."""
     value = int(field)

@@ -9,8 +9,8 @@ never writes outside itself. Stages run in the fixed order
 A full invocation executes all four. Invoking a single stage resumes from
 the artifacts earlier stages left behind; a missing upstream artifact is an
 explicit error rather than a silent recompute, and a resume under a config
-that differs from the directory's snapshot is refused, so resumed runs stay
-attributable to their snapshots.
+or from a dataset that differs from the directory's snapshot (``config.txt``,
+``data.txt``) is refused, so resumed runs stay attributable to both.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from . import synthdata as sd
 from . import tensor as tc
 from .config import RunConfig, config_text
 from .errors import ConfigError, DomainError, StagePrerequisiteError
-from .fileio import load_checkpoint, rng_for, save_checkpoint
+from .fileio import container_trailer, load_checkpoint, rng_for, save_checkpoint
 from .tensor import Tensor
 
 STAGES = ("pretrain", "select", "train", "evaluate")
@@ -163,8 +163,9 @@ def run_stage_train(run_dir: Path, ds: sd.Dataset, frames, cfg: RunConfig) -> No
     lstm, ssa = _load_encoder(load_checkpoint(run_dir / "pretrain.ckpt"), cfg)
     mask, _ = load_mask(run_dir)
     y = np.array([s.y for s in ds.samples])
-    # warm-up: with the encoder frozen the head is a least-squares problem, so
-    # full-batch descent runs to convergence
+    # warm-up: with the encoder frozen the head is a least-squares problem,
+    # fitted by full-batch descent for train_epochs; it stops short of the
+    # optimum (the best validation epoch is the last on seeds 1-3)
     result = pr.train_final(
         frames, lstm, ssa, mask, y, ds.split.train, ds.split.val,
         rng_for(cfg.seed, "train"), epochs=cfg.train_epochs, lr=cfg.train_lr,
@@ -216,8 +217,9 @@ class YieldModel:
     def predict_frames(self, frames_tchw) -> float:
         with tc.no_grad():
             fused = ct.encode_features(frames_tchw, self.lstm, self.ssa)
-            _, scalar = pr.predict_yield(Tensor(fused.data[self.sel]), self.head)
-        return self.y_mean + self.y_std * scalar.item()
+            _, preds = pr.predict_yield(pr.head_columns(Tensor(fused.data[None, self.sel])),
+                                        self.head)
+        return self.y_mean + self.y_std * float(preds.data[0])
 
     def predictor_for(self, ds: sd.Dataset, frames):
         by_id = {id(s): frames[i] for i, s in enumerate(ds.samples)}
@@ -242,24 +244,47 @@ _RUNNERS = {
 }
 
 
+def _data_text(data_path, ds: sd.Dataset) -> str:
+    """What binds a run directory to its dataset: source, plot count, dims
+    and the container's checksum trailer, one ``key=value`` line each."""
+    t, h, w, c = ds.dims
+    return (f"source={ds.band_spec.source}\nplots={len(ds.samples)}\n"
+            f"dims={t} {h} {w} {c}\ntrailer={container_trailer(data_path):016x}\n")
+
+
+def _refuse_other(path: Path, text: str, stage: str, what: str) -> None:
+    """Refuse a ``stage`` resume when the run's ``path`` records other lines than ``text``."""
+    if not path.exists():
+        return
+    diff = set(path.read_text().splitlines()) ^ set(text.splitlines())
+    if diff:
+        keys = sorted({line.split("=", 1)[0] for line in diff})
+        raise ConfigError(
+            f"cannot resume stage {stage!r} in {path.parent}: its {path.name} differs in "
+            f"{', '.join(keys)}; use the same {what} or a new run directory"
+        )
+
+
 def run_pipeline(cfg: RunConfig, data_path, out_dir, stage: str | None = None) -> Path:
-    """Execute the full pipeline, or exactly one stage resuming from artifacts."""
+    """Execute the full pipeline, or exactly one stage resuming from artifacts.
+
+    A resume is refused, before anything is written, when the run directory
+    was made under another config or from another dataset.
+    """
     if stage is not None and stage not in STAGES:
         raise DomainError(f"unknown stage {stage!r}, expected one of {STAGES}")
     run_dir = Path(out_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
-    snapshot = run_dir / "config.txt"
+    snapshot, binding = run_dir / "config.txt", run_dir / "data.txt"
     text = config_text(cfg)
-    if stage is not None and snapshot.exists():
-        diff = set(snapshot.read_text().splitlines()) ^ set(text.splitlines())
-        if diff:
-            keys = sorted({line.split("=", 1)[0] for line in diff})
-            raise ConfigError(
-                f"cannot resume stage {stage!r} in {run_dir}: its config.txt differs in "
-                f"{', '.join(keys)}; use the same config or a new run directory"
-            )
-    snapshot.write_text(text)
+    if stage is not None:
+        _refuse_other(snapshot, text, stage, "config")
     ds = _load_split_dataset(data_path, cfg)
+    bound = _data_text(data_path, ds)
+    if stage is not None:
+        _refuse_other(binding, bound, stage, "dataset")
+    snapshot.write_text(text)
+    binding.write_text(bound)
     frames = prepare_frames(ds, cfg)
     todo = STAGES if stage is None else (stage,)
     for name in todo:

@@ -32,12 +32,19 @@ def init_head(c_sel: int) -> HeadParams:
     return HeadParams(w=tc.param(np.zeros((1, c_sel, 3, 3))), b=tc.param(np.zeros(())))
 
 
-def predict_yield(f_opt: Tensor, p: HeadParams):
-    """Yield map W * F + b and its spatial mean as the scalar prediction."""
-    if f_opt.data.ndim != 3 or f_opt.data.shape[0] < 1:
-        raise DomainError(f"expected non-empty [C_sel,H,W] features, got {f_opt.data.shape}")
-    ymap = tc.conv2d(f_opt, p.w, padding=1) + p.b
-    return ymap, ymap.mean()
+def head_columns(f_opt: Tensor) -> Tensor:
+    """The head's im2col of N plots' selected features [N,C_sel,H,W]."""
+    if f_opt.data.ndim != 4 or f_opt.data.shape[1] < 1:
+        raise DomainError(f"expected non-empty [N,C_sel,H,W] features, got {f_opt.data.shape}")
+    return tc.im2col(f_opt, 3, padding=1)
+
+
+def predict_yield(cols: Tensor, p: HeadParams, items=None):
+    """Yield maps W * F + b [M,1,H,W] of plots from their ``head_columns``,
+    and the maps' spatial means as the M predictions: the M ``items`` of
+    ``cols`` in that order, or all of them."""
+    ymap = tc.bias_add(tc.conv_cols(cols, p.w, items), p.b)
+    return ymap, tc.item_mean(ymap)
 
 
 def mse_loss(y: Tensor, y_pred: Tensor) -> Tensor:
@@ -92,26 +99,32 @@ def train_final(frames_by_sample, lstm_p, ssa_p, mask, y, train_idx, val_idx, rn
     if finetune_encoder:
         params += lstm_p.parameters() + ssa_p.parameters()
 
-    cache = {}
-
-    def features_of(i):
-        if finetune_encoder:
-            fused = ct.encode_features(frames_by_sample[i], lstm_p, ssa_p)
-            return tc.take_channels(fused, sel)
-        if i not in cache:
-            with tc.no_grad():
-                fused = ct.encode_features(frames_by_sample[i], lstm_p, ssa_p)
-            cache[i] = fused.data[sel]
-        return Tensor(cache[i])
-
-    def predict_standardized(i):
-        _, scalar = predict_yield(features_of(i), head)
-        return scalar
-
-    def split_mse(idx):
+    train_list = list(train_idx)
+    known = train_list + list(val_idx)  # the order of the evaluation pass
+    if finetune_encoder:
+        def predict(idx):
+            feats = [tc.take_channels(ct.encode_features(frames_by_sample[i], lstm_p, ssa_p), sel)
+                     for i in idx]
+            cols = head_columns(tc.concat([tc.reshape(f, (1,) + f.shape) for f in feats]))
+            return predict_yield(cols, head)[1]
+    else:
+        # the encoder is frozen: build the head's im2col of every plot once;
+        # a chunk picks its rows by index, so the columns are never copied
         with tc.no_grad():
-            preds = np.array([predict_standardized(i).item() for i in idx])
-        return float(np.mean((preds - y_star[list(idx)]) ** 2))
+            frozen = head_columns(Tensor(np.stack([
+                ct.encode_features(frames_by_sample[i], lstm_p, ssa_p).data[sel]
+                for i in known])))
+        row = {i: r for r, i in enumerate(known)}
+
+        def predict(idx):
+            return predict_yield(frozen, head, [row[i] for i in idx])[1]
+
+    def split_mses():
+        """Train and validation MSE, from one forward pass over both splits."""
+        with tc.no_grad():
+            preds = predict(known).data
+        err = (preds - y_star[known]) ** 2
+        return float(np.mean(err[:len(train_list)])), float(np.mean(err[len(train_list):]))
 
     def snapshot():
         return [p.data.copy() for p in params]
@@ -121,13 +134,9 @@ def train_final(frames_by_sample, lstm_p, ssa_p, mask, y, train_idx, val_idx, rn
             p.data[...] = s
 
     def batch_mse(chunk):
-        preds = [predict_standardized(i) for i in chunk]
-        pred_vec = tc.concat([tc.reshape(s, (1,)) for s in preds], axis=0)
-        return mse_loss(Tensor(y_star[chunk]), pred_vec)
+        return mse_loss(Tensor(y_star[chunk]), predict(chunk))
 
-    train_list = list(train_idx)
-    val_list = list(val_idx)
-    curve = [(0, split_mse(train_list), split_mse(val_list))]
+    curve = [(0, *split_mses())]
     best_val = curve[0][2]
     best_snap = snapshot()
     best_epoch = 0
@@ -142,7 +151,7 @@ def train_final(frames_by_sample, lstm_p, ssa_p, mask, y, train_idx, val_idx, rn
                 raise
             diverged_at = epoch  # the fine-tune ends; the best snapshot is restored below
             break
-        tr, va = split_mse(train_list), split_mse(val_list)
+        tr, va = split_mses()
         curve.append((epoch, tr, va))
         if va < best_val - 1e-12:
             best_val, best_snap, best_epoch, stale = va, snapshot(), epoch, 0

@@ -19,10 +19,22 @@ memory layout (BLAS sums in the order of the inner dimension), the order in
 which contributions are accumulated into a gradient, and the layout of a
 gradient's first buffer. ``tests/test_tensor.py`` checks ``conv2d``,
 ``sigmoid`` and gradient accumulation against those reference forms.
+
+``im2col``, ``conv_cols``, ``bias_add`` and ``item_mean`` carry a leading
+item axis: N independent items (plots) go through one call each. Item i's
+outputs are bit-identical to those of the same computation on item i alone,
+and its input gradient to that item's gradient there. One BLAS call is made
+per item (a stacked ``np.matmul``, never one GEMM over all N items' rows),
+and the im2col is one gather into a C-contiguous array, each item's
+indices offset to its own padded map. A parameter shared by the items (kernels, bias) receives each
+item's gradient summed within the item first, then added across items one
+at a time in item order: the accumulation a graph of N per-item
+computations makes, whose backward pass visits item 0 first.
 """
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import fields
 from functools import lru_cache
@@ -264,6 +276,16 @@ def _acc(t: Tensor, g: np.ndarray):
         t._grad += g
 
 
+def _acc_items(t: Tensor, parts: np.ndarray):
+    """Accumulate per-item gradients ``parts`` [N, *t.shape] into ``t`` one
+    item at a time, in item order: ``_acc(t, parts[0])``, ``_acc(t, parts[1])``, ..."""
+    if not t.requires_grad:
+        return
+    first = np.zeros_like(t.data) if t._grad is None else t._grad
+    # add.accumulate is a sequential running sum: ((first + p0) + p1) + ...
+    t._grad = np.add.accumulate(np.concatenate([first[None], parts]), axis=0)[-1, ...]
+
+
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     """Reduce a broadcasted gradient back to the original operand shape."""
     if g.shape == tuple(shape):
@@ -466,7 +488,7 @@ class _ConvPlan(NamedTuple):
     h_out: int
     w_out: int
     padded: tuple  # [C, H+2p, W+2p]
-    gather: np.ndarray | None  # [H'W', C k k] flat im2col indices; None for k = 1
+    gather: np.ndarray  # [H'W', C k k] flat im2col indices into the padded map
     scatter: np.ndarray  # the same indices flattened and reversed
 
 
@@ -498,8 +520,27 @@ def _conv_plan(x_shape, k_shape, padding, dilation) -> _ConvPlan:
     flat = ((c * hp + i + a * dilation) * wp + j + b * dilation).reshape(h_out * w_out, -1)
     scatter = flat.ravel()[::-1].copy()
     flat.flags.writeable = scatter.flags.writeable = False
-    return _ConvPlan(c_out, c_in, h_out, w_out, (c_in, hp, wp),
-                     None if kh == 1 else flat, scatter)
+    return _ConvPlan(c_out, c_in, h_out, w_out, (c_in, hp, wp), flat, scatter)
+
+
+def _pad(xd: np.ndarray, padded: tuple, padding: int) -> np.ndarray:
+    """Zero-padded C-contiguous copy of [..., C, H, W] maps."""
+    if not padding:
+        return np.ascontiguousarray(xd)
+    xp = np.zeros(xd.shape[:-3] + padded)
+    xp[..., padding:-padding, padding:-padding] = xd
+    return xp
+
+
+def _col2im(dcols: np.ndarray, scatter: np.ndarray, padded: tuple, padding: int):
+    """Gradient of the maps that ``_pad`` + gather turned into ``dcols``.
+
+    bincount adds in input order from 0.0, and ``scatter`` lists dcols in
+    reverse, so each pixel sums its taps in (a, b) order: the order of a tap
+    loop adding into a zeroed buffer.
+    """
+    dxp = np.bincount(scatter, dcols.ravel()[::-1], math.prod(padded)).reshape(padded)
+    return dxp[..., padding:-padding, padding:-padding] if padding else dxp
 
 
 def conv2d(x: Tensor, kernels: Tensor, padding: int = 0, dilation: int = 1) -> Tensor:
@@ -511,34 +552,110 @@ def conv2d(x: Tensor, kernels: Tensor, padding: int = 0, dilation: int = 1) -> T
     xd, kd = x.data, kernels.data
     c_out, c_in, h_out, w_out, padded, gather, scatter = _conv_plan(
         xd.shape, kd.shape, padding, dilation)
-    if padding:
-        xp = np.zeros(padded)
-        xp[:, padding:-padding, padding:-padding] = xd
-    else:
-        xp = np.ascontiguousarray(xd)
+    xp = _pad(xd, padded, padding)
     # im2col: row (i, j), column (c, a, b) holds xp[c, i + a*dilation, j + b*dilation],
     # C-contiguous. For a 1x1 kernel it is the [H*W, C] transposed view of xp:
     # the GEMM's rounding depends on its operands' layout, so that layout stays.
-    cols = xp.reshape(c_in, -1).T if gather is None else xp.ravel()[gather]
+    cols = xp.reshape(c_in, -1).T if kd.shape[2] == 1 else xp.ravel()[gather]
     kmat = kd.reshape(c_out, -1)
     out_data = (cols @ kmat.T).T.reshape(c_out, h_out, w_out)
-    n_padded = xp.size
 
     def bw(g):
         gmat = g.reshape(c_out, h_out * w_out)
         if kernels.requires_grad:
             _acc(kernels, (gmat @ cols).reshape(kd.shape))
         if x.requires_grad:
-            # col2im. bincount adds in input order from 0.0, and ``scatter``
-            # lists dcols in reverse, so each pixel sums its taps in (a, b)
-            # order: the order of a tap loop adding into a zeroed buffer
-            dcols = gmat.T @ kmat
-            dxp = np.bincount(scatter, dcols.ravel()[::-1], n_padded).reshape(padded)
-            if padding:
-                dxp = dxp[:, padding:-padding, padding:-padding]
-            _acc(x, dxp)
+            _acc(x, _col2im(gmat.T @ kmat, scatter, padded, padding))
 
     return _node(out_data, (x, kernels), bw)
+
+
+def im2col(x: Tensor, k: int, padding: int = 0, dilation: int = 1) -> Tensor:
+    """The im2col of N maps [N,C,H,W] for k x k kernels: [N,H',W',C k k].
+
+    Item n's block is the C-contiguous matrix ``conv2d`` builds for map n
+    when k > 1 (row (i, j), column (c, a, b)). One gather takes all N: the
+    item index, broadcast against ``conv2d``'s index table, offsets it to
+    padded map n without materializing N tables. ``conv_cols`` applies
+    kernels to the result; the gradient scatters back through ``conv2d``'s
+    col2im.
+    """
+    xd = x.data
+    if xd.ndim != 4:
+        raise ShapeMismatchError(f"im2col expects [N,C,H,W] maps, got shape {xd.shape}")
+    n = xd.shape[0]
+    _, _, h_out, w_out, padded, gather, _ = _conv_plan(
+        xd.shape[1:], (1, xd.shape[1], k, k), padding, dilation)
+    items = np.arange(n)[:, None, None]
+    cols = _pad(xd, padded, padding).reshape(n, -1)[items, gather].reshape(n, h_out, w_out, -1)
+
+    def bw(g):
+        flat = gather + items * math.prod(padded)  # indices into the N padded maps
+        _acc(x, _col2im(g, flat.ravel()[::-1], (n,) + padded, padding))
+
+    return _node(cols, (x,), bw)
+
+
+def conv_cols(cols: Tensor, kernels: Tensor, items=None) -> Tensor:
+    """[C_out,C_in,k,k] kernels applied to the im2col [N,H',W',C_in k k] of N
+    maps: [M,C_out,H',W'] for the M distinct ``items`` (indices into N, in
+    output order; default all N in order). The result and the order in which
+    kernel gradients add up are those of ``cols[items]``, without copying
+    the columns: every item is multiplied and the others are dropped. One
+    stacked ``np.matmul``: a GEMV per item for C_out = 1, a GEMM otherwise.
+    For k > 1 item n equals ``conv2d`` of map n; a 1x1 ``conv2d`` multiplies
+    a transposed view, whose rounding may differ."""
+    cd, kd = cols.data, kernels.data
+    n, h_out, w_out, depth = cd.shape
+    c_out = kd.shape[0]
+    if kd.ndim != 4 or kd[0].size != depth:
+        raise ShapeMismatchError(
+            f"kernels {kd.shape} do not match im2col columns of depth {depth}")
+    rows = np.arange(n) if items is None else np.asarray(items, dtype=np.intp)
+    m = rows.size
+    cmat = cd.reshape(n, h_out * w_out, depth)
+    kmat = kd.reshape(c_out, depth)
+    out_data = np.matmul(cmat, kmat.T)[rows].transpose(0, 2, 1).reshape(m, c_out, h_out, w_out)
+
+    def bw(g):
+        # g is laid out as out_data, an [M, H'W', C_out] array seen transposed, like
+        # conv2d's output: the GEMM rounds by its operand's layout, so the zeros
+        # for the dropped items keep that layout
+        full = np.zeros((n, h_out * w_out, c_out))
+        full[rows] = g.reshape(m, c_out, h_out * w_out).transpose(0, 2, 1)
+        gmat = full.transpose(0, 2, 1)
+        if kernels.requires_grad:
+            _acc_items(kernels, np.matmul(gmat, cmat)[rows].reshape((m,) + kd.shape))
+        if cols.requires_grad:
+            _acc(cols, np.matmul(gmat.transpose(0, 2, 1), kmat).reshape(cd.shape))
+
+    return _node(out_data, (cols, kernels), bw)
+
+
+def bias_add(a: Tensor, b: Tensor) -> Tensor:
+    """N items [N,...] plus a shared scalar bias; the bias gradient sums each
+    item's gradient first, then adds the items in order."""
+    if b.data.ndim != 0:
+        raise ShapeMismatchError(f"bias_add needs a scalar bias, got shape {b.data.shape}")
+    n = a.data.shape[0]
+
+    def bw(g):
+        _acc(a, g)
+        _acc_items(b, g.reshape(n, -1).sum(axis=1))
+
+    return _node(a.data + b.data, (a, b), bw)
+
+
+def item_mean(a: Tensor) -> Tensor:
+    """Mean over all but the leading item axis of a C-contiguous [N,...]: [N]."""
+    n = a.data.shape[0]
+    size = a.data[0].size
+
+    def bw(g):
+        _acc(a, np.broadcast_to((g / size).reshape((n,) + (1,) * (a.data.ndim - 1)),
+                                a.data.shape))
+
+    return _node(a.data.reshape(n, size).sum(axis=1) / size, (a,), bw)  # tmean per item
 
 
 def global_avg_pool(x: Tensor) -> Tensor:

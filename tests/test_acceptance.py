@@ -112,12 +112,12 @@ def test_criterion_1_gradient_suite():
     head = pr.init_head(2)
     head.w.data[:] = rng.normal(size=head.w.data.shape) * 0.3
     head.b.data[()] = 0.2
-    feats = rng.normal(size=(2, 5, 5))
+    feats = rng.normal(size=(1, 2, 5, 5))
     target = Tensor(np.array([0.7]))
 
     def head_loss(_t):
-        _, scalar = pr.predict_yield(Tensor(feats), head)
-        return pr.mse_loss(target, tc.reshape(scalar, (1,)))
+        _, scalar = pr.predict_yield(pr.head_columns(Tensor(feats)), head)
+        return pr.mse_loss(target, scalar)
 
     worst["predict_yield"] = max(tc.grad_check(head_loss, t) for t in (head.w, head.b))
 

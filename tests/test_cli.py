@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import cropyield
 
 from cropyield import attention as at
 from cropyield import convlstm as cl
@@ -237,6 +244,48 @@ class TestPipelineCommand:
             assert "nan" not in text and "inf" not in text, name
         for name in ("model.ckpt", "pretrain.ckpt"):
             assert all(np.all(np.isfinite(a)) for a in load_checkpoint(run_dir / name).values())
+
+    def test_resume_against_other_data_exits_2(self, tiny_dataset, fast_config, tmp_path):
+        run_dir = tmp_path / "run"
+        base = ["pipeline", "--out", str(run_dir), "--config", str(fast_config), "--seed", "5"]
+        assert main(base + ["--data", str(tiny_dataset)]) == 0
+        assert (run_dir / "data.txt").read_text().splitlines()[:3] == [
+            "source=S2", "plots=12", "dims=4 8 8 12"]
+        before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+        other = tmp_path / "other.mtms"
+        assert main(["synth", "--source", "S2", "--plots", "30", "--t-steps", "4",
+                     "--height", "8", "--width", "8", "--seed", "9", "--out", str(other)]) == 0
+        assert main(base + ["--data", str(other), "--stage", "evaluate"]) == 2
+        assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+        # the same container bytes under another name resume
+        copy = tmp_path / "copy.mtms"
+        copy.write_bytes(tiny_dataset.read_bytes())
+        assert main(base + ["--data", str(copy), "--stage", "evaluate"]) == 0
+        assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+        # same source and dims, other plots: the trailer tells them apart
+        same_dims = tmp_path / "same_dims.mtms"
+        assert main(["synth", "--source", "S2", "--plots", "12", "--t-steps", "4",
+                     "--height", "8", "--width", "8", "--seed", "6",
+                     "--out", str(same_dims)]) == 0
+        assert main(base + ["--data", str(same_dims), "--stage", "evaluate"]) == 2
+        assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+
+    def test_numpy_warnings_stay_off_stderr(self, tmp_path):
+        # a run whose head overflows: only the typed line may reach stderr
+        data = tmp_path / "s2.mtms"
+        cfg = tmp_path / "overflow.cfg"
+        cfg.write_text("denoiser_epochs=1\npretrain_epochs=1\neo_iters=2\ntrain_epochs=5\n"
+                       "train_lr=1e200\nfinetune_epochs=1\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(cropyield.__file__).parents[1])}
+        cli = [sys.executable, "-m", "cropyield.cli"]
+        subprocess.run(cli + ["synth", "--source", "S2", "--plots", "20", "--seed", "3",
+                              "--out", str(data)], env=env, check=True, capture_output=True)
+        run = subprocess.run(cli + ["pipeline", "--data", str(data), "--out", str(tmp_path / "r"),
+                                    "--config", str(cfg), "--seed", "3"],
+                             env=env, capture_output=True, text=True)
+        assert run.returncode == 4
+        assert run.stderr.startswith("numerical failure: final training diverged")
+        assert run.stderr.count("\n") == 1 and run.stderr.endswith("\n"), run.stderr
 
     def test_config_snapshot_written_verbatim(self, tiny_dataset, fast_config, tmp_path):
         run_dir = tmp_path / "snap"

@@ -18,39 +18,39 @@ class TestPredictYield:
     def test_bias_only_head_is_constant(self):
         head = pr.init_head(3)
         head.b.data[()] = 2.0
-        f = Tensor(np.random.default_rng(0).normal(size=(3, 6, 6)))
-        ymap, scalar = pr.predict_yield(f, head)
+        f = Tensor(np.random.default_rng(0).normal(size=(1, 3, 6, 6)))
+        ymap, scalar = pr.predict_yield(pr.head_columns(f), head)
         np.testing.assert_allclose(ymap.data, 2.0)
-        assert abs(scalar.item() - 2.0) < 1e-12
+        assert abs(scalar.data[0] - 2.0) < 1e-12
 
     def test_spatial_dims_preserved(self):
         head = pr.init_head(2)
         head.w.data[:] = np.random.default_rng(1).normal(size=head.w.data.shape)
-        f = Tensor(np.random.default_rng(2).normal(size=(2, 7, 5)))
-        ymap, _ = pr.predict_yield(f, head)
-        assert ymap.data.shape == (1, 7, 5)
+        f = Tensor(np.random.default_rng(2).normal(size=(1, 2, 7, 5)))
+        ymap, _ = pr.predict_yield(pr.head_columns(f), head)
+        assert ymap.data[0].shape == (1, 7, 5)
 
     def test_bias_translation_equivariance(self):
         head = pr.init_head(2)
         head.w.data[:] = np.random.default_rng(3).normal(size=head.w.data.shape)
-        f = Tensor(np.random.default_rng(4).normal(size=(2, 6, 6)))
-        map0, s0 = pr.predict_yield(f, head)
+        cols = pr.head_columns(Tensor(np.random.default_rng(4).normal(size=(1, 2, 6, 6))))
+        map0, s0 = pr.predict_yield(cols, head)
         head.b.data[()] = 1.3
-        map1, s1 = pr.predict_yield(f, head)
+        map1, s1 = pr.predict_yield(cols, head)
         np.testing.assert_allclose(map1.data, map0.data + 1.3, atol=1e-12)
-        assert abs(s1.item() - (s0.item() + 1.3)) < 1e-12
+        assert abs(s1.data[0] - (s0.data[0] + 1.3)) < 1e-12
 
     def test_gradient_of_mse(self):
         rng = np.random.default_rng(5)
         head = pr.init_head(2)
         head.w.data[:] = rng.normal(size=head.w.data.shape) * 0.3
         head.b.data[()] = 0.2
-        f = rng.normal(size=(2, 5, 5))
+        f = rng.normal(size=(1, 2, 5, 5))
         target = Tensor(np.array([0.7]))
 
         def loss(_t):
-            _, scalar = pr.predict_yield(Tensor(f), head)
-            return pr.mse_loss(target, tc.reshape(scalar, (1,)))
+            _, scalar = pr.predict_yield(pr.head_columns(Tensor(f)), head)
+            return pr.mse_loss(target, scalar)
 
         assert tc.grad_check(loss, head.w) < 1e-4
         assert tc.grad_check(loss, head.b) < 1e-4
@@ -113,8 +113,8 @@ class TestTrainFinal:
         preds = []
         for i in range(10, 14):
             feats = ct.encode_features(frames[i], res.lstm, res.ssa).data[np.flatnonzero(np.ones(8, bool))]
-            _, s = pr.predict_yield(Tensor(feats), res.head)
-            preds.append(res.y_mean + res.y_std * s.item())
+            _, s = pr.predict_yield(pr.head_columns(Tensor(feats[None])), res.head)
+            preds.append(res.y_mean + res.y_std * s.data[0])
         preds = np.array(preds)
         mean_pred_err = np.mean((y[10:14] - np.mean(y[:10])) ** 2)
         model_err = np.mean((y[10:14] - preds) ** 2)
@@ -149,11 +149,130 @@ class TestTrainFinal:
         # the returned parameters are those of the best epoch, not the last
         y_star = (y - res.y_mean) / res.y_std
         with tc.no_grad():
-            preds = np.array([pr.predict_yield(Tensor(ct.encode_features(
-                frames[i], res.lstm, res.ssa).data), res.head)[1].item() for i in range(10, 14)])
+            preds = pr.predict_yield(pr.head_columns(Tensor(np.stack([ct.encode_features(
+                frames[i], res.lstm, res.ssa).data for i in range(10, 14)]))), res.head)[1].data
         assert float(np.mean((preds - y_star[10:14]) ** 2)) == val[6]
         for p in res.lstm.parameters() + res.ssa.parameters() + res.head.parameters():
             assert np.all(np.isfinite(p.data))
+
+
+def _per_plot_train_final(frames, lstm_p, ssa_p, mask, y, train_idx, val_idx, rng, epochs,
+                          lr, batch_size, patience, finetune_encoder=False, head=None):
+    """``train_final`` as it was before the item axis: one ``conv2d`` graph per
+    plot, the predictions concatenated per minibatch."""
+    sel = np.flatnonzero(mask)
+    y = np.asarray(y, dtype=np.float64)
+    y_mean, y_std = float(np.mean(y[train_idx])), float(np.std(y[train_idx])) or 1.0
+    y_star = (y - y_mean) / y_std
+    head = pr.init_head(sel.size) if head is None else head
+    params = list(head.parameters())
+    if finetune_encoder:
+        params += lstm_p.parameters() + ssa_p.parameters()
+    cache = {}
+
+    def features_of(i):
+        if finetune_encoder:
+            return tc.take_channels(ct.encode_features(frames[i], lstm_p, ssa_p), sel)
+        if i not in cache:
+            with tc.no_grad():
+                cache[i] = ct.encode_features(frames[i], lstm_p, ssa_p).data[sel]
+        return Tensor(cache[i])
+
+    def predict(i):
+        return (tc.conv2d(features_of(i), head.w, padding=1) + head.b).mean()
+
+    def split_mse(idx):
+        with tc.no_grad():
+            preds = np.array([predict(i).item() for i in idx])
+        return float(np.mean((preds - y_star[list(idx)]) ** 2))
+
+    def batch_mse(chunk):
+        vec = tc.concat([tc.reshape(predict(i), (1,)) for i in chunk], axis=0)
+        return pr.mse_loss(Tensor(y_star[chunk]), vec)
+
+    train_list, val_list = list(train_idx), list(val_idx)
+    curve = [(0, split_mse(train_list), split_mse(val_list))]
+    best_val, best_snap, best_epoch, diverged_at, stale = curve[0][2], None, 0, None, 0
+    best_snap = [p.data.copy() for p in params]
+    for epoch in range(1, epochs + 1):
+        try:
+            for chunk in tc.minibatches(train_list, batch_size, rng):
+                tc.sgd_step(params, lambda: batch_mse(chunk), lr, "final training")
+        except NumericalError:
+            if not finetune_encoder:
+                raise
+            diverged_at = epoch
+            break
+        tr, va = split_mse(train_list), split_mse(val_list)
+        curve.append((epoch, tr, va))
+        if va < best_val - 1e-12:
+            best_val, best_snap, best_epoch, stale = va, [p.data.copy() for p in params], epoch, 0
+        else:
+            stale += 1
+            if patience is not None and stale >= patience:
+                break
+    if patience is not None or diverged_at is not None:
+        for p, snap in zip(params, best_snap):
+            p.data[...] = snap
+    return pr.TrainResult(head=head, lstm=lstm_p, ssa=ssa_p, y_mean=y_mean, y_std=y_std,
+                          curve=curve, best_epoch=best_epoch, diverged_at=diverged_at)
+
+
+def _assert_same_training(ref, got):
+    assert repr(got.curve) == repr(ref.curve)
+    assert (got.best_epoch, got.diverged_at) == (ref.best_epoch, ref.diverged_at)
+    assert (got.y_mean, got.y_std) == (ref.y_mean, ref.y_std)
+    for tree in ("head", "lstm", "ssa"):
+        ref_named, got_named = getattr(ref, tree).named(), getattr(got, tree).named()
+        assert ref_named.keys() == got_named.keys()
+        for name in ref_named:
+            assert ref_named[name].tobytes() == got_named[name].tobytes(), name
+
+
+class TestBatchedHeadTraining:
+    """``train_final`` on the item axis against the per-plot loop it replaces."""
+
+    MASK = np.array([1, 0, 1, 1, 0, 1, 1, 0], dtype=bool)
+
+    def _both(self, seed, **kw):
+        runs = []
+        for fn in (_per_plot_train_final, pr.train_final):
+            lstm, ssa, frames, y = tiny_encoder_setup(seed=seed)
+            runs.append(fn(frames, lstm, ssa, self.MASK, y, range(10), range(10, 14),
+                           np.random.default_rng(seed + 1), **kw))
+        return runs
+
+    def test_full_batch_warmup(self):
+        ref, got = self._both(4, epochs=30, lr=1.0, batch_size=10, patience=None)
+        assert ref.best_epoch == 30
+        _assert_same_training(ref, got)
+
+    def test_minibatch_warmup_with_a_short_last_chunk(self):
+        # 10 train plots in chunks of 8 and 2
+        ref, got = self._both(4, epochs=12, lr=0.5, batch_size=8, patience=3)
+        _assert_same_training(ref, got)
+
+    def test_finetune(self):
+        runs = []
+        for fn in (_per_plot_train_final, pr.train_final):
+            lstm, ssa, frames, y = tiny_encoder_setup(seed=6)
+            warm = fn(frames, lstm, ssa, self.MASK, y, range(10), range(10, 14),
+                      np.random.default_rng(7), epochs=5, lr=0.05, batch_size=10, patience=None)
+            runs.append(fn(frames, warm.lstm, warm.ssa, self.MASK, y, range(10), range(10, 14),
+                           np.random.default_rng(8), epochs=2, lr=0.05, batch_size=4,
+                           patience=None, finetune_encoder=True, head=warm.head))
+        _assert_same_training(*runs)
+
+    def test_finetune_divergence(self):
+        runs = []
+        for fn in (_per_plot_train_final, pr.train_final):
+            lstm, ssa, frames, y = tiny_encoder_setup(seed=2)
+            with np.errstate(over="ignore", invalid="ignore"):
+                runs.append(fn(frames, lstm, ssa, np.ones(8, bool), y, range(10), range(10, 14),
+                               np.random.default_rng(3), epochs=15, lr=1.0, batch_size=4,
+                               patience=None, finetune_encoder=True))
+        assert runs[0].diverged_at == 13
+        _assert_same_training(*runs)
 
 
 class TestForwardOnlyPrediction:
@@ -181,9 +300,10 @@ class TestForwardOnlyPrediction:
 
         def recorded():  # the same pass with the graph kept alive until it returns
             fused = ct.encode_features(frames, lstm, ssa)
-            _, scalar = pr.predict_yield(Tensor(fused.data[model.sel]), head)
+            _, scalar = pr.predict_yield(pr.head_columns(Tensor(fused.data[None, model.sel])),
+                                         head)
             assert fused._bw is not None and scalar._bw is not None
-            return model.y_mean + model.y_std * scalar.item()
+            return model.y_mean + model.y_std * float(scalar.data[0])
 
         peaks = {}
         for name, fn in (("free", lambda: model.predict_frames(frames)), ("recorded", recorded)):

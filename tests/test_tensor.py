@@ -280,8 +280,36 @@ def _reference_conv2d(xd, kd, padding, dilation, g):
     return out, dk, dx
 
 
+def _per_plot_head(feats, w, b, y, order, x_grad):
+    """The per-plot head graph the item axis replaces: one ``conv2d`` + bias +
+    mean per plot, the predictions concatenated in chunk order, then the MSE.
+    Returns the predictions, the loss and the w, b and input gradients."""
+    wt, bt = param(np.array(w)), param(np.array(b))
+    xs = [Tensor(np.array(f), requires_grad=x_grad) for f in feats]
+    preds = [(tc.conv2d(xs[i], wt, padding=1) + bt).mean() for i in order]
+    vec = tc.concat([tc.reshape(s, (1,)) for s in preds], axis=0)
+    diff = Tensor(y[order]) - vec
+    loss = (diff * diff).mean()
+    loss.backward()
+    return vec.data, loss.data, wt.grad, bt.grad, [xs[i].grad for i in order]
+
+
+def _batched_head(feats, w, b, y, order, x_grad):
+    """The same chunk through the item-axis primitives, one call each."""
+    wt, bt = param(np.array(w)), param(np.array(b))
+    xs = [Tensor(np.array(f), requires_grad=x_grad) for f in feats]
+    x = tc.concat([tc.reshape(xs[i], (1,) + xs[i].shape) for i in order], axis=0)
+    ymap = tc.bias_add(tc.conv_cols(tc.im2col(x, 3, padding=1), wt), bt)
+    vec = tc.item_mean(ymap)
+    diff = Tensor(y[order]) - vec
+    loss = (diff * diff).mean()
+    loss.backward()
+    return vec.data, loss.data, wt.grad, bt.grad, [xs[i].grad for i in order]
+
+
 class TestBitExact:
-    """The low-overhead primitives against the plain formulations they replace."""
+    """The low-overhead primitives against the plain formulations they replace,
+    and the item-axis head against the per-plot graph it replaces."""
 
     @pytest.mark.parametrize("padding", [0, 1, 2])
     @pytest.mark.parametrize("dilation", [1, 2])
@@ -353,6 +381,111 @@ class TestBitExact:
             (op(leaf) * Tensor(3.0)).backward()
             assert np.array_equal(_bits(leaf.grad),
                                   _bits(np.broadcast_to(np.float64(3.0) * scale, (3, 4)).copy()))
+
+    @pytest.mark.parametrize("hw", [10, 32])
+    @pytest.mark.parametrize("c_sel", [1, 9, 16])
+    @pytest.mark.parametrize("n", [1, 2, 7, 48])
+    def test_head_matches_per_plot_graph(self, n, c_sel, hw):
+        rng = np.random.default_rng([n, c_sel, hw])
+        feats = rng.normal(size=(n, c_sel, hw, hw))
+        feats[0, 0, 0, 0] = -0.0
+        w, b = rng.normal(size=(1, c_sel, 3, 3)), rng.normal()
+        y = rng.normal(size=n)
+        for order in (np.arange(n), rng.permutation(n), np.arange(n)[::-1]):
+            ref = _per_plot_head(feats, w, b, y, order, x_grad=True)
+            got = _batched_head(feats, w, b, y, order, x_grad=True)
+            for what, a, g in zip(("predictions", "loss", "w grad", "b grad"), ref, got):
+                assert np.array_equal(_bits(a), _bits(g)), what
+            for k, (a, g) in enumerate(zip(ref[4], got[4])):
+                assert np.array_equal(_bits(a), _bits(g)), f"input grad of item {k}"
+
+    def test_frozen_input_records_no_input_gradient(self):
+        rng = np.random.default_rng(3)
+        feats = rng.normal(size=(5, 4, 10, 10))
+        w, b, y = rng.normal(size=(1, 4, 3, 3)), 0.5, rng.normal(size=5)
+        order = rng.permutation(5)
+        ref = _per_plot_head(feats, w, b, y, order, x_grad=False)
+        got = _batched_head(feats, w, b, y, order, x_grad=False)
+        for a, g in zip(ref[:4], got[:4]):
+            assert np.array_equal(_bits(a), _bits(g))
+
+    @pytest.mark.parametrize("c_out", [1, 8])
+    @pytest.mark.parametrize("k,padding,dilation", [(3, 1, 1), (3, 0, 1), (3, 2, 2), (5, 2, 1)])
+    def test_conv_cols_matches_conv2d_per_item(self, c_out, k, padding, dilation):
+        rng = np.random.default_rng([c_out, k, padding, dilation])
+        n, c_in = 4, 3
+        xd = rng.normal(size=(n, c_in, 10, 9))
+        kd = rng.normal(size=(c_out, c_in, k, k))
+        kern = param(np.array(kd))
+        xs = [Tensor(np.array(x), requires_grad=True) for x in xd]
+        outs = [tc.conv2d(x, kern, padding=padding, dilation=dilation) for x in xs]
+        g = rng.normal(size=(n,) + outs[0].shape)
+        loss = None
+        for out, gi in zip(outs, g):
+            term = (out * Tensor(gi)).sum()
+            loss = term if loss is None else loss + term
+        loss.backward()
+
+        kern_b = param(np.array(kd))
+        x_b = Tensor(np.array(xd), requires_grad=True)
+        out_b = tc.conv_cols(tc.im2col(x_b, k, padding=padding, dilation=dilation), kern_b)
+        assert out_b.shape == (n,) + outs[0].shape
+        loss_b = None
+        for i, gi in enumerate(g):
+            term = (out_b[i] * Tensor(gi)).sum()
+            loss_b = term if loss_b is None else loss_b + term
+        loss_b.backward()
+        for i in range(n):
+            assert np.array_equal(_bits(outs[i].data), _bits(out_b.data[i]))
+            assert np.array_equal(_bits(xs[i].grad), _bits(x_b.grad[i]))
+        assert np.array_equal(_bits(kern.grad), _bits(kern_b.grad))
+
+    @pytest.mark.parametrize("c_out", [1, 8])
+    @pytest.mark.parametrize("items", [[4, 0, 3, 1, 2], [2, 4], [3]])
+    def test_conv_cols_items_match_a_copied_selection(self, c_out, items):
+        rng = np.random.default_rng([c_out, len(items)])
+        cols = tc.im2col(Tensor(rng.normal(size=(5, 3, 6, 7))), 3, padding=1)
+        kd = rng.normal(size=(c_out, 3, 3, 3))
+        g = Tensor(rng.normal(size=(len(items), c_out, 6, 7)))
+        picked, copied = param(np.array(kd)), param(np.array(kd))
+        out_picked = tc.conv_cols(cols, picked, items)
+        out_copied = tc.conv_cols(Tensor(cols.data[items]), copied)
+        (out_picked * g).sum().backward()
+        (out_copied * g).sum().backward()
+        assert np.array_equal(_bits(out_picked.data), _bits(out_copied.data))
+        assert np.array_equal(_bits(picked.grad), _bits(copied.grad))
+
+    def test_im2col_rows_are_contiguous_blocks_of_the_conv_gather(self):
+        rng = np.random.default_rng(8)
+        xd = rng.normal(size=(3, 2, 5, 6))
+        cols = tc.im2col(Tensor(xd), 3, padding=1).data
+        assert cols.shape == (3, 5, 6, 18) and cols.flags.c_contiguous
+        for i in range(3):
+            xp = np.pad(xd[i], ((0, 0), (1, 1), (1, 1)))
+            win = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(1, 2))
+            assert np.array_equal(cols[i], win.transpose(1, 2, 0, 3, 4).reshape(5, 6, 18))
+
+    def test_shared_gradients_add_items_in_order(self):
+        # one item at a time each 1.0 after 1e16 is lost: 7.0; numpy's pairwise sum gives 14.0
+        parts = np.array([1e16] + [1.0] * 7 + [-1e16] + [1.0] * 7)
+        assert np.sum(parts) == 14.0
+        b = param(np.array(0.0))
+        tc._acc_items(b, parts)
+        assert b.grad.shape == () and b.grad == 7.0
+        tc._acc_items(b, parts[:2])  # continues from the gradient already there
+        assert b.grad == 7.0 + 1e16 + 1.0
+        w = param(np.zeros((2, 1)))
+        tc._acc_items(w, np.stack([parts, -parts], axis=1)[:, :, None])
+        assert w.grad.shape == (2, 1) and list(w.grad[:, 0]) == [7.0, -7.0]
+
+    def test_shape_checks(self):
+        with pytest.raises(ShapeMismatchError):
+            tc.im2col(Tensor(np.ones((2, 4, 4))), 3, padding=1)
+        cols = tc.im2col(Tensor(np.ones((2, 2, 4, 4))), 3, padding=1)
+        with pytest.raises(ShapeMismatchError):
+            tc.conv_cols(cols, Tensor(np.ones((1, 3, 3, 3))))
+        with pytest.raises(ShapeMismatchError):
+            tc.bias_add(Tensor(np.ones((2, 3))), Tensor(np.ones(1)))
 
 
 class TestNoGrad:
