@@ -9,6 +9,8 @@ shuffle permutation, and sums the maps under learnable per-offset weights.
 
 Both branches are composition toggles so that ablations (attention order,
 single mechanisms, plain or dilated convolutions) can be run from config.
+Maps carry a leading item axis, [N, C, H, W]: N sequences are fused at
+once, with shared weights.
 """
 
 from __future__ import annotations
@@ -105,13 +107,13 @@ def init_ssa_params(channels: int, rng, reduction: int = 2, groups: int = 2,
 
 def se_attention(hmap: Tensor, p: SeParams) -> Tensor:
     """Scale each channel by sigmoid(W2 relu(W1 pool(H))); scales lie in (0,1)."""
-    if hmap.data.shape[0] != p.channels:
+    if hmap.data.ndim != 4 or hmap.data.shape[1] != p.channels:
         raise ShapeMismatchError(
-            f"SE params expect {p.channels} channels, got map with {hmap.data.shape[0]}"
+            f"SE params expect [N,{p.channels},H,W] maps, got {hmap.data.shape}"
         )
     squeeze = tc.global_avg_pool(hmap)
     scale = tc.sigmoid(p.w2 @ tc.relu(p.w1 @ squeeze))
-    return tc.reshape(scale, (-1, 1, 1)) * hmap
+    return tc.reshape(scale, scale.data.shape + (1, 1)) * hmap
 
 
 def shuffle_permutation(channels: int, groups: int) -> np.ndarray:
@@ -120,7 +122,7 @@ def shuffle_permutation(channels: int, groups: int) -> np.ndarray:
 
 def channel_shuffle(x: Tensor, groups: int) -> Tensor:
     """Reshape channels to [g, C/g], transpose, flatten: cross-group mixing."""
-    c = x.data.shape[0]
+    c = x.data.shape[-3]
     if c % groups != 0:
         raise ShapeMismatchError(f"groups {groups} must divide channel count {c}")
     return tc.take_channels(x, shuffle_permutation(c, groups))
@@ -148,27 +150,32 @@ def temporal_attention(hist, p: SsaParams) -> Tensor:
         raise ShapeMismatchError(
             f"history length {len(hist)} != temporal weight count {p.history}"
         )
+    n = hist[0].data.shape[0]
     total = None
     for tau, hmap in enumerate(hist):
-        term = p.w_temporal[tau] * _attend(hmap, p)
+        weight = tc.reshape(tc.share(p.w_temporal, n)[:, tau], (n, 1, 1, 1))
+        term = weight * _attend(hmap, p)
         total = term if total is None else total + term
     return total
 
 
 def cond_conv(x: Tensor, p: SsaParams) -> Tensor:
-    """Convolution with an input-routed convex mixture of expert kernels."""
+    """Convolution with an input-routed convex mixture of expert kernels: each
+    item mixes its own kernel [C_out, C, k, k]."""
+    n = x.data.shape[0]
     logits = p.routing @ tc.global_avg_pool(x)
     pi = tc.softmax1d(logits)
     mixed = None
     for k, expert in enumerate(p.experts):
-        term = pi[k] * expert
+        term = tc.reshape(pi[:, k], (n, 1, 1, 1, 1)) * tc.share(expert, n)
         mixed = term if mixed is None else mixed + term
-    pad = (mixed.data.shape[2] - 1) // 2
-    return tc.conv2d(x, mixed, padding=pad)
+    pad = (mixed.data.shape[-1] - 1) // 2
+    return tc.conv_items(x, [mixed], padding=pad)[0]
 
 
 def routing_weights(x: Tensor, p: SsaParams) -> np.ndarray:
-    """Routing probabilities for inspection/testing: positive, summing to 1."""
+    """Routing probabilities [N, K] for inspection/testing: positive, each row
+    summing to 1."""
     return tc.softmax1d(p.routing @ tc.global_avg_pool(x)).data
 
 
@@ -180,11 +187,12 @@ def conv_stack(h_t: Tensor, p: SsaParams) -> Tensor:
     # dilated: same kernel tensor, taps spread by the dilation factor
     dilation = p.dilation if p.conv_mode == "dilated" else 1
     pad = (p.conv_kernel.data.shape[2] - 1) * dilation // 2
-    mid = tc.relu(tc.conv2d(h_t, p.conv_kernel, pad, dilation=dilation)
-                  + tc.reshape(p.conv_bias, (-1, 1, 1)))
+    n = h_t.data.shape[0]
+    mid = tc.relu(tc.conv_items(h_t, [p.conv_kernel], pad, dilation)[0]
+                  + tc.reshape(tc.share(p.conv_bias, n), (n, -1, 1, 1)))
     return cond_conv(mid, p) if p.conv_mode == "conv_condconv" else mid
 
 
 def ssa_forward(h_t: Tensor, hist, p: SsaParams) -> Tensor:
     """Channel concatenation [spatial branch | temporal branch]."""
-    return tc.concat([conv_stack(h_t, p), temporal_attention(hist, p)], axis=0)
+    return tc.concat([conv_stack(h_t, p), temporal_attention(hist, p)], axis=1)

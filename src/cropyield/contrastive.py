@@ -6,6 +6,10 @@ final step, global pooling, linear projection) and the loss pulls the two
 views of one sample together while pushing apart the second views of every
 other sample in the batch. The positive term appears in the denominator as
 well, so the per-anchor loss under uniform similarities is exactly log(n).
+
+A minibatch of n samples is one graph: its 2n views are encoded together on
+the item axis of the encoder, and the loss reads each view's embedding as a
+slice of the batched one.
 """
 
 from __future__ import annotations
@@ -33,26 +37,40 @@ class ContrastiveBatch:
 
 def embed_sequence(frames, lstm_p: cl.ConvLstmParams, ssa_p: at.SsaParams,
                    proj: Tensor) -> Tensor:
-    """Embed a [C,H,W] frame sequence into a fixed-length vector."""
+    """Embed N frame sequences [N,T,C,H,W] into fixed-length vectors [N, d]."""
     return proj @ tc.global_avg_pool(encode_features(frames, lstm_p, ssa_p))
 
 
 def encode_features(frames, lstm_p: cl.ConvLstmParams, ssa_p: at.SsaParams) -> Tensor:
-    """Fused feature map at the final step: the channel-selectable representation.
+    """Fused feature maps [N, 2 C_hid, H, W] of N frame sequences [N,T,C,H,W]
+    at their final step: the channel-selectable representation.
 
     The attention reads the ``history`` states before the last one, so the
-    sequence needs at least history + 1 frames.
+    sequences need at least history + 1 frames.
     """
-    frames = [f if isinstance(f, Tensor) else Tensor(f) for f in frames]
+    frames = np.asarray(frames, dtype=np.float64)
+    if frames.ndim != 5:
+        raise ShapeMismatchError(f"expected [N,T,C,H,W] frame sequences, got {frames.shape}")
+    n, t_steps, _, h, w = frames.shape
     a = ssa_p.history
-    if len(frames) < a + 1:
+    if t_steps < a + 1:
         raise ShapeMismatchError(
-            f"need at least history+1 = {a + 1} frames, got {len(frames)}"
+            f"need at least history+1 = {a + 1} frames, got {t_steps}"
         )
-    _, h, w = frames[0].data.shape
-    states = cl.convlstm_sequence(frames, lstm_p, cl.zero_state(lstm_p.hidden_channels, h, w))
-    hist = [states[t].h for t in range(len(states) - 1 - a, len(states) - 1)]
+    states = cl.convlstm_sequence([frames[:, t] for t in range(t_steps)], lstm_p,
+                                  cl.zero_state(n, lstm_p.hidden_channels, h, w))
+    hist = [states[t].h for t in range(t_steps - 1 - a, t_steps - 1)]
     return at.ssa_forward(states[-1].h, hist, ssa_p)
+
+
+def encode_chunks(frames_list, lstm_p: cl.ConvLstmParams, ssa_p: at.SsaParams,
+                  chunk: int) -> np.ndarray:
+    """Forward-only ``encode_features`` of a list of [T,C,H,W] sequences,
+    ``chunk`` items at a time: [N, 2 C_hid, H, W]."""
+    with tc.no_grad():
+        return np.concatenate([
+            encode_features(np.stack(frames_list[s:s + chunk]), lstm_p, ssa_p).data
+            for s in range(0, len(frames_list), chunk)])
 
 
 def contrastive_loss(batch: ContrastiveBatch, tau: float) -> Tensor:
@@ -90,12 +108,39 @@ class PretrainResult:
 
 
 def _augment_views(frames_tchw: np.ndarray, den, sched, depth: int, rng, sigma_scale: float):
+    """The two augmented views [T,C,H,W] of one sample, frame by frame."""
     v1, v2 = [], []
     for t in range(frames_tchw.shape[0]):
         a, b = df.augment_pair(frames_tchw[t], den, sched, depth, rng, sigma_scale)
         v1.append(a)
         v2.append(b)
-    return v1, v2
+    return np.stack(v1), np.stack(v2)
+
+
+def view_items(n: int):
+    """Where the views of n pairs sit on the item axis: the item index of each
+    first view and of each second view.
+
+    Items follow the order in which the backward pass of a loss over n
+    separately encoded pairs visits the views: v1_0 ... v1_{n-2}, v2_0 ...
+    v2_{n-2}, v1_{n-1}, v2_{n-1}. Shared gradients are added item-major, so
+    this order keeps them bit-identical to that graph.
+    """
+    first = list(range(n - 1)) + [2 * n - 2]
+    second = list(range(n - 1, 2 * n - 2)) + [2 * n - 1]
+    return first, second
+
+
+def _view_batch(frames_by_sample, idx, den, sched, depth, rng, sigma_scale):
+    """The augmented views of the samples ``idx`` on the item axis
+    [2n,T,C,H,W] (see ``view_items``), drawn sample by sample."""
+    views = [_augment_views(frames_by_sample[i], den, sched, depth, rng, sigma_scale)
+             for i in idx]
+    first, second = view_items(len(views))
+    items = [None] * (2 * len(views))
+    for (v1, v2), a, b in zip(views, first, second):
+        items[a], items[b] = v1, v2
+    return np.stack(items)
 
 
 def pretrain_encoder(frames_by_sample, train_idx, val_idx, den, sched,
@@ -124,15 +169,11 @@ def pretrain_encoder(frames_by_sample, train_idx, val_idx, den, sched,
     params = lstm_p.parameters() + ssa_p.parameters() + [proj]
 
     def batch_loss(idx_batch, rng):
-        pairs = []
-        for i in idx_batch:
-            v1_frames, v2_frames = _augment_views(
-                frames_by_sample[i], den, sched, depth, rng, sigma_scale
-            )
-            v1 = embed_sequence(v1_frames, lstm_p, ssa_p, proj)
-            v2 = embed_sequence(v2_frames, lstm_p, ssa_p, proj)
-            pairs.append((v1, v2))
-        return contrastive_loss(ContrastiveBatch(pairs), tau)
+        views = _view_batch(frames_by_sample, idx_batch, den, sched, depth, rng, sigma_scale)
+        emb = embed_sequence(views, lstm_p, ssa_p, proj)
+        first, second = view_items(len(idx_batch))
+        return contrastive_loss(ContrastiveBatch([(emb[a], emb[b])
+                                                  for a, b in zip(first, second)]), tau)
 
     def epoch_batches(rng):  # a one-sample chunk has no negative pair
         return [b for b in tc.minibatches(train_idx, batch_size, rng) if len(b) >= 2]
@@ -162,7 +203,7 @@ def pretrain_encoder(frames_by_sample, train_idx, val_idx, den, sched,
         with tc.no_grad():
             pos, neg = holdout_similarities(
                 frames_by_sample, val_idx, lstm_p, ssa_p, proj, den, sched, depth,
-                holdout_rng, sigma_scale,
+                holdout_rng, sigma_scale, chunk=2 * batch_size,
             )
         stats["holdout_pos_sim"] = pos
         if neg is not None:  # one held-out sample has no negative pair
@@ -173,16 +214,17 @@ def pretrain_encoder(frames_by_sample, train_idx, val_idx, den, sched,
 
 
 def holdout_similarities(frames_by_sample, idx, lstm_p, ssa_p, proj, den, sched,
-                         depth, rng, sigma_scale: float = 0.1):
+                         depth, rng, sigma_scale: float = 0.1, chunk: int = 16):
     """Mean positive-pair and negative-pair cosine similarity on held-out samples.
 
-    The negative mean is None when ``idx`` holds a single sample.
+    The views are embedded ``chunk`` at a time. The negative mean is None
+    when ``idx`` holds a single sample.
     """
-    v1s, v2s = [], []
-    for i in idx:
-        f1, f2 = _augment_views(frames_by_sample[i], den, sched, depth, rng, sigma_scale)
-        v1s.append(embed_sequence(f1, lstm_p, ssa_p, proj))
-        v2s.append(embed_sequence(f2, lstm_p, ssa_p, proj))
+    views = [v for i in idx
+             for v in _augment_views(frames_by_sample[i], den, sched, depth, rng, sigma_scale)]
+    with tc.no_grad():
+        emb = (proj @ tc.global_avg_pool(Tensor(encode_chunks(views, lstm_p, ssa_p, chunk)))).data
+    v1s, v2s = [Tensor(v) for v in emb[0::2]], [Tensor(v) for v in emb[1::2]]
     pos, neg = [], []
     for i, v1 in enumerate(v1s):
         for j, v2 in enumerate(v2s):

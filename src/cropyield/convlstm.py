@@ -4,6 +4,10 @@ Gates use convolutions for the input-to-state and state-to-state paths and
 elementwise (Hadamard) weights for the cell-state peepholes. The output gate
 peeks at the freshly updated cell state while the input and forget gates see
 the previous one; the update order below is deliberate.
+
+The cell runs N independent sequences (plots, augmented views) at once:
+frames and states carry a leading item axis, [N, C, H, W], and the weights
+are shared by the items.
 """
 
 from __future__ import annotations
@@ -20,8 +24,8 @@ from .tensor import Tensor
 
 @dataclass
 class ConvLstmState:
-    h: Tensor  # hidden map [C_hid, H, W], values in (-1, 1)
-    c: Tensor  # cell map [C_hid, H, W]
+    h: Tensor  # hidden maps [N, C_hid, H, W], values in (-1, 1)
+    c: Tensor  # cell maps [N, C_hid, H, W]
 
 
 @dataclass
@@ -84,44 +88,38 @@ def init_convlstm_params(c_in: int, c_hid: int, height: int, width: int, k: int,
     )
 
 
-def zero_state(c_hid: int, height: int, width: int) -> ConvLstmState:
-    return ConvLstmState(h=Tensor(np.zeros((c_hid, height, width))),
-                         c=Tensor(np.zeros((c_hid, height, width))))
+def zero_state(n: int, c_hid: int, height: int, width: int) -> ConvLstmState:
+    return ConvLstmState(h=Tensor(np.zeros((n, c_hid, height, width))),
+                         c=Tensor(np.zeros((n, c_hid, height, width))))
 
 
-def _chan(b: Tensor) -> Tensor:
-    return tc.reshape(b, (-1, 1, 1))
+def _chan(b: Tensor, n: int) -> Tensor:
+    return tc.reshape(tc.share(b, n), (n, -1, 1, 1))
 
 
 def convlstm_step(f_t: Tensor, prev: ConvLstmState, p: ConvLstmParams) -> ConvLstmState:
-    """One gate update. i/f read the previous cell state, o reads the new one."""
-    if f_t.data.shape[1:] != prev.h.data.shape[1:]:
+    """One gate update of N items: frames [N,C_in,H,W], states [N,C_hid,H,W].
+    i/f read the previous cell state, o reads the new one."""
+    if f_t.data.ndim != 4 or (f_t.data.shape[0],) + f_t.data.shape[2:] != (
+            prev.h.data.shape[0],) + prev.h.data.shape[2:]:
         raise ShapeMismatchError(
-            f"frame spatial dims {f_t.data.shape[1:]} != state dims {prev.h.data.shape[1:]}"
+            f"frames {f_t.data.shape} do not match states {prev.h.data.shape} "
+            f"(items and spatial dims)"
         )
-    pad = p.padding
-    i_t = tc.sigmoid(
-        tc.conv2d(f_t, p.w_fi, pad) + tc.conv2d(prev.h, p.w_hi, pad)
-        + p.w_ci * prev.c + _chan(p.b_i)
-    )
-    f_gate = tc.sigmoid(
-        tc.conv2d(f_t, p.w_ff, pad) + tc.conv2d(prev.h, p.w_hf, pad)
-        + p.w_cf * prev.c + _chan(p.b_f)
-    )
-    candidate = tc.tanh(
-        tc.conv2d(f_t, p.w_fc, pad) + tc.conv2d(prev.h, p.w_hc, pad) + _chan(p.b_c)
-    )
+    n, pad = f_t.data.shape[0], p.padding
+    x_i, x_f, x_c, x_o = tc.conv_items(f_t, [p.w_fi, p.w_ff, p.w_fc, p.w_fo], pad)
+    h_i, h_f, h_c, h_o = tc.conv_items(prev.h, [p.w_hi, p.w_hf, p.w_hc, p.w_ho], pad)
+    i_t = tc.sigmoid(x_i + h_i + tc.share(p.w_ci, n) * prev.c + _chan(p.b_i, n))
+    f_gate = tc.sigmoid(x_f + h_f + tc.share(p.w_cf, n) * prev.c + _chan(p.b_f, n))
+    candidate = tc.tanh(x_c + h_c + _chan(p.b_c, n))
     c_t = f_gate * prev.c + i_t * candidate
-    o_t = tc.sigmoid(
-        tc.conv2d(f_t, p.w_fo, pad) + tc.conv2d(prev.h, p.w_ho, pad)
-        + p.w_co * c_t + _chan(p.b_o)
-    )
+    o_t = tc.sigmoid(x_o + h_o + tc.share(p.w_co, n) * c_t + _chan(p.b_o, n))
     h_t = o_t * tc.tanh(c_t)
     return ConvLstmState(h=h_t, c=c_t)
 
 
 def convlstm_sequence(frames, p: ConvLstmParams, init: ConvLstmState) -> list[ConvLstmState]:
-    """Iterate the cell over a sequence of [C_in,H,W] frames, returning every state."""
+    """Iterate the cell over a sequence of [N,C_in,H,W] frames, returning every state."""
     frames = list(frames)
     if not frames:
         raise ShapeMismatchError("sequence needs at least one frame")

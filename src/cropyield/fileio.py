@@ -161,10 +161,11 @@ class ContainerReader:
 
     def payload(self, shape: tuple, what: str) -> np.ndarray:
         """The next float64 array; its size is checked against the file before reading."""
-        size, left = 8 * math.prod(shape), self._size - self._fh.tell() - 8
-        if size > left:
+        size, left = 8 * math.prod(shape), self._size - self._fh.tell()
+        if size + 8 > left:  # the payload, then at least the 8-byte checksum
             raise TruncatedPayloadError(
-                f"{self.what} {what}: {size} payload bytes declared, only {left} left")
+                f"{self.what} {what}: {size} payload bytes declared, only {left} left in the "
+                f"file, which must also hold the 8-byte checksum")
         buf = self._fh.read(size)
         self.digest = fnv1a64(self._unhashed + buf, self.digest)
         self._unhashed = b""

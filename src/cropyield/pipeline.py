@@ -31,7 +31,6 @@ from . import tensor as tc
 from .config import RunConfig, config_text
 from .errors import ConfigError, DomainError, StagePrerequisiteError
 from .fileio import container_trailer, load_checkpoint, rng_for, save_checkpoint
-from .tensor import Tensor
 
 STAGES = ("pretrain", "select", "train", "evaluate")
 
@@ -117,15 +116,16 @@ def run_stage_pretrain(run_dir: Path, ds: sd.Dataset, frames, cfg: RunConfig) ->
             fh.write(f"{key}={result.stats[key]!r}\n")
 
 
-def _pooled_features(frames, lstm, ssa) -> np.ndarray:
-    with tc.no_grad():
-        return np.array([ct.encode_features(f, lstm, ssa).data.mean(axis=(1, 2)) for f in frames])
+def _forward_chunk(cfg: RunConfig) -> int:
+    """Sequences per forward-only encoder pass: a pretraining minibatch's
+    views, so that no such pass holds more than training already does."""
+    return 2 * cfg.batch_size
 
 
 def run_stage_select(run_dir: Path, ds: sd.Dataset, frames, cfg: RunConfig) -> None:
     _require_stage(run_dir, "pretrain")
     lstm, ssa = _load_encoder(load_checkpoint(run_dir / "pretrain.ckpt"), cfg)
-    feats = _pooled_features(frames, lstm, ssa)
+    feats = ct.encode_chunks(frames, lstm, ssa, _forward_chunk(cfg)).mean(axis=(2, 3))
     y = np.array([s.y for s in ds.samples])
     y_std = (y - y[ds.split.train].mean()) / (y[ds.split.train].std() or 1.0)
     fitness = eo.make_probe_fitness(feats, y_std, ds.split.train, ds.split.val,
@@ -169,7 +169,7 @@ def run_stage_train(run_dir: Path, ds: sd.Dataset, frames, cfg: RunConfig) -> No
     result = pr.train_final(
         frames, lstm, ssa, mask, y, ds.split.train, ds.split.val,
         rng_for(cfg.seed, "train"), epochs=cfg.train_epochs, lr=cfg.train_lr,
-        batch_size=len(ds.split.train), patience=None,
+        batch_size=len(ds.split.train), patience=None, chunk=_forward_chunk(cfg),
     )
     curve = result.curve
     if cfg.finetune_encoder:
@@ -178,6 +178,8 @@ def run_stage_train(run_dir: Path, ds: sd.Dataset, frames, cfg: RunConfig) -> No
             rng_for(cfg.seed, "train-finetune"), epochs=cfg.finetune_epochs,
             lr=cfg.finetune_lr, batch_size=cfg.batch_size,
             patience=cfg.patience or None, finetune_encoder=True, head=result.head,
+            start=curve[-1][1:],  # the warm-up's last row evaluated these parameters
+            chunk=_forward_chunk(cfg),
         )
         offset = curve[-1][0]
         curve = curve + [(offset + e, tr, va) for e, tr, va in ft.curve[1:]]
@@ -216,8 +218,8 @@ class YieldModel:
 
     def predict_frames(self, frames_tchw) -> float:
         with tc.no_grad():
-            fused = ct.encode_features(frames_tchw, self.lstm, self.ssa)
-            _, preds = pr.predict_yield(pr.head_columns(Tensor(fused.data[None, self.sel])),
+            fused = ct.encode_features(np.asarray(frames_tchw)[None], self.lstm, self.ssa)
+            _, preds = pr.predict_yield(pr.head_columns(tc.take_channels(fused, self.sel)),
                                         self.head)
         return self.y_mean + self.y_std * float(preds.data[0])
 
@@ -274,7 +276,6 @@ def run_pipeline(cfg: RunConfig, data_path, out_dir, stage: str | None = None) -
     if stage is not None and stage not in STAGES:
         raise DomainError(f"unknown stage {stage!r}, expected one of {STAGES}")
     run_dir = Path(out_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
     snapshot, binding = run_dir / "config.txt", run_dir / "data.txt"
     text = config_text(cfg)
     if stage is not None:
@@ -283,6 +284,7 @@ def run_pipeline(cfg: RunConfig, data_path, out_dir, stage: str | None = None) -
     bound = _data_text(data_path, ds)
     if stage is not None:
         _refuse_other(binding, bound, stage, "dataset")
+    run_dir.mkdir(parents=True, exist_ok=True)  # only once the data has loaded and a resume fits
     snapshot.write_text(text)
     binding.write_text(bound)
     frames = prepare_frames(ds, cfg)

@@ -73,7 +73,8 @@ class TrainResult:
 def train_final(frames_by_sample, lstm_p, ssa_p, mask, y, train_idx, val_idx, rng,
                 epochs: int = 80, lr: float = 0.05, batch_size: int = 8,
                 patience: int | None = 5, finetune_encoder: bool = False,
-                head: HeadParams | None = None) -> TrainResult:
+                head: HeadParams | None = None, start: tuple | None = None,
+                chunk: int | None = None) -> TrainResult:
     """SGD on the prediction MSE over the train split.
 
     The head always trains; the encoder joins in when ``finetune_encoder``.
@@ -81,6 +82,10 @@ def train_final(frames_by_sample, lstm_p, ssa_p, mask, y, train_idx, val_idx, rn
     ``patience=None`` disables it. A non-finite minibatch loss raises
     NumericalError, except in the fine-tune: there it ends training at that
     epoch (``diverged_at``) and the best validation epoch is restored.
+    ``start`` is the (train MSE, val MSE) of the parameters as given, when
+    the caller has already evaluated them (the warm-up's last curve row);
+    otherwise epoch 0 evaluates them. Forward-only passes encode ``chunk``
+    plots at a time (default ``batch_size``).
     """
     mask = np.asarray(mask, dtype=bool)
     sel = np.flatnonzero(mask)
@@ -92,6 +97,7 @@ def train_final(frames_by_sample, lstm_p, ssa_p, mask, y, train_idx, val_idx, rn
     if y_std == 0.0:
         y_std = 1.0
     y_star = (y - y_mean) / y_std
+    chunk = chunk or batch_size
 
     if head is None:
         head = init_head(sel.size)
@@ -103,26 +109,26 @@ def train_final(frames_by_sample, lstm_p, ssa_p, mask, y, train_idx, val_idx, rn
     known = train_list + list(val_idx)  # the order of the evaluation pass
     if finetune_encoder:
         def predict(idx):
-            feats = [tc.take_channels(ct.encode_features(frames_by_sample[i], lstm_p, ssa_p), sel)
-                     for i in idx]
-            cols = head_columns(tc.concat([tc.reshape(f, (1,) + f.shape) for f in feats]))
-            return predict_yield(cols, head)[1]
+            feats = ct.encode_features(np.stack([frames_by_sample[i] for i in idx]), lstm_p, ssa_p)
+            return predict_yield(head_columns(tc.take_channels(feats, sel)), head)[1]
     else:
         # the encoder is frozen: build the head's im2col of every plot once;
         # a chunk picks its rows by index, so the columns are never copied
         with tc.no_grad():
-            frozen = head_columns(Tensor(np.stack([
-                ct.encode_features(frames_by_sample[i], lstm_p, ssa_p).data[sel]
-                for i in known])))
+            feats = ct.encode_chunks([frames_by_sample[i] for i in known], lstm_p, ssa_p, chunk)
+            frozen = head_columns(Tensor(np.take(feats, sel, axis=1)))
         row = {i: r for r, i in enumerate(known)}
 
         def predict(idx):
             return predict_yield(frozen, head, [row[i] for i in idx])[1]
 
     def split_mses():
-        """Train and validation MSE, from one forward pass over both splits."""
+        """Train and validation MSE, from one forward pass over both splits
+        (encoding ``chunk`` plots at a time when the encoder trains)."""
+        step = chunk if finetune_encoder else len(known)
         with tc.no_grad():
-            preds = predict(known).data
+            preds = np.concatenate([predict(known[s:s + step]).data
+                                    for s in range(0, len(known), step)])
         err = (preds - y_star[known]) ** 2
         return float(np.mean(err[:len(train_list)])), float(np.mean(err[len(train_list):]))
 
@@ -133,10 +139,10 @@ def train_final(frames_by_sample, lstm_p, ssa_p, mask, y, train_idx, val_idx, rn
         for p, s in zip(params, snap):
             p.data[...] = s
 
-    def batch_mse(chunk):
-        return mse_loss(Tensor(y_star[chunk]), predict(chunk))
+    def batch_mse(batch):
+        return mse_loss(Tensor(y_star[batch]), predict(batch))
 
-    curve = [(0, *split_mses())]
+    curve = [(0, *(split_mses() if start is None else start))]
     best_val = curve[0][2]
     best_snap = snapshot()
     best_epoch = 0
@@ -144,8 +150,8 @@ def train_final(frames_by_sample, lstm_p, ssa_p, mask, y, train_idx, val_idx, rn
     stale = 0
     for epoch in range(1, epochs + 1):
         try:
-            for chunk in tc.minibatches(train_list, batch_size, rng):
-                tc.sgd_step(params, lambda: batch_mse(chunk), lr, "final training")
+            for batch in tc.minibatches(train_list, batch_size, rng):
+                tc.sgd_step(params, lambda: batch_mse(batch), lr, "final training")
         except NumericalError:
             if not finetune_encoder:
                 raise

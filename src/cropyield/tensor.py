@@ -11,8 +11,7 @@ gradient. Inside ``no_grad()`` primitives record no graph at all.
 All data lives in 64-bit floats. Gradient checks at 1e-4 relative tolerance
 are not reliable in 32-bit.
 
-The primitives are written for low per-call overhead (the pipeline makes
-hundreds of thousands of small ``conv2d`` calls), under a bit-exact
+The primitives are written for low per-call overhead under a bit-exact
 contract: every output and gradient must stay identical, bit for bit, to
 the plain formulation it replaces. That fixes the GEMM operands and their
 memory layout (BLAS sums in the order of the inner dimension), the order in
@@ -20,21 +19,29 @@ which contributions are accumulated into a gradient, and the layout of a
 gradient's first buffer. ``tests/test_tensor.py`` checks ``conv2d``,
 ``sigmoid`` and gradient accumulation against those reference forms.
 
-``im2col``, ``conv_cols``, ``bias_add`` and ``item_mean`` carry a leading
-item axis: N independent items (plots) go through one call each. Item i's
-outputs are bit-identical to those of the same computation on item i alone,
-and its input gradient to that item's gradient there. One BLAS call is made
-per item (a stacked ``np.matmul``, never one GEMM over all N items' rows),
-and the im2col is one gather into a C-contiguous array, each item's
-indices offset to its own padded map. A parameter shared by the items (kernels, bias) receives each
-item's gradient summed within the item first, then added across items one
-at a time in item order: the accumulation a graph of N per-item
-computations makes, whose backward pass visits item 0 first.
+The item axis. ``conv_items``, ``im2col``, ``conv_cols``, ``bias_add``,
+``item_mean``, ``matmul`` with a 2-D right operand, and every elementwise op
+on [N, ...] arrays let N independent items (plots, augmented views) go
+through one graph. Item n's outputs are bit-identical to those of the same
+computation on item n alone, and so is its gradient: one BLAS call is made
+per item (a stacked ``np.matmul``, never one GEMM over all items' rows),
+each item keeps its own memory layout through reductions, and each conv
+scatters its own input gradient. A tensor shared by the items (a parameter;
+``share`` broadcasts one into an elementwise op) receives one part per item
+from each node that uses it. During ``Tensor.backward`` these parts are
+deferred, and at its end each leaf adds them item-major: all of item 0's
+parts in the order the backward pass produced them, then item 1's, and so
+on, one ``np.add.accumulate`` per leaf. That is the order in which a graph
+of N separate per-item computations accumulates, when its backward pass
+visits item 0's nodes first, then item 1's: the items must be laid out in
+that visiting order. Outside a backward pass, parts are added at once.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import sys
 from contextlib import contextmanager
 from dataclasses import fields
 from functools import lru_cache
@@ -43,6 +50,32 @@ from typing import ClassVar, NamedTuple, get_origin, get_type_hints
 import numpy as np
 
 from .errors import DataFormatError, DomainError, NumericalError, ShapeMismatchError
+
+
+def _keep_freed_heap() -> None:
+    """Let glibc's malloc keep freed memory on its heap for reuse.
+
+    A minibatch graph holds tens of MB in arrays of 0.1 to a few MB and frees
+    them all at the next step. With its start-up thresholds, glibc returns
+    that memory to the system at once, and the next minibatch faults every
+    page in again: in the benchmark's pipeline-s2 task on a 2-core x86-64 VM,
+    1.4 million minor faults and 3 s of system time in an 11 s task. The
+    values set here are the most that glibc's own dynamic thresholds reach
+    (mmap above 32 MB, trim above 64 MB). Other C libraries ignore them or
+    lack the call.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+
+
+_keep_freed_heap()
 
 
 class Tensor:
@@ -90,11 +123,19 @@ class Tensor:
             raise ShapeMismatchError(
                 f"backward() needs a scalar, got shape {self.data.shape}"
             )
+        global _deferred
         order = _toposort(self)
         self._grad = np.ones_like(self.data)
-        for node in reversed(order):
-            if node._bw is not None and node._grad is not None:
-                node._bw(node._grad)
+        outer, _deferred = _deferred, {}
+        try:
+            for node in reversed(order):
+                if node._bw is not None and node._grad is not None:
+                    node._bw(node._grad)
+            pending = _deferred
+        finally:
+            _deferred = outer
+        for leaf, parts in pending.items():
+            _fold_items(leaf, parts)
 
     # -- operator sugar ------------------------------------------------------
 
@@ -276,14 +317,32 @@ def _acc(t: Tensor, g: np.ndarray):
         t._grad += g
 
 
+_deferred = None  # leaf -> its per-item gradient parts, while a backward pass runs
+
+
 def _acc_items(t: Tensor, parts: np.ndarray):
-    """Accumulate per-item gradients ``parts`` [N, *t.shape] into ``t`` one
-    item at a time, in item order: ``_acc(t, parts[0])``, ``_acc(t, parts[1])``, ..."""
+    """Accumulate per-item gradients ``parts`` [N, *t.shape] into a tensor
+    shared by N items. During a backward pass a leaf's parts wait for its
+    end (``_fold_items``); otherwise they are added now, item by item."""
     if not t.requires_grad:
         return
+    if _deferred is not None and t._bw is None:
+        _deferred.setdefault(t, []).append(parts)
+    else:
+        _fold_items(t, [parts])
+
+
+def _fold_items(t: Tensor, parts: list):
+    """Add the per-item parts [N_j, *t.shape] in item-major order: item 0 of
+    each part in turn, then item 1 of each part that has one, and so on."""
+    n = max(len(p) for p in parts)
+    if all(len(p) == n for p in parts):
+        seq = np.stack(parts, axis=1).reshape((-1,) + t.data.shape)
+    else:
+        seq = np.stack([p[i] for i in range(n) for p in parts if i < len(p)])
     first = np.zeros_like(t.data) if t._grad is None else t._grad
     # add.accumulate is a sequential running sum: ((first + p0) + p1) + ...
-    t._grad = np.add.accumulate(np.concatenate([first[None], parts]), axis=0)[-1, ...]
+    t._grad = np.add.accumulate(np.concatenate([first[None], seq]), axis=0)[-1, ...]
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -341,7 +400,14 @@ def neg(a: Tensor) -> Tensor:
     return _node(-a.data, (a,), bw)
 
 
-def tsum(a: Tensor) -> Tensor:
+def tsum(a: Tensor, axis: int | None = None) -> Tensor:
+    """Sum of all elements, or along ``axis``, kept as a length-1 axis."""
+    if axis is not None:
+        def bw(g):
+            _acc(a, np.broadcast_to(g, a.data.shape))
+
+        return _node(a.data.sum(axis=axis, keepdims=True), (a,), bw)
+
     def bw(g):
         _acc(a, np.full(a.data.shape, g))
 
@@ -450,27 +516,46 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
 
 def take_channels(a: Tensor, idx) -> Tensor:
-    """Select channels (axis 0) by index list; used for shuffles and feature masks."""
+    """Select channels (axis -3 of [..., C, H, W]) by index list; used for
+    shuffles and feature masks."""
     idx = np.asarray(idx, dtype=np.intp)
 
     def bw(g):
         full = np.zeros_like(a.data)
-        np.add.at(full, idx, g)
+        np.add.at(np.moveaxis(full, -3, 0), idx, np.moveaxis(g, -3, 0))
         _acc(a, full)
 
-    return _node(a.data[idx], (a,), bw)
+    return _node(np.take(a.data, idx, axis=-3), (a,), bw)
+
+
+def share(t: Tensor, n: int) -> Tensor:
+    """``t`` shared by n items, [n, *t.shape], for elementwise ops with [n, ...]
+    arrays. Its gradient reaches ``t`` as n per-item parts."""
+    def bw(g):
+        _acc_items(t, g)
+
+    return _node(np.broadcast_to(t.data, (n,) + t.data.shape), (t,), bw)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """2-D @ 1-D matrix-vector product (the only case the pipeline needs)."""
-    if a.data.ndim != 2 or b.data.ndim != 1:
+    """Matrix-vector product [m,n] @ [n], or [m,n] @ [N,n] -> [N,m] for N
+    items: one GEMV per item, ``a`` shared by the items."""
+    if a.data.ndim != 2 or b.data.ndim not in (1, 2):
         raise ShapeMismatchError(
-            f"matmul supports [m,n] @ [n], got {a.data.shape} @ {b.data.shape}"
+            f"matmul supports [m,n] @ [n] or [N,n], got {a.data.shape} @ {b.data.shape}"
         )
-    if a.data.shape[1] != b.data.shape[0]:
+    if a.data.shape[1] != b.data.shape[-1]:
         raise ShapeMismatchError(
             f"matmul inner dims differ: {a.data.shape} @ {b.data.shape}"
         )
+    if b.data.ndim == 2:
+        cols = b.data[:, :, None]
+
+        def bw_items(g):
+            _acc_items(a, g[:, :, None] * b.data[:, None, :])  # np.outer per item
+            _acc(b, np.matmul(a.data.T, g[:, :, None])[:, :, 0])
+
+        return _node(np.matmul(a.data, cols)[:, :, 0], (a, b), bw_items)
 
     def bw(g):
         _acc(a, np.outer(g, b.data))
@@ -487,14 +572,16 @@ class _ConvPlan(NamedTuple):
     c_in: int
     h_out: int
     w_out: int
+    k: int
+    padding: int
+    dilation: int
     padded: tuple  # [C, H+2p, W+2p]
     gather: np.ndarray  # [H'W', C k k] flat im2col indices into the padded map
-    scatter: np.ndarray  # the same indices flattened and reversed
 
 
 @lru_cache(maxsize=32)
 def _conv_plan(x_shape, k_shape, padding, dilation) -> _ConvPlan:
-    """Check one conv2d geometry and build its im2col index tables."""
+    """Check one conv2d geometry and build its im2col index table."""
     if len(x_shape) != 3 or len(k_shape) != 4:
         raise ShapeMismatchError(
             f"conv2d expects input [C,H,W] and kernels [O,C,k,k], got {x_shape} and {k_shape}"
@@ -518,9 +605,17 @@ def _conv_plan(x_shape, k_shape, padding, dilation) -> _ConvPlan:
         )
     i, j, c, a, b = np.ix_(*(np.arange(n, dtype=np.intp) for n in (h_out, w_out, c_in, kh, kw)))
     flat = ((c * hp + i + a * dilation) * wp + j + b * dilation).reshape(h_out * w_out, -1)
-    scatter = flat.ravel()[::-1].copy()
-    flat.flags.writeable = scatter.flags.writeable = False
-    return _ConvPlan(c_out, c_in, h_out, w_out, (c_in, hp, wp), flat, scatter)
+    flat.flags.writeable = False
+    return _ConvPlan(c_out, c_in, h_out, w_out, kh, padding, dilation, (c_in, hp, wp), flat)
+
+
+def _gather(xp: np.ndarray, gather: np.ndarray) -> np.ndarray:
+    """The im2col of padded maps [..., C, H+2p, W+2p]: [..., H'W', C k k],
+    C-contiguous, one gather of the plan's flat index table."""
+    lead = xp.shape[:-3]
+    if math.prod(lead) == 1:
+        return xp.ravel()[gather].reshape(lead + gather.shape)
+    return np.take(xp.reshape(lead + (-1,)), gather, axis=-1)
 
 
 def _pad(xd: np.ndarray, padded: tuple, padding: int) -> np.ndarray:
@@ -532,15 +627,22 @@ def _pad(xd: np.ndarray, padded: tuple, padding: int) -> np.ndarray:
     return xp
 
 
-def _col2im(dcols: np.ndarray, scatter: np.ndarray, padded: tuple, padding: int):
-    """Gradient of the maps that ``_pad`` + gather turned into ``dcols``.
+def _col2im(dcols: np.ndarray, plan: _ConvPlan, n: int) -> np.ndarray:
+    """Gradient [N,C,H,W] of N maps whose ``_pad`` + gather gave the im2col
+    gradient ``dcols`` [N, H'W', C k k].
 
-    bincount adds in input order from 0.0, and ``scatter`` lists dcols in
-    reverse, so each pixel sums its taps in (a, b) order: the order of a tap
-    loop adding into a zeroed buffer.
+    Each pixel sums its taps into 0.0 in (a, b) order: one add per tap, into a
+    channel-last buffer, so that each add reads its tap's columns in order.
     """
-    dxp = np.bincount(scatter, dcols.ravel()[::-1], math.prod(padded)).reshape(padded)
-    return dxp[..., padding:-padding, padding:-padding] if padding else dxp
+    c_in, hp, wp = plan.padded
+    k, d, h_out, w_out, p = plan.k, plan.dilation, plan.h_out, plan.w_out, plan.padding
+    taps = dcols.reshape(n, h_out, w_out, c_in, k, k)
+    dxp = np.zeros((n, hp, wp, c_in))
+    for a in range(k):
+        for b in range(k):
+            dxp[:, a * d:a * d + h_out, b * d:b * d + w_out] += taps[..., a, b]
+    dxp = dxp.transpose(0, 3, 1, 2)
+    return dxp[..., p:-p, p:-p] if p else dxp
 
 
 def conv2d(x: Tensor, kernels: Tensor, padding: int = 0, dilation: int = 1) -> Tensor:
@@ -550,13 +652,13 @@ def conv2d(x: Tensor, kernels: Tensor, padding: int = 0, dilation: int = 1) -> T
     kernel taps (effective size k + (k-1)(dilation-1)).
     """
     xd, kd = x.data, kernels.data
-    c_out, c_in, h_out, w_out, padded, gather, scatter = _conv_plan(
-        xd.shape, kd.shape, padding, dilation)
-    xp = _pad(xd, padded, padding)
+    plan = _conv_plan(xd.shape, kd.shape, padding, dilation)
+    c_out, c_in, h_out, w_out = plan[:4]
+    xp = _pad(xd, plan.padded, padding)
     # im2col: row (i, j), column (c, a, b) holds xp[c, i + a*dilation, j + b*dilation],
     # C-contiguous. For a 1x1 kernel it is the [H*W, C] transposed view of xp:
     # the GEMM's rounding depends on its operands' layout, so that layout stays.
-    cols = xp.reshape(c_in, -1).T if kd.shape[2] == 1 else xp.ravel()[gather]
+    cols = xp.reshape(c_in, -1).T if kd.shape[2] == 1 else _gather(xp, plan.gather)
     kmat = kd.reshape(c_out, -1)
     out_data = (cols @ kmat.T).T.reshape(c_out, h_out, w_out)
 
@@ -565,35 +667,81 @@ def conv2d(x: Tensor, kernels: Tensor, padding: int = 0, dilation: int = 1) -> T
         if kernels.requires_grad:
             _acc(kernels, (gmat @ cols).reshape(kd.shape))
         if x.requires_grad:
-            _acc(x, _col2im(gmat.T @ kmat, scatter, padded, padding))
+            _acc(x, _col2im((gmat.T @ kmat)[None], plan, 1)[0])
 
     return _node(out_data, (x, kernels), bw)
+
+
+def conv_items(x: Tensor, kernels, padding: int = 0, dilation: int = 1) -> list:
+    """Cross-correlation of N maps [N,C_in,H,W] with each kernel in ``kernels``.
+
+    A kernel is shared by the items, [C_out,C_in,k,k], or has one per item,
+    [N,C_out,C_in,k,k]. Returns one [N,C_out,H',W'] node per kernel, whose
+    item n and gradients equal ``conv2d`` of map n. The im2col is gathered
+    once for all kernels; each kernel makes one stacked ``np.matmul`` and
+    scatters its own input gradient (scattering the sum of the kernels'
+    column gradients would round differently).
+    """
+    xd = x.data
+    if xd.ndim != 4:
+        raise ShapeMismatchError(f"conv_items expects [N,C,H,W] maps, got shape {xd.shape}")
+    n = xd.shape[0]
+    plans = [_conv_plan(xd.shape[1:], kern.data.shape[-4:], padding, dilation)
+             for kern in kernels]
+    c_in, h_out, w_out = plans[0].c_in, plans[0].h_out, plans[0].w_out
+    xp = _pad(xd, plans[0].padded, padding)
+    # as in conv2d, a 1x1 kernel multiplies the transposed view of the maps
+    cols = (xp.reshape(n, c_in, -1).transpose(0, 2, 1) if plans[0].k == 1
+            else _gather(xp, plans[0].gather))
+    outs = []
+    for kern, plan in zip(kernels, plans):
+        kd = kern.data
+        if kd.ndim == 5 and kd.shape[0] != n or kd.ndim not in (4, 5):
+            raise ShapeMismatchError(f"kernels {kd.shape} do not fit {n} items")
+        kmat = kd.reshape(kd.shape[:-3] + (-1,))  # [C_out, C_in k k], per item if 5-D
+        out_data = np.matmul(cols, kmat.swapaxes(-1, -2)).transpose(0, 2, 1)
+        outs.append(_node(out_data.reshape(n, plan.c_out, h_out, w_out), (x, kern),
+                          _conv_items_bw(x, kern, cols, kmat, plan, n)))
+    return outs
+
+
+def _conv_items_bw(x, kern, cols, kmat, plan, n):
+    kd = kern.data
+
+    def bw(g):
+        gmat = g.reshape(n, kmat.shape[-2], -1)
+        if kern.requires_grad:
+            dk = np.matmul(gmat, cols)
+            if kd.ndim == 5:
+                _acc(kern, dk.reshape(kd.shape))
+            else:
+                _acc_items(kern, dk.reshape((n,) + kd.shape))
+        if x.requires_grad:
+            _acc(x, _col2im(np.matmul(gmat.transpose(0, 2, 1), kmat), plan, n))
+
+    return bw
 
 
 def im2col(x: Tensor, k: int, padding: int = 0, dilation: int = 1) -> Tensor:
     """The im2col of N maps [N,C,H,W] for k x k kernels: [N,H',W',C k k].
 
     Item n's block is the C-contiguous matrix ``conv2d`` builds for map n
-    when k > 1 (row (i, j), column (c, a, b)). One gather takes all N: the
-    item index, broadcast against ``conv2d``'s index table, offsets it to
-    padded map n without materializing N tables. ``conv_cols`` applies
-    kernels to the result; the gradient scatters back through ``conv2d``'s
-    col2im.
+    when k > 1 (row (i, j), column (c, a, b)), from one gather of
+    ``conv2d``'s flat index table over the N padded maps. ``conv_cols``
+    applies kernels to the result; the gradient scatters back through
+    ``conv2d``'s col2im.
     """
     xd = x.data
     if xd.ndim != 4:
         raise ShapeMismatchError(f"im2col expects [N,C,H,W] maps, got shape {xd.shape}")
     n = xd.shape[0]
-    _, _, h_out, w_out, padded, gather, _ = _conv_plan(
-        xd.shape[1:], (1, xd.shape[1], k, k), padding, dilation)
-    items = np.arange(n)[:, None, None]
-    cols = _pad(xd, padded, padding).reshape(n, -1)[items, gather].reshape(n, h_out, w_out, -1)
+    plan = _conv_plan(xd.shape[1:], (1, xd.shape[1], k, k), padding, dilation)
+    cols = _gather(_pad(xd, plan.padded, padding), plan.gather)
 
     def bw(g):
-        flat = gather + items * math.prod(padded)  # indices into the N padded maps
-        _acc(x, _col2im(g, flat.ravel()[::-1], (n,) + padded, padding))
+        _acc(x, _col2im(g, plan, n))
 
-    return _node(cols, (x,), bw)
+    return _node(cols.reshape(n, plan.h_out, plan.w_out, -1), (x,), bw)
 
 
 def conv_cols(cols: Tensor, kernels: Tensor, items=None) -> Tensor:
@@ -659,16 +807,17 @@ def item_mean(a: Tensor) -> Tensor:
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
-    """Per-channel spatial mean of a [C,H,W] map."""
-    if x.data.ndim != 3:
-        raise ShapeMismatchError(f"global_avg_pool expects [C,H,W], got {x.data.shape}")
-    _, h, w = x.data.shape
+    """Per-channel spatial mean of a [C,H,W] map, or of N maps [N,C,H,W]."""
+    if x.data.ndim not in (3, 4):
+        raise ShapeMismatchError(
+            f"global_avg_pool expects [C,H,W] or [N,C,H,W], got {x.data.shape}")
+    h, w = x.data.shape[-2:]
     n = h * w
 
     def bw(g):
         _acc(x, np.repeat(g, n).reshape(x.data.shape) / n)
 
-    return _node(x.data.sum(axis=(1, 2)) / n, (x,), bw)  # ndarray.mean's arithmetic
+    return _node(x.data.sum(axis=(-2, -1)) / n, (x,), bw)  # ndarray.mean's arithmetic
 
 
 def cosine_similarity(u: Tensor, v: Tensor) -> Tensor:
@@ -685,10 +834,11 @@ def cosine_similarity(u: Tensor, v: Tensor) -> Tensor:
 
 
 def softmax1d(logits: Tensor) -> Tensor:
-    """Probability vector over a 1-D logit tensor (max-shifted for stability)."""
-    shifted = sub(logits, Tensor(np.max(logits.data)))
+    """Probability vector over the last axis of a logit tensor: [K], or [N,K]
+    for N items (max-shifted for stability)."""
+    shifted = sub(logits, Tensor(np.max(logits.data, axis=-1, keepdims=True)))
     e = exp(shifted)
-    return div(e, tsum(e))
+    return div(e, tsum(e, axis=-1))
 
 
 # -- training -------------------------------------------------------------------

@@ -65,7 +65,8 @@ def test_criterion_1_gradient_suite():
     h0, c0 = rng.normal(size=(3, 5, 5)) * 0.3, rng.normal(size=(3, 5, 5)) * 0.3
 
     def lstm_loss(_t):
-        out = cl.convlstm_step(Tensor(frame), cl.ConvLstmState(Tensor(h0), Tensor(c0)), p)
+        out = cl.convlstm_step(Tensor(frame[None]),
+                               cl.ConvLstmState(Tensor(h0[None]), Tensor(c0[None])), p)
         return (out.h * out.h).sum()
 
     worst["convlstm_step"] = max(tc.grad_check(lstm_loss, t) for t in p.parameters())
@@ -75,7 +76,7 @@ def test_criterion_1_gradient_suite():
     hist = [rng.normal(size=(4, 6, 6)) * 0.5 for _ in range(2)]
 
     def ssa_loss(_t):
-        out = at.ssa_forward(Tensor(h_t), [Tensor(h) for h in hist], ssa)
+        out = at.ssa_forward(Tensor(h_t[None]), [Tensor(h[None]) for h in hist], ssa)
         return (out * out).sum()
 
     worst["ssa_forward"] = max(tc.grad_check(ssa_loss, t) for t in ssa.parameters())
@@ -96,10 +97,10 @@ def test_criterion_1_gradient_suite():
 
     def contrastive_via_embed(_t):
         pairs = [
-            (ct.embed_sequence(seqs[0], lstm2, ssa2, proj),
-             ct.embed_sequence(seqs[1], lstm2, ssa2, proj)),
-            (ct.embed_sequence(seqs[2], lstm2, ssa2, proj),
-             ct.embed_sequence(seqs[3], lstm2, ssa2, proj)),
+            (ct.embed_sequence([seqs[0]], lstm2, ssa2, proj)[0],
+             ct.embed_sequence([seqs[1]], lstm2, ssa2, proj)[0]),
+            (ct.embed_sequence([seqs[2]], lstm2, ssa2, proj)[0],
+             ct.embed_sequence([seqs[3]], lstm2, ssa2, proj)[0]),
         ]
         batch = ct.ContrastiveBatch(pairs)
         return ct.contrastive_loss(batch, 0.5)
@@ -139,15 +140,16 @@ def test_criterion_2_equation_oracles():
         b_i=z(3), b_f=z(3), b_o=z(3), b_c=z(3),
     )
     c0 = np.random.default_rng(0).normal(size=(3, 4, 4))
-    out = cl.convlstm_step(Tensor(np.zeros((2, 4, 4))), cl.ConvLstmState(Tensor(np.zeros((3, 4, 4))), Tensor(c0)), p)
+    out = cl.convlstm_step(Tensor(np.zeros((1, 2, 4, 4))),
+                           cl.ConvLstmState(Tensor(np.zeros((1, 3, 4, 4))), Tensor(c0[None])), p)
     checks.append(("convlstm closed form",
-                   float(np.max(np.abs(out.c.data - 0.5 * c0))) < 1e-9
-                   and float(np.max(np.abs(out.h.data - 0.5 * np.tanh(0.5 * c0)))) < 1e-9))
+                   float(np.max(np.abs(out.c.data[0] - 0.5 * c0))) < 1e-9
+                   and float(np.max(np.abs(out.h.data[0] - 0.5 * np.tanh(0.5 * c0)))) < 1e-9))
 
     # SE with zero weights scales by exactly 0.5
     se = at.SeParams(w1=tc.param(np.zeros((2, 4))), w2=tc.param(np.zeros((4, 2))))
     h = np.random.default_rng(1).normal(size=(4, 5, 5))
-    got = at.se_attention(Tensor(h), se).data
+    got = at.se_attention(Tensor(h[None]), se).data[0]
     checks.append(("SE half scale", float(np.max(np.abs(got - 0.5 * h))) < 1e-9))
 
     # channel shuffle permutation for C=4, g=2

@@ -179,6 +179,17 @@ class TestPipelineCommand:
                      "--out", str(tmp_path / "r"), "--config", str(fast_config)])
         assert code == 3
 
+    def test_failed_run_leaves_no_directory(self, tmp_path, capsys):
+        # the 100-byte head of an S2 dataset: cut inside its first payload
+        full, cut = tmp_path / "full.mtms", tmp_path / "cut.mtms"
+        assert main(["synth", "--source", "S2", "--plots", "10", "--seed", "1",
+                     "--out", str(full)]) == 0
+        cut.write_bytes(full.read_bytes()[:100])
+        fresh = tmp_path / "fresh-dir"
+        assert main(["pipeline", "--data", str(cut), "--out", str(fresh)]) == 3
+        assert "data error" in capsys.readouterr().err
+        assert not fresh.exists()
+
     def test_dataset_path_is_a_directory_exits_3(self, fast_config, tmp_path, capsys):
         code = main(["pipeline", "--data", str(tmp_path), "--out", str(tmp_path / "r"),
                      "--config", str(fast_config)])

@@ -29,7 +29,7 @@ class TestEmbedSequence:
     def test_deterministic(self):
         lstm, ssa, proj = make_encoder()
         rng = np.random.default_rng(1)
-        frames = [rng.normal(size=(3, 6, 6)) for _ in range(4)]
+        frames = [[rng.normal(size=(3, 6, 6)) for _ in range(4)]]
         a = ct.embed_sequence(frames, lstm, ssa, proj)
         b = ct.embed_sequence(frames, lstm, ssa, proj)
         np.testing.assert_array_equal(a.data, b.data)
@@ -37,13 +37,13 @@ class TestEmbedSequence:
     def test_output_length_independent_of_spatial_size(self):
         for h, w in [(6, 6), (8, 10)]:
             lstm, ssa, proj = make_encoder(h=h, w=w)
-            frames = [np.random.default_rng(2).normal(size=(3, h, w)) for _ in range(3)]
+            frames = [[np.random.default_rng(2).normal(size=(3, h, w)) for _ in range(3)]]
             v = ct.embed_sequence(frames, lstm, ssa, proj)
-            assert v.data.shape == (4,)
+            assert v.data.shape == (1, 4)
 
     def test_too_short_sequence_rejected(self):
         lstm, ssa, proj = make_encoder()
-        frames = [np.zeros((3, 6, 6))] * 2  # history=2 needs >= 3
+        frames = [[np.zeros((3, 6, 6))] * 2]  # history=2 needs >= 3
         with pytest.raises(ShapeMismatchError):
             ct.embed_sequence(frames, lstm, ssa, proj)
 
@@ -52,14 +52,14 @@ class TestEmbedSequence:
         # history=2 reads the two states before the last one; with fewer
         # frames the index range used to wrap around the sequence
         lstm, ssa, _ = make_encoder()
-        frames = np.zeros((n_frames, 3, 6, 6))
+        frames = np.zeros((1, n_frames, 3, 6, 6))
         with pytest.raises(ShapeMismatchError, match="history\\+1 = 3 frames, got %d" % n_frames):
             ct.encode_features(frames, lstm, ssa)
 
     def test_projection_gradient(self):
         lstm, ssa, proj = make_encoder(seed=3)
         rng = np.random.default_rng(3)
-        frames = [rng.normal(size=(3, 6, 6)) * 0.5 for _ in range(3)]
+        frames = [[rng.normal(size=(3, 6, 6)) * 0.5 for _ in range(3)]]
 
         def loss(_p):
             v = ct.embed_sequence(frames, lstm, ssa, proj)
@@ -136,12 +136,12 @@ class TestContrastiveLoss:
     def test_gradient_through_embeddings(self):
         lstm, ssa, proj = make_encoder(seed=6)
         rng = np.random.default_rng(6)
-        seqs = [[rng.normal(size=(3, 6, 6)) * 0.5 for _ in range(3)] for _ in range(4)]
+        seqs = [[[rng.normal(size=(3, 6, 6)) * 0.5 for _ in range(3)]] for _ in range(4)]
 
         def loss(_p):
             pairs = [
-                (ct.embed_sequence(seqs[0], lstm, ssa, proj), ct.embed_sequence(seqs[1], lstm, ssa, proj)),
-                (ct.embed_sequence(seqs[2], lstm, ssa, proj), ct.embed_sequence(seqs[3], lstm, ssa, proj)),
+                (ct.embed_sequence(seqs[0], lstm, ssa, proj)[0], ct.embed_sequence(seqs[1], lstm, ssa, proj)[0]),
+                (ct.embed_sequence(seqs[2], lstm, ssa, proj)[0], ct.embed_sequence(seqs[3], lstm, ssa, proj)[0]),
             ]
             return ct.contrastive_loss(ct.ContrastiveBatch(pairs), 0.5)
 
@@ -161,3 +161,249 @@ def test_pretrain_raise_names_its_stage():
         ct.pretrain_encoder(frames, [0, 1, 2, 3], [], den, sched, np.random.default_rng(8),
                             channels=2, epochs=1, batch_size=4, hidden_channels=4,
                             embed_dim=4, depth=0)
+
+
+# -- the per-view graph that the item axis replaces ------------------------------
+# One graph per augmented view: the encoder as it was written for a single
+# [T,C,H,W] sequence, composed from the same primitives on [C,H,W] maps.
+
+
+def _ref_step(f_t, h, c, p):
+    pad = p.padding
+
+    def chan(b):
+        return tc.reshape(b, (-1, 1, 1))
+
+    i_t = tc.sigmoid(tc.conv2d(f_t, p.w_fi, pad) + tc.conv2d(h, p.w_hi, pad)
+                     + p.w_ci * c + chan(p.b_i))
+    f_gate = tc.sigmoid(tc.conv2d(f_t, p.w_ff, pad) + tc.conv2d(h, p.w_hf, pad)
+                        + p.w_cf * c + chan(p.b_f))
+    candidate = tc.tanh(tc.conv2d(f_t, p.w_fc, pad) + tc.conv2d(h, p.w_hc, pad) + chan(p.b_c))
+    c_t = f_gate * c + i_t * candidate
+    o_t = tc.sigmoid(tc.conv2d(f_t, p.w_fo, pad) + tc.conv2d(h, p.w_ho, pad)
+                     + p.w_co * c_t + chan(p.b_o))
+    return o_t * tc.tanh(c_t), c_t
+
+
+def _ref_se(hmap, se):
+    scale = tc.sigmoid(se.w2 @ tc.relu(se.w1 @ tc.global_avg_pool(hmap)))
+    return tc.reshape(scale, (-1, 1, 1)) * hmap
+
+
+def _ref_shuffle(x, groups):
+    return tc.take_channels(x, at.shuffle_permutation(x.data.shape[0], groups))
+
+
+def _ref_attend(hmap, p):
+    mode = p.attention_mode
+    if mode == "senet_shuffle":
+        return _ref_shuffle(_ref_se(hmap, p.se), p.groups)
+    if mode == "shuffle_senet":
+        return _ref_se(_ref_shuffle(hmap, p.groups), p.se)
+    if mode == "se_only":
+        return _ref_se(hmap, p.se)
+    if mode == "shuffle_only":
+        return _ref_shuffle(hmap, p.groups)
+    return hmap
+
+
+def _ref_cond_conv(x, p):
+    pi = tc.softmax1d(p.routing @ tc.global_avg_pool(x))
+    mixed = None
+    for k, expert in enumerate(p.experts):
+        term = pi[k] * expert
+        mixed = term if mixed is None else mixed + term
+    return tc.conv2d(x, mixed, padding=(mixed.data.shape[2] - 1) // 2)
+
+
+def _ref_ssa(h_t, hist, p):
+    if p.conv_mode == "condconv_only":
+        spatial = _ref_cond_conv(h_t, p)
+    else:
+        dilation = p.dilation if p.conv_mode == "dilated" else 1
+        pad = (p.conv_kernel.data.shape[2] - 1) * dilation // 2
+        spatial = tc.relu(tc.conv2d(h_t, p.conv_kernel, pad, dilation=dilation)
+                          + tc.reshape(p.conv_bias, (-1, 1, 1)))
+        if p.conv_mode == "conv_condconv":
+            spatial = _ref_cond_conv(spatial, p)
+    temporal = None
+    for tau, hmap in enumerate(hist):
+        term = p.w_temporal[tau] * _ref_attend(hmap, p)
+        temporal = term if temporal is None else temporal + term
+    return tc.concat([spatial, temporal], axis=0)
+
+
+def _ref_embed(frames, lstm, ssa, proj):
+    """One view [T,C,H,W] -> its embedding, through one graph of its own."""
+    shape = (lstm.hidden_channels,) + frames.shape[2:]
+    h, c = Tensor(np.zeros(shape)), Tensor(np.zeros(shape))
+    hs = []
+    for f_t in frames:
+        h, c = _ref_step(Tensor(f_t), h, c, lstm)
+        hs.append(h)
+    a = ssa.history
+    return proj @ tc.global_avg_pool(_ref_ssa(hs[-1], hs[-1 - a:-1], ssa))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def _encoder(c_in, hw, attention_mode="senet_shuffle", conv_mode="conv_condconv", seed=0):
+    rng = np.random.default_rng([seed, hw, c_in])
+    lstm = cl.init_convlstm_params(c_in, 8, hw, hw, 3, rng)
+    ssa = at.init_ssa_params(8, rng, attention_mode=attention_mode, conv_mode=conv_mode)
+    # bias and temporal weights away from their constant init, so every part counts
+    for t in (lstm.b_i, lstm.b_f, lstm.b_o, lstm.b_c, ssa.conv_bias, ssa.w_temporal):
+        t.data[...] = rng.uniform(-0.5, 0.5, size=t.data.shape)
+    proj = tc.param(rng.uniform(-1.0, 1.0, size=(16, 16)) / 4.0)
+    return lstm, ssa, proj
+
+
+def _minibatch_both_ways(n, t_steps, hw, attention_mode="senet_shuffle",
+                         conv_mode="conv_condconv", c_in=4):
+    """Loss, embeddings and gradients of one minibatch of n pairs: the per-view
+    graphs and the batched graph (as ``pretrain_encoder`` builds it)."""
+    rng = np.random.default_rng([n, t_steps, hw, len(attention_mode), len(conv_mode)])
+    pairs = [(rng.normal(size=(t_steps, c_in, hw, hw)), rng.normal(size=(t_steps, c_in, hw, hw)))
+             for _ in range(n)]
+    pairs[0][0][0, 0, 0, 0] = -0.0
+    results = []
+    for batched in (False, True):
+        lstm, ssa, proj = _encoder(c_in, hw, attention_mode, conv_mode)
+        if batched:
+            first, second = ct.view_items(n)
+            items = [None] * (2 * n)
+            for (v1, v2), a, b in zip(pairs, first, second):
+                items[a], items[b] = v1, v2
+            emb = ct.embed_sequence(np.stack(items), lstm, ssa, proj)
+            views = [(emb[a], emb[b]) for a, b in zip(first, second)]
+        else:
+            views = [(_ref_embed(v1, lstm, ssa, proj), _ref_embed(v2, lstm, ssa, proj))
+                     for v1, v2 in pairs]
+        loss = ct.contrastive_loss(ct.ContrastiveBatch(views), 0.5)
+        loss.backward()
+        named = {**lstm.named(), **ssa.named()}
+        grads = {name: t.grad for name, t in zip(named, lstm.parameters() + ssa.parameters())}
+        grads["projection"] = proj.grad
+        results.append((loss.data, [(u.data, v.data) for u, v in views], grads))
+    return results
+
+
+def _assert_same_minibatch(ref, got):
+    assert np.array_equal(_bits(ref[0]), _bits(got[0])), "loss"
+    for i, ((u0, v0), (u1, v1)) in enumerate(zip(ref[1], got[1])):
+        assert np.array_equal(_bits(u0), _bits(u1)), f"first view {i}"
+        assert np.array_equal(_bits(v0), _bits(v1)), f"second view {i}"
+    assert ref[2].keys() == got[2].keys()
+    for name in ref[2]:
+        assert np.array_equal(_bits(ref[2][name]), _bits(got[2][name])), f"gradient of {name}"
+
+
+class TestBatchedEncoderBitExact:
+    """One graph over the 2n views of a minibatch against one graph per view:
+    loss, embeddings and every parameter gradient, bit for bit."""
+
+    @pytest.mark.parametrize("attention_mode", at.ATTENTION_MODES)
+    @pytest.mark.parametrize("conv_mode", at.CONV_MODES)
+    def test_every_mode_pair(self, attention_mode, conv_mode):
+        ref, got = _minibatch_both_ways(3, 3, 10, attention_mode, conv_mode)
+        _assert_same_minibatch(ref, got)
+
+    @pytest.mark.parametrize("n,t_steps,hw", [
+        (2, 3, 10), (2, 6, 10), (3, 6, 10), (8, 3, 10), (8, 6, 10),
+        (2, 3, 32), (3, 6, 32), (8, 3, 32), (8, 6, 32)])
+    def test_batch_sizes_lengths_and_map_sizes(self, n, t_steps, hw):
+        ref, got = _minibatch_both_ways(n, t_steps, hw, c_in=12 if hw == 10 else 7)
+        _assert_same_minibatch(ref, got)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    def test_items_follow_the_per_view_backward_order(self, n):
+        # the order in which a backward pass over separately embedded pairs
+        # reaches each view: the view whose subgraph it enters first comes first
+        rng = np.random.default_rng(n)
+        lstm, ssa, proj = _encoder(2, 5)
+        views = [(_ref_embed(rng.normal(size=(3, 2, 5, 5)), lstm, ssa, proj),
+                  _ref_embed(rng.normal(size=(3, 2, 5, 5)), lstm, ssa, proj)) for _ in range(n)]
+        loss = ct.contrastive_loss(ct.ContrastiveBatch(views), 0.5)
+        order = [node for node in reversed(tc._toposort(loss))]
+        visit = {id(v): order.index(v) for pair in views for v in pair}
+        by_visit = sorted(((visit[id(v)], (i, j)) for i, pair in enumerate(views)
+                           for j, v in enumerate(pair)))
+        item_of = {}
+        for j, items in enumerate(ct.view_items(n)):
+            for i, k in enumerate(items):
+                item_of[(i, j)] = k
+        assert [item_of[view] for _, view in by_visit] == list(range(2 * n))
+
+
+def _per_view_pretrain(frames_by_sample, train_idx, val_idx, den, sched, seed_rng, channels,
+                       epochs, lr, batch_size, tau, embed_dim, hidden_channels, depth):
+    """``pretrain_encoder`` as it was before the item axis: one graph per view."""
+    _, _, h, w = frames_by_sample[train_idx[0]].shape
+    lstm = cl.init_convlstm_params(channels, hidden_channels, h, w, 3, seed_rng)
+    ssa = at.init_ssa_params(hidden_channels, seed_rng)
+    proj = tc.param(seed_rng.uniform(-1.0, 1.0, size=(embed_dim, 2 * hidden_channels))
+                    / math.sqrt(2 * hidden_channels))
+    params = lstm.parameters() + ssa.parameters() + [proj]
+
+    def views(i, rng):
+        v1, v2 = [], []
+        for t in range(frames_by_sample[i].shape[0]):
+            a, b = df.augment_pair(frames_by_sample[i][t], den, sched, depth, rng, 0.1)
+            v1.append(a)
+            v2.append(b)
+        return np.stack(v1), np.stack(v2)
+
+    def batch_loss(batch, rng):
+        pairs = []
+        for i in batch:
+            v1, v2 = views(i, rng)
+            pairs.append((_ref_embed(v1, lstm, ssa, proj), _ref_embed(v2, lstm, ssa, proj)))
+        return ct.contrastive_loss(ct.ContrastiveBatch(pairs), tau)
+
+    def epoch_batches(rng):
+        return [b for b in tc.minibatches(train_idx, batch_size, rng) if len(b) >= 2]
+
+    eval_rng = np.random.default_rng(seed_rng.integers(2**63))
+    with tc.no_grad():
+        history = [float(np.mean([batch_loss(b, eval_rng).item()
+                                  for b in epoch_batches(eval_rng)]))]
+    for _ in range(epochs):
+        rng = np.random.default_rng(seed_rng.integers(2**63))
+        history.append(float(np.mean([tc.sgd_step(params, lambda: batch_loss(b, rng), lr, "x")
+                                      for b in epoch_batches(rng)])))
+    stats = {"epoch0_loss": history[0], "uniform_loss": math.log(batch_size),
+             "final_loss": history[-1]}
+    rng = np.random.default_rng(seed_rng.integers(2**63))
+    with tc.no_grad():
+        embedded = [views(i, rng) for i in val_idx]
+        v1s = [_ref_embed(v1, lstm, ssa, proj) for v1, _ in embedded]
+        v2s = [_ref_embed(v2, lstm, ssa, proj) for _, v2 in embedded]
+    sims = [[tc.cosine_similarity(a, b).item() for b in v2s] for a in v1s]
+    pos = [sims[i][i] for i in range(len(v1s))]
+    neg = [s for i, row in enumerate(sims) for j, s in enumerate(row) if i != j]
+    stats["holdout_pos_sim"] = float(np.mean(pos))
+    stats["holdout_neg_sim"] = float(np.mean(neg))
+    stats["holdout_separation"] = stats["holdout_pos_sim"] - stats["holdout_neg_sim"]
+    return history, stats, {**lstm.named(), **ssa.named(), "projection": proj.data}
+
+
+def test_pretraining_matches_the_per_view_loop():
+    # 9 train samples in minibatches of 4: chunks of 4, 4 and a last pair
+    rng = np.random.default_rng(11)
+    frames = [rng.normal(size=(4, 3, 6, 6)) for _ in range(12)]
+    sched = df.linear_schedule(4, 0.95, 0.5)
+    den = df.init_denoiser(3, 4, sched.steps, rng)
+    kw = dict(channels=3, epochs=2, lr=0.05, batch_size=4, tau=0.5, embed_dim=6,
+              hidden_channels=4, depth=1)
+    train, val = list(range(9)), [9, 10, 11]
+    history, stats, named = _per_view_pretrain(frames, train, val, den, sched,
+                                               np.random.default_rng(12), **kw)
+    got = ct.pretrain_encoder(frames, train, val, den, sched, np.random.default_rng(12), **kw)
+    assert repr(got.loss_history) == repr(history)
+    assert repr(sorted(got.stats.items())) == repr(sorted(stats.items()))
+    got_named = {**got.lstm.named(), **got.ssa.named(), "projection": got.projection.data}
+    assert got_named.keys() == named.keys()
+    for name in named:
+        assert got_named[name].tobytes() == named[name].tobytes(), name

@@ -25,32 +25,32 @@ class TestStepClosedForms:
         # candidate tanh(0)=0, so C_t = 0.5*c0 and H_t = 0.5*tanh(0.5*c0)
         p = zero_params()
         rng = np.random.default_rng(0)
-        c0 = rng.normal(size=(3, 4, 4))
-        prev = cl.ConvLstmState(h=Tensor(np.zeros((3, 4, 4))), c=Tensor(c0))
-        out = cl.convlstm_step(Tensor(rng.normal(size=(2, 4, 4))), prev, p)
+        c0 = rng.normal(size=(1, 3, 4, 4))
+        prev = cl.ConvLstmState(h=Tensor(np.zeros((1, 3, 4, 4))), c=Tensor(c0))
+        out = cl.convlstm_step(Tensor(rng.normal(size=(1, 2, 4, 4))), prev, p)
         np.testing.assert_allclose(out.c.data, 0.5 * c0, atol=1e-12)
         np.testing.assert_allclose(out.h.data, 0.5 * np.tanh(0.5 * c0), atol=1e-12)
 
     def test_zero_everything_fixed_point(self):
         p = zero_params()
-        prev = cl.zero_state(3, 4, 4)
-        out = cl.convlstm_step(Tensor(np.zeros((2, 4, 4))), prev, p)
+        prev = cl.zero_state(1, 3, 4, 4)
+        out = cl.convlstm_step(Tensor(np.zeros((1, 2, 4, 4))), prev, p)
         assert np.all(out.h.data == 0.0)
         assert np.all(out.c.data == 0.0)
 
     def test_shape_mismatch_rejected(self):
         p = zero_params()
         with pytest.raises(ShapeMismatchError):
-            cl.convlstm_step(Tensor(np.zeros((2, 5, 5))), cl.zero_state(3, 4, 4), p)
+            cl.convlstm_step(Tensor(np.zeros((1, 2, 5, 5))), cl.zero_state(1, 3, 4, 4), p)
 
 
 class TestGradients:
     def test_all_params_pass_grad_check(self):
         rng = np.random.default_rng(1)
         p = cl.init_convlstm_params(c_in=2, c_hid=3, height=5, width=5, k=3, rng=rng)
-        frame = rng.normal(size=(2, 5, 5)) * 0.5
-        h0 = rng.normal(size=(3, 5, 5)) * 0.3
-        c0 = rng.normal(size=(3, 5, 5)) * 0.3
+        frame = rng.normal(size=(1, 2, 5, 5)) * 0.5
+        h0 = rng.normal(size=(1, 3, 5, 5)) * 0.3
+        c0 = rng.normal(size=(1, 3, 5, 5)) * 0.3
 
         def loss(_t):
             prev = cl.ConvLstmState(h=Tensor(h0), c=Tensor(c0))
@@ -67,8 +67,8 @@ class TestSequence:
     def test_t1_equals_single_step(self):
         rng = np.random.default_rng(2)
         p = cl.init_convlstm_params(2, 3, 4, 4, 3, rng)
-        frame = Tensor(rng.normal(size=(2, 4, 4)))
-        init = cl.zero_state(3, 4, 4)
+        frame = Tensor(rng.normal(size=(1, 2, 4, 4)))
+        init = cl.zero_state(1, 3, 4, 4)
         seq = cl.convlstm_sequence([frame], p, init)
         single = cl.convlstm_step(frame, init, p)
         assert len(seq) == 1
@@ -78,8 +78,8 @@ class TestSequence:
     def test_split_run_equals_full_run(self):
         rng = np.random.default_rng(3)
         p = cl.init_convlstm_params(2, 3, 4, 4, 3, rng)
-        frames = [Tensor(rng.normal(size=(2, 4, 4))) for _ in range(4)]
-        init = cl.zero_state(3, 4, 4)
+        frames = [Tensor(rng.normal(size=(1, 2, 4, 4))) for _ in range(4)]
+        init = cl.zero_state(1, 3, 4, 4)
         full = cl.convlstm_sequence(frames, p, init)
         first = cl.convlstm_sequence(frames[:2], p, init)
         second = cl.convlstm_sequence(frames[2:], p, first[-1])
@@ -88,18 +88,18 @@ class TestSequence:
 
     def test_zero_fixed_point_over_time(self):
         p = zero_params()
-        frames = [Tensor(np.zeros((2, 4, 4)))] * 3
-        states = cl.convlstm_sequence(frames, p, cl.zero_state(3, 4, 4))
+        frames = [Tensor(np.zeros((1, 2, 4, 4)))] * 3
+        states = cl.convlstm_sequence(frames, p, cl.zero_state(1, 3, 4, 4))
         for s in states:
             assert np.all(s.h.data == 0.0) and np.all(s.c.data == 0.0)
 
     def test_no_lookahead(self):
         rng = np.random.default_rng(4)
         p = cl.init_convlstm_params(2, 3, 4, 4, 3, rng)
-        frames = [rng.normal(size=(2, 4, 4)) for _ in range(4)]
-        base = cl.convlstm_sequence([Tensor(f) for f in frames], p, cl.zero_state(3, 4, 4))
+        frames = [rng.normal(size=(1, 2, 4, 4)) for _ in range(4)]
+        base = cl.convlstm_sequence([Tensor(f) for f in frames], p, cl.zero_state(1, 3, 4, 4))
         frames[2] = frames[2] + 10.0  # perturb the future
-        pert = cl.convlstm_sequence([Tensor(f) for f in frames], p, cl.zero_state(3, 4, 4))
+        pert = cl.convlstm_sequence([Tensor(f) for f in frames], p, cl.zero_state(1, 3, 4, 4))
         for t in range(2):
             np.testing.assert_array_equal(base[t].h.data, pert[t].h.data)
         assert not np.array_equal(base[2].h.data, pert[2].h.data)
@@ -109,8 +109,8 @@ class TestInvariants:
     def test_hidden_bounded_and_gates_strict(self):
         rng = np.random.default_rng(5)
         p = cl.init_convlstm_params(3, 4, 6, 6, 3, rng)
-        frames = [Tensor(rng.normal(size=(3, 6, 6))) for _ in range(5)]
-        states = cl.convlstm_sequence(frames, p, cl.zero_state(4, 6, 6))
+        frames = [Tensor(rng.normal(size=(1, 3, 6, 6))) for _ in range(5)]
+        states = cl.convlstm_sequence(frames, p, cl.zero_state(1, 4, 6, 6))
         for s in states:
             assert np.all(np.abs(s.h.data) < 1.0)
 

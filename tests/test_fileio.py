@@ -128,6 +128,17 @@ class TestReproducedCorruptions:
         with pytest.raises(MalformedHeaderError):
             fileio.load_checkpoint(bad)
 
+    def test_cut_inside_the_first_payload_reports_the_bytes_left(self, tmp_path):
+        full, cut = tmp_path / "full.mtms", tmp_path / "cut.mtms"
+        sd.save_dataset(sd.generate_dataset(sd.BandSpec("S2"), 10, 6, 10, 10, seed=1), full)
+        head = full.read_bytes()[:100]
+        cut.write_bytes(head)
+        left = 100 - len(b"".join(head.splitlines(keepends=True)[:3]))  # after plot 0's line
+        with pytest.raises(TruncatedPayloadError,
+                           match=f"57600 payload bytes declared, only {left} left in the file"):
+            sd.load_dataset(cut)
+        assert left == 5
+
     def test_huge_dims_refused_before_any_allocation(self, tmp_path):
         bad = tmp_path / "bad.mtms"
         bad.write_bytes(DATASET_CASES["dims_1e6_by_1e6"][0](_dataset_bytes(tmp_path)))

@@ -112,8 +112,8 @@ class TestTrainFinal:
         import cropyield.contrastive as ct
         preds = []
         for i in range(10, 14):
-            feats = ct.encode_features(frames[i], res.lstm, res.ssa).data[np.flatnonzero(np.ones(8, bool))]
-            _, s = pr.predict_yield(pr.head_columns(Tensor(feats[None])), res.head)
+            feats = ct.encode_features(frames[i][None], res.lstm, res.ssa).data[:, np.flatnonzero(np.ones(8, bool))]
+            _, s = pr.predict_yield(pr.head_columns(Tensor(feats)), res.head)
             preds.append(res.y_mean + res.y_std * s.data[0])
         preds = np.array(preds)
         mean_pred_err = np.mean((y[10:14] - np.mean(y[:10])) ** 2)
@@ -149,8 +149,8 @@ class TestTrainFinal:
         # the returned parameters are those of the best epoch, not the last
         y_star = (y - res.y_mean) / res.y_std
         with tc.no_grad():
-            preds = pr.predict_yield(pr.head_columns(Tensor(np.stack([ct.encode_features(
-                frames[i], res.lstm, res.ssa).data for i in range(10, 14)]))), res.head)[1].data
+            preds = pr.predict_yield(pr.head_columns(Tensor(np.concatenate([ct.encode_features(
+                frames[i][None], res.lstm, res.ssa).data for i in range(10, 14)]))), res.head)[1].data
         assert float(np.mean((preds - y_star[10:14]) ** 2)) == val[6]
         for p in res.lstm.parameters() + res.ssa.parameters() + res.head.parameters():
             assert np.all(np.isfinite(p.data))
@@ -172,10 +172,10 @@ def _per_plot_train_final(frames, lstm_p, ssa_p, mask, y, train_idx, val_idx, rn
 
     def features_of(i):
         if finetune_encoder:
-            return tc.take_channels(ct.encode_features(frames[i], lstm_p, ssa_p), sel)
+            return tc.take_channels(ct.encode_features(frames[i][None], lstm_p, ssa_p)[0], sel)
         if i not in cache:
             with tc.no_grad():
-                cache[i] = ct.encode_features(frames[i], lstm_p, ssa_p).data[sel]
+                cache[i] = ct.encode_features(frames[i][None], lstm_p, ssa_p).data[0, sel]
         return Tensor(cache[i])
 
     def predict(i):
@@ -263,6 +263,23 @@ class TestBatchedHeadTraining:
                            patience=None, finetune_encoder=True, head=warm.head))
         _assert_same_training(*runs)
 
+    def test_finetune_starts_where_the_warmup_ends(self):
+        # the warm-up's last row already evaluates the parameters the fine-tune
+        # starts from, so passing it in as epoch 0 changes no bit
+        runs = []
+        for given in (False, True):
+            lstm, ssa, frames, y = tiny_encoder_setup(seed=6)
+            warm = pr.train_final(frames, lstm, ssa, self.MASK, y, range(10), range(10, 14),
+                                  np.random.default_rng(7), epochs=5, lr=0.05, batch_size=10,
+                                  patience=None)
+            ft = pr.train_final(frames, warm.lstm, warm.ssa, self.MASK, y, range(10),
+                                range(10, 14), np.random.default_rng(8), epochs=2, lr=0.05,
+                                batch_size=4, patience=None, finetune_encoder=True,
+                                head=warm.head, **({"start": warm.curve[-1][1:]} if given else {}))
+            assert repr(ft.curve[0][1:]) == repr(warm.curve[-1][1:])
+            runs.append(ft)
+        _assert_same_training(*runs)
+
     def test_finetune_divergence(self):
         runs = []
         for fn in (_per_plot_train_final, pr.train_final):
@@ -299,8 +316,8 @@ class TestForwardOnlyPrediction:
         frames = rng.normal(size=(4, c, h, w))
 
         def recorded():  # the same pass with the graph kept alive until it returns
-            fused = ct.encode_features(frames, lstm, ssa)
-            _, scalar = pr.predict_yield(pr.head_columns(Tensor(fused.data[None, model.sel])),
+            fused = ct.encode_features(frames[None], lstm, ssa)
+            _, scalar = pr.predict_yield(pr.head_columns(Tensor(fused.data[:, model.sel])),
                                          head)
             assert fused._bw is not None and scalar._bw is not None
             return model.y_mean + model.y_std * float(scalar.data[0])

@@ -478,7 +478,99 @@ class TestBitExact:
         tc._acc_items(w, np.stack([parts, -parts], axis=1)[:, :, None])
         assert w.grad.shape == (2, 1) and list(w.grad[:, 0]) == [7.0, -7.0]
 
+    @pytest.mark.parametrize("item_kernels", [False, True])
+    @pytest.mark.parametrize("k,padding,dilation", [(1, 0, 1), (3, 1, 1), (3, 2, 2), (5, 2, 1)])
+    def test_conv_items_matches_conv2d_per_item(self, k, padding, dilation, item_kernels):
+        # three kernels from one gather; item n of each output, its input
+        # gradient and the kernel gradients against N separate conv2d graphs
+        rng = np.random.default_rng([k, padding, dilation, int(item_kernels)])
+        n, c_in, c_out = 4, 3, 5
+        xd = rng.normal(size=(n, c_in, 9, 8))
+        xd[1, 0, 0, 0] = -0.0
+        kshape = ((n,) if item_kernels else ()) + (c_out, c_in, k, k)
+        kds = [rng.normal(size=kshape) for _ in range(3)]
+        k_eff = k + (k - 1) * (dilation - 1)
+        g = rng.normal(size=(3, n, c_out, 9 + 2 * padding - k_eff + 1, 8 + 2 * padding - k_eff + 1))
+
+        kerns = [param(np.array(kd)) for kd in kds]
+        xs = [Tensor(np.array(x), requires_grad=True) for x in xd]
+        loss = None
+        for i, x in enumerate(xs):
+            for j, kern in enumerate(kerns):
+                kern_i = kern[i] if item_kernels else kern
+                term = (tc.conv2d(x, kern_i, padding, dilation) * Tensor(g[j, i])).sum()
+                loss = term if loss is None else loss + term
+        loss.backward()
+        ref_outs = [[tc.conv2d(Tensor(x), Tensor(kd[i] if item_kernels else kd), padding,
+                               dilation).data for i, x in enumerate(xd)] for kd in kds]
+
+        kerns_b = [param(np.array(kd)) for kd in kds]
+        x_b = Tensor(np.array(xd), requires_grad=True)
+        outs = tc.conv_items(x_b, kerns_b, padding, dilation)
+        loss_b = None
+        for i in range(n):
+            for j, out in enumerate(outs):
+                term = (out[i] * Tensor(g[j, i])).sum()
+                loss_b = term if loss_b is None else loss_b + term
+        loss_b.backward()
+        for j, out in enumerate(outs):
+            assert out.shape == (n,) + ref_outs[j][0].shape
+            for i in range(n):
+                assert np.array_equal(_bits(out.data[i]), _bits(ref_outs[j][i])), (j, i)
+            assert np.array_equal(_bits(kerns_b[j].grad), _bits(kerns[j].grad)), j
+        for i in range(n):
+            assert np.array_equal(_bits(x_b.grad[i]), _bits(xs[i].grad)), i
+
+    @pytest.mark.parametrize("hw", [10, 32])
+    def test_pool_matmul_and_softmax_per_item(self, hw):
+        rng = np.random.default_rng(hw)
+        n, c, m = 5, 8, 3
+        xd = rng.normal(size=(n, c, hw, hw))
+        wd = rng.normal(size=(m, c))
+        g = rng.normal(size=(n, m))
+
+        w = param(np.array(wd))
+        xs = [Tensor(np.array(x), requires_grad=True) for x in xd]
+        probs = [tc.softmax1d(w @ tc.global_avg_pool(x)) for x in xs]
+        loss = None
+        for p_i, g_i in zip(probs, g):
+            term = (p_i * Tensor(g_i)).sum()
+            loss = term if loss is None else loss + term
+        loss.backward()
+
+        w_b = param(np.array(wd))
+        x_b = Tensor(np.array(xd), requires_grad=True)
+        probs_b = tc.softmax1d(w_b @ tc.global_avg_pool(x_b))
+        loss_b = None
+        for i in range(n):
+            term = (probs_b[i] * Tensor(g[i])).sum()
+            loss_b = term if loss_b is None else loss_b + term
+        loss_b.backward()
+        for i in range(n):
+            assert np.array_equal(_bits(probs_b.data[i]), _bits(probs[i].data))
+            assert np.array_equal(_bits(x_b.grad[i]), _bits(xs[i].grad))
+        assert np.array_equal(_bits(w_b.grad), _bits(w.grad))
+
+    def test_backward_defers_shared_parts_to_item_major_order(self):
+        # two nodes share b with items 0 and 1, the first visited first.
+        # Node-major order would add 1e16, -1e16, 1.0, 1.0 and keep 2.0;
+        # item-major adds 1e16, 1.0, -1e16, 1.0 and keeps 1.0 (the first 1.0
+        # is lost against 1e16)
+        b = param(np.array(0.0))
+        first = tc.share(b, 2) * Tensor(np.array([1e16, -1e16]))
+        second = tc.share(b, 2) * Tensor(np.array([1.0, 1.0]))
+        (first.sum() + second.sum()).backward()
+        assert b.grad == 1.0
+        # outside a backward pass parts are added at once, ragged lists item-major
+        w = param(np.array(0.0))
+        tc._fold_items(w, [np.array([1e16, -1e16]), np.array([1.0]), np.array([1.0, 1.0])])
+        assert w.grad == 1.0  # 1e16 + 1.0 + 1.0, then -1e16, then 1.0
+
     def test_shape_checks(self):
+        with pytest.raises(ShapeMismatchError):
+            tc.conv_items(Tensor(np.ones((2, 4, 4))), [Tensor(np.ones((1, 2, 3, 3)))], 1)
+        with pytest.raises(ShapeMismatchError):
+            tc.conv_items(Tensor(np.ones((2, 2, 4, 4))), [Tensor(np.ones((3, 1, 2, 3, 3)))], 1)
         with pytest.raises(ShapeMismatchError):
             tc.im2col(Tensor(np.ones((2, 4, 4))), 3, padding=1)
         cols = tc.im2col(Tensor(np.ones((2, 2, 4, 4))), 3, padding=1)
