@@ -10,14 +10,16 @@ hold-out separation and the digests of the run's files. It then runs
 ``perfbench/run.py --workload pipeline-s2 --trace 1`` in the same tree and
 copies the traced run's summary.json in, with the per-layer times.
 
-Results go under ``runs.<label>`` of the output file, next to what other
-labels recorded there, so that a parent tree and a change sit side by side:
+Without ``--parent`` it measures this checkout and writes ``runs.change``
+of the output file; with ``--parent CHECKOUT`` (a tree with
+``src/cropyield`` and ``perfbench/``) it measures that tree and writes
+``runs.parent``. Each keeps what the other recorded, so the two sit side
+by side and ``comparison`` holds the per-seed digests and times of both:
 
-    python3 scripts/bench.py --root ../parent --label parent --out BENCH_9.json
-    python3 scripts/bench.py --label change --out BENCH_9.json
+    python3 scripts/bench.py --parent ../parent --out BENCH_9.json
+    python3 scripts/bench.py --out BENCH_9.json
 
-``--root`` is a checkout with ``src/cropyield`` and ``perfbench/`` (default:
-this one). Working files go to a temporary directory that is removed.
+Working files go to a temporary directory that is removed.
 """
 
 import argparse
@@ -32,6 +34,7 @@ import time
 from pathlib import Path
 
 SEEDS = (1, 2, 3)
+PERFBENCH_SECONDS = 15  # BENCHMARK.json's run_seconds, the same for both trees
 PINNED = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 HERE = Path(__file__).resolve()
 
@@ -120,7 +123,7 @@ def _pinned_env(root: Path) -> dict:
     return env
 
 
-def record(root: Path, seconds: int) -> dict:
+def record(root: Path) -> dict:
     env = _pinned_env(root)
     seeds, machine = {}, None
     with tempfile.TemporaryDirectory(prefix="cropyield-bench-") as tmp:
@@ -134,12 +137,13 @@ def record(root: Path, seconds: int) -> dict:
             print(f"seed {seed}: pipeline {row['pipeline_s']:.1f} s, "
                   f"MAPE ratio {row.get('mape_ratio')}", file=sys.stderr)
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", "pipeline-s2",
-                           "--seed", "1", "--seconds", str(seconds), "--trace", "1"],
+                           "--seed", "1", "--seconds", str(PERFBENCH_SECONDS), "--trace", "1"],
                           cwd=root, env=env, check=True, capture_output=True, text=True)
     result = json.loads(proc.stdout.splitlines()[-1])
     summary = json.loads((root / "perfbench/out/trace/pipeline-s2-seed1/summary.json").read_text())
     return {"root": str(root), "machine": machine, "seeds": seeds,
-            "perfbench_pipeline_s2_trace": {"result": result, "summary": summary}}
+            "perfbench_pipeline_s2_trace": {"seconds": PERFBENCH_SECONDS, "result": result,
+                                            "summary": summary}}
 
 
 def compare(runs: dict) -> dict:
@@ -162,11 +166,10 @@ def compare(runs: dict) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--root", type=Path, default=HERE.parent.parent,
-                        help="checkout whose src/ and perfbench/ to measure")
-    parser.add_argument("--label", default="change")
+    parser.add_argument("--parent", type=Path,
+                        help="parent checkout to measure, recorded as runs.parent "
+                             "(default: this checkout, recorded as runs.change)")
     parser.add_argument("--out", type=Path, default=Path("BENCH.json"))
-    parser.add_argument("--seconds", type=int, default=15, help="perfbench --seconds")
     parser.add_argument("--worker-seed", type=int, help=argparse.SUPPRESS)
     parser.add_argument("--work", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -177,7 +180,13 @@ def main(argv=None) -> int:
         "what": "acceptance config (S2, 60 plots, 10x10, T=6), full schedule, seeds 1-3; "
                 "times in seconds, one BLAS thread",
         "runs": {}}
-    doc["runs"][args.label] = record(args.root.resolve(), args.seconds)
+    other = [side for side, run in doc["runs"].items()
+             if run["perfbench_pipeline_s2_trace"].get("seconds") != PERFBENCH_SECONDS]
+    if other:
+        raise SystemExit(f"{args.out}: runs {other} have another perfbench run length than "
+                         f"{PERFBENCH_SECONDS} s; write to a new file")
+    label, root = ("change", HERE.parent.parent) if args.parent is None else ("parent", args.parent)
+    doc["runs"][label] = record(root.resolve())
     doc["comparison"] = compare(doc["runs"])
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 0

@@ -64,9 +64,12 @@ def encode_features(frames, lstm_p: cl.ConvLstmParams, ssa_p: at.SsaParams) -> T
 
 
 def encode_chunks(frames_list, lstm_p: cl.ConvLstmParams, ssa_p: at.SsaParams,
-                  chunk: int) -> np.ndarray:
-    """Forward-only ``encode_features`` of a list of [T,C,H,W] sequences,
-    ``chunk`` items at a time: [N, 2 C_hid, H, W]."""
+                  batch_size: int) -> np.ndarray:
+    """Forward-only ``encode_features`` of a list of [T,C,H,W] sequences:
+    [N, 2 C_hid, H, W]. Each pass encodes at most the 2 x ``batch_size``
+    views of a pretraining minibatch, so that no forward-only pass holds
+    more than training does."""
+    chunk = 2 * batch_size
     with tc.no_grad():
         return np.concatenate([
             encode_features(np.stack(frames_list[s:s + chunk]), lstm_p, ssa_p).data
@@ -203,7 +206,7 @@ def pretrain_encoder(frames_by_sample, train_idx, val_idx, den, sched,
         with tc.no_grad():
             pos, neg = holdout_similarities(
                 frames_by_sample, val_idx, lstm_p, ssa_p, proj, den, sched, depth,
-                holdout_rng, sigma_scale, chunk=2 * batch_size,
+                holdout_rng, batch_size, sigma_scale,
             )
         stats["holdout_pos_sim"] = pos
         if neg is not None:  # one held-out sample has no negative pair
@@ -214,16 +217,18 @@ def pretrain_encoder(frames_by_sample, train_idx, val_idx, den, sched,
 
 
 def holdout_similarities(frames_by_sample, idx, lstm_p, ssa_p, proj, den, sched,
-                         depth, rng, sigma_scale: float = 0.1, chunk: int = 16):
+                         depth, rng, batch_size: int, sigma_scale: float = 0.1):
     """Mean positive-pair and negative-pair cosine similarity on held-out samples.
 
-    The views are embedded ``chunk`` at a time. The negative mean is None
-    when ``idx`` holds a single sample.
+    The views are embedded as ``encode_chunks`` does for a pretraining
+    minibatch of ``batch_size`` samples. The negative mean is None when
+    ``idx`` holds a single sample.
     """
     views = [v for i in idx
              for v in _augment_views(frames_by_sample[i], den, sched, depth, rng, sigma_scale)]
     with tc.no_grad():
-        emb = (proj @ tc.global_avg_pool(Tensor(encode_chunks(views, lstm_p, ssa_p, chunk)))).data
+        feats = encode_chunks(views, lstm_p, ssa_p, batch_size)
+        emb = (proj @ tc.global_avg_pool(Tensor(feats))).data
     v1s, v2s = [Tensor(v) for v in emb[0::2]], [Tensor(v) for v in emb[1::2]]
     pos, neg = [], []
     for i, v1 in enumerate(v1s):

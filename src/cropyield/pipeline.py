@@ -116,16 +116,10 @@ def run_stage_pretrain(run_dir: Path, ds: sd.Dataset, frames, cfg: RunConfig) ->
             fh.write(f"{key}={result.stats[key]!r}\n")
 
 
-def _forward_chunk(cfg: RunConfig) -> int:
-    """Sequences per forward-only encoder pass: a pretraining minibatch's
-    views, so that no such pass holds more than training already does."""
-    return 2 * cfg.batch_size
-
-
 def run_stage_select(run_dir: Path, ds: sd.Dataset, frames, cfg: RunConfig) -> None:
     _require_stage(run_dir, "pretrain")
     lstm, ssa = _load_encoder(load_checkpoint(run_dir / "pretrain.ckpt"), cfg)
-    feats = ct.encode_chunks(frames, lstm, ssa, _forward_chunk(cfg)).mean(axis=(2, 3))
+    feats = ct.encode_chunks(frames, lstm, ssa, cfg.batch_size).mean(axis=(2, 3))
     y = np.array([s.y for s in ds.samples])
     y_std = (y - y[ds.split.train].mean()) / (y[ds.split.train].std() or 1.0)
     fitness = eo.make_probe_fitness(feats, y_std, ds.split.train, ds.split.val,
@@ -169,7 +163,7 @@ def run_stage_train(run_dir: Path, ds: sd.Dataset, frames, cfg: RunConfig) -> No
     result = pr.train_final(
         frames, lstm, ssa, mask, y, ds.split.train, ds.split.val,
         rng_for(cfg.seed, "train"), epochs=cfg.train_epochs, lr=cfg.train_lr,
-        batch_size=len(ds.split.train), patience=None, chunk=_forward_chunk(cfg),
+        batch_size=len(ds.split.train), patience=None, pretrain_batch=cfg.batch_size,
     )
     curve = result.curve
     if cfg.finetune_encoder:
@@ -179,7 +173,7 @@ def run_stage_train(run_dir: Path, ds: sd.Dataset, frames, cfg: RunConfig) -> No
             lr=cfg.finetune_lr, batch_size=cfg.batch_size,
             patience=cfg.patience or None, finetune_encoder=True, head=result.head,
             start=curve[-1][1:],  # the warm-up's last row evaluated these parameters
-            chunk=_forward_chunk(cfg),
+            pretrain_batch=cfg.batch_size,
         )
         offset = curve[-1][0]
         curve = curve + [(offset + e, tr, va) for e, tr, va in ft.curve[1:]]
@@ -288,6 +282,7 @@ def run_pipeline(cfg: RunConfig, data_path, out_dir, stage: str | None = None) -
     snapshot.write_text(text)
     binding.write_text(bound)
     frames = prepare_frames(ds, cfg)
+    tc.keep_freed_heap()  # the stages free and rebuild one minibatch graph per step
     todo = STAGES if stage is None else (stage,)
     for name in todo:
         _RUNNERS[name](run_dir, ds, frames, cfg)

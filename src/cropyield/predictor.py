@@ -73,8 +73,8 @@ class TrainResult:
 def train_final(frames_by_sample, lstm_p, ssa_p, mask, y, train_idx, val_idx, rng,
                 epochs: int = 80, lr: float = 0.05, batch_size: int = 8,
                 patience: int | None = 5, finetune_encoder: bool = False,
-                head: HeadParams | None = None, start: tuple | None = None,
-                chunk: int | None = None) -> TrainResult:
+                head: HeadParams | None = None, start: tuple | None = None, *,
+                pretrain_batch: int) -> TrainResult:
     """SGD on the prediction MSE over the train split.
 
     The head always trains; the encoder joins in when ``finetune_encoder``.
@@ -84,8 +84,9 @@ def train_final(frames_by_sample, lstm_p, ssa_p, mask, y, train_idx, val_idx, rn
     epoch (``diverged_at``) and the best validation epoch is restored.
     ``start`` is the (train MSE, val MSE) of the parameters as given, when
     the caller has already evaluated them (the warm-up's last curve row);
-    otherwise epoch 0 evaluates them. Forward-only passes encode ``chunk``
-    plots at a time (default ``batch_size``).
+    otherwise epoch 0 evaluates them. ``pretrain_batch`` is the pretraining
+    minibatch size, which bounds each forward-only encoder pass
+    (``contrastive.encode_chunks``).
     """
     mask = np.asarray(mask, dtype=bool)
     sel = np.flatnonzero(mask)
@@ -97,7 +98,6 @@ def train_final(frames_by_sample, lstm_p, ssa_p, mask, y, train_idx, val_idx, rn
     if y_std == 0.0:
         y_std = 1.0
     y_star = (y - y_mean) / y_std
-    chunk = chunk or batch_size
 
     if head is None:
         head = init_head(sel.size)
@@ -107,6 +107,14 @@ def train_final(frames_by_sample, lstm_p, ssa_p, mask, y, train_idx, val_idx, rn
 
     train_list = list(train_idx)
     known = train_list + list(val_idx)  # the order of the evaluation pass
+
+    def known_columns():
+        """The head's im2col of every train and validation plot, forward only."""
+        with tc.no_grad():
+            feats = ct.encode_chunks([frames_by_sample[i] for i in known], lstm_p, ssa_p,
+                                     pretrain_batch)
+            return head_columns(Tensor(np.take(feats, sel, axis=1)))
+
     if finetune_encoder:
         def predict(idx):
             feats = ct.encode_features(np.stack([frames_by_sample[i] for i in idx]), lstm_p, ssa_p)
@@ -114,21 +122,16 @@ def train_final(frames_by_sample, lstm_p, ssa_p, mask, y, train_idx, val_idx, rn
     else:
         # the encoder is frozen: build the head's im2col of every plot once;
         # a chunk picks its rows by index, so the columns are never copied
-        with tc.no_grad():
-            feats = ct.encode_chunks([frames_by_sample[i] for i in known], lstm_p, ssa_p, chunk)
-            frozen = head_columns(Tensor(np.take(feats, sel, axis=1)))
+        frozen = known_columns()
         row = {i: r for r, i in enumerate(known)}
 
         def predict(idx):
             return predict_yield(frozen, head, [row[i] for i in idx])[1]
 
     def split_mses():
-        """Train and validation MSE, from one forward pass over both splits
-        (encoding ``chunk`` plots at a time when the encoder trains)."""
-        step = chunk if finetune_encoder else len(known)
+        """Train and validation MSE, from one forward pass over both splits."""
         with tc.no_grad():
-            preds = np.concatenate([predict(known[s:s + step]).data
-                                    for s in range(0, len(known), step)])
+            preds = predict_yield(known_columns() if finetune_encoder else frozen, head)[1].data
         err = (preds - y_star[known]) ** 2
         return float(np.mean(err[:len(train_list)])), float(np.mean(err[len(train_list):]))
 

@@ -52,8 +52,10 @@ import numpy as np
 from .errors import DataFormatError, DomainError, NumericalError, ShapeMismatchError
 
 
-def _keep_freed_heap() -> None:
-    """Let glibc's malloc keep freed memory on its heap for reuse.
+@lru_cache(maxsize=None)
+def keep_freed_heap() -> None:
+    """Let glibc's malloc keep freed memory on its heap for reuse, for the
+    rest of the process (``pipeline.run_pipeline`` calls this once).
 
     A minibatch graph holds tens of MB in arrays of 0.1 to a few MB and frees
     them all at the next step. With its start-up thresholds, glibc returns
@@ -61,8 +63,8 @@ def _keep_freed_heap() -> None:
     page in again: in the benchmark's pipeline-s2 task on a 2-core x86-64 VM,
     1.4 million minor faults and 3 s of system time in an 11 s task. The
     values set here are the most that glibc's own dynamic thresholds reach
-    (mmap above 32 MB, trim above 64 MB). Other C libraries ignore them or
-    lack the call.
+    (mmap above 32 MB, trim above 64 MB); setting them turns that dynamic
+    adjustment off. Other C libraries ignore them or lack the call.
     """
     if not sys.platform.startswith("linux"):
         return
@@ -73,9 +75,6 @@ def _keep_freed_heap() -> None:
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
     mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
-
-
-_keep_freed_heap()
 
 
 class Tensor:
@@ -333,13 +332,14 @@ def _acc_items(t: Tensor, parts: np.ndarray):
 
 
 def _fold_items(t: Tensor, parts: list):
-    """Add the per-item parts [N_j, *t.shape] in item-major order: item 0 of
-    each part in turn, then item 1 of each part that has one, and so on."""
-    n = max(len(p) for p in parts)
-    if all(len(p) == n for p in parts):
-        seq = np.stack(parts, axis=1).reshape((-1,) + t.data.shape)
-    else:
-        seq = np.stack([p[i] for i in range(n) for p in parts if i < len(p)])
+    """Add the per-item parts [N, *t.shape], all with one N, in item-major
+    order: item 0 of each part in turn, then item 1 of each, and so on."""
+    if len({len(p) for p in parts}) != 1:
+        raise ShapeMismatchError(
+            f"per-item gradient parts of {sorted({len(p) for p in parts})} items: "
+            "the items of one backward pass must be the same"
+        )
+    seq = np.stack(parts, axis=1).reshape((-1,) + t.data.shape)
     first = np.zeros_like(t.data) if t._grad is None else t._grad
     # add.accumulate is a sequential running sum: ((first + p0) + p1) + ...
     t._grad = np.add.accumulate(np.concatenate([first[None], seq]), axis=0)[-1, ...]

@@ -190,6 +190,20 @@ class TestPipelineCommand:
         assert "data error" in capsys.readouterr().err
         assert not fresh.exists()
 
+    def test_a_run_not_an_import_sets_the_malloc_thresholds(self, tiny_dataset, fast_config,
+                                                             tmp_path, monkeypatch):
+        probe = "import cropyield.tensor as tc; print(tc.keep_freed_heap.cache_info().currsize)"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "0"
+        from cropyield import tensor as tc
+        calls = []
+        monkeypatch.setattr(tc, "keep_freed_heap", lambda: calls.append(1))
+        assert main(["pipeline", "--data", str(tiny_dataset), "--out", str(tmp_path / "run"),
+                     "--config", str(fast_config), "--seed", "5"]) == 0
+        assert calls == [1]
+
     def test_dataset_path_is_a_directory_exits_3(self, fast_config, tmp_path, capsys):
         code = main(["pipeline", "--data", str(tmp_path), "--out", str(tmp_path / "r"),
                      "--config", str(fast_config)])

@@ -98,6 +98,7 @@ class TestTrainFinal:
         res = pr.train_final(
             frames, lstm, ssa, np.ones(8, bool), y, train_idx=range(10),
             val_idx=range(10, 14), rng=np.random.default_rng(3), epochs=40, lr=0.05,
+            pretrain_batch=2,
         )
         val_curve = [v for (_, _, v) in res.curve]
         assert val_curve[res.best_epoch] <= val_curve[0]
@@ -108,6 +109,7 @@ class TestTrainFinal:
         res = pr.train_final(
             frames, lstm, ssa, np.ones(8, bool), y, train_idx=range(10),
             val_idx=range(10, 14), rng=np.random.default_rng(5), epochs=60, lr=0.05,
+            pretrain_batch=2,
         )
         import cropyield.contrastive as ct
         preds = []
@@ -124,14 +126,15 @@ class TestTrainFinal:
         lstm, ssa, frames, y = tiny_encoder_setup()
         with pytest.raises(DomainError):
             pr.train_final(frames, lstm, ssa, np.zeros(8, bool), y, range(10),
-                           range(10, 14), np.random.default_rng(0))
+                           range(10, 14), np.random.default_rng(0), pretrain_batch=2)
 
     def test_warmup_raise_names_its_stage(self):
         lstm, ssa, frames, y = tiny_encoder_setup(seed=2)
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(NumericalError, match="^final training diverged"):
             pr.train_final(frames, lstm, ssa, np.ones(8, bool), y, range(10), range(10, 14),
-                           np.random.default_rng(3), epochs=40, lr=1e6, patience=None)
+                           np.random.default_rng(3), epochs=40, lr=1e6, patience=None,
+                           pretrain_batch=2)
 
     def test_finetune_divergence_ends_the_finetune_and_restores_the_best_epoch(self):
         # lr=1.0 improves the validation error until epoch 6, then blows up;
@@ -140,7 +143,8 @@ class TestTrainFinal:
         with np.errstate(over="ignore", invalid="ignore"):
             res = pr.train_final(frames, lstm, ssa, np.ones(8, bool), y, range(10),
                                  range(10, 14), np.random.default_rng(3), epochs=40, lr=1.0,
-                                 batch_size=4, patience=None, finetune_encoder=True)
+                                 batch_size=4, patience=None, finetune_encoder=True,
+                                 pretrain_batch=2)
         assert res.diverged_at == 13
         assert [e for e, _, _ in res.curve] == list(range(13))
         assert np.all(np.isfinite(res.curve))
@@ -157,9 +161,11 @@ class TestTrainFinal:
 
 
 def _per_plot_train_final(frames, lstm_p, ssa_p, mask, y, train_idx, val_idx, rng, epochs,
-                          lr, batch_size, patience, finetune_encoder=False, head=None):
+                          lr, batch_size, patience, finetune_encoder=False, head=None,
+                          pretrain_batch=None):
     """``train_final`` as it was before the item axis: one ``conv2d`` graph per
-    plot, the predictions concatenated per minibatch."""
+    plot, the predictions concatenated per minibatch (so ``pretrain_batch``,
+    which bounds the batched forward passes, has no counterpart)."""
     sel = np.flatnonzero(mask)
     y = np.asarray(y, dtype=np.float64)
     y_mean, y_std = float(np.mean(y[train_idx])), float(np.std(y[train_idx])) or 1.0
@@ -239,7 +245,7 @@ class TestBatchedHeadTraining:
         for fn in (_per_plot_train_final, pr.train_final):
             lstm, ssa, frames, y = tiny_encoder_setup(seed=seed)
             runs.append(fn(frames, lstm, ssa, self.MASK, y, range(10), range(10, 14),
-                           np.random.default_rng(seed + 1), **kw))
+                           np.random.default_rng(seed + 1), pretrain_batch=2, **kw))
         return runs
 
     def test_full_batch_warmup(self):
@@ -257,10 +263,12 @@ class TestBatchedHeadTraining:
         for fn in (_per_plot_train_final, pr.train_final):
             lstm, ssa, frames, y = tiny_encoder_setup(seed=6)
             warm = fn(frames, lstm, ssa, self.MASK, y, range(10), range(10, 14),
-                      np.random.default_rng(7), epochs=5, lr=0.05, batch_size=10, patience=None)
+                      np.random.default_rng(7), epochs=5, lr=0.05, batch_size=10, patience=None,
+                      pretrain_batch=2)
             runs.append(fn(frames, warm.lstm, warm.ssa, self.MASK, y, range(10), range(10, 14),
                            np.random.default_rng(8), epochs=2, lr=0.05, batch_size=4,
-                           patience=None, finetune_encoder=True, head=warm.head))
+                           patience=None, finetune_encoder=True, head=warm.head,
+                           pretrain_batch=2))
         _assert_same_training(*runs)
 
     def test_finetune_starts_where_the_warmup_ends(self):
@@ -271,11 +279,12 @@ class TestBatchedHeadTraining:
             lstm, ssa, frames, y = tiny_encoder_setup(seed=6)
             warm = pr.train_final(frames, lstm, ssa, self.MASK, y, range(10), range(10, 14),
                                   np.random.default_rng(7), epochs=5, lr=0.05, batch_size=10,
-                                  patience=None)
+                                  patience=None, pretrain_batch=2)
             ft = pr.train_final(frames, warm.lstm, warm.ssa, self.MASK, y, range(10),
                                 range(10, 14), np.random.default_rng(8), epochs=2, lr=0.05,
                                 batch_size=4, patience=None, finetune_encoder=True,
-                                head=warm.head, **({"start": warm.curve[-1][1:]} if given else {}))
+                                head=warm.head, pretrain_batch=2,
+                                **({"start": warm.curve[-1][1:]} if given else {}))
             assert repr(ft.curve[0][1:]) == repr(warm.curve[-1][1:])
             runs.append(ft)
         _assert_same_training(*runs)
@@ -287,7 +296,7 @@ class TestBatchedHeadTraining:
             with np.errstate(over="ignore", invalid="ignore"):
                 runs.append(fn(frames, lstm, ssa, np.ones(8, bool), y, range(10), range(10, 14),
                                np.random.default_rng(3), epochs=15, lr=1.0, batch_size=4,
-                               patience=None, finetune_encoder=True))
+                               patience=None, finetune_encoder=True, pretrain_batch=2))
         assert runs[0].diverged_at == 13
         _assert_same_training(*runs)
 

@@ -561,10 +561,10 @@ class TestBitExact:
         second = tc.share(b, 2) * Tensor(np.array([1.0, 1.0]))
         (first.sum() + second.sum()).backward()
         assert b.grad == 1.0
-        # outside a backward pass parts are added at once, ragged lists item-major
-        w = param(np.array(0.0))
-        tc._fold_items(w, [np.array([1e16, -1e16]), np.array([1.0]), np.array([1.0, 1.0])])
-        assert w.grad == 1.0  # 1e16 + 1.0 + 1.0, then -1e16, then 1.0
+        # the items of one backward pass are the same for every node
+        third = tc.share(b, 3) * Tensor(np.ones(3))
+        with pytest.raises(ShapeMismatchError):
+            (first.sum() + third.sum()).backward()
 
     def test_shape_checks(self):
         with pytest.raises(ShapeMismatchError):
