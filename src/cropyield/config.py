@@ -8,6 +8,7 @@ a run can be reproduced from the snapshot and nothing else.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .attention import check_modes
@@ -19,7 +20,9 @@ from .errors import ConfigError
 # eo_particles: the equilibrium pool holds 4
 _LOWER_BOUNDS = {"n_plots": 10, "batch_size": 2, "denoiser_epochs": 0, "pretrain_epochs": 0,
                  "train_epochs": 0, "finetune_epochs": 0, "eo_iters": 1, "eo_particles": 4,
-                 "sigma_scale": 0.0}
+                 "sigma_scale": 0.0, "lambda_consistency": 0.0, "kernel_size": 1,
+                 "diff_steps": 1, "denoiser_hidden": 1, "hidden_channels": 1, "embed_dim": 1,
+                 "history": 1, "experts": 1, "se_reduction": 1, "shuffle_groups": 1}
 
 
 @dataclass
@@ -85,9 +88,19 @@ class RunConfig:
         check_modes(self.attention_mode, self.conv_mode)
         if self.feature_selector not in FEATURE_SELECTORS:
             raise ConfigError(f"unknown feature_selector {self.feature_selector!r}")
+        for key, kind in _FIELDS.items():
+            if kind == "float" and not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
         for key, low in _LOWER_BOUNDS.items():
             if not getattr(self, key) >= low:
                 raise ConfigError(f"{key} must be >= {low}, got {getattr(self, key)}")
+        if not 0 <= self.beta_end <= self.beta_start <= 1:
+            raise ConfigError(
+                f"need 0 <= beta_end <= beta_start <= 1, got beta_start={self.beta_start}, "
+                f"beta_end={self.beta_end}"
+            )
+        if self.kernel_size % 2 == 0:
+            raise ConfigError(f"kernel_size must be odd, got {self.kernel_size}")
         if not self.temperature > 0:
             raise ConfigError(f"temperature must be > 0, got {self.temperature}")
         if self.t_steps < self.history + 1:

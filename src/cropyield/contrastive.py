@@ -110,16 +110,6 @@ class PretrainResult:
     stats: dict
 
 
-def _augment_views(frames_tchw: np.ndarray, den, sched, depth: int, rng, sigma_scale: float):
-    """The two augmented views [T,C,H,W] of one sample, frame by frame."""
-    v1, v2 = [], []
-    for t in range(frames_tchw.shape[0]):
-        a, b = df.augment_pair(frames_tchw[t], den, sched, depth, rng, sigma_scale)
-        v1.append(a)
-        v2.append(b)
-    return np.stack(v1), np.stack(v2)
-
-
 def view_items(n: int):
     """Where the views of n pairs sit on the item axis: the item index of each
     first view and of each second view.
@@ -137,7 +127,7 @@ def view_items(n: int):
 def _view_batch(frames_by_sample, idx, den, sched, depth, rng, sigma_scale):
     """The augmented views of the samples ``idx`` on the item axis
     [2n,T,C,H,W] (see ``view_items``), drawn sample by sample."""
-    views = [_augment_views(frames_by_sample[i], den, sched, depth, rng, sigma_scale)
+    views = [df.augment_pair(frames_by_sample[i], den, sched, depth, rng, sigma_scale)
              for i in idx]
     first, second = view_items(len(views))
     items = [None] * (2 * len(views))
@@ -225,7 +215,7 @@ def holdout_similarities(frames_by_sample, idx, lstm_p, ssa_p, proj, den, sched,
     ``idx`` holds a single sample.
     """
     views = [v for i in idx
-             for v in _augment_views(frames_by_sample[i], den, sched, depth, rng, sigma_scale)]
+             for v in df.augment_pair(frames_by_sample[i], den, sched, depth, rng, sigma_scale)]
     with tc.no_grad():
         feats = encode_chunks(views, lstm_p, ssa_p, batch_size)
         emb = (proj @ tc.global_avg_pool(Tensor(feats))).data

@@ -64,15 +64,23 @@ class DenoiserParams(tc.ParamTree):
     def channels(self) -> int:
         return self.conv2.data.shape[0]
 
-    def forward(self, z: Tensor, t: int) -> Tensor:
-        if z.data.ndim != 3 or z.data.shape[0] != self.channels:
+    def forward(self, z: Tensor, t) -> Tensor:
+        """Predictions [N,C,H,W] for N images [N,C,H,W] at timestep ``t``: one
+        int, or one per item."""
+        if z.data.ndim != 4 or z.data.shape[1] != self.channels:
             raise ShapeMismatchError(
-                f"denoiser expects [{self.channels},H,W], got {z.data.shape}"
+                f"denoiser expects [N,{self.channels},H,W], got {z.data.shape}"
             )
-        t_map = Tensor(np.full((1,) + z.data.shape[1:], t / self.steps))
-        x = tc.concat([z, t_map], axis=0)
-        h = tc.relu(tc.conv2d(x, self.conv1, padding=1) + tc.reshape(self.b1, (-1, 1, 1)))
-        return tc.conv2d(h, self.conv2, padding=1) + tc.reshape(self.b2, (-1, 1, 1))
+        n, _, h, w = z.data.shape
+        t_map = np.reshape(np.asarray(t) / self.steps, (-1, 1, 1, 1))
+        x = tc.concat([z, Tensor(np.broadcast_to(t_map, (n, 1, h, w)))], axis=1)
+        (h1,) = tc.conv_items(x, [self.conv1], padding=1)
+        (out,) = tc.conv_items(tc.relu(h1 + _chan(self.b1, n)), [self.conv2], padding=1)
+        return out + _chan(self.b2, n)
+
+
+def _chan(b: Tensor, n: int) -> Tensor:
+    return tc.reshape(tc.share(b, n), (n, -1, 1, 1))
 
 
 def init_denoiser(channels: int, hidden: int, steps: int, rng) -> DenoiserParams:
@@ -97,66 +105,69 @@ def forward_diffuse(z0: np.ndarray, t: int, sched: NoiseSchedule, rng) -> np.nda
     return beta * z0 + math.sqrt(1.0 - beta) * rng.standard_normal(np.shape(z0))
 
 
-def reverse_step(z_t: np.ndarray, t: int, den, sigma_t: float, rng) -> np.ndarray:
-    """One reverse draw z_{t-1} = mu(z_t, t) + sigma_t eps."""
-    if t < 1:
-        raise DomainError(f"reverse step needs t >= 1, got {t}")
-    if sigma_t < 0:
-        raise DomainError(f"sigma_t must be >= 0, got {sigma_t}")
-    with tc.no_grad():
-        mu = den.forward(Tensor(z_t), t).data
-    if sigma_t == 0.0:
-        return mu
-    return mu + sigma_t * rng.standard_normal(mu.shape)
-
-
-def trajectory_consistency(z0: np.ndarray, t: int, den, sched: NoiseSchedule, rng,
-                           z_t: np.ndarray | None = None) -> Tensor:
-    """Squared L2 gap between the recorded noisy target z_t and the generator's
-    prediction from the clean image; z_t is drawn from ``rng`` unless given."""
-    if z_t is None:
-        z_t = forward_diffuse(z0, t, sched, rng)
-    pred = den.forward(Tensor(z0), t)
-    diff = Tensor(z_t) - pred
-    return (diff * diff).sum()
-
-
 def diffusion_loss(z0: np.ndarray, den, sched: NoiseSchedule, lam: float, rng) -> Tensor:
     """Denoiser training objective: per-step reconstruction MSE summed over the
-    whole schedule, plus ``lam`` times the trajectory penalty evaluated on a
-    seeded random half of the timesteps."""
+    whole schedule, plus ``lam`` times the trajectory penalty (the squared L2
+    gap between the recorded noisy target z_t and the prediction from the
+    clean image) on a seeded random half of the timesteps.
+
+    One denoiser pass over all terms' items: the reconstructions t = 1..steps,
+    then the trajectory terms in ascending t, the order in which a graph of
+    separate terms would visit them in its backward pass.
+    """
     if lam < 0:
         raise DomainError(f"lam must be >= 0, got {lam}")
-    targets = {t: forward_diffuse(z0, t, sched, rng) for t in range(1, sched.steps + 1)}
-    z0_t = Tensor(z0)
-    total = Tensor(0.0)
-    for t in range(1, sched.steps + 1):
-        recon = den.forward(Tensor(targets[t]), t)
-        diff = recon - z0_t
-        total = total + (diff * diff).mean()
+    steps = sched.steps
+    targets = np.stack([forward_diffuse(z0, t, sched, rng) for t in range(1, steps + 1)])
+    ts = list(range(1, steps + 1))
     if lam > 0:
-        subset = rng.choice(sched.steps, size=math.ceil(sched.steps / 2), replace=False) + 1
-        for t in sorted(int(t) for t in subset):
-            total = total + lam * trajectory_consistency(z0, t, den, sched, rng, z_t=targets[t])
+        ts += sorted(int(t) for t in rng.choice(steps, size=math.ceil(steps / 2),
+                                                replace=False) + 1)
+    traj = np.array(ts[steps:], dtype=np.intp) - 1
+    clean = np.broadcast_to(z0, (len(traj),) + np.shape(z0))
+    out = den.forward(Tensor(np.concatenate([targets, clean])), ts)
+    # one difference serves both terms: (z_t - pred)^2 == (pred - z_t)^2 exactly
+    diff = out - Tensor(np.concatenate([np.broadcast_to(z0, targets.shape), targets[traj]]))
+    sums = tc.tsum(tc.reshape(diff * diff, (len(ts), -1)), axis=1)
+    total = Tensor(0.0)
+    for i in range(len(ts)):
+        total = total + (sums[i, 0] / z0.size if i < steps else lam * sums[i, 0])
     return total
 
 
-def augment_pair(frame: np.ndarray, den, sched: NoiseSchedule, depth: int, rng,
+def augment_pair(frames: np.ndarray, den, sched: NoiseSchedule, depth: int, rng,
                  sigma_scale: float = 0.1):
-    """Two independent forward-then-reverse round trips of the same frame."""
+    """Two independent forward-then-reverse round trips of each of M frames
+    [M,C,H,W]: views (v1, v2), each [M,C,H,W].
+
+    A round trip noises a frame to ``depth`` and walks it back with reverse
+    draws z_{t-1} = mu(z_t, t) + sigma_t eps, sigma_t = sigma_scale
+    sqrt(1 - beta_t). All its noise comes from one draw, laid out frame by
+    frame, view by view, as if each round trip drew its own in turn; each
+    reverse step is one denoiser pass over the 2M views.
+    """
     if depth > sched.steps or depth < 0:
         raise DomainError(f"depth {depth} outside 0..{sched.steps}")
-
-    def round_trip():
-        if depth == 0:
-            return np.array(frame, copy=True)
-        z = forward_diffuse(frame, depth, sched, rng)
-        for t in range(depth, 0, -1):
-            sigma = sigma_scale * math.sqrt(1.0 - sched.beta(t))
-            z = reverse_step(z, t, den, sigma, rng)
-        return z
-
-    return round_trip(), round_trip()
+    if sigma_scale < 0:
+        raise DomainError(f"sigma_scale must be >= 0, got {sigma_scale}")
+    frames = np.asarray(frames, dtype=np.float64)
+    m = frames.shape[0]
+    z = np.stack([frames, frames], axis=1)  # [M, 2, C, H, W]
+    if depth == 0:
+        return z[:, 0], z[:, 1]
+    beta = sched.beta(depth)
+    sigmas = {t: sigma_scale * math.sqrt(1.0 - sched.beta(t)) for t in range(depth, 0, -1)}
+    draws = (beta != 1.0) + sum(s != 0.0 for s in sigmas.values())
+    noise = iter(np.moveaxis(rng.standard_normal((m, 2, draws) + frames.shape[1:]), 2, 0))
+    if beta != 1.0:
+        z = beta * z + math.sqrt(1.0 - beta) * next(noise)
+    for t, sigma in sigmas.items():
+        with tc.no_grad():
+            z = den.forward(Tensor(z.reshape((2 * m,) + frames.shape[1:])), t).data
+        z = z.reshape((m, 2) + frames.shape[1:])
+        if sigma != 0.0:
+            z = z + sigma * next(noise)
+    return z[:, 0], z[:, 1]
 
 
 def train_denoiser(frames, channels: int, sched: NoiseSchedule, rng, epochs: int = 10,

@@ -15,6 +15,7 @@ or from a dataset that differs from the directory's snapshot (``config.txt``,
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ from . import predictor as pr
 from . import synthdata as sd
 from . import tensor as tc
 from .config import RunConfig, config_text
-from .errors import ConfigError, DomainError, StagePrerequisiteError
+from .errors import ConfigError, DataFormatError, DomainError, StagePrerequisiteError
 from .fileio import container_trailer, load_checkpoint, rng_for, save_checkpoint
 
 STAGES = ("pretrain", "select", "train", "evaluate")
@@ -145,17 +146,27 @@ def run_stage_select(run_dir: Path, ds: sd.Dataset, frames, cfg: RunConfig) -> N
             fh.write(f"{i},{v!r}\n")
 
 
-def load_mask(run_dir: Path) -> tuple[np.ndarray, float]:
-    lines = (Path(run_dir) / "mask.txt").read_text().splitlines()
-    mask = np.array([c == "1" for c in lines[0].strip()])
-    return mask, float(lines[1])
+def load_mask(run_dir: Path, dim: int) -> tuple[np.ndarray, float]:
+    """The select stage's mask over the ``dim`` encoder features and its fitness."""
+    path = Path(run_dir) / "mask.txt"
+    lines = path.read_text(errors="replace").splitlines() + ["", ""]
+    bits = lines[0].strip()
+    if len(bits) != dim or set(bits) - {"0", "1"}:
+        raise DataFormatError(f"{path}: line 1 must be {dim} characters 0/1, got {bits[:40]!r}")
+    try:
+        fitness = float(lines[1])
+    except ValueError:
+        fitness = math.nan
+    if not math.isfinite(fitness):
+        raise DataFormatError(f"{path}: line 2 must be a finite fitness, got {lines[1][:40]!r}")
+    return np.array([c == "1" for c in bits]), fitness
 
 
 def run_stage_train(run_dir: Path, ds: sd.Dataset, frames, cfg: RunConfig) -> None:
     _require_stage(run_dir, "pretrain")
     _require_stage(run_dir, "select")
     lstm, ssa = _load_encoder(load_checkpoint(run_dir / "pretrain.ckpt"), cfg)
-    mask, _ = load_mask(run_dir)
+    mask, _ = load_mask(run_dir, 2 * cfg.hidden_channels)
     y = np.array([s.y for s in ds.samples])
     # warm-up: with the encoder frozen the head is a least-squares problem,
     # fitted by full-batch descent for train_epochs; it stops short of the

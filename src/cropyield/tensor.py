@@ -16,7 +16,7 @@ contract: every output and gradient must stay identical, bit for bit, to
 the plain formulation it replaces. That fixes the GEMM operands and their
 memory layout (BLAS sums in the order of the inner dimension), the order in
 which contributions are accumulated into a gradient, and the layout of a
-gradient's first buffer. ``tests/test_tensor.py`` checks ``conv2d``,
+gradient's first buffer. ``tests/test_tensor.py`` checks ``conv_items``,
 ``sigmoid`` and gradient accumulation against those reference forms.
 
 The item axis. ``conv_items``, ``im2col``, ``conv_cols``, ``bias_add``,
@@ -581,10 +581,12 @@ class _ConvPlan(NamedTuple):
 
 @lru_cache(maxsize=32)
 def _conv_plan(x_shape, k_shape, padding, dilation) -> _ConvPlan:
-    """Check one conv2d geometry and build its im2col index table."""
+    """Check the geometry of one convolution of a [C,H,W] map and build its
+    im2col index table."""
     if len(x_shape) != 3 or len(k_shape) != 4:
         raise ShapeMismatchError(
-            f"conv2d expects input [C,H,W] and kernels [O,C,k,k], got {x_shape} and {k_shape}"
+            f"convolution expects maps [C,H,W] and kernels [O,C,k,k], "
+            f"got {x_shape} and {k_shape}"
         )
     c_out, c_in, kh, kw = k_shape
     if kh != kw or kh % 2 == 0:
@@ -600,7 +602,7 @@ def _conv_plan(x_shape, k_shape, padding, dilation) -> _ConvPlan:
     h_out, w_out = hp - k_eff + 1, wp - k_eff + 1
     if h_out < 1 or w_out < 1:
         raise ShapeMismatchError(
-            f"conv2d output would be {h_out}x{w_out} for input {x_shape}, "
+            f"convolution output would be {h_out}x{w_out} for input {x_shape}, "
             f"kernel {kh} (dilation {dilation}), padding {padding}"
         )
     i, j, c, a, b = np.ix_(*(np.arange(n, dtype=np.intp) for n in (h_out, w_out, c_in, kh, kw)))
@@ -645,42 +647,16 @@ def _col2im(dcols: np.ndarray, plan: _ConvPlan, n: int) -> np.ndarray:
     return dxp[..., p:-p, p:-p] if p else dxp
 
 
-def conv2d(x: Tensor, kernels: Tensor, padding: int = 0, dilation: int = 1) -> Tensor:
-    """Cross-correlation of a [C_in,H,W] map with [C_out,C_in,k,k] kernels.
-
-    Zero padding, square odd kernels, unit stride. ``dilation`` spaces the
-    kernel taps (effective size k + (k-1)(dilation-1)).
-    """
-    xd, kd = x.data, kernels.data
-    plan = _conv_plan(xd.shape, kd.shape, padding, dilation)
-    c_out, c_in, h_out, w_out = plan[:4]
-    xp = _pad(xd, plan.padded, padding)
-    # im2col: row (i, j), column (c, a, b) holds xp[c, i + a*dilation, j + b*dilation],
-    # C-contiguous. For a 1x1 kernel it is the [H*W, C] transposed view of xp:
-    # the GEMM's rounding depends on its operands' layout, so that layout stays.
-    cols = xp.reshape(c_in, -1).T if kd.shape[2] == 1 else _gather(xp, plan.gather)
-    kmat = kd.reshape(c_out, -1)
-    out_data = (cols @ kmat.T).T.reshape(c_out, h_out, w_out)
-
-    def bw(g):
-        gmat = g.reshape(c_out, h_out * w_out)
-        if kernels.requires_grad:
-            _acc(kernels, (gmat @ cols).reshape(kd.shape))
-        if x.requires_grad:
-            _acc(x, _col2im((gmat.T @ kmat)[None], plan, 1)[0])
-
-    return _node(out_data, (x, kernels), bw)
-
-
 def conv_items(x: Tensor, kernels, padding: int = 0, dilation: int = 1) -> list:
     """Cross-correlation of N maps [N,C_in,H,W] with each kernel in ``kernels``.
 
     A kernel is shared by the items, [C_out,C_in,k,k], or has one per item,
-    [N,C_out,C_in,k,k]. Returns one [N,C_out,H',W'] node per kernel, whose
-    item n and gradients equal ``conv2d`` of map n. The im2col is gathered
-    once for all kernels; each kernel makes one stacked ``np.matmul`` and
-    scatters its own input gradient (scattering the sum of the kernels'
-    column gradients would round differently).
+    [N,C_out,C_in,k,k]. Returns one [N,C_out,H',W'] node per kernel. Zero
+    padding, square odd kernels, unit stride; ``dilation`` spaces the kernel
+    taps (effective size k + (k-1)(dilation-1)). The im2col is gathered once
+    for all kernels; each kernel makes one stacked ``np.matmul`` and scatters
+    its own input gradient (scattering the sum of the kernels' column
+    gradients would round differently).
     """
     xd = x.data
     if xd.ndim != 4:
@@ -690,7 +666,9 @@ def conv_items(x: Tensor, kernels, padding: int = 0, dilation: int = 1) -> list:
              for kern in kernels]
     c_in, h_out, w_out = plans[0].c_in, plans[0].h_out, plans[0].w_out
     xp = _pad(xd, plans[0].padded, padding)
-    # as in conv2d, a 1x1 kernel multiplies the transposed view of the maps
+    # im2col: row (i, j), column (c, a, b) holds xp[c, i + a*dilation, j + b*dilation],
+    # C-contiguous. For a 1x1 kernel it is the [H*W, C] transposed view of each
+    # map: the GEMM's rounding depends on its operands' layout, so that layout stays.
     cols = (xp.reshape(n, c_in, -1).transpose(0, 2, 1) if plans[0].k == 1
             else _gather(xp, plans[0].gather))
     outs = []
@@ -725,11 +703,10 @@ def _conv_items_bw(x, kern, cols, kmat, plan, n):
 def im2col(x: Tensor, k: int, padding: int = 0, dilation: int = 1) -> Tensor:
     """The im2col of N maps [N,C,H,W] for k x k kernels: [N,H',W',C k k].
 
-    Item n's block is the C-contiguous matrix ``conv2d`` builds for map n
-    when k > 1 (row (i, j), column (c, a, b)), from one gather of
-    ``conv2d``'s flat index table over the N padded maps. ``conv_cols``
-    applies kernels to the result; the gradient scatters back through
-    ``conv2d``'s col2im.
+    Item n's block is the C-contiguous matrix ``conv_items`` builds for map
+    n when k > 1 (row (i, j), column (c, a, b)), from one gather of the same
+    flat index table over the N padded maps. ``conv_cols`` applies kernels
+    to the result; the gradient scatters back through the same col2im.
     """
     xd = x.data
     if xd.ndim != 4:
@@ -751,8 +728,8 @@ def conv_cols(cols: Tensor, kernels: Tensor, items=None) -> Tensor:
     kernel gradients add up are those of ``cols[items]``, without copying
     the columns: every item is multiplied and the others are dropped. One
     stacked ``np.matmul``: a GEMV per item for C_out = 1, a GEMM otherwise.
-    For k > 1 item n equals ``conv2d`` of map n; a 1x1 ``conv2d`` multiplies
-    a transposed view, whose rounding may differ."""
+    For k > 1 the result equals ``conv_items``; a 1x1 ``conv_items``
+    multiplies a transposed view, whose rounding may differ."""
     cd, kd = cols.data, kernels.data
     n, h_out, w_out, depth = cd.shape
     c_out = kd.shape[0]
@@ -767,7 +744,7 @@ def conv_cols(cols: Tensor, kernels: Tensor, items=None) -> Tensor:
 
     def bw(g):
         # g is laid out as out_data, an [M, H'W', C_out] array seen transposed, like
-        # conv2d's output: the GEMM rounds by its operand's layout, so the zeros
+        # conv_items' output: the GEMM rounds by its operand's layout, so the zeros
         # for the dropped items keep that layout
         full = np.zeros((n, h_out * w_out, c_out))
         full[rows] = g.reshape(m, c_out, h_out * w_out).transpose(0, 2, 1)

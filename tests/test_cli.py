@@ -1,4 +1,5 @@
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -60,7 +61,13 @@ class TestConfig:
             load_config(None, {"t_steps": 2, "history": 2})
         for key, value in (("batch_size", 1), ("denoiser_epochs", -1), ("pretrain_epochs", -1),
                            ("train_epochs", -1), ("finetune_epochs", -1), ("eo_iters", 0),
-                           ("eo_particles", 3), ("temperature", 0.0), ("sigma_scale", -0.1)):
+                           ("eo_particles", 3), ("temperature", 0.0), ("sigma_scale", -0.1),
+                           ("beta_start", 0.2), ("beta_end", -0.1), ("beta_start", 1.5),
+                           ("kernel_size", 2), ("kernel_size", -1), ("lambda_consistency", -1.0),
+                           ("diff_steps", 0), ("denoiser_hidden", 0), ("hidden_channels", 0),
+                           ("embed_dim", 0), ("history", 0), ("experts", 0), ("se_reduction", 0),
+                           ("shuffle_groups", 0), ("train_lr", float("nan")),
+                           ("pretrain_lr", float("inf")), ("yield_noise", float("-inf"))):
             with pytest.raises(ConfigError):
                 load_config(None, {key: value})
         # the benchmark's shortened schedules stay valid
@@ -108,6 +115,19 @@ def tiny_dataset(tmp_path_factory):
                  "--height", "8", "--width", "8", "--seed", "5", "--out", str(path)])
     assert code == 0
     return path
+
+
+@pytest.fixture(scope="module")
+def selected_run(tiny_dataset, tmp_path_factory):
+    """The dataset and a run directory after the pretrain and select stages."""
+    root = tmp_path_factory.mktemp("selected")
+    cfg = root / "fast.cfg"
+    cfg.write_text("\n".join(FAST) + "\n")
+    run_dir = root / "run"
+    for stage in ("pretrain", "select"):
+        assert main(["pipeline", "--data", str(tiny_dataset), "--out", str(run_dir),
+                     "--config", str(cfg), "--seed", "5", "--stage", stage]) == 0
+    return tiny_dataset, run_dir
 
 
 class TestPipelineCommand:
@@ -209,6 +229,30 @@ class TestPipelineCommand:
                      "--config", str(fast_config)])
         assert code == 3
         assert "data error" in capsys.readouterr().err
+
+    def test_bad_config_value_exits_2_before_any_write(self, tiny_dataset, fast_config,
+                                                        tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(fast_config.read_text() + "beta_start=0.2\n")
+        run_dir = tmp_path / "r"
+        assert main(["pipeline", "--data", str(tiny_dataset), "--out", str(run_dir),
+                     "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("config error: need 0 <= beta_end")
+        assert not run_dir.exists()
+
+    @pytest.mark.parametrize("mask", ["", "1010101010101010\nabc\n",
+                                      "10101010101010101010\n0.3\n", "0010\n0.3\n"],
+                             ids=["empty", "non_numeric_fitness", "too_long", "too_short"])
+    def test_malformed_mask_exits_3(self, selected_run, fast_config, tmp_path, capsys, mask):
+        data, selected = selected_run
+        run_dir = tmp_path / "run"
+        shutil.copytree(selected, run_dir)
+        (run_dir / "mask.txt").write_text(mask)
+        assert main(["pipeline", "--data", str(data), "--out", str(run_dir),
+                     "--config", str(fast_config), "--seed", "5", "--stage", "train"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "mask.txt" in err
+        assert not (run_dir / "model.ckpt").exists()
 
     def test_reserved_selector_exits_2(self, tiny_dataset, fast_config, tmp_path):
         code = main(["pipeline", "--data", str(tiny_dataset), "--out", str(tmp_path / "r"),

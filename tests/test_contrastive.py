@@ -168,19 +168,25 @@ def test_pretrain_raise_names_its_stage():
 # [T,C,H,W] sequence, composed from the same primitives on [C,H,W] maps.
 
 
+def _conv(x, kernels, padding=0, dilation=1):
+    """The convolution of one [C,H,W] map: a one-item ``conv_items``."""
+    (out,) = tc.conv_items(tc.reshape(x, (1,) + x.shape), [kernels], padding, dilation)
+    return tc.reshape(out, out.shape[1:])
+
+
 def _ref_step(f_t, h, c, p):
     pad = p.padding
 
     def chan(b):
         return tc.reshape(b, (-1, 1, 1))
 
-    i_t = tc.sigmoid(tc.conv2d(f_t, p.w_fi, pad) + tc.conv2d(h, p.w_hi, pad)
+    i_t = tc.sigmoid(_conv(f_t, p.w_fi, pad) + _conv(h, p.w_hi, pad)
                      + p.w_ci * c + chan(p.b_i))
-    f_gate = tc.sigmoid(tc.conv2d(f_t, p.w_ff, pad) + tc.conv2d(h, p.w_hf, pad)
+    f_gate = tc.sigmoid(_conv(f_t, p.w_ff, pad) + _conv(h, p.w_hf, pad)
                         + p.w_cf * c + chan(p.b_f))
-    candidate = tc.tanh(tc.conv2d(f_t, p.w_fc, pad) + tc.conv2d(h, p.w_hc, pad) + chan(p.b_c))
+    candidate = tc.tanh(_conv(f_t, p.w_fc, pad) + _conv(h, p.w_hc, pad) + chan(p.b_c))
     c_t = f_gate * c + i_t * candidate
-    o_t = tc.sigmoid(tc.conv2d(f_t, p.w_fo, pad) + tc.conv2d(h, p.w_ho, pad)
+    o_t = tc.sigmoid(_conv(f_t, p.w_fo, pad) + _conv(h, p.w_ho, pad)
                      + p.w_co * c_t + chan(p.b_o))
     return o_t * tc.tanh(c_t), c_t
 
@@ -213,7 +219,7 @@ def _ref_cond_conv(x, p):
     for k, expert in enumerate(p.experts):
         term = pi[k] * expert
         mixed = term if mixed is None else mixed + term
-    return tc.conv2d(x, mixed, padding=(mixed.data.shape[2] - 1) // 2)
+    return _conv(x, mixed, padding=(mixed.data.shape[2] - 1) // 2)
 
 
 def _ref_ssa(h_t, hist, p):
@@ -222,7 +228,7 @@ def _ref_ssa(h_t, hist, p):
     else:
         dilation = p.dilation if p.conv_mode == "dilated" else 1
         pad = (p.conv_kernel.data.shape[2] - 1) * dilation // 2
-        spatial = tc.relu(tc.conv2d(h_t, p.conv_kernel, pad, dilation=dilation)
+        spatial = tc.relu(_conv(h_t, p.conv_kernel, pad, dilation=dilation)
                           + tc.reshape(p.conv_bias, (-1, 1, 1)))
         if p.conv_mode == "conv_condconv":
             spatial = _ref_cond_conv(spatial, p)
@@ -347,18 +353,10 @@ def _per_view_pretrain(frames_by_sample, train_idx, val_idx, den, sched, seed_rn
                     / math.sqrt(2 * hidden_channels))
     params = lstm.parameters() + ssa.parameters() + [proj]
 
-    def views(i, rng):
-        v1, v2 = [], []
-        for t in range(frames_by_sample[i].shape[0]):
-            a, b = df.augment_pair(frames_by_sample[i][t], den, sched, depth, rng, 0.1)
-            v1.append(a)
-            v2.append(b)
-        return np.stack(v1), np.stack(v2)
-
     def batch_loss(batch, rng):
         pairs = []
         for i in batch:
-            v1, v2 = views(i, rng)
+            v1, v2 = df.augment_pair(frames_by_sample[i], den, sched, depth, rng, 0.1)
             pairs.append((_ref_embed(v1, lstm, ssa, proj), _ref_embed(v2, lstm, ssa, proj)))
         return ct.contrastive_loss(ct.ContrastiveBatch(pairs), tau)
 
@@ -377,7 +375,8 @@ def _per_view_pretrain(frames_by_sample, train_idx, val_idx, den, sched, seed_rn
              "final_loss": history[-1]}
     rng = np.random.default_rng(seed_rng.integers(2**63))
     with tc.no_grad():
-        embedded = [views(i, rng) for i in val_idx]
+        embedded = [df.augment_pair(frames_by_sample[i], den, sched, depth, rng, 0.1)
+                    for i in val_idx]
         v1s = [_ref_embed(v1, lstm, ssa, proj) for v1, _ in embedded]
         v2s = [_ref_embed(v2, lstm, ssa, proj) for _, v2 in embedded]
     sims = [[tc.cosine_similarity(a, b).item() for b in v2s] for a in v1s]

@@ -14,19 +14,76 @@ class ZeroDenoiser:
         return Tensor(np.zeros_like(z.data))
 
 
-class EchoDenoiser:
-    """Returns a fixed array regardless of input."""
+class OracleDenoiser:
+    """Returns the clean image for a noisy input and, for the clean image at
+    timestep t, the recorded noisy target of t plus ``offset``."""
 
-    def __init__(self, out):
-        self.out = out
+    def __init__(self, z0, targets, offset=0.0):
+        self.z0, self.targets, self.offset = z0, targets, offset
 
     def forward(self, z, t):
-        return Tensor(np.array(self.out, copy=True))
+        ts = np.broadcast_to(t, len(z.data))
+        return Tensor(np.stack([
+            self.targets[tn - 1] + self.offset if np.array_equal(zn, self.z0) else self.z0
+            for zn, tn in zip(z.data, ts)]))
 
 
 class IdentityDenoiser:
     def forward(self, z, t):
         return z if isinstance(z, Tensor) else Tensor(z)
+
+
+def _conv(x, kernels, padding):
+    """A convolution of one [C,H,W] map, as a one-item ``conv_items``."""
+    (out,) = tc.conv_items(tc.reshape(x, (1,) + x.data.shape), [kernels], padding)
+    return tc.reshape(out, out.data.shape[1:])
+
+
+def _ref_forward(den, z, t):
+    """The denoiser before the item axis: one [C,H,W] image per call."""
+    t_map = Tensor(np.full((1,) + z.data.shape[1:], t / den.steps))
+    x = tc.concat([z, t_map], axis=0)
+    h = tc.relu(_conv(x, den.conv1, 1) + tc.reshape(den.b1, (-1, 1, 1)))
+    return _conv(h, den.conv2, 1) + tc.reshape(den.b2, (-1, 1, 1))
+
+
+def _ref_loss(z0, den, sched, lam, rng):
+    """``diffusion_loss`` before the item axis: one denoiser graph per term."""
+    targets = {t: df.forward_diffuse(z0, t, sched, rng) for t in range(1, sched.steps + 1)}
+    z0_t = Tensor(z0)
+    total = Tensor(0.0)
+    for t in range(1, sched.steps + 1):
+        diff = _ref_forward(den, Tensor(targets[t]), t) - z0_t
+        total = total + (diff * diff).mean()
+    if lam > 0:
+        subset = rng.choice(sched.steps, size=math.ceil(sched.steps / 2), replace=False) + 1
+        for t in sorted(int(t) for t in subset):
+            diff = Tensor(targets[t]) - _ref_forward(den, Tensor(z0), t)
+            total = total + lam * (diff * diff).sum()
+    return total
+
+
+def _ref_augment(frames, den, sched, depth, rng, sigma_scale):
+    """``augment_pair`` before the item axis: frame by frame, view by view,
+    one denoiser call and one draw per reverse step."""
+    def round_trip(frame):
+        if depth == 0:
+            return np.array(frame, copy=True)
+        z = df.forward_diffuse(frame, depth, sched, rng)
+        for t in range(depth, 0, -1):
+            sigma = sigma_scale * math.sqrt(1.0 - sched.beta(t))
+            with tc.no_grad():
+                z = _ref_forward(den, Tensor(z), t).data
+            if sigma != 0.0:
+                z = z + sigma * rng.standard_normal(z.shape)
+        return z
+
+    pairs = [(round_trip(f), round_trip(f)) for f in frames]
+    return np.stack([a for a, _ in pairs]), np.stack([b for _, b in pairs])
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
 
 
 @pytest.fixture
@@ -80,48 +137,63 @@ class TestForwardDiffuse:
 
 
 class TestReverseStep:
-    def test_sigma_zero_returns_mean_exactly(self, sched):
+    def test_sigma_zero_returns_mean_exactly(self):
+        # beta_1 = 1: no forward noise, and sigma_1 = 0 whatever the scale
+        sched = df.NoiseSchedule((1.0, 0.5))
         rng = np.random.default_rng(4)
         den = df.init_denoiser(2, 4, sched.steps, rng)
-        z = rng.normal(size=(2, 5, 5))
-        out = df.reverse_step(z, 3, den, 0.0, rng)
-        np.testing.assert_array_equal(out, den.forward(Tensor(z), 3).data)
+        z = rng.normal(size=(3, 2, 5, 5))
+        a, b = df.augment_pair(z, den, sched, 1, rng)
+        np.testing.assert_array_equal(a, den.forward(Tensor(z), 1).data)
+        np.testing.assert_array_equal(b, a)
 
     def test_zero_denoiser_unit_sigma_standard_normal(self):
-        rng = np.random.default_rng(5)
-        draws = np.array([
-            df.reverse_step(np.ones((4, 4)), 1, ZeroDenoiser(), 1.0, rng) for _ in range(10_000)
-        ])
+        # sigma_1 = 2 sqrt(1 - 0.75) = 1
+        sched = df.NoiseSchedule((0.75,))
+        draws = np.concatenate(df.augment_pair(
+            np.ones((5_000, 1, 4, 4)), ZeroDenoiser(), sched, 1, np.random.default_rng(5), 2.0))
         assert abs(draws.mean()) < 0.05
         assert abs(draws.var() - 1.0) < 0.05
 
     def test_shape_preserved(self, sched):
         rng = np.random.default_rng(6)
         den = df.init_denoiser(3, 4, sched.steps, rng)
-        z = rng.normal(size=(3, 6, 7))
-        assert df.reverse_step(z, 2, den, 0.5, rng).shape == z.shape
+        z = rng.normal(size=(2, 3, 6, 7))
+        a, b = df.augment_pair(z, den, sched, 2, rng, 0.5)
+        assert a.shape == b.shape == z.shape
 
 
 class TestTrajectoryConsistency:
+    """The trajectory term of ``diffusion_loss``: the reconstruction terms
+    are zeroed by an oracle that returns the clean image for noisy inputs."""
+
+    @staticmethod
+    def _targets(z0, sched, seed):
+        rng = np.random.default_rng(seed)
+        return [df.forward_diffuse(z0, t, sched, rng) for t in range(1, sched.steps + 1)]
+
     def test_forced_equal_is_zero(self, sched):
         z0 = np.random.default_rng(7).normal(size=(2, 4, 4))
-        target = df.forward_diffuse(z0, 4, sched, np.random.default_rng(42))
-        out = df.trajectory_consistency(z0, 4, EchoDenoiser(target), sched, np.random.default_rng(42))
+        den = OracleDenoiser(z0, self._targets(z0, sched, 42))
+        out = df.diffusion_loss(z0, den, sched, 0.5, np.random.default_rng(42))
         assert out.item() == 0.0
 
     def test_constant_offset_gives_n_c_squared(self, sched):
         z0 = np.random.default_rng(8).normal(size=(2, 4, 4))
-        c = 0.37
-        target = df.forward_diffuse(z0, 4, sched, np.random.default_rng(43))
-        out = df.trajectory_consistency(z0, 4, EchoDenoiser(target + c), sched, np.random.default_rng(43))
-        assert abs(out.item() - z0.size * c * c) < 1e-9
+        c, lam = 0.37, 0.5
+        den = OracleDenoiser(z0, self._targets(z0, sched, 43), offset=c)
+        out = df.diffusion_loss(z0, den, sched, lam, np.random.default_rng(43))
+        terms = math.ceil(sched.steps / 2)
+        assert abs(out.item() - lam * terms * z0.size * c * c) < 1e-9
 
     def test_non_negative(self, sched):
         rng = np.random.default_rng(9)
         den = df.init_denoiser(2, 4, sched.steps, rng)
         for seed in range(5):
             z0 = np.random.default_rng(seed).normal(size=(2, 4, 4))
-            assert df.trajectory_consistency(z0, 3, den, sched, np.random.default_rng(seed)).item() >= 0.0
+            with_traj = df.diffusion_loss(z0, den, sched, 1.0, np.random.default_rng(seed))
+            recon = df.diffusion_loss(z0, den, sched, 0.0, np.random.default_rng(seed))
+            assert with_traj.item() >= recon.item()
 
 
 class TestDiffusionLoss:
@@ -135,7 +207,7 @@ class TestDiffusionLoss:
         want = 0.0
         for t in range(1, sched.steps + 1):
             z_t = df.forward_diffuse(z0, t, sched, rng2)
-            want += float(((den.forward(Tensor(z_t), t).data - z0) ** 2).mean())
+            want += float(((den.forward(Tensor(z_t[None]), t).data[0] - z0) ** 2).mean())
         assert abs(got.item() - want) < 1e-12
 
     def test_perfect_denoiser_single_step_beta_one(self):
@@ -162,31 +234,80 @@ class TestAugmentPair:
     def test_depth_zero_is_identity(self, sched):
         rng = np.random.default_rng(13)
         den = df.init_denoiser(2, 4, sched.steps, rng)
-        frame = rng.uniform(size=(2, 5, 5))
-        a, b = df.augment_pair(frame, den, sched, 0, rng)
-        np.testing.assert_array_equal(a, frame)
-        np.testing.assert_array_equal(b, frame)
+        frames = rng.uniform(size=(3, 2, 5, 5))
+        a, b = df.augment_pair(frames, den, sched, 0, rng)
+        np.testing.assert_array_equal(a, frames)
+        np.testing.assert_array_equal(b, frames)
 
     def test_same_seed_same_pair(self, sched):
         rng = np.random.default_rng(14)
         den = df.init_denoiser(2, 4, sched.steps, rng)
-        frame = rng.uniform(size=(2, 5, 5))
-        a1, b1 = df.augment_pair(frame, den, sched, 5, np.random.default_rng(99))
-        a2, b2 = df.augment_pair(frame, den, sched, 5, np.random.default_rng(99))
+        frames = rng.uniform(size=(3, 2, 5, 5))
+        a1, b1 = df.augment_pair(frames, den, sched, 5, np.random.default_rng(99))
+        a2, b2 = df.augment_pair(frames, den, sched, 5, np.random.default_rng(99))
         np.testing.assert_array_equal(a1, a2)
         np.testing.assert_array_equal(b1, b2)
 
     def test_views_differ_from_input_and_each_other(self, sched):
         rng = np.random.default_rng(15)
         den = df.init_denoiser(2, 4, sched.steps, rng)
-        frame = rng.uniform(size=(2, 5, 5))
-        a, b = df.augment_pair(frame, den, sched, 5, rng)
-        assert not np.array_equal(a, frame)
-        assert not np.array_equal(a, b)
+        frames = rng.uniform(size=(3, 2, 5, 5))
+        a, b = df.augment_pair(frames, den, sched, 5, rng)
+        for m in range(3):
+            assert not np.array_equal(a[m], frames[m])
+            assert not np.array_equal(a[m], b[m])
 
     def test_depth_beyond_schedule_rejected(self, sched):
         with pytest.raises(DomainError):
-            df.augment_pair(np.ones((1, 5, 5)), ZeroDenoiser(), sched, 11, np.random.default_rng(0))
+            df.augment_pair(np.ones((1, 1, 5, 5)), ZeroDenoiser(), sched, 11,
+                            np.random.default_rng(0))
+
+
+class TestBitExact:
+    """The item axis against the per-term loss and the per-frame augmentation:
+    the same bits, and the same draws from the generator."""
+
+    CASES = {
+        "default": (df.linear_schedule(10, 0.95, 0.30), 0.1),
+        "lam_zero": (df.linear_schedule(10, 0.95, 0.30), 0.0),
+        "odd_steps": (df.linear_schedule(7, 0.9, 0.2), 0.3),
+        "beta_one": (df.NoiseSchedule((1.0, 1.0, 0.8, 0.5)), 0.1),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_loss_and_gradients(self, case):
+        sched, lam = self.CASES[case]
+        rng = np.random.default_rng(20)
+        den = df.init_denoiser(3, 4, sched.steps, rng)
+        z0 = rng.normal(size=(3, 6, 5))
+        got_rng, ref_rng = np.random.default_rng(21), np.random.default_rng(21)
+        runs = []
+        for loss_fn in (lambda: df.diffusion_loss(z0, den, sched, lam, got_rng),
+                        lambda: _ref_loss(z0, den, sched, lam, ref_rng)):
+            for p in den.parameters():
+                p.zero_grad()
+            loss = loss_fn()
+            loss.backward()
+            runs.append([_bits(loss.data)] + [_bits(p.grad) for p in den.parameters()])
+        for got, want in zip(*runs):
+            np.testing.assert_array_equal(got, want)
+        assert got_rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("depth", [0, 1, 3])
+    @pytest.mark.parametrize("sigma_scale", [0.1, 0.0])
+    @pytest.mark.parametrize("m", [1, 6])
+    def test_views(self, case, depth, sigma_scale, m):
+        sched, _ = self.CASES[case]
+        rng = np.random.default_rng(22)
+        den = df.init_denoiser(3, 4, sched.steps, rng)
+        frames = rng.normal(size=(m, 3, 6, 5))
+        got_rng, ref_rng = np.random.default_rng(23), np.random.default_rng(23)
+        got = df.augment_pair(frames, den, sched, depth, got_rng, sigma_scale)
+        want = _ref_augment(frames, den, sched, depth, ref_rng, sigma_scale)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(_bits(g), _bits(w))
+        assert got_rng.random() == ref_rng.random()
 
 
 def test_train_denoiser_reduces_loss():
@@ -208,7 +329,7 @@ def test_trained_round_trip_stays_near_input():
     dyn = probe.max() - probe.min()
     mads = []
     for _ in range(10):
-        a, b = df.augment_pair(probe, den, sched, sched.steps // 2, rng)
+        (a,), (b,) = df.augment_pair(probe[None], den, sched, sched.steps // 2, rng)
         mads.append(np.mean(np.abs(a - probe)))
         mads.append(np.mean(np.abs(b - probe)))
     assert np.mean(mads) < 0.5 * dyn

@@ -160,10 +160,16 @@ class TestTrainFinal:
             assert np.all(np.isfinite(p.data))
 
 
+def _conv(x, kernels, padding=0, dilation=1):
+    """The convolution of one [C,H,W] map: a one-item ``conv_items``."""
+    (out,) = tc.conv_items(tc.reshape(x, (1,) + x.shape), [kernels], padding, dilation)
+    return tc.reshape(out, out.shape[1:])
+
+
 def _per_plot_train_final(frames, lstm_p, ssa_p, mask, y, train_idx, val_idx, rng, epochs,
                           lr, batch_size, patience, finetune_encoder=False, head=None,
                           pretrain_batch=None):
-    """``train_final`` as it was before the item axis: one ``conv2d`` graph per
+    """``train_final`` as it was before the item axis: one convolution graph per
     plot, the predictions concatenated per minibatch (so ``pretrain_batch``,
     which bounds the batched forward passes, has no counterpart)."""
     sel = np.flatnonzero(mask)
@@ -185,7 +191,7 @@ def _per_plot_train_final(frames, lstm_p, ssa_p, mask, y, train_idx, val_idx, rn
         return Tensor(cache[i])
 
     def predict(i):
-        return (tc.conv2d(features_of(i), head.w, padding=1) + head.b).mean()
+        return (_conv(features_of(i), head.w, padding=1) + head.b).mean()
 
     def split_mse(idx):
         with tc.no_grad():

@@ -29,11 +29,17 @@ def conv2d_bruteforce(x, k, padding):
     return out
 
 
+def conv_one(x, kernels, padding=0, dilation=1):
+    """The convolution of one [C,H,W] map: a one-item ``conv_items``."""
+    (out,) = tc.conv_items(tc.reshape(x, (1,) + x.shape), [kernels], padding, dilation)
+    return tc.reshape(out, out.shape[1:])
+
+
 class TestConv2d:
     def test_all_ones_center_is_nine(self):
         x = Tensor(np.ones((1, 3, 3)))
         k = Tensor(np.ones((1, 1, 3, 3)))
-        out = tc.conv2d(x, k, padding=1)
+        out = conv_one(x, k, padding=1)
         oracle = conv2d_bruteforce(x.data, k.data, 1)
         assert out.data[0, 1, 1] == 9.0
         np.testing.assert_array_equal(out.data, oracle)
@@ -44,13 +50,13 @@ class TestConv2d:
         k = np.zeros((3, 3, 1, 1))
         for c in range(3):
             k[c, c, 0, 0] = 1.0
-        out = tc.conv2d(x, Tensor(k), padding=0)
+        out = conv_one(x, Tensor(k), padding=0)
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_zero_kernel_annihilates(self):
         rng = np.random.default_rng(1)
         x = Tensor(rng.normal(size=(2, 4, 4)))
-        out = tc.conv2d(x, Tensor(np.zeros((3, 2, 3, 3))), padding=1)
+        out = conv_one(x, Tensor(np.zeros((3, 2, 3, 3))), padding=1)
         assert np.all(out.data == 0.0)
 
     def test_matches_bruteforce_random(self):
@@ -58,7 +64,7 @@ class TestConv2d:
         for pad in (0, 1, 2):
             x = rng.normal(size=(3, 6, 5))
             k = rng.normal(size=(4, 3, 3, 3))
-            got = tc.conv2d(Tensor(x), Tensor(k), padding=pad).data
+            got = conv_one(Tensor(x), Tensor(k), padding=pad).data
             np.testing.assert_allclose(got, conv2d_bruteforce(x, k, pad), rtol=1e-12)
 
     def test_dilation_matches_zero_stuffed_kernel(self):
@@ -67,17 +73,17 @@ class TestConv2d:
         k = rng.normal(size=(2, 2, 3, 3))
         stuffed = np.zeros((2, 2, 5, 5))
         stuffed[:, :, ::2, ::2] = k
-        got = tc.conv2d(Tensor(x), Tensor(k), padding=2, dilation=2).data
+        got = conv_one(Tensor(x), Tensor(k), padding=2, dilation=2).data
         want = conv2d_bruteforce(x, stuffed, 2)
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ShapeMismatchError):
-            tc.conv2d(Tensor(np.ones((2, 4, 4))), Tensor(np.ones((1, 3, 3, 3))), padding=1)
+            conv_one(Tensor(np.ones((2, 4, 4))), Tensor(np.ones((1, 3, 3, 3))), padding=1)
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ShapeMismatchError):
-            tc.conv2d(Tensor(np.ones((1, 4, 4))), Tensor(np.ones((1, 1, 2, 2))))
+            conv_one(Tensor(np.ones((1, 4, 4))), Tensor(np.ones((1, 1, 2, 2))))
 
     @settings(deadline=None, max_examples=25)
     @given(seed=st.integers(0, 10**6), a=st.floats(-3, 3), b=st.floats(-3, 3))
@@ -86,8 +92,8 @@ class TestConv2d:
         x = rng.normal(size=(2, 5, 5))
         y = rng.normal(size=(2, 5, 5))
         k = Tensor(rng.normal(size=(3, 2, 3, 3)))
-        lhs = tc.conv2d(Tensor(a * x + b * y), k, padding=1).data
-        rhs = a * tc.conv2d(Tensor(x), k, padding=1).data + b * tc.conv2d(Tensor(y), k, padding=1).data
+        lhs = conv_one(Tensor(a * x + b * y), k, padding=1).data
+        rhs = a * conv_one(Tensor(x), k, padding=1).data + b * conv_one(Tensor(y), k, padding=1).data
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
 
@@ -190,9 +196,9 @@ def _primitive_cases():
         ("matmul_mat", lambda t: (t @ Tensor(v5)).sum(), m45),
         ("concat", lambda t: tc.concat([t, t * Tensor(2.0)], axis=0).sum(), x34),
         ("take_channels", lambda t: (tc.take_channels(t, [1, 0, 0]) * Tensor(w355)).sum(), img),
-        ("conv_input", lambda t: (tc.conv2d(t, Tensor(ker), padding=1) * Tensor(w355)).sum(), img),
-        ("conv_kernel", lambda t: (tc.conv2d(Tensor(img), t, padding=1) * Tensor(w355)).sum(), ker),
-        ("conv_dilated", lambda t: tc.conv2d(Tensor(img99), t, padding=2, dilation=2).sum(), ker),
+        ("conv_input", lambda t: (conv_one(t, Tensor(ker), padding=1) * Tensor(w355)).sum(), img),
+        ("conv_kernel", lambda t: (conv_one(Tensor(img), t, padding=1) * Tensor(w355)).sum(), ker),
+        ("conv_dilated", lambda t: conv_one(Tensor(img99), t, padding=2, dilation=2).sum(), ker),
         ("pool", lambda t: (tc.global_avg_pool(t) * Tensor([1.0, -2.0])).sum(), img),
         ("cosine", lambda t: tc.cosine_similarity(t, Tensor(u5)), v5),
         ("softmax", lambda t: (tc.softmax1d(t) * Tensor(np.arange(5.0))).sum(), v5),
@@ -213,7 +219,7 @@ class TestTapeContract:
 
         def run():
             xt, kt = param(np.array(x)), param(np.array(k))
-            loss = tc.tanh(tc.conv2d(xt, kt, padding=1)).mean()
+            loss = tc.tanh(conv_one(xt, kt, padding=1)).mean()
             loss.backward()
             return loss.data.copy(), xt.grad.copy(), kt.grad.copy()
 
@@ -237,7 +243,7 @@ class TestTapeContract:
 
     def test_no_graph_without_requires_grad(self):
         x = Tensor(np.ones((2, 3, 3)))
-        out = tc.conv2d(x, Tensor(np.ones((1, 2, 3, 3))), padding=1)
+        out = conv_one(x, Tensor(np.ones((1, 2, 3, 3))), padding=1)
         assert out._bw is None and out._parents == ()
 
     def test_backward_needs_scalar(self):
@@ -281,12 +287,12 @@ def _reference_conv2d(xd, kd, padding, dilation, g):
 
 
 def _per_plot_head(feats, w, b, y, order, x_grad):
-    """The per-plot head graph the item axis replaces: one ``conv2d`` + bias +
+    """The per-plot head graph the item axis replaces: one convolution + bias +
     mean per plot, the predictions concatenated in chunk order, then the MSE.
     Returns the predictions, the loss and the w, b and input gradients."""
     wt, bt = param(np.array(w)), param(np.array(b))
     xs = [Tensor(np.array(f), requires_grad=x_grad) for f in feats]
-    preds = [(tc.conv2d(xs[i], wt, padding=1) + bt).mean() for i in order]
+    preds = [(conv_one(xs[i], wt, padding=1) + bt).mean() for i in order]
     vec = tc.concat([tc.reshape(s, (1,)) for s in preds], axis=0)
     diff = Tensor(y[order]) - vec
     loss = (diff * diff).mean()
@@ -329,15 +335,15 @@ class TestBitExact:
         k_eff = k + (k - 1) * (dilation - 1)
         g = rng.normal(size=(c_out, h + 2 * padding - k_eff + 1, w + 2 * padding - k_eff + 1))
 
-        x, kern = Tensor(xd, requires_grad=True), param(np.array(kd))
-        out = tc.conv2d(x, kern, padding=padding, dilation=dilation)
-        (out * Tensor(g)).sum().backward()
+        x, kern = Tensor(xd[None], requires_grad=True), param(np.array(kd))
+        (out,) = tc.conv_items(x, [kern], padding=padding, dilation=dilation)
+        (out * Tensor(g[None])).sum().backward()
 
         ref_out, ref_dk, ref_dx = _reference_conv2d(xd, kd, padding, dilation, g)
-        assert np.array_equal(_bits(out.data), _bits(ref_out))
+        assert np.array_equal(_bits(out.data[0]), _bits(ref_out))
         assert np.array_equal(_bits(kern.grad), _bits(ref_dk))
-        assert np.array_equal(_bits(x.grad), _bits(ref_dx))
-        assert x.grad.strides == ref_dx.strides
+        assert np.array_equal(_bits(x.grad[0]), _bits(ref_dx))
+        assert x.grad[0].strides == ref_dx.strides
 
     def test_first_gradient_gets_zeros_like_layout(self):
         g = np.arange(12.0).reshape(3, 4).T - 5.0  # non-contiguous [4, 3]
@@ -418,7 +424,7 @@ class TestBitExact:
         kd = rng.normal(size=(c_out, c_in, k, k))
         kern = param(np.array(kd))
         xs = [Tensor(np.array(x), requires_grad=True) for x in xd]
-        outs = [tc.conv2d(x, kern, padding=padding, dilation=dilation) for x in xs]
+        outs = [conv_one(x, kern, padding=padding, dilation=dilation) for x in xs]
         g = rng.normal(size=(n,) + outs[0].shape)
         loss = None
         for out, gi in zip(outs, g):
@@ -482,7 +488,7 @@ class TestBitExact:
     @pytest.mark.parametrize("k,padding,dilation", [(1, 0, 1), (3, 1, 1), (3, 2, 2), (5, 2, 1)])
     def test_conv_items_matches_conv2d_per_item(self, k, padding, dilation, item_kernels):
         # three kernels from one gather; item n of each output, its input
-        # gradient and the kernel gradients against N separate conv2d graphs
+        # gradient and the kernel gradients against N separate one-item graphs
         rng = np.random.default_rng([k, padding, dilation, int(item_kernels)])
         n, c_in, c_out = 4, 3, 5
         xd = rng.normal(size=(n, c_in, 9, 8))
@@ -498,10 +504,10 @@ class TestBitExact:
         for i, x in enumerate(xs):
             for j, kern in enumerate(kerns):
                 kern_i = kern[i] if item_kernels else kern
-                term = (tc.conv2d(x, kern_i, padding, dilation) * Tensor(g[j, i])).sum()
+                term = (conv_one(x, kern_i, padding, dilation) * Tensor(g[j, i])).sum()
                 loss = term if loss is None else loss + term
         loss.backward()
-        ref_outs = [[tc.conv2d(Tensor(x), Tensor(kd[i] if item_kernels else kd), padding,
+        ref_outs = [[conv_one(Tensor(x), Tensor(kd[i] if item_kernels else kd), padding,
                                dilation).data for i, x in enumerate(xd)] for kd in kds]
 
         kerns_b = [param(np.array(kd)) for kd in kds]
@@ -587,11 +593,11 @@ class TestNoGrad:
         k = param(rng.normal(size=(3, 2, 3, 3)))
 
         def forward():
-            return tc.sigmoid(tc.conv2d(x, k, padding=1)).mean()
+            return tc.sigmoid(conv_one(x, k, padding=1)).mean()
 
         recorded = forward()
         with tc.no_grad():
-            inner = tc.conv2d(x, k, padding=1)
+            inner = conv_one(x, k, padding=1)
             free = forward()
         assert recorded._bw is not None and recorded._parents
         for t in (inner, free):
