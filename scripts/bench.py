@@ -3,18 +3,25 @@
 
 For each acceptance seed (1, 2, 3) it runs ``cropyield synth --source S2
 --plots 60 --seed s`` and then ``cropyield pipeline --seed s`` on the full
-schedule (the RunConfig defaults), each seed in a fresh process with BLAS
-pinned to one thread. It records the wall time of each stage, the MAPE /
-baseline-MAPE ratio, the selected mask, the fine-tune's best epoch, the
-hold-out separation and the digests of the run's files. It then runs
+schedule (the RunConfig defaults), once for each k = 0..ULPS with
+``pretrain_lr`` moved k ULPs up through a config file. Each run is a fresh
+process with BLAS pinned to one thread. Per seed and k it records the wall
+time of each stage, the MAPE / baseline-MAPE ratio, the hold-out
+separation, the selected mask, the fine-tune's best epoch and divergence
+epoch, the head's ridge penalty, the exit code and the digests of the run's
+files, and it counts the runs that pass acceptance criteria 5 and 6. The
+k = 0 runs are the acceptance runs; the others show how widely the
+criterion margins spread under a last-bit change of one input. It then runs
 ``perfbench/run.py --workload pipeline-s2 --trace 1`` in the same tree and
 copies the traced run's summary.json in, with the per-layer times.
 
 Without ``--parent`` it measures this checkout and writes ``runs.change``
-of the output file; with ``--parent CHECKOUT`` (a tree with
+of the output file; with ``--parent CHECKOUT`` (a git checkout with
 ``src/cropyield`` and ``perfbench/``) it measures that tree and writes
-``runs.parent``. Each keeps what the other recorded, so the two sit side
-by side and ``comparison`` holds the per-seed digests and times of both:
+``runs.parent``. Each side records its commit id and whether its tracked
+files differ from that commit. Each keeps what the other recorded, so the
+two sit side by side and ``comparison`` holds, per seed and k, the files
+that differ and the times of both:
 
     python3 scripts/bench.py --parent ../parent --out BENCH_9.json
     python3 scripts/bench.py --out BENCH_9.json
@@ -25,6 +32,7 @@ Working files go to a temporary directory that is removed.
 import argparse
 import hashlib
 import json
+import math
 import os
 import platform
 import subprocess
@@ -34,22 +42,50 @@ import time
 from pathlib import Path
 
 SEEDS = (1, 2, 3)
+ULPS = 3  # pretrain_lr is moved k = 0..ULPS ULPs up
 PERFBENCH_SECONDS = 15  # BENCHMARK.json's run_seconds, the same for both trees
 PINNED = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 HERE = Path(__file__).resolve()
 
 
-def run_seed(seed: int, work: Path) -> dict:
-    """One seed's synth and pipeline, in this process, with the stages timed."""
+def _kv(path: Path) -> dict:
+    return dict(line.split("=", 1) for line in path.read_text().split())
+
+
+def _comments(path: Path) -> dict:
+    """The ``# key=value`` lines of a run file."""
+    return dict(line[2:].split("=", 1) for line in path.read_text().splitlines()
+                if line.startswith("# ") and "=" in line)
+
+
+def passes_criterion_5(stats: dict) -> bool:
+    """tests/test_acceptance.py criterion 5 on one run's pretrain statistics."""
+    sep = float(stats["holdout_pos_sim"]) - float(stats["holdout_neg_sim"])
+    uniform, epoch0 = float(stats["uniform_loss"]), float(stats["epoch0_loss"])
+    return (sep >= 0.2 and 0.9 * uniform <= epoch0 <= 1.1 * uniform
+            and float(stats["final_loss"]) < epoch0)
+
+
+def run_seed(seed: int, ulps: int, work: Path) -> dict:
+    """One seed's pipeline at ``pretrain_lr`` + ``ulps`` ULPs, in this process,
+    with the stages timed; the seed's dataset is synthesized once per side."""
     from cropyield import pipeline
     from cropyield.cli import main
+    from cropyield.config import RunConfig
 
-    data, run_dir = work / f"s2-seed{seed}.mtms", work / f"run-seed{seed}"
-    t0 = time.perf_counter()
-    if main(["synth", "--source", "S2", "--plots", "60", "--seed", str(seed),
-             "--out", str(data)]):
-        raise SystemExit(f"synth failed for seed {seed}")
-    synth_s = time.perf_counter() - t0
+    data, run_dir = work / f"s2-seed{seed}.mtms", work / f"run-seed{seed}-ulp{ulps}"
+    synth_s = None
+    if not data.exists():
+        t0 = time.perf_counter()
+        if main(["synth", "--source", "S2", "--plots", "60", "--seed", str(seed),
+                 "--out", str(data)]):
+            raise SystemExit(f"synth failed for seed {seed}")
+        synth_s = time.perf_counter() - t0
+    lr = RunConfig().pretrain_lr
+    for _ in range(ulps):
+        lr = math.nextafter(lr, math.inf)
+    config = work / f"ulp{ulps}.cfg"
+    config.write_text(f"pretrain_lr={lr!r}\n")
 
     stage_s = {}
     for stage, runner in list(pipeline._RUNNERS.items()):
@@ -61,31 +97,36 @@ def run_seed(seed: int, work: Path) -> dict:
                 stage_s[_stage] = time.perf_counter() - start
         pipeline._RUNNERS[stage] = timed
     t0 = time.perf_counter()
-    code = main(["pipeline", "--data", str(data), "--out", str(run_dir), "--seed", str(seed)])
+    code = main(["pipeline", "--data", str(data), "--out", str(run_dir), "--seed", str(seed),
+                 "--config", str(config)])
     pipeline_s = time.perf_counter() - t0
+    row = {"exit": code, "pretrain_lr": lr, "synth_s": synth_s, "pipeline_s": pipeline_s,
+           "stage_s": stage_s, "criterion_5": False, "criterion_6": False}
     if code:
-        return {"exit": code, "pipeline_s": pipeline_s, "stage_s": stage_s}
+        return row
 
-    kv = dict(line.split("=", 1) for line in (run_dir / "report.kv").read_text().split())
-    stats = dict(line.split("=", 1)
-                 for line in (run_dir / "pretrain_stats.kv").read_text().split())
-    curve = (run_dir / "train_curve.txt").read_text().splitlines()
-    best = [line.split("=", 1)[1] for line in curve if line.startswith("# best_epoch=")]
-    return {
-        "exit": 0,
-        "synth_s": synth_s,
-        "pipeline_s": pipeline_s,
-        "stage_s": stage_s,
+    kv = _kv(run_dir / "report.kv")
+    stats = _kv(run_dir / "pretrain_stats.kv")
+    notes = _comments(run_dir / "train_curve.txt")
+    ratio = float(kv["mape"]) / float(kv["baseline_mape"])
+    diverged = notes.get("finetune_diverged_at")
+    lam = notes.get("ridge_lambda")
+    row.update({
         "load_and_prep_s": pipeline_s - sum(stage_s.values()),
-        "mape_ratio": float(kv["mape"]) / float(kv["baseline_mape"]),
+        "mape_ratio": ratio,
         "mape": float(kv["mape"]),
         "baseline_mape": float(kv["baseline_mape"]),
         "mask": (run_dir / "mask.txt").read_text().splitlines()[0],
-        "finetune_best_epoch": int(best[0]) if best else None,
+        "finetune_best_epoch": int(notes["best_epoch"]) if "best_epoch" in notes else None,
+        "finetune_diverged_at": int(diverged) if diverged is not None else None,
+        "ridge_lambda": float(lam) if lam is not None else None,
         "holdout_separation": float(stats.get("holdout_separation", "nan")),
+        "criterion_5": passes_criterion_5(stats),
+        "criterion_6": ratio <= 0.8 and pipeline_s < 600.0,
         "digests": {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                     for p in sorted(run_dir.iterdir()) if p.is_file()},
-    }
+    })
+    return row
 
 
 def machine_facts() -> dict:
@@ -113,8 +154,9 @@ def machine_facts() -> dict:
     return facts
 
 
-def worker(seed: int, work: Path) -> None:
-    print(json.dumps({"seed": seed, **run_seed(seed, work), "machine": machine_facts()}))
+def worker(seed: int, ulps: int, work: Path) -> None:
+    print(json.dumps({"seed": seed, "ulps": ulps, **run_seed(seed, ulps, work),
+                      "machine": machine_facts()}))
 
 
 def _pinned_env(root: Path) -> dict:
@@ -123,43 +165,73 @@ def _pinned_env(root: Path) -> dict:
     return env
 
 
+def _git(root: Path, *args) -> str | None:
+    try:
+        return subprocess.run(["git", "-C", str(root), *args], check=True,
+                              capture_output=True, text=True).stdout
+    except (OSError, subprocess.CalledProcessError):
+        return None
+
+
+def source_id(root: Path) -> dict:
+    """The commit a tree is checked out at, and whether its tracked files differ from it."""
+    commit = _git(root, "rev-parse", "HEAD")
+    status = _git(root, "status", "--porcelain", "--untracked-files=no")
+    return {"commit": commit.strip() if commit else None,
+            "dirty": bool(status.strip()) if status is not None else None}
+
+
 def record(root: Path) -> dict:
     env = _pinned_env(root)
-    seeds, machine = {}, None
+    probe, machine = {}, None
     with tempfile.TemporaryDirectory(prefix="cropyield-bench-") as tmp:
         for seed in SEEDS:
-            out = subprocess.run([sys.executable, str(HERE), "--worker-seed", str(seed),
-                                  "--work", tmp], env=env, check=True, capture_output=True,
-                                 text=True).stdout
-            row = json.loads(out.splitlines()[-1])
-            machine = row.pop("machine")
-            seeds[str(seed)] = row
-            print(f"seed {seed}: pipeline {row['pipeline_s']:.1f} s, "
-                  f"MAPE ratio {row.get('mape_ratio')}", file=sys.stderr)
+            for ulps in range(ULPS + 1):
+                proc = subprocess.run([sys.executable, str(HERE), "--worker-seed", str(seed),
+                                       "--worker-ulps", str(ulps), "--work", tmp], env=env,
+                                      capture_output=True, text=True)
+                lines = proc.stdout.splitlines()
+                if proc.returncode or not lines:
+                    row = {"seed": seed, "ulps": ulps, "exit": proc.returncode,
+                           "criterion_5": False, "criterion_6": False,
+                           "stderr_tail": proc.stderr[-400:]}
+                else:
+                    row = json.loads(lines[-1])
+                    machine = row.pop("machine")
+                probe.setdefault(str(seed), []).append(row)
+                print(f"seed {seed} k={ulps}: exit {row['exit']}, "
+                      f"pipeline {row.get('pipeline_s', math.nan):.1f} s, "
+                      f"MAPE ratio {row.get('mape_ratio')}", file=sys.stderr)
+    rows = [row for runs in probe.values() for row in runs]
+    passes = {c: f"{sum(row[c] for row in rows)}/{len(rows)}"
+              for c in ("criterion_5", "criterion_6")}
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", "pipeline-s2",
                            "--seed", "1", "--seconds", str(PERFBENCH_SECONDS), "--trace", "1"],
                           cwd=root, env=env, check=True, capture_output=True, text=True)
     result = json.loads(proc.stdout.splitlines()[-1])
     summary = json.loads((root / "perfbench/out/trace/pipeline-s2-seed1/summary.json").read_text())
-    return {"root": str(root), "machine": machine, "seeds": seeds,
+    return {**source_id(root), "machine": machine, "ulp_probe": probe, "passes": passes,
             "perfbench_pipeline_s2_trace": {"seconds": PERFBENCH_SECONDS, "result": result,
                                             "summary": summary}}
 
 
 def compare(runs: dict) -> dict:
-    """Per seed, when a parent and a change were recorded: byte identity and times."""
+    """Per seed and k, when a parent and a change were recorded: the run files
+    whose bytes differ, and the times of both."""
     if "parent" not in runs or "change" not in runs:
         return {}
     out = {}
-    for seed, new in runs["change"]["seeds"].items():
-        old = runs["parent"]["seeds"].get(seed)
-        if old is None:
-            continue
-        out[seed] = {
-            "artifacts_identical": old.get("digests") == new.get("digests"),
-            "pipeline_s": [old["pipeline_s"], new["pipeline_s"]],
-            "stage_s": {k: [old["stage_s"].get(k), v] for k, v in new["stage_s"].items()},
-        }
+    for seed, new_rows in runs["change"]["ulp_probe"].items():
+        old_rows = runs["parent"]["ulp_probe"].get(seed, [])
+        for old, new in zip(old_rows, new_rows):
+            a, b = old.get("digests", {}), new.get("digests", {})
+            out[f"{seed}/{new['ulps']}"] = {
+                "files_differing": sorted(n for n in a.keys() | b.keys() if a.get(n) != b.get(n)),
+                "mape_ratio": [old.get("mape_ratio"), new.get("mape_ratio")],
+                "pipeline_s": [old.get("pipeline_s"), new.get("pipeline_s")],
+                "stage_s": {k: [old.get("stage_s", {}).get(k), v]
+                            for k, v in new.get("stage_s", {}).items()},
+            }
     return out
 
 
@@ -171,14 +243,16 @@ def main(argv=None) -> int:
                              "(default: this checkout, recorded as runs.change)")
     parser.add_argument("--out", type=Path, default=Path("BENCH.json"))
     parser.add_argument("--worker-seed", type=int, help=argparse.SUPPRESS)
+    parser.add_argument("--worker-ulps", type=int, default=0, help=argparse.SUPPRESS)
     parser.add_argument("--work", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker_seed is not None:
-        worker(args.worker_seed, args.work)
+        worker(args.worker_seed, args.worker_ulps, args.work)
         return 0
     doc = json.loads(args.out.read_text()) if args.out.exists() else {
-        "what": "acceptance config (S2, 60 plots, 10x10, T=6), full schedule, seeds 1-3; "
-                "times in seconds, one BLAS thread",
+        "what": f"acceptance config (S2, 60 plots, 10x10, T=6), full schedule, seeds 1-3, "
+                f"each at pretrain_lr + k ULPs for k = 0..{ULPS}; times in seconds, "
+                f"one BLAS thread",
         "runs": {}}
     other = [side for side, run in doc["runs"].items()
              if run["perfbench_pipeline_s2_trace"].get("seconds") != PERFBENCH_SECONDS]

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 from .fileio import rng_for
 
 FEATURE_SELECTORS = ("eo", "none")
@@ -117,6 +117,20 @@ def run_eo(dim: int, fitness_fn, config: EoConfig) -> EoResult:
     return EoResult(best_mask=best_mask, best_fitness=best_fitness, history=history)
 
 
+def ridge_solve(x: np.ndarray, y: np.ndarray, lam: float, what: str) -> np.ndarray:
+    """Ridge regression weights [d] (or [d, k]) for the design ``x`` [n, d]
+    and the targets ``y`` [n] (or [n, k]): the solution of
+    (x^T x + lam I') w = x^T y, where I' is the identity without its last
+    diagonal entry, so the last column of ``x``, the intercept, goes
+    unpenalized. Non-finite ``x`` or ``y`` raise NumericalError naming ``what``.
+    """
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise NumericalError(f"{what}: non-finite features or targets")
+    reg = lam * np.eye(x.shape[1])
+    reg[-1, -1] = 0.0
+    return np.linalg.solve(x.T @ x + reg, x.T @ y)
+
+
 def make_probe_fitness(features: np.ndarray, y: np.ndarray, train_idx, val_idx,
                        ridge: float = 1e-2, sparsity_weight: float = 0.01):
     """Fitness for pipeline feature selection: validation MSE of a ridge probe
@@ -130,9 +144,7 @@ def make_probe_fitness(features: np.ndarray, y: np.ndarray, train_idx, val_idx,
         cols = np.flatnonzero(mask)
         x_tr = np.column_stack([features[tr][:, cols], np.ones(len(tr))])
         x_va = np.column_stack([features[va][:, cols], np.ones(len(va))])
-        reg = ridge * np.eye(x_tr.shape[1])
-        reg[-1, -1] = 0.0  # intercept unpenalized
-        w = np.linalg.solve(x_tr.T @ x_tr + reg, x_tr.T @ y[tr])
+        w = ridge_solve(x_tr, y[tr], ridge, "feature-selection probe")
         val_mse = float(np.mean((x_va @ w - y[va]) ** 2))
         return val_mse + sparsity_weight * float(mask.mean())
 

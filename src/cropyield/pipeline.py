@@ -168,35 +168,27 @@ def run_stage_train(run_dir: Path, ds: sd.Dataset, frames, cfg: RunConfig) -> No
     lstm, ssa = _load_encoder(load_checkpoint(run_dir / "pretrain.ckpt"), cfg)
     mask, _ = load_mask(run_dir, 2 * cfg.hidden_channels)
     y = np.array([s.y for s in ds.samples])
-    # warm-up: with the encoder frozen the head is a least-squares problem,
-    # fitted by full-batch descent for train_epochs; it stops short of the
-    # optimum (the best validation epoch is the last on seeds 1-3)
-    result = pr.train_final(
-        frames, lstm, ssa, mask, y, ds.split.train, ds.split.val,
-        rng_for(cfg.seed, "train"), epochs=cfg.train_epochs, lr=cfg.train_lr,
-        batch_size=len(ds.split.train), patience=None, pretrain_batch=cfg.batch_size,
-    )
-    curve = result.curve
+    warm = pr.fit_head(frames, lstm, ssa, mask, y, ds.split.train, ds.split.val,
+                       pretrain_batch=cfg.batch_size)
+    result = warm
     if cfg.finetune_encoder:
-        ft = pr.train_final(
-            frames, result.lstm, result.ssa, mask, y, ds.split.train, ds.split.val,
+        result = pr.train_final(
+            frames, lstm, ssa, mask, y, ds.split.train, ds.split.val,
             rng_for(cfg.seed, "train-finetune"), epochs=cfg.finetune_epochs,
             lr=cfg.finetune_lr, batch_size=cfg.batch_size,
-            patience=cfg.patience or None, finetune_encoder=True, head=result.head,
-            start=curve[-1][1:],  # the warm-up's last row evaluated these parameters
+            patience=cfg.patience or None, head=warm.head,
+            start=warm.curve[0][1:],  # the warm-up's row evaluated these parameters
             pretrain_batch=cfg.batch_size,
         )
-        offset = curve[-1][0]
-        curve = curve + [(offset + e, tr, va) for e, tr, va in ft.curve[1:]]
-        result = ft
     named = {**result.lstm.named(), **result.ssa.named(), **result.head.named(),
              "norm/y_mean": np.array(result.y_mean), "norm/y_std": np.array(result.y_std),
              "mask": mask.astype(np.float64)}
     save_checkpoint(run_dir / "model.ckpt", named)
     with open(run_dir / "train_curve.txt", "w") as fh:
         fh.write("epoch,train_mse,val_mse\n")
-        for epoch, tr, va in curve:
+        for epoch, tr, va in result.curve:
             fh.write(f"{epoch},{tr!r},{va!r}\n")
+        fh.write(f"# ridge_lambda={warm.ridge_lambda!r}\n")
         if result.diverged_at is not None:
             fh.write(f"# finetune_diverged_at={result.diverged_at}\n")
         fh.write(f"# best_epoch={result.best_epoch}\n")
@@ -224,8 +216,7 @@ class YieldModel:
     def predict_frames(self, frames_tchw) -> float:
         with tc.no_grad():
             fused = ct.encode_features(np.asarray(frames_tchw)[None], self.lstm, self.ssa)
-            _, preds = pr.predict_yield(pr.head_columns(tc.take_channels(fused, self.sel)),
-                                        self.head)
+            _, preds = pr.predict_yield(tc.take_channels(fused, self.sel), self.head)
         return self.y_mean + self.y_std * float(preds.data[0])
 
     def predictor_for(self, ds: sd.Dataset, frames):

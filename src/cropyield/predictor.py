@@ -2,8 +2,14 @@
 
 The head is a single 3x3 same-padding convolution over the mask-selected
 feature channels; its spatial mean is the per-plot yield prediction. Yields
-are standardized to zero mean / unit variance on the training split for SGD
-and de-standardized for reporting.
+are standardized to zero mean / unit variance on the training split for
+fitting and de-standardized for reporting.
+
+With the encoder frozen the head's prediction is linear in its parameters:
+the spatial mean of W * F + b is b plus the sum over (c, a, b') of
+W[c, a, b'] times the spatial mean of channel c of the zero-padded map
+shifted by (a, b'). ``fit_head`` solves that ridge regression exactly;
+``train_final`` then fine-tunes head and encoder together by SGD.
 """
 
 from __future__ import annotations
@@ -13,9 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import contrastive as ct
+from . import eo
 from . import tensor as tc
 from .errors import DomainError, NumericalError, ShapeMismatchError
 from .tensor import Tensor
+
+# the head's candidate ridge penalties; its features and targets are O(1)
+RIDGE_GRID = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3)
 
 
 @dataclass
@@ -32,19 +42,43 @@ def init_head(c_sel: int) -> HeadParams:
     return HeadParams(w=tc.param(np.zeros((1, c_sel, 3, 3))), b=tc.param(np.zeros(())))
 
 
-def head_columns(f_opt: Tensor) -> Tensor:
-    """The head's im2col of N plots' selected features [N,C_sel,H,W]."""
-    if f_opt.data.ndim != 4 or f_opt.data.shape[1] < 1:
-        raise DomainError(f"expected non-empty [N,C_sel,H,W] features, got {f_opt.data.shape}")
-    return tc.im2col(f_opt, 3, padding=1)
+def predict_yield(f_sel: Tensor, p: HeadParams):
+    """Yield maps W * F + b [N,1,H,W] of N plots' selected features
+    [N,C_sel,H,W], and the maps' spatial means as the N predictions."""
+    n = f_sel.data.shape[0]
+    (conv,) = tc.conv_items(f_sel, [p.w], padding=1)
+    ymap = conv + tc.reshape(tc.share(p.b, n), (n, 1, 1, 1))
+    return ymap, tc.reshape(tc.global_avg_pool(ymap), (n,))
 
 
-def predict_yield(cols: Tensor, p: HeadParams, items=None):
-    """Yield maps W * F + b [M,1,H,W] of plots from their ``head_columns``,
-    and the maps' spatial means as the M predictions: the M ``items`` of
-    ``cols`` in that order, or all of them."""
-    ymap = tc.bias_add(tc.conv_cols(cols, p.w, items), p.b)
-    return ymap, tc.item_mean(ymap)
+def head_design(feats: np.ndarray) -> np.ndarray:
+    """The head's regression design for N plots' selected features
+    [N,C,H,W]: [N, 9C + 1]. Column (c, a, b) in the order of ``w.ravel()``
+    is the spatial mean of channel c of the zero-padded map shifted by
+    (a, b); the last column, all ones, is the intercept."""
+    n, c, h, w = feats.shape
+    padded = np.pad(feats, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    taps = [padded[..., a:a + h, b:b + w].mean(axis=(-2, -1))
+            for a in range(3) for b in range(3)]
+    return np.column_stack([np.stack(taps, axis=-1).reshape(n, 9 * c), np.ones(n)])
+
+
+def ridge_loo(x: np.ndarray, y: np.ndarray, lam: float):
+    """Ridge weights for the design ``x`` [n, d] (intercept last) and the
+    targets ``y`` [n], and their exact leave-one-out mean squared error.
+
+    Leaving plot i out moves its residual e_i to e_i / (1 - h_ii), where h
+    is the hat matrix x (x^T x + lam I')^-1 x^T (Golub, Heath & Wahba 1979),
+    so one solve gives all n refits. A plot the fit interpolates exactly
+    (h_ii = 1) makes the error infinite.
+    """
+    n = len(y)
+    sol = eo.ridge_solve(x, np.column_stack([y, np.eye(n)]), lam, "head warm-up")
+    w, inv_xt = sol[:, 0], sol[:, 1:]  # (x^T x + lam I')^-1 x^T, [d, n]
+    hat = np.einsum("ij,ji->i", x, inv_xt)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        err = float(np.mean(((y - x @ w) / (1.0 - hat)) ** 2))
+    return w, err if np.isfinite(err) else np.inf
 
 
 def mse_loss(y: Tensor, y_pred: Tensor) -> Tensor:
@@ -68,72 +102,97 @@ class TrainResult:
     curve: list  # (epoch, train_mse, val_mse) in standardized units; epoch 0 = init
     best_epoch: int
     diverged_at: int | None = None  # fine-tune epoch whose loss went non-finite
+    ridge_lambda: float | None = None  # the warm-up's chosen penalty
+
+
+def _selection(mask) -> np.ndarray:
+    sel = np.flatnonzero(np.asarray(mask, dtype=bool))
+    if sel.size == 0:
+        raise DomainError("feature mask selects no channels")
+    return sel
+
+
+def _standardized(y, train_idx):
+    """Mean and standard deviation of the train yields (1.0 for a constant
+    split), and every yield in those units."""
+    y = np.asarray(y, dtype=np.float64)
+    y_mean = float(np.mean(y[train_idx]))
+    y_std = float(np.std(y[train_idx])) or 1.0
+    return y_mean, y_std, (y - y_mean) / y_std
+
+
+def _features(frames_by_sample, idx, lstm_p, ssa_p, sel, pretrain_batch) -> np.ndarray:
+    """Forward-only selected encoder features [N,C_sel,H,W] of the plots ``idx``."""
+    feats = ct.encode_chunks([frames_by_sample[i] for i in idx], lstm_p, ssa_p, pretrain_batch)
+    return np.take(feats, sel, axis=1)
+
+
+def _split_mses(feats, head: HeadParams, y_known, n_train: int):
+    """Train and validation MSE of the head on the features of the train
+    plots followed by the validation plots, from one forward pass."""
+    with tc.no_grad():
+        preds = predict_yield(Tensor(feats), head)[1].data
+    err = (preds - y_known) ** 2
+    return float(np.mean(err[:n_train])), float(np.mean(err[n_train:]))
+
+
+def fit_head(frames_by_sample, lstm_p, ssa_p, mask, y, train_idx, val_idx, *,
+             pretrain_batch: int) -> TrainResult:
+    """The head warm-up: ridge regression of the standardized train yields
+    on the frozen encoder's features (``head_design``), with the penalty
+    from ``RIDGE_GRID`` whose leave-one-out error over the train plots is
+    least (the first on a tie). The validation plots play no part in the
+    fit. The result's curve is one row, epoch 0; ``pretrain_batch`` bounds
+    each forward-only encoder pass (``contrastive.encode_chunks``).
+    """
+    sel = _selection(mask)
+    y_mean, y_std, y_star = _standardized(y, train_idx)
+    known = list(train_idx) + list(val_idx)
+    n_train = len(train_idx)
+    feats = _features(frames_by_sample, known, lstm_p, ssa_p, sel, pretrain_batch)
+    x, target = head_design(feats[:n_train]), y_star[known[:n_train]]
+    fits = [ridge_loo(x, target, lam) for lam in RIDGE_GRID]
+    best = int(np.argmin([err for _, err in fits]))
+    if not np.isfinite(fits[best][1]):
+        raise NumericalError("head warm-up: no ridge penalty gives a finite leave-one-out error")
+    w = fits[best][0]
+    head = HeadParams(w=tc.param(w[:-1].reshape(1, sel.size, 3, 3)), b=tc.param(w[-1]))
+    row = _split_mses(feats, head, y_star[known], n_train)
+    return TrainResult(head=head, lstm=lstm_p, ssa=ssa_p, y_mean=y_mean, y_std=y_std,
+                       curve=[(0, *row)], best_epoch=0, ridge_lambda=RIDGE_GRID[best])
 
 
 def train_final(frames_by_sample, lstm_p, ssa_p, mask, y, train_idx, val_idx, rng,
                 epochs: int = 80, lr: float = 0.05, batch_size: int = 8,
-                patience: int | None = 5, finetune_encoder: bool = False,
-                head: HeadParams | None = None, start: tuple | None = None, *,
-                pretrain_batch: int) -> TrainResult:
-    """SGD on the prediction MSE over the train split.
+                patience: int | None = 5, head: HeadParams | None = None,
+                start: tuple | None = None, *, pretrain_batch: int) -> TrainResult:
+    """The fine-tune: SGD on the prediction MSE over the train split, of the
+    head (zeros unless given) and the encoder together.
 
-    The head always trains; the encoder joins in when ``finetune_encoder``.
     Early stopping restores the parameters of the best validation epoch;
-    ``patience=None`` disables it. A non-finite minibatch loss raises
-    NumericalError, except in the fine-tune: there it ends training at that
-    epoch (``diverged_at``) and the best validation epoch is restored.
-    ``start`` is the (train MSE, val MSE) of the parameters as given, when
-    the caller has already evaluated them (the warm-up's last curve row);
+    ``patience=None`` disables it. A non-finite minibatch loss ends training
+    at that epoch (``diverged_at``) and the best validation epoch is
+    restored. ``start`` is the (train MSE, val MSE) of the parameters as
+    given, when the caller has already evaluated them (``fit_head``'s row);
     otherwise epoch 0 evaluates them. ``pretrain_batch`` is the pretraining
     minibatch size, which bounds each forward-only encoder pass
     (``contrastive.encode_chunks``).
     """
-    mask = np.asarray(mask, dtype=bool)
-    sel = np.flatnonzero(mask)
-    if sel.size == 0:
-        raise DomainError("feature mask selects no channels")
-    y = np.asarray(y, dtype=np.float64)
-    y_mean = float(np.mean(y[train_idx]))
-    y_std = float(np.std(y[train_idx]))
-    if y_std == 0.0:
-        y_std = 1.0
-    y_star = (y - y_mean) / y_std
-
+    sel = _selection(mask)
+    y_mean, y_std, y_star = _standardized(y, train_idx)
     if head is None:
         head = init_head(sel.size)
-    params = list(head.parameters())
-    if finetune_encoder:
-        params += lstm_p.parameters() + ssa_p.parameters()
-
+    params = head.parameters() + lstm_p.parameters() + ssa_p.parameters()
     train_list = list(train_idx)
     known = train_list + list(val_idx)  # the order of the evaluation pass
 
-    def known_columns():
-        """The head's im2col of every train and validation plot, forward only."""
-        with tc.no_grad():
-            feats = ct.encode_chunks([frames_by_sample[i] for i in known], lstm_p, ssa_p,
-                                     pretrain_batch)
-            return head_columns(Tensor(np.take(feats, sel, axis=1)))
-
-    if finetune_encoder:
-        def predict(idx):
-            feats = ct.encode_features(np.stack([frames_by_sample[i] for i in idx]), lstm_p, ssa_p)
-            return predict_yield(head_columns(tc.take_channels(feats, sel)), head)[1]
-    else:
-        # the encoder is frozen: build the head's im2col of every plot once;
-        # a chunk picks its rows by index, so the columns are never copied
-        frozen = known_columns()
-        row = {i: r for r, i in enumerate(known)}
-
-        def predict(idx):
-            return predict_yield(frozen, head, [row[i] for i in idx])[1]
+    def predict(idx):
+        feats = ct.encode_features(np.stack([frames_by_sample[i] for i in idx]), lstm_p, ssa_p)
+        return predict_yield(tc.take_channels(feats, sel), head)[1]
 
     def split_mses():
-        """Train and validation MSE, from one forward pass over both splits."""
-        with tc.no_grad():
-            preds = predict_yield(known_columns() if finetune_encoder else frozen, head)[1].data
-        err = (preds - y_star[known]) ** 2
-        return float(np.mean(err[:len(train_list)])), float(np.mean(err[len(train_list):]))
+        feats = _features(frames_by_sample, known, lstm_p, ssa_p, sel, pretrain_batch)
+        return _split_mses(feats, head, y_star[known], len(train_list))
 
     def snapshot():
         return [p.data.copy() for p in params]
@@ -154,10 +213,8 @@ def train_final(frames_by_sample, lstm_p, ssa_p, mask, y, train_idx, val_idx, rn
     for epoch in range(1, epochs + 1):
         try:
             for batch in tc.minibatches(train_list, batch_size, rng):
-                tc.sgd_step(params, lambda: batch_mse(batch), lr, "final training")
+                tc.sgd_step(params, lambda: batch_mse(batch), lr, "fine-tune")
         except NumericalError:
-            if not finetune_encoder:
-                raise
             diverged_at = epoch  # the fine-tune ends; the best snapshot is restored below
             break
         tr, va = split_mses()

@@ -19,9 +19,9 @@ which contributions are accumulated into a gradient, and the layout of a
 gradient's first buffer. ``tests/test_tensor.py`` checks ``conv_items``,
 ``sigmoid`` and gradient accumulation against those reference forms.
 
-The item axis. ``conv_items``, ``im2col``, ``conv_cols``, ``bias_add``,
-``item_mean``, ``matmul`` with a 2-D right operand, and every elementwise op
-on [N, ...] arrays let N independent items (plots, augmented views) go
+The item axis. ``conv_items``, ``share``, ``global_avg_pool`` and
+``softmax1d`` on [N, ...] arrays, ``matmul`` with a 2-D right operand, and
+every elementwise op let N independent items (plots, augmented views) go
 through one graph. Item n's outputs are bit-identical to those of the same
 computation on item n alone, and so is its gradient: one BLAS call is made
 per item (a stacked ``np.matmul``, never one GEMM over all items' rows),
@@ -698,89 +698,6 @@ def _conv_items_bw(x, kern, cols, kmat, plan, n):
             _acc(x, _col2im(np.matmul(gmat.transpose(0, 2, 1), kmat), plan, n))
 
     return bw
-
-
-def im2col(x: Tensor, k: int, padding: int = 0, dilation: int = 1) -> Tensor:
-    """The im2col of N maps [N,C,H,W] for k x k kernels: [N,H',W',C k k].
-
-    Item n's block is the C-contiguous matrix ``conv_items`` builds for map
-    n when k > 1 (row (i, j), column (c, a, b)), from one gather of the same
-    flat index table over the N padded maps. ``conv_cols`` applies kernels
-    to the result; the gradient scatters back through the same col2im.
-    """
-    xd = x.data
-    if xd.ndim != 4:
-        raise ShapeMismatchError(f"im2col expects [N,C,H,W] maps, got shape {xd.shape}")
-    n = xd.shape[0]
-    plan = _conv_plan(xd.shape[1:], (1, xd.shape[1], k, k), padding, dilation)
-    cols = _gather(_pad(xd, plan.padded, padding), plan.gather)
-
-    def bw(g):
-        _acc(x, _col2im(g, plan, n))
-
-    return _node(cols.reshape(n, plan.h_out, plan.w_out, -1), (x,), bw)
-
-
-def conv_cols(cols: Tensor, kernels: Tensor, items=None) -> Tensor:
-    """[C_out,C_in,k,k] kernels applied to the im2col [N,H',W',C_in k k] of N
-    maps: [M,C_out,H',W'] for the M distinct ``items`` (indices into N, in
-    output order; default all N in order). The result and the order in which
-    kernel gradients add up are those of ``cols[items]``, without copying
-    the columns: every item is multiplied and the others are dropped. One
-    stacked ``np.matmul``: a GEMV per item for C_out = 1, a GEMM otherwise.
-    For k > 1 the result equals ``conv_items``; a 1x1 ``conv_items``
-    multiplies a transposed view, whose rounding may differ."""
-    cd, kd = cols.data, kernels.data
-    n, h_out, w_out, depth = cd.shape
-    c_out = kd.shape[0]
-    if kd.ndim != 4 or kd[0].size != depth:
-        raise ShapeMismatchError(
-            f"kernels {kd.shape} do not match im2col columns of depth {depth}")
-    rows = np.arange(n) if items is None else np.asarray(items, dtype=np.intp)
-    m = rows.size
-    cmat = cd.reshape(n, h_out * w_out, depth)
-    kmat = kd.reshape(c_out, depth)
-    out_data = np.matmul(cmat, kmat.T)[rows].transpose(0, 2, 1).reshape(m, c_out, h_out, w_out)
-
-    def bw(g):
-        # g is laid out as out_data, an [M, H'W', C_out] array seen transposed, like
-        # conv_items' output: the GEMM rounds by its operand's layout, so the zeros
-        # for the dropped items keep that layout
-        full = np.zeros((n, h_out * w_out, c_out))
-        full[rows] = g.reshape(m, c_out, h_out * w_out).transpose(0, 2, 1)
-        gmat = full.transpose(0, 2, 1)
-        if kernels.requires_grad:
-            _acc_items(kernels, np.matmul(gmat, cmat)[rows].reshape((m,) + kd.shape))
-        if cols.requires_grad:
-            _acc(cols, np.matmul(gmat.transpose(0, 2, 1), kmat).reshape(cd.shape))
-
-    return _node(out_data, (cols, kernels), bw)
-
-
-def bias_add(a: Tensor, b: Tensor) -> Tensor:
-    """N items [N,...] plus a shared scalar bias; the bias gradient sums each
-    item's gradient first, then adds the items in order."""
-    if b.data.ndim != 0:
-        raise ShapeMismatchError(f"bias_add needs a scalar bias, got shape {b.data.shape}")
-    n = a.data.shape[0]
-
-    def bw(g):
-        _acc(a, g)
-        _acc_items(b, g.reshape(n, -1).sum(axis=1))
-
-    return _node(a.data + b.data, (a, b), bw)
-
-
-def item_mean(a: Tensor) -> Tensor:
-    """Mean over all but the leading item axis of a C-contiguous [N,...]: [N]."""
-    n = a.data.shape[0]
-    size = a.data[0].size
-
-    def bw(g):
-        _acc(a, np.broadcast_to((g / size).reshape((n,) + (1,) * (a.data.ndim - 1)),
-                                a.data.shape))
-
-    return _node(a.data.reshape(n, size).sum(axis=1) / size, (a,), bw)  # tmean per item
 
 
 def global_avg_pool(x: Tensor) -> Tensor:

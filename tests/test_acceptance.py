@@ -117,7 +117,7 @@ def test_criterion_1_gradient_suite():
     target = Tensor(np.array([0.7]))
 
     def head_loss(_t):
-        _, scalar = pr.predict_yield(pr.head_columns(Tensor(feats)), head)
+        _, scalar = pr.predict_yield(Tensor(feats), head)
         return pr.mse_loss(target, scalar)
 
     worst["predict_yield"] = max(tc.grad_check(head_loss, t) for t in (head.w, head.b))

@@ -340,11 +340,11 @@ class TestPipelineCommand:
         assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
 
     def test_numpy_warnings_stay_off_stderr(self, tmp_path):
-        # a run whose head overflows: only the typed line may reach stderr
+        # a run whose denoiser overflows: only the typed line may reach stderr
         data = tmp_path / "s2.mtms"
         cfg = tmp_path / "overflow.cfg"
-        cfg.write_text("denoiser_epochs=1\npretrain_epochs=1\neo_iters=2\ntrain_epochs=5\n"
-                       "train_lr=1e200\nfinetune_epochs=1\n")
+        cfg.write_text("denoiser_epochs=1\npretrain_epochs=1\neo_iters=2\n"
+                       "denoiser_lr=1e300\nfinetune_epochs=1\n")
         env = {**os.environ, "PYTHONPATH": str(Path(cropyield.__file__).parents[1])}
         cli = [sys.executable, "-m", "cropyield.cli"]
         subprocess.run(cli + ["synth", "--source", "S2", "--plots", "20", "--seed", "3",
@@ -353,7 +353,7 @@ class TestPipelineCommand:
                                     "--config", str(cfg), "--seed", "3"],
                              env=env, capture_output=True, text=True)
         assert run.returncode == 4
-        assert run.stderr.startswith("numerical failure: final training diverged")
+        assert run.stderr.startswith("numerical failure: denoiser training diverged")
         assert run.stderr.count("\n") == 1 and run.stderr.endswith("\n"), run.stderr
 
     def test_config_snapshot_written_verbatim(self, tiny_dataset, fast_config, tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from cropyield import attention as at
 from cropyield import contrastive as ct
 from cropyield import convlstm as cl
+from cropyield import eo
 from cropyield import predictor as pr
 from cropyield import tensor as tc
 from cropyield.config import RunConfig
@@ -19,7 +20,7 @@ class TestPredictYield:
         head = pr.init_head(3)
         head.b.data[()] = 2.0
         f = Tensor(np.random.default_rng(0).normal(size=(1, 3, 6, 6)))
-        ymap, scalar = pr.predict_yield(pr.head_columns(f), head)
+        ymap, scalar = pr.predict_yield(f, head)
         np.testing.assert_allclose(ymap.data, 2.0)
         assert abs(scalar.data[0] - 2.0) < 1e-12
 
@@ -27,16 +28,16 @@ class TestPredictYield:
         head = pr.init_head(2)
         head.w.data[:] = np.random.default_rng(1).normal(size=head.w.data.shape)
         f = Tensor(np.random.default_rng(2).normal(size=(1, 2, 7, 5)))
-        ymap, _ = pr.predict_yield(pr.head_columns(f), head)
+        ymap, _ = pr.predict_yield(f, head)
         assert ymap.data[0].shape == (1, 7, 5)
 
     def test_bias_translation_equivariance(self):
         head = pr.init_head(2)
         head.w.data[:] = np.random.default_rng(3).normal(size=head.w.data.shape)
-        cols = pr.head_columns(Tensor(np.random.default_rng(4).normal(size=(1, 2, 6, 6))))
-        map0, s0 = pr.predict_yield(cols, head)
+        f = Tensor(np.random.default_rng(4).normal(size=(1, 2, 6, 6)))
+        map0, s0 = pr.predict_yield(f, head)
         head.b.data[()] = 1.3
-        map1, s1 = pr.predict_yield(cols, head)
+        map1, s1 = pr.predict_yield(f, head)
         np.testing.assert_allclose(map1.data, map0.data + 1.3, atol=1e-12)
         assert abs(s1.data[0] - (s0.data[0] + 1.3)) < 1e-12
 
@@ -49,7 +50,7 @@ class TestPredictYield:
         target = Tensor(np.array([0.7]))
 
         def loss(_t):
-            _, scalar = pr.predict_yield(pr.head_columns(Tensor(f)), head)
+            _, scalar = pr.predict_yield(Tensor(f), head)
             return pr.mse_loss(target, scalar)
 
         assert tc.grad_check(loss, head.w) < 1e-4
@@ -92,6 +93,64 @@ def tiny_encoder_setup(n=14, t=4, c=3, hw=8, seed=0):
     return lstm, ssa, frames, y
 
 
+class TestHeadWarmup:
+    def test_closed_form_loo_equals_explicit_refits(self):
+        rng = np.random.default_rng(7)
+        n, d = 12, 6
+        x = np.column_stack([rng.normal(size=(n, d)), np.ones(n)])
+        y = x[:, :d] @ rng.normal(size=d) + 0.3 * rng.normal(size=n)
+        for lam in (1e-4, 0.1, 10.0):
+            w, err = pr.ridge_loo(x, y, lam)
+            np.testing.assert_allclose(w, eo.ridge_solve(x, y, lam, "test"), rtol=1e-10)
+            resid = []
+            for i in range(n):
+                keep = np.arange(n) != i
+                w_i = eo.ridge_solve(x[keep], y[keep], lam, "test")
+                resid.append(y[i] - x[i] @ w_i)
+            assert err == pytest.approx(float(np.mean(np.square(resid))), rel=1e-9)
+
+    def test_fitted_head_predicts_its_design_matrix(self):
+        lstm, ssa, frames, y = tiny_encoder_setup(seed=4)
+        mask = np.array([1, 0, 1, 1, 0, 1, 1, 0], dtype=bool)
+        warm = pr.fit_head(frames, lstm, ssa, mask, y, range(10), range(10, 14),
+                           pretrain_batch=2)
+        assert warm.ridge_lambda in pr.RIDGE_GRID
+        assert warm.head.w.shape == (1, 5, 3, 3) and warm.head.b.shape == ()
+        feats = ct.encode_chunks(frames, lstm, ssa, 2)[:, mask]
+        x = pr.head_design(feats)
+        w = np.append(warm.head.w.data.ravel(), warm.head.b.data)
+        with tc.no_grad():
+            preds = pr.predict_yield(Tensor(feats), warm.head)[1].data
+        np.testing.assert_allclose(preds, x @ w, rtol=0, atol=1e-12)
+        # the warm-up's one curve row holds the train and validation MSE of those predictions
+        y_star = (y - warm.y_mean) / warm.y_std
+        err = (preds - y_star) ** 2
+        assert warm.curve == [(0, float(np.mean(err[:10])), float(np.mean(err[10:])))]
+        # the penalty is the grid's least leave-one-out error over the train plots
+        errs = [pr.ridge_loo(x[:10], y_star[:10], lam)[1] for lam in pr.RIDGE_GRID]
+        assert warm.ridge_lambda == pr.RIDGE_GRID[int(np.argmin(errs))]
+
+    def test_validation_yields_do_not_move_the_fit(self):
+        lstm, ssa, frames, y = tiny_encoder_setup(seed=4)
+        heads = []
+        for y_val in (y[10:], y[10:] * 3.0):
+            warm = pr.fit_head(frames, lstm, ssa, np.ones(8, bool), np.append(y[:10], y_val),
+                               range(10), range(10, 14), pretrain_batch=2)
+            heads.append(warm)
+        assert heads[0].head.named().keys() == heads[1].head.named().keys()
+        for name, a in heads[0].head.named().items():
+            assert a.tobytes() == heads[1].head.named()[name].tobytes()
+        assert heads[0].curve[0][1] == heads[1].curve[0][1]
+        assert heads[0].curve[0][2] != heads[1].curve[0][2]
+
+    @pytest.mark.parametrize("where", ["features", "targets"])
+    def test_ridge_rejects_non_finite_input(self, where):
+        x, y = np.ones((4, 3)), np.arange(4.0)
+        (x if where == "features" else y)[1] = np.nan
+        with pytest.raises(NumericalError, match="^probe: non-finite"):
+            eo.ridge_solve(x, y, 0.1, "probe")
+
+
 class TestTrainFinal:
     def test_early_stopping_bookkeeping(self):
         lstm, ssa, frames, y = tiny_encoder_setup(seed=2)
@@ -106,18 +165,16 @@ class TestTrainFinal:
 
     def test_learns_signal_better_than_mean(self):
         lstm, ssa, frames, y = tiny_encoder_setup(seed=4)
+        warm = pr.fit_head(frames, lstm, ssa, np.ones(8, bool), y, range(10), range(10, 14),
+                           pretrain_batch=2)
         res = pr.train_final(
             frames, lstm, ssa, np.ones(8, bool), y, train_idx=range(10),
-            val_idx=range(10, 14), rng=np.random.default_rng(5), epochs=60, lr=0.05,
-            pretrain_batch=2,
+            val_idx=range(10, 14), rng=np.random.default_rng(5), epochs=10, lr=0.05,
+            head=warm.head, pretrain_batch=2,
         )
-        import cropyield.contrastive as ct
-        preds = []
-        for i in range(10, 14):
-            feats = ct.encode_features(frames[i][None], res.lstm, res.ssa).data[:, np.flatnonzero(np.ones(8, bool))]
-            _, s = pr.predict_yield(pr.head_columns(Tensor(feats)), res.head)
-            preds.append(res.y_mean + res.y_std * s.data[0])
-        preds = np.array(preds)
+        feats = ct.encode_chunks([frames[i] for i in range(10, 14)], res.lstm, res.ssa, 2)
+        with tc.no_grad():
+            preds = res.y_mean + res.y_std * pr.predict_yield(Tensor(feats), res.head)[1].data
         mean_pred_err = np.mean((y[10:14] - np.mean(y[:10])) ** 2)
         model_err = np.mean((y[10:14] - preds) ** 2)
         assert model_err < mean_pred_err
@@ -127,14 +184,21 @@ class TestTrainFinal:
         with pytest.raises(DomainError):
             pr.train_final(frames, lstm, ssa, np.zeros(8, bool), y, range(10),
                            range(10, 14), np.random.default_rng(0), pretrain_batch=2)
+        with pytest.raises(DomainError):
+            pr.fit_head(frames, lstm, ssa, np.zeros(8, bool), y, range(10), range(10, 14),
+                        pretrain_batch=2)
 
     def test_warmup_raise_names_its_stage(self):
         lstm, ssa, frames, y = tiny_encoder_setup(seed=2)
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(NumericalError, match="^final training diverged"):
-            pr.train_final(frames, lstm, ssa, np.ones(8, bool), y, range(10), range(10, 14),
-                           np.random.default_rng(3), epochs=40, lr=1e6, patience=None,
-                           pretrain_batch=2)
+        bad_y = y.copy()
+        bad_y[3] = np.inf
+        bad_frames = [f.copy() for f in frames]
+        bad_frames[3][0, 0, 0, 0] = np.nan
+        for f, t in ((frames, bad_y), (bad_frames, y)):
+            with np.errstate(invalid="ignore"), \
+                    pytest.raises(NumericalError, match="^head warm-up: non-finite"):
+                pr.fit_head(f, lstm, ssa, np.ones(8, bool), t, range(10), range(10, 14),
+                            pretrain_batch=2)
 
     def test_finetune_divergence_ends_the_finetune_and_restores_the_best_epoch(self):
         # lr=1.0 improves the validation error until epoch 6, then blows up;
@@ -143,8 +207,7 @@ class TestTrainFinal:
         with np.errstate(over="ignore", invalid="ignore"):
             res = pr.train_final(frames, lstm, ssa, np.ones(8, bool), y, range(10),
                                  range(10, 14), np.random.default_rng(3), epochs=40, lr=1.0,
-                                 batch_size=4, patience=None, finetune_encoder=True,
-                                 pretrain_batch=2)
+                                 batch_size=4, patience=None, pretrain_batch=2)
         assert res.diverged_at == 13
         assert [e for e, _, _ in res.curve] == list(range(13))
         assert np.all(np.isfinite(res.curve))
@@ -153,8 +216,9 @@ class TestTrainFinal:
         # the returned parameters are those of the best epoch, not the last
         y_star = (y - res.y_mean) / res.y_std
         with tc.no_grad():
-            preds = pr.predict_yield(pr.head_columns(Tensor(np.concatenate([ct.encode_features(
-                frames[i][None], res.lstm, res.ssa).data for i in range(10, 14)]))), res.head)[1].data
+            feats = np.concatenate([ct.encode_features(frames[i][None], res.lstm, res.ssa).data
+                                    for i in range(10, 14)])
+            preds = pr.predict_yield(Tensor(feats), res.head)[1].data
         assert float(np.mean((preds - y_star[10:14]) ** 2)) == val[6]
         for p in res.lstm.parameters() + res.ssa.parameters() + res.head.parameters():
             assert np.all(np.isfinite(p.data))
@@ -167,31 +231,20 @@ def _conv(x, kernels, padding=0, dilation=1):
 
 
 def _per_plot_train_final(frames, lstm_p, ssa_p, mask, y, train_idx, val_idx, rng, epochs,
-                          lr, batch_size, patience, finetune_encoder=False, head=None,
-                          pretrain_batch=None):
-    """``train_final`` as it was before the item axis: one convolution graph per
-    plot, the predictions concatenated per minibatch (so ``pretrain_batch``,
-    which bounds the batched forward passes, has no counterpart)."""
+                          lr, batch_size, patience, head=None, pretrain_batch=None):
+    """The fine-tune as a per-plot loop: one encoder and head graph per plot,
+    the predictions concatenated per minibatch (so ``pretrain_batch``, which
+    bounds the batched forward passes, has no counterpart)."""
     sel = np.flatnonzero(mask)
     y = np.asarray(y, dtype=np.float64)
     y_mean, y_std = float(np.mean(y[train_idx])), float(np.std(y[train_idx])) or 1.0
     y_star = (y - y_mean) / y_std
     head = pr.init_head(sel.size) if head is None else head
-    params = list(head.parameters())
-    if finetune_encoder:
-        params += lstm_p.parameters() + ssa_p.parameters()
-    cache = {}
-
-    def features_of(i):
-        if finetune_encoder:
-            return tc.take_channels(ct.encode_features(frames[i][None], lstm_p, ssa_p)[0], sel)
-        if i not in cache:
-            with tc.no_grad():
-                cache[i] = ct.encode_features(frames[i][None], lstm_p, ssa_p).data[0, sel]
-        return Tensor(cache[i])
+    params = head.parameters() + lstm_p.parameters() + ssa_p.parameters()
 
     def predict(i):
-        return (_conv(features_of(i), head.w, padding=1) + head.b).mean()
+        feats = tc.take_channels(ct.encode_features(frames[i][None], lstm_p, ssa_p)[0], sel)
+        return (_conv(feats, head.w, padding=1) + head.b).mean()
 
     def split_mse(idx):
         with tc.no_grad():
@@ -209,10 +262,8 @@ def _per_plot_train_final(frames, lstm_p, ssa_p, mask, y, train_idx, val_idx, rn
     for epoch in range(1, epochs + 1):
         try:
             for chunk in tc.minibatches(train_list, batch_size, rng):
-                tc.sgd_step(params, lambda: batch_mse(chunk), lr, "final training")
+                tc.sgd_step(params, lambda: batch_mse(chunk), lr, "fine-tune")
         except NumericalError:
-            if not finetune_encoder:
-                raise
             diverged_at = epoch
             break
         tr, va = split_mse(train_list), split_mse(val_list)
@@ -242,7 +293,8 @@ def _assert_same_training(ref, got):
 
 
 class TestBatchedHeadTraining:
-    """``train_final`` on the item axis against the per-plot loop it replaces."""
+    """The fine-tune on the item axis against the per-plot loop it replaces,
+    from the warm-up's closed-form head."""
 
     MASK = np.array([1, 0, 1, 1, 0, 1, 1, 0], dtype=bool)
 
@@ -250,48 +302,39 @@ class TestBatchedHeadTraining:
         runs = []
         for fn in (_per_plot_train_final, pr.train_final):
             lstm, ssa, frames, y = tiny_encoder_setup(seed=seed)
+            warm = pr.fit_head(frames, lstm, ssa, self.MASK, y, range(10), range(10, 14),
+                               pretrain_batch=2)
             runs.append(fn(frames, lstm, ssa, self.MASK, y, range(10), range(10, 14),
-                           np.random.default_rng(seed + 1), pretrain_batch=2, **kw))
+                           np.random.default_rng(seed + 1), head=warm.head, pretrain_batch=2,
+                           **kw))
         return runs
 
-    def test_full_batch_warmup(self):
-        ref, got = self._both(4, epochs=30, lr=1.0, batch_size=10, patience=None)
-        assert ref.best_epoch == 30
+    def test_full_batch_finetune(self):
+        ref, got = self._both(4, epochs=3, lr=0.05, batch_size=10, patience=None)
+        assert [e for e, _, _ in ref.curve] == [0, 1, 2, 3]
         _assert_same_training(ref, got)
 
-    def test_minibatch_warmup_with_a_short_last_chunk(self):
+    def test_minibatch_finetune_with_a_short_last_chunk(self):
         # 10 train plots in chunks of 8 and 2
-        ref, got = self._both(4, epochs=12, lr=0.5, batch_size=8, patience=3)
+        ref, got = self._both(4, epochs=4, lr=0.5, batch_size=8, patience=1)
         _assert_same_training(ref, got)
 
     def test_finetune(self):
-        runs = []
-        for fn in (_per_plot_train_final, pr.train_final):
-            lstm, ssa, frames, y = tiny_encoder_setup(seed=6)
-            warm = fn(frames, lstm, ssa, self.MASK, y, range(10), range(10, 14),
-                      np.random.default_rng(7), epochs=5, lr=0.05, batch_size=10, patience=None,
-                      pretrain_batch=2)
-            runs.append(fn(frames, warm.lstm, warm.ssa, self.MASK, y, range(10), range(10, 14),
-                           np.random.default_rng(8), epochs=2, lr=0.05, batch_size=4,
-                           patience=None, finetune_encoder=True, head=warm.head,
-                           pretrain_batch=2))
-        _assert_same_training(*runs)
+        _assert_same_training(*self._both(6, epochs=2, lr=0.05, batch_size=4, patience=None))
 
     def test_finetune_starts_where_the_warmup_ends(self):
-        # the warm-up's last row already evaluates the parameters the fine-tune
+        # the warm-up's row already evaluates the parameters the fine-tune
         # starts from, so passing it in as epoch 0 changes no bit
         runs = []
         for given in (False, True):
             lstm, ssa, frames, y = tiny_encoder_setup(seed=6)
-            warm = pr.train_final(frames, lstm, ssa, self.MASK, y, range(10), range(10, 14),
-                                  np.random.default_rng(7), epochs=5, lr=0.05, batch_size=10,
-                                  patience=None, pretrain_batch=2)
-            ft = pr.train_final(frames, warm.lstm, warm.ssa, self.MASK, y, range(10),
-                                range(10, 14), np.random.default_rng(8), epochs=2, lr=0.05,
-                                batch_size=4, patience=None, finetune_encoder=True,
-                                head=warm.head, pretrain_batch=2,
-                                **({"start": warm.curve[-1][1:]} if given else {}))
-            assert repr(ft.curve[0][1:]) == repr(warm.curve[-1][1:])
+            warm = pr.fit_head(frames, lstm, ssa, self.MASK, y, range(10), range(10, 14),
+                               pretrain_batch=2)
+            ft = pr.train_final(frames, lstm, ssa, self.MASK, y, range(10), range(10, 14),
+                                np.random.default_rng(8), epochs=2, lr=0.05, batch_size=4,
+                                patience=None, head=warm.head, pretrain_batch=2,
+                                **({"start": warm.curve[0][1:]} if given else {}))
+            assert repr(ft.curve[0][1:]) == repr(warm.curve[0][1:])
             runs.append(ft)
         _assert_same_training(*runs)
 
@@ -302,7 +345,7 @@ class TestBatchedHeadTraining:
             with np.errstate(over="ignore", invalid="ignore"):
                 runs.append(fn(frames, lstm, ssa, np.ones(8, bool), y, range(10), range(10, 14),
                                np.random.default_rng(3), epochs=15, lr=1.0, batch_size=4,
-                               patience=None, finetune_encoder=True, pretrain_batch=2))
+                               patience=None, pretrain_batch=2))
         assert runs[0].diverged_at == 13
         _assert_same_training(*runs)
 
@@ -332,8 +375,7 @@ class TestForwardOnlyPrediction:
 
         def recorded():  # the same pass with the graph kept alive until it returns
             fused = ct.encode_features(frames[None], lstm, ssa)
-            _, scalar = pr.predict_yield(pr.head_columns(Tensor(fused.data[:, model.sel])),
-                                         head)
+            _, scalar = pr.predict_yield(Tensor(fused.data[:, model.sel]), head)
             assert fused._bw is not None and scalar._bw is not None
             return model.y_mean + model.y_std * float(scalar.data[0])
 

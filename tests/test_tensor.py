@@ -305,8 +305,9 @@ def _batched_head(feats, w, b, y, order, x_grad):
     wt, bt = param(np.array(w)), param(np.array(b))
     xs = [Tensor(np.array(f), requires_grad=x_grad) for f in feats]
     x = tc.concat([tc.reshape(xs[i], (1,) + xs[i].shape) for i in order], axis=0)
-    ymap = tc.bias_add(tc.conv_cols(tc.im2col(x, 3, padding=1), wt), bt)
-    vec = tc.item_mean(ymap)
+    n = len(order)
+    (conv,) = tc.conv_items(x, [wt], padding=1)
+    vec = tc.reshape(tc.global_avg_pool(conv + tc.reshape(tc.share(bt, n), (n, 1, 1, 1))), (n,))
     diff = Tensor(y[order]) - vec
     loss = (diff * diff).mean()
     loss.backward()
@@ -415,62 +416,6 @@ class TestBitExact:
         for a, g in zip(ref[:4], got[:4]):
             assert np.array_equal(_bits(a), _bits(g))
 
-    @pytest.mark.parametrize("c_out", [1, 8])
-    @pytest.mark.parametrize("k,padding,dilation", [(3, 1, 1), (3, 0, 1), (3, 2, 2), (5, 2, 1)])
-    def test_conv_cols_matches_conv2d_per_item(self, c_out, k, padding, dilation):
-        rng = np.random.default_rng([c_out, k, padding, dilation])
-        n, c_in = 4, 3
-        xd = rng.normal(size=(n, c_in, 10, 9))
-        kd = rng.normal(size=(c_out, c_in, k, k))
-        kern = param(np.array(kd))
-        xs = [Tensor(np.array(x), requires_grad=True) for x in xd]
-        outs = [conv_one(x, kern, padding=padding, dilation=dilation) for x in xs]
-        g = rng.normal(size=(n,) + outs[0].shape)
-        loss = None
-        for out, gi in zip(outs, g):
-            term = (out * Tensor(gi)).sum()
-            loss = term if loss is None else loss + term
-        loss.backward()
-
-        kern_b = param(np.array(kd))
-        x_b = Tensor(np.array(xd), requires_grad=True)
-        out_b = tc.conv_cols(tc.im2col(x_b, k, padding=padding, dilation=dilation), kern_b)
-        assert out_b.shape == (n,) + outs[0].shape
-        loss_b = None
-        for i, gi in enumerate(g):
-            term = (out_b[i] * Tensor(gi)).sum()
-            loss_b = term if loss_b is None else loss_b + term
-        loss_b.backward()
-        for i in range(n):
-            assert np.array_equal(_bits(outs[i].data), _bits(out_b.data[i]))
-            assert np.array_equal(_bits(xs[i].grad), _bits(x_b.grad[i]))
-        assert np.array_equal(_bits(kern.grad), _bits(kern_b.grad))
-
-    @pytest.mark.parametrize("c_out", [1, 8])
-    @pytest.mark.parametrize("items", [[4, 0, 3, 1, 2], [2, 4], [3]])
-    def test_conv_cols_items_match_a_copied_selection(self, c_out, items):
-        rng = np.random.default_rng([c_out, len(items)])
-        cols = tc.im2col(Tensor(rng.normal(size=(5, 3, 6, 7))), 3, padding=1)
-        kd = rng.normal(size=(c_out, 3, 3, 3))
-        g = Tensor(rng.normal(size=(len(items), c_out, 6, 7)))
-        picked, copied = param(np.array(kd)), param(np.array(kd))
-        out_picked = tc.conv_cols(cols, picked, items)
-        out_copied = tc.conv_cols(Tensor(cols.data[items]), copied)
-        (out_picked * g).sum().backward()
-        (out_copied * g).sum().backward()
-        assert np.array_equal(_bits(out_picked.data), _bits(out_copied.data))
-        assert np.array_equal(_bits(picked.grad), _bits(copied.grad))
-
-    def test_im2col_rows_are_contiguous_blocks_of_the_conv_gather(self):
-        rng = np.random.default_rng(8)
-        xd = rng.normal(size=(3, 2, 5, 6))
-        cols = tc.im2col(Tensor(xd), 3, padding=1).data
-        assert cols.shape == (3, 5, 6, 18) and cols.flags.c_contiguous
-        for i in range(3):
-            xp = np.pad(xd[i], ((0, 0), (1, 1), (1, 1)))
-            win = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(1, 2))
-            assert np.array_equal(cols[i], win.transpose(1, 2, 0, 3, 4).reshape(5, 6, 18))
-
     def test_shared_gradients_add_items_in_order(self):
         # one item at a time each 1.0 after 1e16 is lost: 7.0; numpy's pairwise sum gives 14.0
         parts = np.array([1e16] + [1.0] * 7 + [-1e16] + [1.0] * 7)
@@ -577,13 +522,6 @@ class TestBitExact:
             tc.conv_items(Tensor(np.ones((2, 4, 4))), [Tensor(np.ones((1, 2, 3, 3)))], 1)
         with pytest.raises(ShapeMismatchError):
             tc.conv_items(Tensor(np.ones((2, 2, 4, 4))), [Tensor(np.ones((3, 1, 2, 3, 3)))], 1)
-        with pytest.raises(ShapeMismatchError):
-            tc.im2col(Tensor(np.ones((2, 4, 4))), 3, padding=1)
-        cols = tc.im2col(Tensor(np.ones((2, 2, 4, 4))), 3, padding=1)
-        with pytest.raises(ShapeMismatchError):
-            tc.conv_cols(cols, Tensor(np.ones((1, 3, 3, 3))))
-        with pytest.raises(ShapeMismatchError):
-            tc.bias_add(Tensor(np.ones((2, 3))), Tensor(np.ones(1)))
 
 
 class TestNoGrad:
