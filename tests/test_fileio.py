@@ -188,7 +188,7 @@ def test_line_longer_than_the_limit_refused(originals):
 
 # -- FNV-1a-64: the array evaluation against the per-byte definition ----------------
 
-B, SWITCH = fileio._FNV_BLOCK, fileio._FNV_ARRAY_MIN
+SPAN, CHUNK, SWITCH = fileio._FNV_SPAN, fileio._FNV_CHUNK, fileio._FNV_ARRAY_MIN
 OFFSET = 0xCBF29CE484222325  # the digest of no bytes
 STARTS = [0, 1, 2**64 - 1, OFFSET,
           *map(int, np.random.default_rng(5).integers(0, 2**64, 4, dtype=np.uint64))]
@@ -206,17 +206,26 @@ class TestFnv1a64:
             for h in STARTS:
                 assert fileio._fnv1a64_array(data[:n], h) == reference(data[:n], h), (n, h)
 
-    @pytest.mark.parametrize("n", [B - 1, B, B + 1, 2 * B + 1, SWITCH - 1, SWITCH, SWITCH + 1])
+    @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1,
+                                   SWITCH - 1, SWITCH, SWITCH + 1])
     def test_block_edges_and_the_switch(self, n):
+        """The edges of the power-table chunk, and the switch to the array path."""
         data = random_bytes(n, seed=n)
         for h in STARTS:
             want = reference(data, h)
             assert fileio.fnv1a64(data, h) == want
             assert fileio._fnv1a64_array(data, h) == want
 
+    # 2·CHUNK and SPAN + CHUNK end on a chunk boundary inside a span
+    @pytest.mark.parametrize("n", [SPAN - 1, SPAN, SPAN + 1, 2 * SPAN + 1, 2 * CHUNK, SPAN + CHUNK])
+    def test_span_edges(self, n):
+        data = random_bytes(n, seed=n)
+        for h in STARTS:
+            assert fileio.fnv1a64(data, h) == reference(data, h), h
+
     @pytest.mark.parametrize("fill", [0x00, 0xFF])
     def test_constant_buffers(self, fill):
-        for n in (1, 63, 64, 65, 300, SWITCH, B + 1):
+        for n in (1, 63, 64, 65, 300, SWITCH, CHUNK + 1, SPAN + 1):
             data = bytes([fill]) * n
             for h in STARTS:
                 assert fileio._fnv1a64_array(data, h) == reference(data, h), (n, h)
@@ -228,6 +237,19 @@ class TestFnv1a64:
             head = fileio._fnv1a64_array(data[:at], OFFSET)
             assert fileio._fnv1a64_array(data[at:], head) == whole
             assert fileio.fnv1a64(data[at:], fileio.fnv1a64(data[:at])) == whole
+
+    def test_temporaries_grow_with_the_span_not_the_input(self):
+        peaks = {}
+        for mib in (1, 8):
+            data = random_bytes(mib << 20, seed=mib)
+            tracemalloc.start()
+            try:
+                fileio.fnv1a64(data)
+                peaks[mib] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[8] <= peaks[1] + (64 << 10), peaks
+        assert peaks[1] < 8 * SPAN, peaks  # about 7 spans of uint8, int16 and uint64 arrays
 
     @settings(deadline=None, max_examples=200)
     @given(data=st.binary(max_size=3 * SWITCH), h=st.integers(0, 2**64 - 1))
@@ -280,3 +302,66 @@ def test_checkpoint_records_straddling_the_hash_block(tmp_path):
                 fileio.load_checkpoint(path)
         at += tensor.nbytes
     assert at == len(raw) - 8
+
+
+# -- one buffered digest per container: hashed once per span of records ------------
+
+def _counting(monkeypatch):
+    """Count the calls and bytes of ``fileio.fnv1a64``, which every digest goes through."""
+    calls, real = [], fileio.fnv1a64
+
+    def counted(data, h=OFFSET):
+        calls.append(len(data))
+        return real(data, h)
+
+    monkeypatch.setattr(fileio, "fnv1a64", counted)
+    return calls
+
+
+def _records(raw: bytes, header_lines: int) -> tuple[int, int]:
+    """Where the checksummed records start and end in a container's bytes."""
+    at = 0
+    for _ in range(header_lines):
+        at = raw.index(b"\n", at) + 1
+    return at, len(raw) - 8
+
+
+class TestContainerStream:
+    """15 S2 plots at 10x10, T=6: 57.6 KB of payload each, over three spans in all."""
+
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        return sd.generate_dataset(sd.BandSpec("S2"), 15, 6, 10, 10, seed=4)
+
+    def test_save_and_load_hash_each_record_byte_once_per_span(self, dataset, tmp_path,
+                                                                monkeypatch):
+        calls = _counting(monkeypatch)
+        path = tmp_path / "d.mtms"
+        sd.save_dataset(dataset, path)
+        raw = path.read_bytes()
+        start, end = _records(raw, 2)
+        size = end - start
+        assert size > 3 * SPAN
+        assert sum(calls) == size and len(calls) <= -(-size // SPAN) + 1, calls
+        calls.clear()
+        loaded = sd.load_dataset(path)
+        assert sum(calls) == size and len(calls) <= -(-size // SPAN) + 1, calls
+        # the reader never holds more than a span and one record of unhashed bytes
+        assert max(calls) < SPAN + 57_600 + 64 <= 2 * SPAN
+        sd.save_dataset(loaded, tmp_path / "again.mtms")
+        assert (tmp_path / "again.mtms").read_bytes() == raw
+        assert int.from_bytes(raw[-8:], "little") == reference(raw[start:end], OFFSET)
+
+    def test_a_flipped_byte_in_any_record_is_refused(self, dataset, tmp_path):
+        path = tmp_path / "d.mtms"
+        sd.save_dataset(dataset, path)
+        raw = path.read_bytes()
+        start, end = _records(raw, 2)
+        first_payload = raw.index(b"\n", start) + 1
+        # in the first record, in the one that holds the first flush's span boundary, in the last
+        for offset in (first_payload, start + SPAN, end - 1):
+            bad = bytearray(raw)
+            bad[offset] ^= 0x01
+            path.write_bytes(bytes(bad))
+            with pytest.raises(ChecksumMismatchError):
+                sd.load_dataset(path)
