@@ -12,29 +12,28 @@ epoch, the head's ridge penalty, the exit code and the digests of the run's
 files, and it counts the runs that pass acceptance criteria 5 and 6. The
 k = 0 runs are the acceptance runs; the others show how widely the
 criterion margins spread under a last-bit change of one input. It then runs
-``perfbench/run.py --workload <w> --trace 0`` for every benchmark workload
-and keeps each run's detail and result lines, then ``--trace 1`` for
-``pipeline-s2`` and ``ingest-s2`` and keeps each result line and the traced
-run's summary.json, with the per-layer times.
+``perfbench/run.py --workload <w> --trace 1`` for ``pipeline-s2`` and
+``ingest-s2`` in the same tree and keeps each run's detail and result lines
+and its summary.json, with the per-layer times.
 
 Without ``--parent`` it measures this checkout and writes ``runs.change``
 of the output file; with ``--parent CHECKOUT`` (a git checkout with
 ``src/cropyield`` and ``perfbench/``) it measures that tree and writes
 ``runs.parent``. Each side records its commit id and whether its tracked
 files differ from that commit. Each keeps what the other recorded, so the
-two sit side by side and ``comparison`` holds under ``ulp_probe``, per seed
-and k, the files that differ and the times of both, and under
-``perfbench``, per workload, both sides' untraced end-to-end metrics:
+two sit side by side and ``comparison`` holds, per seed and k, the files
+that differ and the times of both:
 
     python3 scripts/bench.py --parent ../parent --out BENCH_9.json
     python3 scripts/bench.py --out BENCH_9.json
 
-With ``--pairs WORKLOAD`` it runs only the claim measurement instead:
-``--pair-count`` alternating pairs of untraced perfbench runs of the parent
-and of this checkout at each ``--pair-seeds`` seed, the parent first in
-every other pair. It stores every run's result line, each side's median and
-quartiles of each end-to-end metric, and the pairs the change wins on each,
-under ``pairs.<workload>/seed<s>``:
+With ``--pairs WORKLOAD`` it runs only the end-to-end measurement instead:
+``PAIRS`` (10) alternating pairs of untraced perfbench runs of the parent and of
+this checkout at each ``--pair-seeds`` seed, the parent first in every
+other pair. It stores each tree's commit id and dirty flag, every run's
+result line, each side's median and quartiles of each end-to-end metric,
+and the pairs the change wins on each, under ``pairs.<workload>/seed<s>``.
+These pairs are the only untraced end-to-end figures a BENCH file holds:
 
     python3 scripts/bench.py --parent ../parent --out BENCH_9.json --pairs ingest-s2
 
@@ -57,7 +56,7 @@ from pathlib import Path
 SEEDS = (1, 2, 3)
 ULPS = 3  # pretrain_lr is moved k = 0..ULPS ULPs up
 PERFBENCH_SECONDS = 15  # BENCHMARK.json's run_seconds, the same for both trees
-WORKLOADS = ("pipeline-s2", "predict-l8-32", "ingest-s2")
+PAIRS = 10  # alternating parent/change pairs per workload and seed
 TRACED = ("pipeline-s2", "ingest-s2")
 PINNED = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 HERE = Path(__file__).resolve()
@@ -220,15 +219,13 @@ def record(root: Path) -> dict:
     rows = [row for runs in probe.values() for row in runs]
     passes = {c: f"{sum(row[c] for row in rows)}/{len(rows)}"
               for c in ("criterion_5", "criterion_6")}
-    untraced = {w: perfbench(root, env, w, trace=False) for w in WORKLOADS}
     traced = {}
     for w in TRACED:
         traced[w] = perfbench(root, env, w, trace=True)
         traced[w]["summary"] = json.loads(
             (root / f"perfbench/out/trace/{w}-seed1/summary.json").read_text())
     return {**source_id(root), "machine": machine, "ulp_probe": probe, "passes": passes,
-            "perfbench": {"seconds": PERFBENCH_SECONDS, "seed": 1, "untraced": untraced,
-                          "traced": traced}}
+            "perfbench": {"seconds": PERFBENCH_SECONDS, "seed": 1, "traced": traced}}
 
 
 def perfbench(root: Path, env: dict, workload: str, trace: bool, seed: int = 1) -> dict:
@@ -244,36 +241,32 @@ def perfbench(root: Path, env: dict, workload: str, trace: bool, seed: int = 1) 
 
 
 def compare(runs: dict) -> dict:
-    """When a parent and a change were recorded: under ``ulp_probe``, per seed
-    and k, the run files whose bytes differ and the times of both; under
-    ``perfbench``, per workload, both sides' untraced end-to-end metrics."""
+    """Per seed and k, when a parent and a change were recorded: the run files
+    whose bytes differ, and the times of both."""
     if "parent" not in runs or "change" not in runs:
         return {}
-    probe = {}
+    out = {}
     for seed, new_rows in runs["change"]["ulp_probe"].items():
         old_rows = runs["parent"]["ulp_probe"].get(seed, [])
         for old, new in zip(old_rows, new_rows):
             a, b = old.get("digests", {}), new.get("digests", {})
-            probe[f"{seed}/{new['ulps']}"] = {
+            out[f"{seed}/{new['ulps']}"] = {
                 "files_differing": sorted(n for n in a.keys() | b.keys() if a.get(n) != b.get(n)),
                 "mape_ratio": [old.get("mape_ratio"), new.get("mape_ratio")],
                 "pipeline_s": [old.get("pipeline_s"), new.get("pipeline_s")],
                 "stage_s": {k: [old.get("stage_s", {}).get(k), v]
                             for k, v in new.get("stage_s", {}).items()},
             }
-    old_pb, new_pb = (runs[side]["perfbench"]["untraced"] for side in ("parent", "change"))
-    return {"ulp_probe": probe,
-            "perfbench": {w: {m: [old_pb[w]["result"]["metrics"][m]["value"], v["value"]]
-                              for m, v in new_pb[w]["result"]["metrics"].items()}
-                          for w in WORKLOADS}}
+    return out
 
 
-def pairs(parent: Path, workload: str, seed: int, count: int) -> dict:
-    """``count`` alternating pairs of untraced perfbench runs of ``parent`` and
+def pairs(parent: Path, workload: str, seed: int) -> dict:
+    """``PAIRS`` alternating pairs of untraced perfbench runs of ``parent`` and
     of this checkout; a lower metric wins a pair, a tie counts for neither."""
     roots = {"parent": parent, "change": HERE.parent.parent}
+    sources = {side: source_id(root) for side, root in roots.items()}
     results = {"parent": [], "change": []}
-    for i in range(count):
+    for i in range(PAIRS):
         for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
             run = perfbench(roots[side], _pinned_env(roots[side]), workload, False, seed)
             results[side].append(run["result"])
@@ -281,10 +274,10 @@ def pairs(parent: Path, workload: str, seed: int, count: int) -> dict:
                   f"task_s {run['result']['metrics']['task_s']['value']:.3f}", file=sys.stderr)
     values = {side: {m: [r["metrics"][m]["value"] for r in rows] for m in rows[0]["metrics"]}
               for side, rows in results.items()}
-    return {"seconds": PERFBENCH_SECONDS, "results": results,
+    return {"seconds": PERFBENCH_SECONDS, "sources": sources, "results": results,
             "quartiles": {side: {m: statistics.quantiles(v, n=4) for m, v in by_metric.items()}
                           for side, by_metric in values.items()},
-            "change_wins": {m: f"{sum(c < p for p, c in zip(v, values['change'][m]))}/{count}"
+            "change_wins": {m: f"{sum(c < p for p, c in zip(v, values['change'][m]))}/{PAIRS}"
                             for m, v in values["parent"].items()}}
 
 
@@ -299,7 +292,6 @@ def main(argv=None) -> int:
                         help="run only alternating parent/change pairs of this workload "
                              "(needs --parent)")
     parser.add_argument("--pair-seeds", type=int, nargs="+", default=[1])
-    parser.add_argument("--pair-count", type=int, default=10)
     parser.add_argument("--worker-seed", type=int, help=argparse.SUPPRESS)
     parser.add_argument("--worker-ulps", type=int, default=0, help=argparse.SUPPRESS)
     parser.add_argument("--work", type=Path, help=argparse.SUPPRESS)
@@ -317,7 +309,7 @@ def main(argv=None) -> int:
             parser.error("--pairs needs --parent")
         for seed in args.pair_seeds:
             doc.setdefault("pairs", {})[f"{args.pairs}/seed{seed}"] = pairs(
-                args.parent.resolve(), args.pairs, seed, args.pair_count)
+                args.parent.resolve(), args.pairs, seed)
         args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
         return 0
     other = [side for side, run in doc["runs"].items()
