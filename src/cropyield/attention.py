@@ -150,11 +150,9 @@ def temporal_attention(hist, p: SsaParams) -> Tensor:
         raise ShapeMismatchError(
             f"history length {len(hist)} != temporal weight count {p.history}"
         )
-    n = hist[0].data.shape[0]
     total = None
     for tau, hmap in enumerate(hist):
-        weight = tc.reshape(tc.share(p.w_temporal, n)[:, tau], (n, 1, 1, 1))
-        term = weight * _attend(hmap, p)
+        term = p.w_temporal[tau] * _attend(hmap, p)
         total = term if total is None else total + term
     return total
 
@@ -167,7 +165,7 @@ def cond_conv(x: Tensor, p: SsaParams) -> Tensor:
     pi = tc.softmax1d(logits)
     mixed = None
     for k, expert in enumerate(p.experts):
-        term = tc.reshape(pi[:, k], (n, 1, 1, 1, 1)) * tc.share(expert, n)
+        term = tc.reshape(pi[:, k], (n, 1, 1, 1, 1)) * expert
         mixed = term if mixed is None else mixed + term
     pad = (mixed.data.shape[-1] - 1) // 2
     return tc.conv_items(x, [mixed], padding=pad)[0]
@@ -187,9 +185,8 @@ def conv_stack(h_t: Tensor, p: SsaParams) -> Tensor:
     # dilated: same kernel tensor, taps spread by the dilation factor
     dilation = p.dilation if p.conv_mode == "dilated" else 1
     pad = (p.conv_kernel.data.shape[2] - 1) * dilation // 2
-    n = h_t.data.shape[0]
     mid = tc.relu(tc.conv_items(h_t, [p.conv_kernel], pad, dilation)[0]
-                  + tc.reshape(tc.share(p.conv_bias, n), (n, -1, 1, 1)))
+                  + tc.reshape(p.conv_bias, (-1, 1, 1)))
     return cond_conv(mid, p) if p.conv_mode == "conv_condconv" else mid
 
 

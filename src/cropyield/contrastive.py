@@ -76,29 +76,30 @@ def encode_chunks(frames_list, lstm_p: cl.ConvLstmParams, ssa_p: at.SsaParams,
             for s in range(0, len(frames_list), chunk)])
 
 
+def _unit_rows(z: Tensor) -> Tensor:
+    """Rows of [n, d] scaled to unit length; a zero row has no direction."""
+    if not np.all(np.any(z.data, axis=1)):
+        raise DomainError("cosine similarity undefined for a zero-norm embedding")
+    return z / tc.sqrt(tc.tsum(z * z, axis=1))
+
+
 def contrastive_loss(batch: ContrastiveBatch, tau: float) -> Tensor:
-    """Mean over anchors of -log( e^{s_ii/tau} / sum_j e^{s_ij/tau} )."""
+    """Mean over anchors of -log( e^{s_ii/tau} / sum_j e^{s_ij/tau} ), with
+    s_ij the cosine similarity of anchor i's first view and sample j's second:
+    one [n, n] logit matrix and a row-wise log-sum-exp (NT-Xent)."""
     if tau <= 0:
         raise DomainError(f"temperature must be positive, got {tau}")
     n = len(batch.pairs)
     if n < 2:
         raise DomainError("need at least one negative per anchor (batch of >= 2 pairs)")
-    total = None
-    inv_tau = Tensor(1.0 / tau)
-    for i, (v1, _) in enumerate(batch.pairs):
-        exps = []
-        pos = None
-        for j, (_, v2) in enumerate(batch.pairs):
-            e = tc.exp(tc.cosine_similarity(v1, v2) * inv_tau)
-            exps.append(e)
-            if j == i:
-                pos = e
-        denom = exps[0]
-        for e in exps[1:]:
-            denom = denom + e
-        term = -tc.log(pos / denom)
-        total = term if total is None else total + term
-    return total / Tensor(float(n))
+    z1, z2 = (tc.concat([tc.reshape(pair[k], (1, -1)) for pair in batch.pairs])
+              for k in (0, 1))
+    u, v = _unit_rows(z1), _unit_rows(z2)
+    logits = tc.matmul(v, u) * Tensor(1.0 / tau)  # [i, j] = u_i . v_j / tau
+    shift = Tensor(np.max(logits.data, axis=1, keepdims=True))
+    lse = tc.log(tc.tsum(tc.exp(logits - shift), axis=1)) + shift
+    d = np.arange(n)
+    return tc.tmean(lse) - tc.tmean(logits[d, d])
 
 
 @dataclass
@@ -110,30 +111,13 @@ class PretrainResult:
     stats: dict
 
 
-def view_items(n: int):
-    """Where the views of n pairs sit on the item axis: the item index of each
-    first view and of each second view.
-
-    Items follow the order in which the backward pass of a loss over n
-    separately encoded pairs visits the views: v1_0 ... v1_{n-2}, v2_0 ...
-    v2_{n-2}, v1_{n-1}, v2_{n-1}. Shared gradients are added item-major, so
-    this order keeps them bit-identical to that graph.
-    """
-    first = list(range(n - 1)) + [2 * n - 2]
-    second = list(range(n - 1, 2 * n - 2)) + [2 * n - 1]
-    return first, second
-
-
 def _view_batch(frames_by_sample, idx, den, sched, depth, rng, sigma_scale):
-    """The augmented views of the samples ``idx`` on the item axis
-    [2n,T,C,H,W] (see ``view_items``), drawn sample by sample."""
+    """The augmented views of the n samples ``idx`` on the item axis
+    [2n,T,C,H,W]: the n first views, then the n second views, drawn sample by
+    sample."""
     views = [df.augment_pair(frames_by_sample[i], den, sched, depth, rng, sigma_scale)
              for i in idx]
-    first, second = view_items(len(views))
-    items = [None] * (2 * len(views))
-    for (v1, v2), a, b in zip(views, first, second):
-        items[a], items[b] = v1, v2
-    return np.stack(items)
+    return np.stack([v1 for v1, _ in views] + [v2 for _, v2 in views])
 
 
 def pretrain_encoder(frames_by_sample, train_idx, val_idx, den, sched,
@@ -164,9 +148,8 @@ def pretrain_encoder(frames_by_sample, train_idx, val_idx, den, sched,
     def batch_loss(idx_batch, rng):
         views = _view_batch(frames_by_sample, idx_batch, den, sched, depth, rng, sigma_scale)
         emb = embed_sequence(views, lstm_p, ssa_p, proj)
-        first, second = view_items(len(idx_batch))
-        return contrastive_loss(ContrastiveBatch([(emb[a], emb[b])
-                                                  for a, b in zip(first, second)]), tau)
+        n = len(idx_batch)
+        return contrastive_loss(ContrastiveBatch([(emb[i], emb[n + i]) for i in range(n)]), tau)
 
     def epoch_batches(rng):  # a one-sample chunk has no negative pair
         return [b for b in tc.minibatches(train_idx, batch_size, rng) if len(b) >= 2]
@@ -212,17 +195,15 @@ def holdout_similarities(frames_by_sample, idx, lstm_p, ssa_p, proj, den, sched,
 
     The views are embedded as ``encode_chunks`` does for a pretraining
     minibatch of ``batch_size`` samples. The negative mean is None when
-    ``idx`` holds a single sample.
+    ``idx`` holds a single sample; a zero-norm embedding raises DomainError.
     """
     views = [v for i in idx
              for v in df.augment_pair(frames_by_sample[i], den, sched, depth, rng, sigma_scale)]
     with tc.no_grad():
         feats = encode_chunks(views, lstm_p, ssa_p, batch_size)
         emb = (proj @ tc.global_avg_pool(Tensor(feats))).data
-    v1s, v2s = [Tensor(v) for v in emb[0::2]], [Tensor(v) for v in emb[1::2]]
-    pos, neg = [], []
-    for i, v1 in enumerate(v1s):
-        for j, v2 in enumerate(v2s):
-            sim = tc.cosine_similarity(v1, v2).item()
-            (pos if i == j else neg).append(sim)
-    return float(np.mean(pos)), float(np.mean(neg)) if neg else None
+    unit = _unit_rows(Tensor(emb)).data
+    sims = unit[0::2] @ unit[1::2].T  # [i, j]: first view of i, second view of j
+    n = len(sims)
+    neg = float(np.mean(sims[~np.eye(n, dtype=bool)])) if n > 1 else None
+    return float(np.mean(np.diag(sims))), neg

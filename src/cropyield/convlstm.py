@@ -93,8 +93,8 @@ def zero_state(n: int, c_hid: int, height: int, width: int) -> ConvLstmState:
                          c=Tensor(np.zeros((n, c_hid, height, width))))
 
 
-def _chan(b: Tensor, n: int) -> Tensor:
-    return tc.reshape(tc.share(b, n), (n, -1, 1, 1))
+def _chan(b: Tensor) -> Tensor:
+    return tc.reshape(b, (-1, 1, 1))
 
 
 def convlstm_step(f_t: Tensor, prev: ConvLstmState, p: ConvLstmParams) -> ConvLstmState:
@@ -106,14 +106,14 @@ def convlstm_step(f_t: Tensor, prev: ConvLstmState, p: ConvLstmParams) -> ConvLs
             f"frames {f_t.data.shape} do not match states {prev.h.data.shape} "
             f"(items and spatial dims)"
         )
-    n, pad = f_t.data.shape[0], p.padding
+    pad = p.padding
     x_i, x_f, x_c, x_o = tc.conv_items(f_t, [p.w_fi, p.w_ff, p.w_fc, p.w_fo], pad)
     h_i, h_f, h_c, h_o = tc.conv_items(prev.h, [p.w_hi, p.w_hf, p.w_hc, p.w_ho], pad)
-    i_t = tc.sigmoid(x_i + h_i + tc.share(p.w_ci, n) * prev.c + _chan(p.b_i, n))
-    f_gate = tc.sigmoid(x_f + h_f + tc.share(p.w_cf, n) * prev.c + _chan(p.b_f, n))
-    candidate = tc.tanh(x_c + h_c + _chan(p.b_c, n))
+    i_t = tc.sigmoid(x_i + h_i + p.w_ci * prev.c + _chan(p.b_i))
+    f_gate = tc.sigmoid(x_f + h_f + p.w_cf * prev.c + _chan(p.b_f))
+    candidate = tc.tanh(x_c + h_c + _chan(p.b_c))
     c_t = f_gate * prev.c + i_t * candidate
-    o_t = tc.sigmoid(x_o + h_o + tc.share(p.w_co, n) * c_t + _chan(p.b_o, n))
+    o_t = tc.sigmoid(x_o + h_o + p.w_co * c_t + _chan(p.b_o))
     h_t = o_t * tc.tanh(c_t)
     return ConvLstmState(h=h_t, c=c_t)
 

@@ -75,12 +75,12 @@ class DenoiserParams(tc.ParamTree):
         t_map = np.reshape(np.asarray(t) / self.steps, (-1, 1, 1, 1))
         x = tc.concat([z, Tensor(np.broadcast_to(t_map, (n, 1, h, w)))], axis=1)
         (h1,) = tc.conv_items(x, [self.conv1], padding=1)
-        (out,) = tc.conv_items(tc.relu(h1 + _chan(self.b1, n)), [self.conv2], padding=1)
-        return out + _chan(self.b2, n)
+        (out,) = tc.conv_items(tc.relu(h1 + _chan(self.b1)), [self.conv2], padding=1)
+        return out + _chan(self.b2)
 
 
-def _chan(b: Tensor, n: int) -> Tensor:
-    return tc.reshape(tc.share(b, n), (n, -1, 1, 1))
+def _chan(b: Tensor) -> Tensor:
+    return tc.reshape(b, (-1, 1, 1))
 
 
 def init_denoiser(channels: int, hidden: int, steps: int, rng) -> DenoiserParams:
@@ -112,8 +112,7 @@ def diffusion_loss(z0: np.ndarray, den, sched: NoiseSchedule, lam: float, rng) -
     clean image) on a seeded random half of the timesteps.
 
     One denoiser pass over all terms' items: the reconstructions t = 1..steps,
-    then the trajectory terms in ascending t, the order in which a graph of
-    separate terms would visit them in its backward pass.
+    then the trajectory terms in ascending t.
     """
     if lam < 0:
         raise DomainError(f"lam must be >= 0, got {lam}")

@@ -47,7 +47,7 @@ def predict_yield(f_sel: Tensor, p: HeadParams):
     [N,C_sel,H,W], and the maps' spatial means as the N predictions."""
     n = f_sel.data.shape[0]
     (conv,) = tc.conv_items(f_sel, [p.w], padding=1)
-    ymap = conv + tc.reshape(tc.share(p.b, n), (n, 1, 1, 1))
+    ymap = conv + p.b
     return ymap, tc.reshape(tc.global_avg_pool(ymap), (n,))
 
 

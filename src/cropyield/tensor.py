@@ -11,30 +11,26 @@ gradient. Inside ``no_grad()`` primitives record no graph at all.
 All data lives in 64-bit floats. Gradient checks at 1e-4 relative tolerance
 are not reliable in 32-bit.
 
-The primitives are written for low per-call overhead under a bit-exact
-contract: every output and gradient must stay identical, bit for bit, to
-the plain formulation it replaces. That fixes the GEMM operands and their
-memory layout (BLAS sums in the order of the inner dimension), the order in
-which contributions are accumulated into a gradient, and the layout of a
-gradient's first buffer. ``tests/test_tensor.py`` checks ``conv_items``,
-``sigmoid`` and gradient accumulation against those reference forms.
+The primitives are written for low per-call overhead. The item axis:
+``conv_items``, ``global_avg_pool`` and ``softmax1d`` on [N, ...] arrays,
+``matmul`` with a 2-D right operand, and every elementwise op let N
+independent items (plots, augmented views) go through one graph. Their
+contract:
 
-The item axis. ``conv_items``, ``share``, ``global_avg_pool`` and
-``softmax1d`` on [N, ...] arrays, ``matmul`` with a 2-D right operand, and
-every elementwise op let N independent items (plots, augmented views) go
-through one graph. Item n's outputs are bit-identical to those of the same
-computation on item n alone, and so is its gradient: one BLAS call is made
-per item (a stacked ``np.matmul``, never one GEMM over all items' rows),
-each item keeps its own memory layout through reductions, and each conv
-scatters its own input gradient. A tensor shared by the items (a parameter;
-``share`` broadcasts one into an elementwise op) receives one part per item
-from each node that uses it. During ``Tensor.backward`` these parts are
-deferred, and at its end each leaf adds them item-major: all of item 0's
-parts in the order the backward pass produced them, then item 1's, and so
-on, one ``np.add.accumulate`` per leaf. That is the order in which a graph
-of N separate per-item computations accumulates, when its backward pass
-visits item 0's nodes first, then item 1's: the items must be laid out in
-that visiting order. Outside a backward pass, parts are added at once.
+- Forward outputs are bit-identical per item: item n's output is the one the
+  same computation gives on item n alone. One BLAS call is made per item (a
+  stacked ``np.matmul``) and each item keeps its own memory layout through
+  reductions. ``tests/test_tensor.py`` checks ``conv_items``, ``sigmoid``
+  and the means against their plain reference forms.
+- A tensor shared by the items (a parameter broadcast into an elementwise
+  op, a conv kernel, the left operand of ``matmul``) gets its gradient as
+  one numpy sum over the items, inside the node that uses it:
+  ``_unbroadcast`` for a broadcast, ``sum(axis=0)`` over the per-item GEMMs
+  for a kernel. It agrees with a graph of N per-item computations to about
+  1e-13 relative, not bit for bit.
+- No result depends on the BLAS thread count. A kernel gradient is not one
+  GEMM over all items' rows: OpenBLAS rounds that differently with its
+  thread count at some shapes. A rerun reproduces every bit.
 """
 
 from __future__ import annotations
@@ -122,19 +118,11 @@ class Tensor:
             raise ShapeMismatchError(
                 f"backward() needs a scalar, got shape {self.data.shape}"
             )
-        global _deferred
         order = _toposort(self)
         self._grad = np.ones_like(self.data)
-        outer, _deferred = _deferred, {}
-        try:
-            for node in reversed(order):
-                if node._bw is not None and node._grad is not None:
-                    node._bw(node._grad)
-            pending = _deferred
-        finally:
-            _deferred = outer
-        for leaf, parts in pending.items():
-            _fold_items(leaf, parts)
+        for node in reversed(order):
+            if node._bw is not None and node._grad is not None:
+                node._bw(node._grad)
 
     # -- operator sugar ------------------------------------------------------
 
@@ -314,35 +302,6 @@ def _acc(t: Tensor, g: np.ndarray):
         t._grad = np.add(g, 0.0, out=np.empty_like(t.data))
     else:
         t._grad += g
-
-
-_deferred = None  # leaf -> its per-item gradient parts, while a backward pass runs
-
-
-def _acc_items(t: Tensor, parts: np.ndarray):
-    """Accumulate per-item gradients ``parts`` [N, *t.shape] into a tensor
-    shared by N items. During a backward pass a leaf's parts wait for its
-    end (``_fold_items``); otherwise they are added now, item by item."""
-    if not t.requires_grad:
-        return
-    if _deferred is not None and t._bw is None:
-        _deferred.setdefault(t, []).append(parts)
-    else:
-        _fold_items(t, [parts])
-
-
-def _fold_items(t: Tensor, parts: list):
-    """Add the per-item parts [N, *t.shape], all with one N, in item-major
-    order: item 0 of each part in turn, then item 1 of each, and so on."""
-    if len({len(p) for p in parts}) != 1:
-        raise ShapeMismatchError(
-            f"per-item gradient parts of {sorted({len(p) for p in parts})} items: "
-            "the items of one backward pass must be the same"
-        )
-    seq = np.stack(parts, axis=1).reshape((-1,) + t.data.shape)
-    first = np.zeros_like(t.data) if t._grad is None else t._grad
-    # add.accumulate is a sequential running sum: ((first + p0) + p1) + ...
-    t._grad = np.add.accumulate(np.concatenate([first[None], seq]), axis=0)[-1, ...]
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -528,18 +487,10 @@ def take_channels(a: Tensor, idx) -> Tensor:
     return _node(np.take(a.data, idx, axis=-3), (a,), bw)
 
 
-def share(t: Tensor, n: int) -> Tensor:
-    """``t`` shared by n items, [n, *t.shape], for elementwise ops with [n, ...]
-    arrays. Its gradient reaches ``t`` as n per-item parts."""
-    def bw(g):
-        _acc_items(t, g)
-
-    return _node(np.broadcast_to(t.data, (n,) + t.data.shape), (t,), bw)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix-vector product [m,n] @ [n], or [m,n] @ [N,n] -> [N,m] for N
-    items: one GEMV per item, ``a`` shared by the items."""
+    items: one GEMV per item, ``a`` shared by the items (its gradient is one
+    GEMM over them)."""
     if a.data.ndim != 2 or b.data.ndim not in (1, 2):
         raise ShapeMismatchError(
             f"matmul supports [m,n] @ [n] or [N,n], got {a.data.shape} @ {b.data.shape}"
@@ -552,8 +503,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         cols = b.data[:, :, None]
 
         def bw_items(g):
-            _acc_items(a, g[:, :, None] * b.data[:, None, :])  # np.outer per item
-            _acc(b, np.matmul(a.data.T, g[:, :, None])[:, :, 0])
+            _acc(a, g.T @ b.data)
+            _acc(b, g @ a.data)
 
         return _node(np.matmul(a.data, cols)[:, :, 0], (a, b), bw_items)
 
@@ -654,9 +605,9 @@ def conv_items(x: Tensor, kernels, padding: int = 0, dilation: int = 1) -> list:
     [N,C_out,C_in,k,k]. Returns one [N,C_out,H',W'] node per kernel. Zero
     padding, square odd kernels, unit stride; ``dilation`` spaces the kernel
     taps (effective size k + (k-1)(dilation-1)). The im2col is gathered once
-    for all kernels; each kernel makes one stacked ``np.matmul`` and scatters
-    its own input gradient (scattering the sum of the kernels' column
-    gradients would round differently).
+    for all kernels; each kernel makes one stacked ``np.matmul`` (one GEMM per
+    item) each way and scatters its own input gradient. A shared kernel's
+    gradient is the sum of its per-item GEMMs.
     """
     xd = x.data
     if xd.ndim != 4:
@@ -689,11 +640,8 @@ def _conv_items_bw(x, kern, cols, kmat, plan, n):
     def bw(g):
         gmat = g.reshape(n, kmat.shape[-2], -1)
         if kern.requires_grad:
-            dk = np.matmul(gmat, cols)
-            if kd.ndim == 5:
-                _acc(kern, dk.reshape(kd.shape))
-            else:
-                _acc_items(kern, dk.reshape((n,) + kd.shape))
+            dk = np.matmul(gmat, cols)  # one GEMM per item
+            _acc(kern, (dk if kd.ndim == 5 else dk.sum(axis=0)).reshape(kd.shape))
         if x.requires_grad:
             _acc(x, _col2im(np.matmul(gmat.transpose(0, 2, 1), kmat), plan, n))
 
@@ -712,19 +660,6 @@ def global_avg_pool(x: Tensor) -> Tensor:
         _acc(x, np.repeat(g, n).reshape(x.data.shape) / n)
 
     return _node(x.data.sum(axis=(-2, -1)) / n, (x,), bw)  # ndarray.mean's arithmetic
-
-
-def cosine_similarity(u: Tensor, v: Tensor) -> Tensor:
-    """dot(u, v) / (|u| |v|) for 1-D tensors of equal length."""
-    if u.data.shape != v.data.shape or u.data.ndim != 1:
-        raise ShapeMismatchError(
-            f"cosine_similarity expects equal 1-D shapes, got {u.data.shape} and {v.data.shape}"
-        )
-    if not np.any(u.data) or not np.any(v.data):
-        raise DomainError("cosine_similarity undefined for a zero-norm vector")
-    nu = sqrt(tsum(mul(u, u)))
-    nv = sqrt(tsum(mul(v, v)))
-    return div(tsum(mul(u, v)), mul(nu, nv))
 
 
 def softmax1d(logits: Tensor) -> Tensor:

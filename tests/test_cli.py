@@ -356,6 +356,47 @@ class TestPipelineCommand:
         assert run.stderr.startswith("numerical failure: denoiser training diverged")
         assert run.stderr.count("\n") == 1 and run.stderr.endswith("\n"), run.stderr
 
+    def test_zero_norm_holdout_embedding_exits_3_without_stats(self, tiny_dataset, fast_config,
+                                                              tmp_path, capsys, monkeypatch):
+        # held-out features of all zeros embed to the zero vector, whose
+        # cosine similarity is undefined: the run stops before writing NaN
+        from cropyield import contrastive as ct
+        encode = ct.encode_chunks
+        monkeypatch.setattr(ct, "encode_chunks", lambda *a, **kw: 0.0 * encode(*a, **kw))
+        run_dir = tmp_path / "r"
+        assert main(["pipeline", "--data", str(tiny_dataset), "--out", str(run_dir),
+                     "--config", str(fast_config), "--seed", "5"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "zero-norm" in err
+        assert not (run_dir / "pretrain_stats.kv").exists()
+
+    def test_artifacts_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # OpenBLAS rounds some GEMMs differently with its thread count; a run
+        # must not make such a call. The acceptance data (S2, 60 plots) on a
+        # short schedule, once with one BLAS thread and once with two.
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        if (cpus or 1) < 2:
+            pytest.skip("fewer than 2 usable CPUs: BLAS cannot run on 2 threads")
+        data = tmp_path / "s2.mtms"
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text("denoiser_epochs=1\npretrain_epochs=2\neo_iters=5\nfinetune_epochs=1\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(cropyield.__file__).parents[1])}
+        cli = [sys.executable, "-m", "cropyield.cli"]
+        subprocess.run(cli + ["synth", "--source", "S2", "--plots", "60", "--seed", "1",
+                              "--out", str(data)], env=env, check=True, capture_output=True)
+        runs = {}
+        for threads in ("1", "2"):
+            run_dir = tmp_path / f"threads{threads}"
+            subprocess.run(cli + ["pipeline", "--data", str(data), "--out", str(run_dir),
+                                  "--config", str(cfg), "--seed", "1"],
+                           env={**env, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads},
+                           check=True, capture_output=True)
+            runs[threads] = {p.name: p.read_bytes() for p in sorted(run_dir.iterdir())}
+        assert runs["1"].keys() == runs["2"].keys()
+        assert "pretrain.ckpt" in runs["1"] and "model.ckpt" in runs["1"]
+        for name in runs["1"]:
+            assert runs["1"][name] == runs["2"][name], name
+
     def test_config_snapshot_written_verbatim(self, tiny_dataset, fast_config, tmp_path):
         run_dir = tmp_path / "snap"
         assert main(["pipeline", "--data", str(tiny_dataset), "--out", str(run_dir),

@@ -68,7 +68,41 @@ class TestEmbedSequence:
         assert tc.grad_check(loss, proj) < 1e-4
 
 
+def _scalar_cosine(u, v):
+    """dot(u, v) / (|u| |v|) of two 1-D tensors, one scalar graph."""
+    return tc.tsum(u * v) / (tc.sqrt(tc.tsum(u * u)) * tc.sqrt(tc.tsum(v * v)))
+
+
+def _scalar_loss(batch, tau):
+    """The contrastive loss as n^2 scalar cosine graphs: per anchor i,
+    -log(e^{s_ii/tau} / sum_j e^{s_ij/tau}), then the mean over anchors."""
+    n = len(batch.pairs)
+    total = None
+    for i, (v1, _) in enumerate(batch.pairs):
+        exps = [tc.exp(_scalar_cosine(v1, v2) * Tensor(1.0 / tau)) for _, v2 in batch.pairs]
+        denom = exps[0]
+        for e in exps[1:]:
+            denom = denom + e
+        term = -tc.log(exps[i] / denom)
+        total = term if total is None else total + term
+    return total / Tensor(float(n))
+
+
 class TestContrastiveLoss:
+    @pytest.mark.parametrize("n,d,tau", [(2, 3, 0.5), (4, 16, 0.5), (8, 16, 0.1), (12, 5, 2.0)])
+    def test_logit_matrix_matches_scalar_cosine_graphs(self, n, d, tau):
+        rng = np.random.default_rng([n, d])
+        data = rng.normal(size=(n, 2, d))
+        results = []
+        for loss_fn in (ct.contrastive_loss, _scalar_loss):
+            views = [(tc.param(np.array(a)), tc.param(np.array(b))) for a, b in data]
+            loss = loss_fn(ct.ContrastiveBatch(views), tau)
+            loss.backward()
+            results.append((loss.item(), np.array([[t.grad for t in pair] for pair in views])))
+        (got, got_grad), (want, want_grad) = results
+        assert abs(got - want) <= 1e-12 * abs(want)
+        assert np.max(np.abs(got_grad - want_grad)) <= 1e-12 * np.max(np.abs(want_grad))
+
     def test_one_positive_one_negative_hand_value(self):
         # both anchors: positive sim 1 (identical), negative sim 0 (orthogonal)
         ex, ey = unit(1, 0), unit(0, 1)
@@ -148,6 +182,21 @@ class TestContrastiveLoss:
         worst = max(tc.grad_check(loss, proj), tc.grad_check(loss, lstm.b_o),
                     tc.grad_check(loss, ssa.w_temporal))
         assert worst < 1e-4
+
+
+def test_holdout_similarities_reject_a_zero_norm_embedding():
+    rng = np.random.default_rng(9)
+    frames = [rng.normal(size=(3, 2, 5, 5)) for _ in range(3)]
+    sched = df.linear_schedule(4, 0.95, 0.5)
+    den = df.init_denoiser(2, 4, sched.steps, rng)
+    lstm = cl.init_convlstm_params(2, 4, 5, 5, 3, rng)
+    ssa = at.init_ssa_params(4, rng)
+    args = (frames, [0, 1, 2], lstm, ssa)
+    rest = (den, sched, 1, np.random.default_rng(10), 2)
+    pos, neg = ct.holdout_similarities(*args, tc.param(rng.normal(size=(4, 8))), *rest)
+    assert -1.0 <= pos <= 1.0 and -1.0 <= neg <= 1.0
+    with pytest.raises(DomainError, match="zero-norm"):
+        ct.holdout_similarities(*args, tc.param(np.zeros((4, 8))), *rest)
 
 
 def test_pretrain_raise_names_its_stage():
@@ -278,12 +327,9 @@ def _minibatch_both_ways(n, t_steps, hw, attention_mode="senet_shuffle",
     for batched in (False, True):
         lstm, ssa, proj = _encoder(c_in, hw, attention_mode, conv_mode)
         if batched:
-            first, second = ct.view_items(n)
-            items = [None] * (2 * n)
-            for (v1, v2), a, b in zip(pairs, first, second):
-                items[a], items[b] = v1, v2
-            emb = ct.embed_sequence(np.stack(items), lstm, ssa, proj)
-            views = [(emb[a], emb[b]) for a, b in zip(first, second)]
+            emb = ct.embed_sequence(np.stack([v1 for v1, _ in pairs] + [v2 for _, v2 in pairs]),
+                                    lstm, ssa, proj)
+            views = [(emb[i], emb[n + i]) for i in range(n)]
         else:
             views = [(_ref_embed(v1, lstm, ssa, proj), _ref_embed(v2, lstm, ssa, proj))
                      for v1, v2 in pairs]
@@ -296,6 +342,13 @@ def _minibatch_both_ways(n, t_steps, hw, attention_mode="senet_shuffle",
     return results
 
 
+def _assert_close(ref, got, what=""):
+    """Gradients of shared parameters: one sum over the items against the
+    per-view graphs' running sum, about 1e-13 relative apart."""
+    assert np.shape(ref) == np.shape(got), what
+    assert np.max(np.abs(np.subtract(got, ref))) <= 1e-10 * np.max(np.abs(ref)), what
+
+
 def _assert_same_minibatch(ref, got):
     assert np.array_equal(_bits(ref[0]), _bits(got[0])), "loss"
     for i, ((u0, v0), (u1, v1)) in enumerate(zip(ref[1], got[1])):
@@ -303,12 +356,12 @@ def _assert_same_minibatch(ref, got):
         assert np.array_equal(_bits(v0), _bits(v1)), f"second view {i}"
     assert ref[2].keys() == got[2].keys()
     for name in ref[2]:
-        assert np.array_equal(_bits(ref[2][name]), _bits(got[2][name])), f"gradient of {name}"
+        _assert_close(ref[2][name], got[2][name], f"gradient of {name}")
 
 
 class TestBatchedEncoderBitExact:
     """One graph over the 2n views of a minibatch against one graph per view:
-    loss, embeddings and every parameter gradient, bit for bit."""
+    loss and embeddings bit for bit, every parameter gradient to 1e-10."""
 
     @pytest.mark.parametrize("attention_mode", at.ATTENTION_MODES)
     @pytest.mark.parametrize("conv_mode", at.CONV_MODES)
@@ -322,25 +375,6 @@ class TestBatchedEncoderBitExact:
     def test_batch_sizes_lengths_and_map_sizes(self, n, t_steps, hw):
         ref, got = _minibatch_both_ways(n, t_steps, hw, c_in=12 if hw == 10 else 7)
         _assert_same_minibatch(ref, got)
-
-    @pytest.mark.parametrize("n", [2, 3, 4, 8])
-    def test_items_follow_the_per_view_backward_order(self, n):
-        # the order in which a backward pass over separately embedded pairs
-        # reaches each view: the view whose subgraph it enters first comes first
-        rng = np.random.default_rng(n)
-        lstm, ssa, proj = _encoder(2, 5)
-        views = [(_ref_embed(rng.normal(size=(3, 2, 5, 5)), lstm, ssa, proj),
-                  _ref_embed(rng.normal(size=(3, 2, 5, 5)), lstm, ssa, proj)) for _ in range(n)]
-        loss = ct.contrastive_loss(ct.ContrastiveBatch(views), 0.5)
-        order = [node for node in reversed(tc._toposort(loss))]
-        visit = {id(v): order.index(v) for pair in views for v in pair}
-        by_visit = sorted(((visit[id(v)], (i, j)) for i, pair in enumerate(views)
-                           for j, v in enumerate(pair)))
-        item_of = {}
-        for j, items in enumerate(ct.view_items(n)):
-            for i, k in enumerate(items):
-                item_of[(i, j)] = k
-        assert [item_of[view] for _, view in by_visit] == list(range(2 * n))
 
 
 def _per_view_pretrain(frames_by_sample, train_idx, val_idx, den, sched, seed_rng, channels,
@@ -379,7 +413,7 @@ def _per_view_pretrain(frames_by_sample, train_idx, val_idx, den, sched, seed_rn
                     for i in val_idx]
         v1s = [_ref_embed(v1, lstm, ssa, proj) for v1, _ in embedded]
         v2s = [_ref_embed(v2, lstm, ssa, proj) for _, v2 in embedded]
-    sims = [[tc.cosine_similarity(a, b).item() for b in v2s] for a in v1s]
+    sims = [[_scalar_cosine(a, b).item() for b in v2s] for a in v1s]
     pos = [sims[i][i] for i in range(len(v1s))]
     neg = [s for i, row in enumerate(sims) for j, s in enumerate(row) if i != j]
     stats["holdout_pos_sim"] = float(np.mean(pos))
@@ -400,9 +434,15 @@ def test_pretraining_matches_the_per_view_loop():
     history, stats, named = _per_view_pretrain(frames, train, val, den, sched,
                                                np.random.default_rng(12), **kw)
     got = ct.pretrain_encoder(frames, train, val, den, sched, np.random.default_rng(12), **kw)
-    assert repr(got.loss_history) == repr(history)
-    assert repr(sorted(got.stats.items())) == repr(sorted(stats.items()))
+    # the epoch-0 evaluation precedes any update: the same bits
+    assert repr(got.loss_history[0]) == repr(history[0])
+    assert repr(got.stats["epoch0_loss"]) == repr(stats["epoch0_loss"])
+    # updates follow the shared gradients, which move by about 1e-13 relative
+    np.testing.assert_allclose(got.loss_history, history, rtol=1e-10, atol=0)
+    assert got.stats.keys() == stats.keys()
+    for key in stats:
+        assert abs(got.stats[key] - stats[key]) <= 1e-10, key
     got_named = {**got.lstm.named(), **got.ssa.named(), "projection": got.projection.data}
     assert got_named.keys() == named.keys()
     for name in named:
-        assert got_named[name].tobytes() == named[name].tobytes(), name
+        _assert_close(named[name], got_named[name], name)

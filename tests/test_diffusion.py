@@ -265,7 +265,8 @@ class TestAugmentPair:
 
 class TestBitExact:
     """The item axis against the per-term loss and the per-frame augmentation:
-    the same bits, and the same draws from the generator."""
+    the same loss and views bit for bit, the same draws from the generator,
+    and the denoiser's gradients (summed over the items) to 1e-10."""
 
     CASES = {
         "default": (df.linear_schedule(10, 0.95, 0.30), 0.1),
@@ -288,9 +289,12 @@ class TestBitExact:
                 p.zero_grad()
             loss = loss_fn()
             loss.backward()
-            runs.append([_bits(loss.data)] + [_bits(p.grad) for p in den.parameters()])
-        for got, want in zip(*runs):
-            np.testing.assert_array_equal(got, want)
+            runs.append((_bits(loss.data), [p.grad for p in den.parameters()]))
+        (got_loss, got_grads), (want_loss, want_grads) = runs
+        np.testing.assert_array_equal(got_loss, want_loss)
+        for got, want in zip(got_grads, want_grads):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
         assert got_rng.random() == ref_rng.random()
 
     @pytest.mark.parametrize("case", sorted(CASES))

@@ -292,6 +292,23 @@ def _assert_same_training(ref, got):
             assert ref_named[name].tobytes() == got_named[name].tobytes(), name
 
 
+def _assert_close_training(ref, got):
+    """The item axis against the per-plot loop: the same epoch-0 row and
+    decisions, and curves and parameters to 1e-10, since each update follows
+    shared gradients summed over the items in one operation."""
+    assert repr(got.curve[0]) == repr(ref.curve[0])
+    assert [e for e, _, _ in got.curve] == [e for e, _, _ in ref.curve]
+    np.testing.assert_allclose(np.array(got.curve), np.array(ref.curve), rtol=1e-10, atol=0)
+    assert (got.best_epoch, got.diverged_at) == (ref.best_epoch, ref.diverged_at)
+    assert (got.y_mean, got.y_std) == (ref.y_mean, ref.y_std)
+    for tree in ("head", "lstm", "ssa"):
+        ref_named, got_named = getattr(ref, tree).named(), getattr(got, tree).named()
+        assert ref_named.keys() == got_named.keys()
+        for name in ref_named:
+            bound = 1e-10 * np.max(np.abs(ref_named[name]))
+            assert np.max(np.abs(got_named[name] - ref_named[name])) <= bound, name
+
+
 class TestBatchedHeadTraining:
     """The fine-tune on the item axis against the per-plot loop it replaces,
     from the warm-up's closed-form head."""
@@ -312,15 +329,15 @@ class TestBatchedHeadTraining:
     def test_full_batch_finetune(self):
         ref, got = self._both(4, epochs=3, lr=0.05, batch_size=10, patience=None)
         assert [e for e, _, _ in ref.curve] == [0, 1, 2, 3]
-        _assert_same_training(ref, got)
+        _assert_close_training(ref, got)
 
     def test_minibatch_finetune_with_a_short_last_chunk(self):
         # 10 train plots in chunks of 8 and 2
         ref, got = self._both(4, epochs=4, lr=0.5, batch_size=8, patience=1)
-        _assert_same_training(ref, got)
+        _assert_close_training(ref, got)
 
     def test_finetune(self):
-        _assert_same_training(*self._both(6, epochs=2, lr=0.05, batch_size=4, patience=None))
+        _assert_close_training(*self._both(6, epochs=2, lr=0.05, batch_size=4, patience=None))
 
     def test_finetune_starts_where_the_warmup_ends(self):
         # the warm-up's row already evaluates the parameters the fine-tune
@@ -347,7 +364,7 @@ class TestBatchedHeadTraining:
                                np.random.default_rng(3), epochs=15, lr=1.0, batch_size=4,
                                patience=None, pretrain_batch=2))
         assert runs[0].diverged_at == 13
-        _assert_same_training(*runs)
+        _assert_close_training(*runs)
 
 
 class TestForwardOnlyPrediction:

@@ -130,24 +130,6 @@ class TestPoolAndActivations:
         np.testing.assert_array_equal(tc.relu(x).data, [0.0, 0.0, 2.0])
 
 
-class TestCosine:
-    def test_self_similarity(self):
-        u = Tensor([1.0, 2.0, -3.0])
-        assert abs(tc.cosine_similarity(u, u).item() - 1.0) < 1e-12
-
-    def test_orthogonal(self):
-        got = tc.cosine_similarity(Tensor([1.0, 0.0]), Tensor([0.0, 1.0])).item()
-        assert got == 0.0
-
-    def test_hand_value(self):
-        got = tc.cosine_similarity(Tensor([1.0, 0.0]), Tensor([1.0, 1.0])).item()
-        assert abs(got - 1.0 / math.sqrt(2.0)) < 1e-9
-
-    def test_zero_norm_rejected(self):
-        with pytest.raises(DomainError):
-            tc.cosine_similarity(Tensor([0.0, 0.0]), Tensor([1.0, 0.0]))
-
-
 class TestGradCheck:
     def test_sum_of_squares(self):
         x = param(np.random.default_rng(5).normal(size=(4, 3)))
@@ -175,7 +157,6 @@ def _primitive_cases():
     ker = rng.normal(size=(3, 2, 3, 3)) * 0.5
     w355 = rng.normal(size=(3, 5, 5))
     img99 = rng.normal(size=(2, 9, 9))
-    u5 = rng.normal(size=5)
     return [
         ("add", lambda t: (t + Tensor(y34)).sum(), x34),
         ("sub", lambda t: (Tensor(y34) - t).sum(), x34),
@@ -200,7 +181,6 @@ def _primitive_cases():
         ("conv_kernel", lambda t: (conv_one(Tensor(img), t, padding=1) * Tensor(w355)).sum(), ker),
         ("conv_dilated", lambda t: conv_one(Tensor(img99), t, padding=2, dilation=2).sum(), ker),
         ("pool", lambda t: (tc.global_avg_pool(t) * Tensor([1.0, -2.0])).sum(), img),
-        ("cosine", lambda t: tc.cosine_similarity(t, Tensor(u5)), v5),
         ("softmax", lambda t: (tc.softmax1d(t) * Tensor(np.arange(5.0))).sum(), v5),
     ]
 
@@ -255,6 +235,14 @@ def _bits(a):
     return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
 
 
+def _assert_close(ref, got, what=""):
+    """A gradient summed over the items in one numpy operation against a
+    per-item graph's running sum: they round differently, by about 1e-13
+    relative."""
+    assert np.shape(ref) == np.shape(got), what
+    assert np.max(np.abs(np.subtract(got, ref))) <= 1e-10 * np.max(np.abs(ref)), what
+
+
 def _reference_conv2d(xd, kd, padding, dilation, g):
     """The np.pad + sliding_window_view conv2d that the primitive must reproduce
     bit for bit: forward output, kernel gradient and input gradient for an
@@ -305,9 +293,8 @@ def _batched_head(feats, w, b, y, order, x_grad):
     wt, bt = param(np.array(w)), param(np.array(b))
     xs = [Tensor(np.array(f), requires_grad=x_grad) for f in feats]
     x = tc.concat([tc.reshape(xs[i], (1,) + xs[i].shape) for i in order], axis=0)
-    n = len(order)
     (conv,) = tc.conv_items(x, [wt], padding=1)
-    vec = tc.reshape(tc.global_avg_pool(conv + tc.reshape(tc.share(bt, n), (n, 1, 1, 1))), (n,))
+    vec = tc.reshape(tc.global_avg_pool(conv + bt), (len(order),))
     diff = Tensor(y[order]) - vec
     loss = (diff * diff).mean()
     loss.backward()
@@ -316,7 +303,8 @@ def _batched_head(feats, w, b, y, order, x_grad):
 
 class TestBitExact:
     """The low-overhead primitives against the plain formulations they replace,
-    and the item-axis head against the per-plot graph it replaces."""
+    and the item axis against per-item graphs: outputs bit for bit, gradients
+    that sum over the items to 1e-10."""
 
     @pytest.mark.parametrize("padding", [0, 1, 2])
     @pytest.mark.parametrize("dilation", [1, 2])
@@ -401,8 +389,10 @@ class TestBitExact:
         for order in (np.arange(n), rng.permutation(n), np.arange(n)[::-1]):
             ref = _per_plot_head(feats, w, b, y, order, x_grad=True)
             got = _batched_head(feats, w, b, y, order, x_grad=True)
-            for what, a, g in zip(("predictions", "loss", "w grad", "b grad"), ref, got):
+            for what, a, g in zip(("predictions", "loss"), ref, got):
                 assert np.array_equal(_bits(a), _bits(g)), what
+            for what, a, g in zip(("w grad", "b grad"), ref[2:4], got[2:4]):
+                _assert_close(a, g, what)
             for k, (a, g) in enumerate(zip(ref[4], got[4])):
                 assert np.array_equal(_bits(a), _bits(g)), f"input grad of item {k}"
 
@@ -413,21 +403,11 @@ class TestBitExact:
         order = rng.permutation(5)
         ref = _per_plot_head(feats, w, b, y, order, x_grad=False)
         got = _batched_head(feats, w, b, y, order, x_grad=False)
-        for a, g in zip(ref[:4], got[:4]):
+        for a, g in zip(ref[:2], got[:2]):
             assert np.array_equal(_bits(a), _bits(g))
-
-    def test_shared_gradients_add_items_in_order(self):
-        # one item at a time each 1.0 after 1e16 is lost: 7.0; numpy's pairwise sum gives 14.0
-        parts = np.array([1e16] + [1.0] * 7 + [-1e16] + [1.0] * 7)
-        assert np.sum(parts) == 14.0
-        b = param(np.array(0.0))
-        tc._acc_items(b, parts)
-        assert b.grad.shape == () and b.grad == 7.0
-        tc._acc_items(b, parts[:2])  # continues from the gradient already there
-        assert b.grad == 7.0 + 1e16 + 1.0
-        w = param(np.zeros((2, 1)))
-        tc._acc_items(w, np.stack([parts, -parts], axis=1)[:, :, None])
-        assert w.grad.shape == (2, 1) and list(w.grad[:, 0]) == [7.0, -7.0]
+        for a, g in zip(ref[2:4], got[2:4]):
+            _assert_close(a, g)
+        assert all(x is None or not np.any(x) for x in got[4])
 
     @pytest.mark.parametrize("item_kernels", [False, True])
     @pytest.mark.parametrize("k,padding,dilation", [(1, 0, 1), (3, 1, 1), (3, 2, 2), (5, 2, 1)])
@@ -468,9 +448,30 @@ class TestBitExact:
             assert out.shape == (n,) + ref_outs[j][0].shape
             for i in range(n):
                 assert np.array_equal(_bits(out.data[i]), _bits(ref_outs[j][i])), (j, i)
-            assert np.array_equal(_bits(kerns_b[j].grad), _bits(kerns[j].grad)), j
+            if item_kernels:
+                assert np.array_equal(_bits(kerns_b[j].grad), _bits(kerns[j].grad)), j
+            else:
+                _assert_close(kerns[j].grad, kerns_b[j].grad, j)
         for i in range(n):
             assert np.array_equal(_bits(x_b.grad[i]), _bits(xs[i].grad)), i
+
+    @pytest.mark.parametrize("n", [2, 12, 48])
+    def test_shared_kernel_gradient_is_one_sum_of_the_items(self, n):
+        # one GEMM per item, then one numpy sum; not one GEMM over all items'
+        # rows, whose bits depend on the BLAS thread count
+        rng = np.random.default_rng(n)
+        xd, kd = rng.normal(size=(n, 8, 10, 10)), rng.normal(size=(8, 8, 3, 3))
+        g = rng.normal(size=(n, 8, 10, 10))
+        parts = []
+        for i in range(n):
+            kern = param(np.array(kd))
+            (out,) = tc.conv_items(Tensor(xd[i:i + 1]), [kern], padding=1)
+            (out * Tensor(g[i:i + 1])).sum().backward()
+            parts.append(kern.grad)
+        kern = param(np.array(kd))
+        (out,) = tc.conv_items(Tensor(xd), [kern], padding=1)
+        (out * Tensor(g)).sum().backward()
+        assert np.array_equal(_bits(kern.grad), _bits(np.sum(parts, axis=0)))
 
     @pytest.mark.parametrize("hw", [10, 32])
     def test_pool_matmul_and_softmax_per_item(self, hw):
@@ -499,23 +500,9 @@ class TestBitExact:
         loss_b.backward()
         for i in range(n):
             assert np.array_equal(_bits(probs_b.data[i]), _bits(probs[i].data))
-            assert np.array_equal(_bits(x_b.grad[i]), _bits(xs[i].grad))
-        assert np.array_equal(_bits(w_b.grad), _bits(w.grad))
-
-    def test_backward_defers_shared_parts_to_item_major_order(self):
-        # two nodes share b with items 0 and 1, the first visited first.
-        # Node-major order would add 1e16, -1e16, 1.0, 1.0 and keep 2.0;
-        # item-major adds 1e16, 1.0, -1e16, 1.0 and keeps 1.0 (the first 1.0
-        # is lost against 1e16)
-        b = param(np.array(0.0))
-        first = tc.share(b, 2) * Tensor(np.array([1e16, -1e16]))
-        second = tc.share(b, 2) * Tensor(np.array([1.0, 1.0]))
-        (first.sum() + second.sum()).backward()
-        assert b.grad == 1.0
-        # the items of one backward pass are the same for every node
-        third = tc.share(b, 3) * Tensor(np.ones(3))
-        with pytest.raises(ShapeMismatchError):
-            (first.sum() + third.sum()).backward()
+            # the items' gradient through matmul is one [N,m] @ [m,n] GEMM
+            _assert_close(xs[i].grad, x_b.grad[i], i)
+        _assert_close(w.grad, w_b.grad)
 
     def test_shape_checks(self):
         with pytest.raises(ShapeMismatchError):
