@@ -30,10 +30,13 @@ that differ and the times of both:
 With ``--pairs WORKLOAD`` it runs only the end-to-end measurement instead:
 ``PAIRS`` (10) alternating pairs of untraced perfbench runs of the parent and of
 this checkout at each ``--pair-seeds`` seed, the parent first in every
-other pair. It stores each tree's commit id and dirty flag, every run's
-result line, each side's median and quartiles of each end-to-end metric,
-and the pairs the change wins on each, under ``pairs.<workload>/seed<s>``.
-These pairs are the only untraced end-to-end figures a BENCH file holds:
+other pair. Both sides run from fresh clones of their commits in the
+temporary directory, so that neither tree's location or untracked files
+count; a tree whose tracked files differ from its commit is refused. It
+stores each tree's commit id, every run's result line, each side's median
+and quartiles of each end-to-end metric, and the pairs the change wins on
+each, under ``pairs.<workload>/seed<s>``. These pairs are the only untraced
+end-to-end figures a BENCH file holds:
 
     python3 scripts/bench.py --parent ../parent --out BENCH_9.json --pairs ingest-s2
 
@@ -260,18 +263,33 @@ def compare(runs: dict) -> dict:
     return out
 
 
+def _clone(root: Path, dest: Path) -> dict:
+    """Clone the commit ``root`` has checked out into ``dest``; returns its
+    ``source_id``. A tree whose tracked files differ from its commit is refused."""
+    source = source_id(root)
+    if source["commit"] is None or source["dirty"] is not False:
+        raise SystemExit(f"{root}: not a clean git checkout ({source}); commit first")
+    subprocess.run(["git", "clone", "--quiet", "--no-checkout", str(root), str(dest)], check=True)
+    subprocess.run(["git", "-C", str(dest), "checkout", "--quiet", source["commit"]], check=True)
+    return source
+
+
 def pairs(parent: Path, workload: str, seed: int) -> dict:
     """``PAIRS`` alternating pairs of untraced perfbench runs of ``parent`` and
-    of this checkout; a lower metric wins a pair, a tie counts for neither."""
-    roots = {"parent": parent, "change": HERE.parent.parent}
-    sources = {side: source_id(root) for side, root in roots.items()}
+    of this checkout, each run from a fresh clone of its commit; a lower
+    metric wins a pair, a tie counts for neither."""
     results = {"parent": [], "change": []}
-    for i in range(PAIRS):
-        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-            run = perfbench(roots[side], _pinned_env(roots[side]), workload, False, seed)
-            results[side].append(run["result"])
-            print(f"{workload} seed {seed} pair {i} {side}: "
-                  f"task_s {run['result']['metrics']['task_s']['value']:.3f}", file=sys.stderr)
+    with tempfile.TemporaryDirectory(prefix="cropyield-pairs-") as tmp:
+        roots = {"parent": Path(tmp, "parent"), "change": Path(tmp, "change")}
+        sources = {side: _clone(root, roots[side])
+                   for side, root in (("parent", parent), ("change", HERE.parent.parent))}
+        for i in range(PAIRS):
+            for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                run = perfbench(roots[side], _pinned_env(roots[side]), workload, False, seed)
+                results[side].append(run["result"])
+                print(f"{workload} seed {seed} pair {i} {side}: "
+                      f"task_s {run['result']['metrics']['task_s']['value']:.3f}",
+                      file=sys.stderr)
     values = {side: {m: [r["metrics"][m]["value"] for r in rows] for m in rows[0]["metrics"]}
               for side, rows in results.items()}
     return {"seconds": PERFBENCH_SECONDS, "sources": sources, "results": results,

@@ -135,10 +135,7 @@ def diffusion_loss(z0: np.ndarray, den, sched: NoiseSchedule, lam: float, rng) -
     # one difference serves both terms: (z_t - pred)^2 == (pred - z_t)^2 exactly
     diff = out - Tensor(np.concatenate([np.broadcast_to(z0, targets.shape), targets[traj]]))
     sums = tc.tsum(tc.reshape(diff * diff, (len(ts), -1)), axis=1)
-    total = Tensor(0.0)
-    for i in range(len(ts)):
-        total = total + (sums[i, 0] / z0.size if i < steps else lam * sums[i, 0])
-    return total
+    return tc.sum_in_order([sums[:steps] / z0.size, lam * sums[steps:]])
 
 
 def augment_pair(frames: np.ndarray, den, sched: NoiseSchedule, depth: int, rng,

@@ -41,5 +41,9 @@ class StagePrerequisiteError(CropYieldError):
     """A resumed pipeline stage is missing an upstream artifact."""
 
 
+class GraphConsumedError(CropYieldError):
+    """A backward reached a tensor whose graph an earlier backward already consumed."""
+
+
 class NumericalError(CropYieldError):
     """Non-finite values where finite ones are required (diverged training, bad grads)."""

@@ -4,9 +4,17 @@ Everything downstream (recurrent cells, attention, losses) is composed from
 the primitive set in this module. Primitives are pure: given identical
 inputs they reproduce identical outputs bit for bit, so a recorded
 computation can be replayed exactly. Gradients are accumulated into the
-tensors that participated in a computation when ``backward`` is called on a
-scalar result; tensors that never entered the graph report an exactly-zero
-gradient. Inside ``no_grad()`` primitives record no graph at all.
+leaf tensors that participated in a computation when ``backward`` is called
+on a scalar result; tensors that never entered the graph report an
+exactly-zero gradient. Inside ``no_grad()`` primitives record no graph at all.
+
+``backward`` consumes the graph it runs. Each node drops its gradient, its
+backward closure (with the buffers the closure saved) and its parents as
+soon as its closure has run, so a step's intermediate gradients and saved
+im2col matrices are freed while the backward goes on, not when the step
+ends. Intermediate tensors keep their values but not their gradients.
+Leaves keep ``.grad``. A second ``backward`` through a consumed node raises
+``GraphConsumedError``: build the graph again to differentiate again.
 
 All data lives in 64-bit floats. Gradient checks at 1e-4 relative tolerance
 are not reliable in 32-bit.
@@ -45,7 +53,13 @@ from typing import ClassVar, NamedTuple, get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import DataFormatError, DomainError, NumericalError, ShapeMismatchError
+from .errors import (
+    DataFormatError,
+    DomainError,
+    GraphConsumedError,
+    NumericalError,
+    ShapeMismatchError,
+)
 
 
 @lru_cache(maxsize=None)
@@ -54,7 +68,7 @@ def keep_freed_heap() -> None:
     rest of the process (``pipeline.run_pipeline`` calls this once).
 
     A minibatch graph holds tens of MB in arrays of 0.1 to a few MB and frees
-    them all at the next step. With its start-up thresholds, glibc returns
+    them during its backward. With its start-up thresholds, glibc returns
     that memory to the system at once, and the next minibatch faults every
     page in again: in the benchmark's pipeline-s2 task on a 2-core x86-64 VM,
     1.4 million minor faults and 3 s of system time in an 11 s task. The
@@ -96,7 +110,14 @@ class Tensor:
 
     @property
     def grad(self) -> np.ndarray:
-        """Accumulated gradient; exactly zero for tensors unused by the loss."""
+        """Accumulated gradient; exactly zero for tensors unused by the loss.
+
+        Only leaves keep theirs: an intermediate tensor's gradient is freed
+        once ``backward`` has run its node, and reading it then raises
+        GraphConsumedError.
+        """
+        if self._bw is _CONSUMED:
+            raise GraphConsumedError("an intermediate tensor's gradient is freed by backward")
         if self._grad is None:
             return np.zeros_like(self.data)
         return self._grad
@@ -113,16 +134,27 @@ class Tensor:
     # -- graph construction ------------------------------------------------
 
     def backward(self):
-        """Accumulate d(self)/d(leaf) into every reachable tensor. Scalar only."""
+        """Accumulate d(self)/d(leaf) into every reachable leaf. Scalar only.
+
+        Consumes the graph: once a node's closure has run, the node drops its
+        gradient, closure and parents, so each intermediate gradient and
+        saved buffer is freed as soon as nothing upstream needs it. Every
+        tensor keeps its data and leaves keep ``.grad``. Raises
+        GraphConsumedError, before any gradient moves, if the graph reaches a
+        node an earlier backward consumed.
+        """
         if self.data.size != 1:
             raise ShapeMismatchError(
                 f"backward() needs a scalar, got shape {self.data.shape}"
             )
         order = _toposort(self)
         self._grad = np.ones_like(self.data)
-        for node in reversed(order):
-            if node._bw is not None and node._grad is not None:
-                node._bw(node._grad)
+        while order:
+            node = order.pop()
+            if node._bw is not None:
+                if node._grad is not None:
+                    node._bw(node._grad)
+                node._grad, node._bw, node._parents = None, _CONSUMED, ()
 
     # -- operator sugar ------------------------------------------------------
 
@@ -275,6 +307,9 @@ def _node(data, parents, bw) -> Tensor:
     return out
 
 
+_CONSUMED = object()  # the ``_bw`` of a node whose closure a backward has run
+
+
 def _toposort(root: Tensor):
     order = []
     seen = set()
@@ -286,6 +321,10 @@ def _toposort(root: Tensor):
             continue
         if node in seen:
             continue
+        if node._bw is _CONSUMED:
+            raise GraphConsumedError(
+                "backward reached a tensor whose graph an earlier backward consumed; "
+                "build the graph again")
         seen.add(node)
         stack.append((node, True))
         for p in node._parents:
@@ -371,6 +410,21 @@ def tsum(a: Tensor, axis: int | None = None) -> Tensor:
         _acc(a, np.full(a.data.shape, g))
 
     return _node(a.data.sum(), (a,), bw)
+
+
+def sum_in_order(terms) -> Tensor:
+    """Scalar 0.0 + t_0 + t_1 + ... over the elements of the tensors ``terms``,
+    left to right and rounded after each addition, as a chain of scalar
+    ``add`` nodes would give (``tsum`` adds pairwise and rounds otherwise).
+    One node; every element's gradient is g."""
+    terms = tuple(terms)
+    flat = np.concatenate([np.zeros(1)] + [t.data.ravel() for t in terms])
+
+    def bw(g):
+        for t in terms:
+            _acc(t, np.full(t.data.shape, g))
+
+    return _node(np.add.accumulate(flat)[-1], terms, bw)
 
 
 def tmean(a: Tensor) -> Tensor:

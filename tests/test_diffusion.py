@@ -63,6 +63,31 @@ def _ref_loss(z0, den, sched, lam, rng):
     return total
 
 
+def _scalar_tail_loss(z0, den, sched, lam, rng):
+    """``diffusion_loss`` with its sum as a chain of scalar nodes: three nodes
+    per term (``sums[i, 0]``, ``/ z0.size`` or ``lam *``, ``+``)."""
+    steps = sched.steps
+    betas = np.asarray(sched.betas, dtype=np.float64)
+    noisy = betas != 1.0
+    eps = rng.standard_normal((int(noisy.sum()),) + np.shape(z0))
+    beta = betas[noisy].reshape((-1,) + (1,) * np.ndim(z0))
+    targets = np.repeat(np.asarray(z0, dtype=np.float64)[None], steps, axis=0)
+    targets[noisy] = beta * z0 + np.sqrt(1.0 - beta) * eps
+    ts = list(range(1, steps + 1))
+    if lam > 0:
+        ts += sorted(int(t) for t in rng.choice(steps, size=math.ceil(steps / 2),
+                                                replace=False) + 1)
+    traj = np.array(ts[steps:], dtype=np.intp) - 1
+    clean = np.broadcast_to(z0, (len(traj),) + np.shape(z0))
+    out = den.forward(Tensor(np.concatenate([targets, clean])), ts)
+    diff = out - Tensor(np.concatenate([np.broadcast_to(z0, targets.shape), targets[traj]]))
+    sums = tc.tsum(tc.reshape(diff * diff, (len(ts), -1)), axis=1)
+    total = Tensor(0.0)
+    for i in range(len(ts)):
+        total = total + (sums[i, 0] / z0.size if i < steps else lam * sums[i, 0])
+    return total
+
+
 def _ref_augment(frames, den, sched, depth, rng, sigma_scale):
     """``augment_pair`` before the item axis: frame by frame, view by view,
     one denoiser call and one draw per reverse step."""
@@ -273,6 +298,7 @@ class TestBitExact:
         "lam_zero": (df.linear_schedule(10, 0.95, 0.30), 0.0),
         "odd_steps": (df.linear_schedule(7, 0.9, 0.2), 0.3),
         "beta_one": (df.NoiseSchedule((1.0, 1.0, 0.8, 0.5)), 0.1),
+        "long_odd": (df.linear_schedule(21, 0.95, 0.2), 0.1),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -296,6 +322,24 @@ class TestBitExact:
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
         assert got_rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_loss_sum_matches_the_scalar_chain(self, case):
+        """The loss's one ordered-sum node against a chain of scalar nodes:
+        the loss and every denoiser gradient bit for bit."""
+        sched, lam = self.CASES[case]
+        rng = np.random.default_rng(24)
+        den = df.init_denoiser(3, 4, sched.steps, rng)
+        z0 = rng.normal(size=(3, 6, 5))
+        runs = []
+        for loss_fn in (df.diffusion_loss, _scalar_tail_loss):
+            for p in den.parameters():
+                p.zero_grad()
+            loss = loss_fn(z0, den, sched, lam, np.random.default_rng(25))
+            loss.backward()
+            runs.append([loss.data] + [p.grad for p in den.parameters()])
+        for got, want in zip(*runs):
+            np.testing.assert_array_equal(_bits(got), _bits(want))
 
     @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("depth", [0, 1, 3])

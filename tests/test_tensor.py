@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cropyield import tensor as tc
-from cropyield.errors import DomainError, NumericalError, ShapeMismatchError
+from cropyield.errors import (
+    DomainError,
+    GraphConsumedError,
+    NumericalError,
+    ShapeMismatchError,
+)
 from cropyield.tensor import Tensor, param
 
 
@@ -229,6 +234,43 @@ class TestTapeContract:
     def test_backward_needs_scalar(self):
         with pytest.raises(ShapeMismatchError):
             param(np.ones(3)).backward()
+
+    def test_second_backward_on_the_same_root_raises(self):
+        x = param(np.array([1.5, -2.0]))
+        loss = (tc.tanh(x) * x).sum()
+        loss.backward()
+        first = x.grad.copy()
+        with pytest.raises(GraphConsumedError):
+            loss.backward()
+        assert x.grad.tobytes() == first.tobytes()  # raised before any gradient moved
+
+    def test_root_built_on_a_consumed_tensor_raises(self):
+        x = param(np.array([1.5, -2.0]))
+        h = tc.tanh(x)
+        loss = (h * h).sum()
+        loss.backward()
+        first = x.grad.copy()
+        assert h.data.tobytes() == np.tanh(x.data).tobytes()  # values stay
+        with pytest.raises(GraphConsumedError):
+            h.grad  # an intermediate tensor's gradient is freed
+        for root in (h.sum(), loss * Tensor(2.0)):
+            with pytest.raises(GraphConsumedError):
+                root.backward()
+        assert x.grad.tobytes() == first.tobytes()
+
+    def test_sum_in_order_adds_left_to_right(self):
+        # 24 values of mixed magnitude whose pairwise sum (np.sum) rounds otherwise
+        rng = np.random.default_rng(0)
+        vals = rng.normal(size=24) * 10.0 ** np.random.default_rng(100).integers(-8, 8, 24)
+        want = 0.0
+        for v in vals:
+            want = want + v
+        assert want != np.sum(vals)
+        a, b = param(vals[:20].reshape(4, 5)), param(vals[20:])
+        total = tc.sum_in_order([a, b])
+        assert total.data.tobytes() == np.float64(want).tobytes()
+        total.backward()
+        assert np.all(a.grad == 1.0) and np.all(b.grad == 1.0)
 
 
 def _bits(a):
