@@ -17,12 +17,14 @@ from .errors import ConfigError
 
 
 # n_plots: the 80-10-10 split needs 10; batch_size: every anchor needs a negative;
-# eo_particles: the equilibrium pool holds 4
+# eo_particles: the equilibrium pool holds 4; a negative ridge_penalty is no ridge;
+# patience 0 turns early stopping off
 _LOWER_BOUNDS = {"n_plots": 10, "batch_size": 2, "denoiser_epochs": 0, "pretrain_epochs": 0,
                  "train_epochs": 0, "finetune_epochs": 0, "eo_iters": 1, "eo_particles": 4,
                  "sigma_scale": 0.0, "lambda_consistency": 0.0, "kernel_size": 1,
                  "diff_steps": 1, "denoiser_hidden": 1, "hidden_channels": 1, "embed_dim": 1,
-                 "history": 1, "experts": 1, "se_reduction": 1, "shuffle_groups": 1}
+                 "history": 1, "experts": 1, "se_reduction": 1, "shuffle_groups": 1,
+                 "ridge_penalty": 0.0, "patience": 0}
 
 
 @dataclass

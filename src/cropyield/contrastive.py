@@ -8,8 +8,9 @@ other sample in the batch. The positive term appears in the denominator as
 well, so the per-anchor loss under uniform similarities is exactly log(n).
 
 A minibatch of n samples is one graph: its 2n views are encoded together on
-the item axis of the encoder, and the loss reads each view's embedding as a
-slice of the batched one.
+the item axis of the encoder, the n first views and then the n second views,
+and the loss takes the two [n, d] halves of the batched embedding. The
+held-out similarities embed their views in the same layout.
 """
 
 from __future__ import annotations
@@ -25,14 +26,6 @@ from . import diffusion as df
 from . import tensor as tc
 from .errors import DomainError, ShapeMismatchError
 from .tensor import Tensor
-
-
-@dataclass
-class ContrastiveBatch:
-    """Positive pairs, two views per sample; every other second view in the
-    batch is a negative for an anchor."""
-
-    pairs: list  # [(v1, v2)] embedding Tensors
 
 
 def embed_sequence(frames, lstm_p: cl.ConvLstmParams, ssa_p: at.SsaParams,
@@ -83,17 +76,20 @@ def _unit_rows(z: Tensor) -> Tensor:
     return z / tc.sqrt(tc.tsum(z * z, axis=1))
 
 
-def contrastive_loss(batch: ContrastiveBatch, tau: float) -> Tensor:
+def contrastive_loss(z1: Tensor, z2: Tensor, tau: float) -> Tensor:
     """Mean over anchors of -log( e^{s_ii/tau} / sum_j e^{s_ij/tau} ), with
-    s_ij the cosine similarity of anchor i's first view and sample j's second:
-    one [n, n] logit matrix and a row-wise log-sum-exp (NT-Xent)."""
+    s_ij the cosine similarity of row i of ``z1`` (anchor i's first view) and
+    row j of ``z2`` (sample j's second view), both [n, d]: one [n, n] logit
+    matrix and a row-wise log-sum-exp (NT-Xent)."""
+    if z1.data.ndim != 2 or z1.data.shape != z2.data.shape:
+        raise ShapeMismatchError(
+            f"expected two [n, d] embedding blocks of one shape, got {z1.data.shape} "
+            f"and {z2.data.shape}")
     if tau <= 0:
         raise DomainError(f"temperature must be positive, got {tau}")
-    n = len(batch.pairs)
+    n = z1.data.shape[0]
     if n < 2:
         raise DomainError("need at least one negative per anchor (batch of >= 2 pairs)")
-    z1, z2 = (tc.concat([tc.reshape(pair[k], (1, -1)) for pair in batch.pairs])
-              for k in (0, 1))
     u, v = _unit_rows(z1), _unit_rows(z2)
     logits = tc.matmul(v, u) * Tensor(1.0 / tau)  # [i, j] = u_i . v_j / tau
     shift = Tensor(np.max(logits.data, axis=1, keepdims=True))
@@ -149,7 +145,7 @@ def pretrain_encoder(frames_by_sample, train_idx, val_idx, den, sched,
         views = _view_batch(frames_by_sample, idx_batch, den, sched, depth, rng, sigma_scale)
         emb = embed_sequence(views, lstm_p, ssa_p, proj)
         n = len(idx_batch)
-        return contrastive_loss(ContrastiveBatch([(emb[i], emb[n + i]) for i in range(n)]), tau)
+        return contrastive_loss(emb[:n], emb[n:], tau)
 
     def epoch_batches(rng):  # a one-sample chunk has no negative pair
         return [b for b in tc.minibatches(train_idx, batch_size, rng) if len(b) >= 2]
@@ -193,17 +189,17 @@ def holdout_similarities(frames_by_sample, idx, lstm_p, ssa_p, proj, den, sched,
                          depth, rng, batch_size: int, sigma_scale: float = 0.1):
     """Mean positive-pair and negative-pair cosine similarity on held-out samples.
 
-    The views are embedded as ``encode_chunks`` does for a pretraining
-    minibatch of ``batch_size`` samples. The negative mean is None when
-    ``idx`` holds a single sample; a zero-norm embedding raises DomainError.
+    The views are laid out as in a pretraining minibatch (``_view_batch``:
+    the n first views, then the n second views) and embedded by
+    ``encode_chunks``. The negative mean is None when ``idx`` holds a single
+    sample; a zero-norm embedding raises DomainError.
     """
-    views = [v for i in idx
-             for v in df.augment_pair(frames_by_sample[i], den, sched, depth, rng, sigma_scale)]
+    views = _view_batch(frames_by_sample, idx, den, sched, depth, rng, sigma_scale)
     with tc.no_grad():
         feats = encode_chunks(views, lstm_p, ssa_p, batch_size)
         emb = (proj @ tc.global_avg_pool(Tensor(feats))).data
     unit = _unit_rows(Tensor(emb)).data
-    sims = unit[0::2] @ unit[1::2].T  # [i, j]: first view of i, second view of j
-    n = len(sims)
+    n = len(idx)
+    sims = unit[:n] @ unit[n:].T  # [i, j]: first view of i, second view of j
     neg = float(np.mean(sims[~np.eye(n, dtype=bool)])) if n > 1 else None
     return float(np.mean(np.diag(sims))), neg

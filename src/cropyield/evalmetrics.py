@@ -63,31 +63,23 @@ class EvalReport:
     baseline: dict = field(default_factory=dict)  # mean-predictor reference metrics
 
 
-def evaluate(predict_fn, dataset, split_idx, baseline_constant: float | None = None) -> EvalReport:
-    """Score ``predict_fn(sample) -> yhat`` over the given sample indices.
+def evaluate(samples, preds, baseline_constant: float | None = None) -> EvalReport:
+    """Score the yield predictions ``preds`` of ``samples``, one per sample.
 
     Groups are the samples' season tags. ``baseline_constant`` (usually the
-    train-split mean yield) adds reference metrics for the same indices.
+    train-split mean yield) adds reference metrics for the same samples.
     """
-    idx = list(split_idx)
-    if not idx:
+    samples = list(samples)
+    if not samples:
         raise DomainError("cannot evaluate an empty split")
-    y, preds, tags = [], [], []
-    for i in idx:
-        sample = dataset.samples[i]
-        try:
-            preds.append(float(predict_fn(sample)))
-        except DomainError as err:
-            raise DomainError(f"prediction failed for sample index {i}: {err}") from err
-        y.append(sample.y)
-        tags.append(sample.season_tag)
-    y = np.array(y)
-    preds = np.array(preds)
+    y = np.array([s.y for s in samples])
+    preds = np.array(preds, dtype=np.float64)
+    tags = [s.season_tag for s in samples]
 
     def all_metrics(yv, pv):
         return {name: fn(yv, pv) for name, fn in METRICS.items()}
 
-    report = EvalReport(**all_metrics(y, preds), n=len(idx))
+    report = EvalReport(**all_metrics(y, preds), n=len(samples))
     for tag in sorted(set(tags)):
         sel = [k for k, t in enumerate(tags) if t == tag]
         group = all_metrics(y[sel], preds[sel])

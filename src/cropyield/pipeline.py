@@ -219,16 +219,14 @@ class YieldModel:
             _, preds = pr.predict_yield(tc.take_channels(fused, self.sel), self.head)
         return self.y_mean + self.y_std * float(preds.data[0])
 
-    def predictor_for(self, ds: sd.Dataset, frames):
-        by_id = {id(s): frames[i] for i, s in enumerate(ds.samples)}
-        return lambda sample: self.predict_frames(by_id[id(sample)])
-
 
 def run_stage_evaluate(run_dir: Path, ds: sd.Dataset, frames, cfg: RunConfig) -> None:
     _require_stage(run_dir, "train")
     model = YieldModel.load(run_dir, cfg)
     y_train_mean = float(np.mean([ds.samples[i].y for i in ds.split.train]))
-    report = em.evaluate(model.predictor_for(ds, frames), ds, ds.split.test,
+    test = ds.split.test
+    report = em.evaluate([ds.samples[i] for i in test],
+                         [model.predict_frames(frames[i]) for i in test],
                          baseline_constant=y_train_mean)
     em.write_report_table(report, run_dir / "report.txt", percent=cfg.percent)
     em.write_report_kv(report, run_dir / "report.kv")
@@ -295,7 +293,7 @@ def run_pipeline(cfg: RunConfig, data_path, out_dir, stage: str | None = None) -
 
 
 def merge_reports(run_dirs, percent: bool = False):
-    """Collect per-run metrics, newest-first sorted by MAPE, plus a baseline row.
+    """Collect per-run metrics and a mean-baseline row, sorted by MAPE, lowest first.
 
     Returns (rows, skipped) where each row is (name, mape, rmsle, smape).
     Malformed report files are skipped, not fatal.

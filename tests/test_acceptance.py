@@ -96,14 +96,11 @@ def test_criterion_1_gradient_suite():
     seqs = [[rng.normal(size=(3, 6, 6)) * 0.5 for _ in range(3)] for _ in range(4)]
 
     def contrastive_via_embed(_t):
-        pairs = [
-            (ct.embed_sequence([seqs[0]], lstm2, ssa2, proj)[0],
-             ct.embed_sequence([seqs[1]], lstm2, ssa2, proj)[0]),
-            (ct.embed_sequence([seqs[2]], lstm2, ssa2, proj)[0],
-             ct.embed_sequence([seqs[3]], lstm2, ssa2, proj)[0]),
-        ]
-        batch = ct.ContrastiveBatch(pairs)
-        return ct.contrastive_loss(batch, 0.5)
+        z1 = tc.concat([ct.embed_sequence([seqs[0]], lstm2, ssa2, proj),
+                        ct.embed_sequence([seqs[2]], lstm2, ssa2, proj)])
+        z2 = tc.concat([ct.embed_sequence([seqs[1]], lstm2, ssa2, proj),
+                        ct.embed_sequence([seqs[3]], lstm2, ssa2, proj)])
+        return ct.contrastive_loss(z1, z2, 0.5)
 
     worst["contrastive_loss"] = max(
         tc.grad_check(contrastive_via_embed, t)
@@ -157,9 +154,8 @@ def test_criterion_2_equation_oracles():
     checks.append(("shuffle (0,2,1,3)", list(perm) == [0, 2, 1, 3]))
 
     # contrastive hand value, tolerance 1e-5 as stated
-    ex, ey = Tensor([1.0, 0.0]), Tensor([0.0, 1.0])
-    batch = ct.ContrastiveBatch([(ex, ex), (ey, ey)])
-    loss = ct.contrastive_loss(batch, 1.0).item()
+    views = Tensor([[1.0, 0.0], [0.0, 1.0]])  # both views of sample 0 are ex, of 1 ey
+    loss = ct.contrastive_loss(views, views, 1.0).item()
     checks.append(("contrastive -log(e/(e+1))", abs(loss - 0.31326) < 1e-5))
 
     # particle position update arithmetic

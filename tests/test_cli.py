@@ -67,7 +67,8 @@ class TestConfig:
                            ("diff_steps", 0), ("denoiser_hidden", 0), ("hidden_channels", 0),
                            ("embed_dim", 0), ("history", 0), ("experts", 0), ("se_reduction", 0),
                            ("shuffle_groups", 0), ("train_lr", float("nan")),
-                           ("pretrain_lr", float("inf")), ("yield_noise", float("-inf"))):
+                           ("pretrain_lr", float("inf")), ("yield_noise", float("-inf")),
+                           ("ridge_penalty", -0.01), ("patience", -1)):
             with pytest.raises(ConfigError):
                 load_config(None, {key: value})
         # the benchmark's shortened schedules stay valid

@@ -26,6 +26,16 @@ def unit(*vals):
     return Tensor(v / np.linalg.norm(v))
 
 
+def rows(vectors):
+    """The [n, d] block of n 1-D embedding tensors, in the graph of each."""
+    return tc.concat([tc.reshape(v, (1, -1)) for v in vectors])
+
+
+def blocks(pairs):
+    """The first-view and the second-view [n, d] blocks of n (v1, v2) pairs."""
+    return rows([v1 for v1, _ in pairs]), rows([v2 for _, v2 in pairs])
+
+
 class TestEmbedSequence:
     def test_deterministic(self):
         lstm, ssa, proj = make_encoder()
@@ -74,13 +84,13 @@ def _scalar_cosine(u, v):
     return tc.tsum(u * v) / (tc.sqrt(tc.tsum(u * u)) * tc.sqrt(tc.tsum(v * v)))
 
 
-def _scalar_loss(batch, tau):
+def _scalar_loss(z1, z2, tau):
     """The contrastive loss as n^2 scalar cosine graphs: per anchor i,
     -log(e^{s_ii/tau} / sum_j e^{s_ij/tau}), then the mean over anchors."""
-    n = len(batch.pairs)
+    n = z1.shape[0]
     total = None
-    for i, (v1, _) in enumerate(batch.pairs):
-        exps = [tc.exp(_scalar_cosine(v1, v2) * Tensor(1.0 / tau)) for _, v2 in batch.pairs]
+    for i in range(n):
+        exps = [tc.exp(_scalar_cosine(z1[i], z2[j]) * Tensor(1.0 / tau)) for j in range(n)]
         denom = exps[0]
         for e in exps[1:]:
             denom = denom + e
@@ -96,10 +106,10 @@ class TestContrastiveLoss:
         data = rng.normal(size=(n, 2, d))
         results = []
         for loss_fn in (ct.contrastive_loss, _scalar_loss):
-            views = [(tc.param(np.array(a)), tc.param(np.array(b))) for a, b in data]
-            loss = loss_fn(ct.ContrastiveBatch(views), tau)
+            z1, z2 = tc.param(np.array(data[:, 0])), tc.param(np.array(data[:, 1]))
+            loss = loss_fn(z1, z2, tau)
             loss.backward()
-            results.append((loss.item(), np.array([[t.grad for t in pair] for pair in views])))
+            results.append((loss.item(), np.array([z1.grad, z2.grad])))
         (got, got_grad), (want, want_grad) = results
         assert abs(got - want) <= 1e-12 * abs(want)
         assert np.max(np.abs(got_grad - want_grad)) <= 1e-12 * np.max(np.abs(want_grad))
@@ -107,8 +117,7 @@ class TestContrastiveLoss:
     def test_one_positive_one_negative_hand_value(self):
         # both anchors: positive sim 1 (identical), negative sim 0 (orthogonal)
         ex, ey = unit(1, 0), unit(0, 1)
-        batch = ct.ContrastiveBatch(pairs=[(ex, ex), (ey, ey)])
-        got = ct.contrastive_loss(batch, tau=1.0).item()
+        got = ct.contrastive_loss(*blocks([(ex, ex), (ey, ey)]), tau=1.0).item()
         want = -math.log(math.e / (math.e + 1.0))
         assert abs(got - want) < 1e-9
         assert abs(got - 0.31326) < 1e-5
@@ -116,32 +125,30 @@ class TestContrastiveLoss:
     def test_all_identical_gives_log_n(self):
         v = unit(1, 2, 3)
         for n in (2, 5, 8):
-            batch = ct.ContrastiveBatch(pairs=[(v, v)] * n)
-            got = ct.contrastive_loss(batch, tau=0.7).item()
+            got = ct.contrastive_loss(*blocks([(v, v)] * n), tau=0.7).item()
             assert abs(got - math.log(n)) < 1e-9
 
     def test_sharp_temperature_drives_loss_to_zero(self):
         pairs = [(unit(1, 0, 0), unit(1, 0, 0)), (unit(0, 1, 0), unit(0, 1, 0)),
                  (unit(0, 0, 1), unit(0, 0, 1))]
-        batch = ct.ContrastiveBatch(pairs=pairs)
-        assert ct.contrastive_loss(batch, tau=0.01).item() < 1e-3
+        assert ct.contrastive_loss(*blocks(pairs), tau=0.01).item() < 1e-3
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(4)
         vs = [rng.normal(size=5) for _ in range(6)]
         pairs = [(Tensor(vs[2 * i]), Tensor(vs[2 * i + 1])) for i in range(3)]
         scaled = [(Tensor(3.7 * vs[2 * i]), Tensor(3.7 * vs[2 * i + 1])) for i in range(3)]
-        a = ct.contrastive_loss(ct.ContrastiveBatch(pairs), 0.5).item()
-        b = ct.contrastive_loss(ct.ContrastiveBatch(scaled), 0.5).item()
+        a = ct.contrastive_loss(*blocks(pairs), 0.5).item()
+        b = ct.contrastive_loss(*blocks(scaled), 0.5).item()
         assert abs(a - b) < 1e-12
 
     def test_permutation_invariance_of_negatives(self):
         rng = np.random.default_rng(5)
         vs = [(Tensor(rng.normal(size=4)), Tensor(rng.normal(size=4))) for _ in range(4)]
-        base = ct.contrastive_loss(ct.ContrastiveBatch(list(vs)), 0.5).item()
+        base = ct.contrastive_loss(*blocks(vs), 0.5).item()
         # swapping two non-anchor pairs permutes every anchor's negative set
         swapped = [vs[0], vs[2], vs[1], vs[3]]
-        got = ct.contrastive_loss(ct.ContrastiveBatch(swapped), 0.5).item()
+        got = ct.contrastive_loss(*blocks(swapped), 0.5).item()
         assert abs(base - got) < 1e-12
 
     def test_loss_decreases_when_positive_sim_rises(self):
@@ -150,23 +157,30 @@ class TestContrastiveLoss:
         def loss_at(angle):
             v1 = unit(1, 0)
             v2 = unit(math.cos(angle), math.sin(angle))
-            batch = ct.ContrastiveBatch(pairs=[(v1, v2), (neg, neg)])
-            return ct.contrastive_loss(batch, 0.5).item()
+            return ct.contrastive_loss(*blocks([(v1, v2), (neg, neg)]), 0.5).item()
 
         losses = [loss_at(a) for a in (0.9, 0.6, 0.3, 0.0)]  # positive sim rising
         assert all(l2 < l1 for l1, l2 in zip(losses, losses[1:]))
 
     def test_zero_norm_embedding_rejected(self):
-        batch = ct.ContrastiveBatch([(Tensor([0.0, 0.0]), unit(1, 0)), (unit(0, 1), unit(0, 1))])
+        z1, z2 = blocks([(Tensor([0.0, 0.0]), unit(1, 0)), (unit(0, 1), unit(0, 1))])
         with pytest.raises(DomainError):
-            ct.contrastive_loss(batch, 0.5)
+            ct.contrastive_loss(z1, z2, 0.5)
 
     def test_bad_temperature_and_tiny_batch_rejected(self):
         v = unit(1, 1)
         with pytest.raises(DomainError):
-            ct.contrastive_loss(ct.ContrastiveBatch([(v, v)] * 2), 0.0)
+            ct.contrastive_loss(*blocks([(v, v)] * 2), 0.0)
         with pytest.raises(DomainError):
-            ct.contrastive_loss(ct.ContrastiveBatch([(v, v)]), 0.5)
+            ct.contrastive_loss(*blocks([(v, v)]), 0.5)
+
+    @pytest.mark.parametrize("shape1,shape2", [
+        ((3, 4), (2, 4)), ((3, 4), (3, 5)), ((4,), (4,)), ((2, 3, 4), (2, 3, 4)), ((3, 4), (12,))])
+    def test_blocks_of_other_shapes_rejected(self, shape1, shape2):
+        rng = np.random.default_rng(13)
+        z1, z2 = Tensor(rng.normal(size=shape1)), Tensor(rng.normal(size=shape2))
+        with pytest.raises(ShapeMismatchError, match="two \\[n, d\\] embedding blocks"):
+            ct.contrastive_loss(z1, z2, 0.5)
 
     def test_gradient_through_embeddings(self):
         lstm, ssa, proj = make_encoder(seed=6)
@@ -174,11 +188,11 @@ class TestContrastiveLoss:
         seqs = [[[rng.normal(size=(3, 6, 6)) * 0.5 for _ in range(3)]] for _ in range(4)]
 
         def loss(_p):
-            pairs = [
-                (ct.embed_sequence(seqs[0], lstm, ssa, proj)[0], ct.embed_sequence(seqs[1], lstm, ssa, proj)[0]),
-                (ct.embed_sequence(seqs[2], lstm, ssa, proj)[0], ct.embed_sequence(seqs[3], lstm, ssa, proj)[0]),
-            ]
-            return ct.contrastive_loss(ct.ContrastiveBatch(pairs), 0.5)
+            z1 = tc.concat([ct.embed_sequence(seqs[0], lstm, ssa, proj),
+                            ct.embed_sequence(seqs[2], lstm, ssa, proj)])
+            z2 = tc.concat([ct.embed_sequence(seqs[1], lstm, ssa, proj),
+                            ct.embed_sequence(seqs[3], lstm, ssa, proj)])
+            return ct.contrastive_loss(z1, z2, 0.5)
 
         worst = max(tc.grad_check(loss, proj), tc.grad_check(loss, lstm.b_o),
                     tc.grad_check(loss, ssa.w_temporal))
@@ -198,6 +212,43 @@ def test_holdout_similarities_reject_a_zero_norm_embedding():
     assert -1.0 <= pos <= 1.0 and -1.0 <= neg <= 1.0
     with pytest.raises(DomainError, match="zero-norm"):
         ct.holdout_similarities(*args, tc.param(np.zeros((4, 8))), *rest)
+
+
+def _interleaved_holdout(frames_by_sample, idx, lstm_p, ssa_p, proj, den, sched, depth, rng,
+                         batch_size, sigma_scale=0.1):
+    """``holdout_similarities`` as it was with its own view loop: the views
+    interleaved (v1, v2 of sample 0, then of sample 1, ...), sims read off
+    the even and the odd rows."""
+    views = [v for i in idx
+             for v in df.augment_pair(frames_by_sample[i], den, sched, depth, rng, sigma_scale)]
+    with tc.no_grad():
+        feats = ct.encode_chunks(views, lstm_p, ssa_p, batch_size)
+        emb = (proj @ tc.global_avg_pool(Tensor(feats))).data
+    unit = ct._unit_rows(Tensor(emb)).data
+    sims = unit[0::2] @ unit[1::2].T
+    n = len(sims)
+    neg = float(np.mean(sims[~np.eye(n, dtype=bool)])) if n > 1 else None
+    return float(np.mean(np.diag(sims))), neg
+
+
+@pytest.mark.parametrize("n,batch_size,c_in,t_steps,hw", [
+    (1, 2, 2, 3, 5), (2, 2, 2, 3, 5), (3, 2, 2, 3, 5), (5, 3, 2, 4, 6), (5, 8, 2, 4, 6),
+    (6, 8, 12, 6, 10)])
+def test_holdout_similarities_match_the_interleaved_layout(n, batch_size, c_in, t_steps, hw):
+    # the minibatch layout puts other views into each encode_chunks pass
+    # when 2n views exceed one chunk; every similarity keeps its bits
+    rng = np.random.default_rng([n, batch_size, c_in])
+    frames = [rng.normal(size=(t_steps, c_in, hw, hw)) for _ in range(n + 2)]
+    sched = df.linear_schedule(4, 0.95, 0.5)
+    den = df.init_denoiser(c_in, 4, sched.steps, rng)
+    lstm = cl.init_convlstm_params(c_in, 4, hw, hw, 3, rng)
+    ssa = at.init_ssa_params(4, rng)
+    proj = tc.param(rng.normal(size=(6, 8)))
+    idx = list(range(2, n + 2))
+    got, want = (holdout(frames, idx, lstm, ssa, proj, den, sched, 1,
+                         np.random.default_rng(14), batch_size, 0.1)
+                 for holdout in (ct.holdout_similarities, _interleaved_holdout))
+    assert repr(got) == repr(want)
 
 
 def test_pretrain_raise_names_its_stage():
@@ -330,16 +381,16 @@ def _minibatch_both_ways(n, t_steps, hw, attention_mode="senet_shuffle",
         if batched:
             emb = ct.embed_sequence(np.stack([v1 for v1, _ in pairs] + [v2 for _, v2 in pairs]),
                                     lstm, ssa, proj)
-            views = [(emb[i], emb[n + i]) for i in range(n)]
+            z1, z2 = emb[:n], emb[n:]
         else:
-            views = [(_ref_embed(v1, lstm, ssa, proj), _ref_embed(v2, lstm, ssa, proj))
-                     for v1, v2 in pairs]
-        loss = ct.contrastive_loss(ct.ContrastiveBatch(views), 0.5)
+            z1, z2 = blocks([(_ref_embed(v1, lstm, ssa, proj), _ref_embed(v2, lstm, ssa, proj))
+                             for v1, v2 in pairs])
+        loss = ct.contrastive_loss(z1, z2, 0.5)
         loss.backward()
         named = {**lstm.named(), **ssa.named()}
         grads = {name: t.grad for name, t in zip(named, lstm.parameters() + ssa.parameters())}
         grads["projection"] = proj.grad
-        results.append((loss.data, [(u.data, v.data) for u, v in views], grads))
+        results.append((loss.data, list(zip(z1.data, z2.data)), grads))
     return results
 
 
@@ -393,8 +444,7 @@ def _minibatch_loss(views, lstm, ssa, proj):
     its 2n views [2n,T,C,H,W]."""
     n = len(views) // 2
     emb = ct.embed_sequence(views, lstm, ssa, proj)
-    return ct.contrastive_loss(ct.ContrastiveBatch([(emb[i], emb[n + i]) for i in range(n)]),
-                               0.5)
+    return ct.contrastive_loss(emb[:n], emb[n:], 0.5)
 
 
 class TestBackwardFreesTheGraph:
@@ -458,7 +508,7 @@ def _per_view_pretrain(frames_by_sample, train_idx, val_idx, den, sched, seed_rn
         for i in batch:
             v1, v2 = df.augment_pair(frames_by_sample[i], den, sched, depth, rng, 0.1)
             pairs.append((_ref_embed(v1, lstm, ssa, proj), _ref_embed(v2, lstm, ssa, proj)))
-        return ct.contrastive_loss(ct.ContrastiveBatch(pairs), tau)
+        return ct.contrastive_loss(*blocks(pairs), tau)
 
     def epoch_batches(rng):
         return [b for b in tc.minibatches(train_idx, batch_size, rng) if len(b) >= 2]

@@ -105,6 +105,12 @@ def identity_model(sample):
     return sample.y
 
 
+def scored(predict, ds, idx, **kwargs):
+    """``evaluate`` of the samples ``idx`` and ``predict``'s yield for each."""
+    samples = [ds.samples[i] for i in idx]
+    return em.evaluate(samples, [predict(s) for s in samples], **kwargs)
+
+
 @pytest.fixture(scope="module")
 def ds():
     return sd.generate_dataset(sd.BandSpec("S1"), 15, 3, 8, 8, seed=9)
@@ -113,13 +119,13 @@ def ds():
 class TestEvaluate:
 
     def test_perfect_model_all_zero(self, ds):
-        report = em.evaluate(identity_model, ds, range(15))
+        report = scored(identity_model, ds, range(15))
         assert report.mape == report.rmsle == report.smape == 0.0
 
     def test_group_recombination(self, ds):
         rng = np.random.default_rng(2)
         noisy = {i: ds.samples[i].y * (1 + 0.1 * rng.normal()) for i in range(15)}
-        report = em.evaluate(lambda s: noisy[s.plot_id], ds, range(15))
+        report = scored(lambda s: noisy[s.plot_id], ds, range(15))
         # global MAPE is the sample-count-weighted mean of the group MAPEs
         weighted = sum(g["mape"] * g["n"] for g in report.per_group.values())
         assert weighted / report.n == pytest.approx(report.mape, rel=1e-12)
@@ -127,7 +133,7 @@ class TestEvaluate:
 
     def test_baseline_row(self, ds):
         train_mean = float(np.mean([s.y for s in ds.samples[:10]]))
-        report = em.evaluate(identity_model, ds, range(10, 15), baseline_constant=train_mean)
+        report = scored(identity_model, ds, range(10, 15), baseline_constant=train_mean)
         assert report.baseline["mape"] > 0.0
         expected = em.mape([s.y for s in ds.samples[10:15]],
                            [train_mean] * 5)
@@ -135,10 +141,10 @@ class TestEvaluate:
 
     def test_empty_split_rejected(self, ds):
         with pytest.raises(DomainError):
-            em.evaluate(identity_model, ds, [])
+            scored(identity_model, ds, [])
 
     def test_report_files_round_trip(self, ds, tmp_path):
-        report = em.evaluate(identity_model, ds, range(15), baseline_constant=100.0)
+        report = scored(identity_model, ds, range(15), baseline_constant=100.0)
         table, kv = tmp_path / "report.txt", tmp_path / "report.kv"
         em.write_report_table(report, table, percent=False)
         em.write_report_kv(report, kv)
@@ -151,7 +157,7 @@ class TestEvaluate:
         assert float(back["baseline_smape"]) == report.baseline["smape"]
 
     def test_percent_flag_scales_table_only(self, ds, tmp_path):
-        report = em.evaluate(lambda s: s.y * 1.1, ds, range(15))
+        report = scored(lambda s: s.y * 1.1, ds, range(15))
         em.write_report_table(report, tmp_path / "p.txt", percent=True)
         line = (tmp_path / "p.txt").read_text().splitlines()[1]
         # mape of a uniform 10% over-prediction is 0.1 -> 10 in percent mode
