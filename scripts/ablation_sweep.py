@@ -16,7 +16,7 @@ from cropyield.pipeline import run_ablation_sweep
 FAST_OVERRIDES = {
     "n_plots": 20, "t_steps": 4, "height": 8, "width": 8,
     "pretrain_epochs": 2, "denoiser_epochs": 2, "eo_iters": 20,
-    "finetune_epochs": 5, "diff_steps": 6, "beta_end": 0.5,
+    "diff_steps": 6, "beta_end": 0.5,
 }
 
 

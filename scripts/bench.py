@@ -7,10 +7,9 @@ schedule (the RunConfig defaults), once for each k = 0..ULPS with
 ``pretrain_lr`` moved k ULPs up through a config file. Each run is a fresh
 process with BLAS pinned to one thread. Per seed and k it records the wall
 time of each stage, the MAPE / baseline-MAPE ratio, the hold-out
-separation, the selected mask, the fine-tune's best epoch and divergence
-epoch, the head's ridge penalty, the exit code and the digests of the run's
-files, and it counts the runs that pass acceptance criteria 5 and 6. The
-k = 0 runs are the acceptance runs; the others show how widely the
+separation, the selected mask, the head's ridge penalty, the exit code and
+the digests of the run's files, and it counts the runs that pass acceptance
+criteria 5 and 6. The k = 0 runs are the acceptance runs; the others show how widely the
 criterion margins spread under a last-bit change of one input. It then runs
 ``perfbench/run.py --workload <w> --trace 1`` for ``pipeline-s2`` and
 ``ingest-s2`` in the same tree and keeps each run's detail and result lines
@@ -126,7 +125,6 @@ def run_seed(seed: int, ulps: int, work: Path) -> dict:
     stats = _kv(run_dir / "pretrain_stats.kv")
     notes = _comments(run_dir / "train_curve.txt")
     ratio = float(kv["mape"]) / float(kv["baseline_mape"])
-    diverged = notes.get("finetune_diverged_at")
     lam = notes.get("ridge_lambda")
     row.update({
         "load_and_prep_s": pipeline_s - sum(stage_s.values()),
@@ -134,8 +132,6 @@ def run_seed(seed: int, ulps: int, work: Path) -> dict:
         "mape": float(kv["mape"]),
         "baseline_mape": float(kv["baseline_mape"]),
         "mask": (run_dir / "mask.txt").read_text().splitlines()[0],
-        "finetune_best_epoch": int(notes["best_epoch"]) if "best_epoch" in notes else None,
-        "finetune_diverged_at": int(diverged) if diverged is not None else None,
         "ridge_lambda": float(lam) if lam is not None else None,
         "holdout_separation": float(stats.get("holdout_separation", "nan")),
         "criterion_5": passes_criterion_5(stats),

@@ -17,8 +17,7 @@ from .errors import ConfigError
 
 
 # n_plots: the 80-10-10 split needs 10; batch_size: every anchor needs a negative;
-# eo_particles: the equilibrium pool holds 4; a negative ridge_penalty is no ridge;
-# patience 0 turns early stopping off
+# eo_particles: the equilibrium pool holds 4; a negative ridge_penalty is no ridge
 _LOWER_BOUNDS = {"n_plots": 10, "batch_size": 2, "denoiser_epochs": 0, "pretrain_epochs": 0,
                  "train_epochs": 0, "finetune_epochs": 0, "eo_iters": 1, "eo_particles": 4,
                  "sigma_scale": 0.0, "lambda_consistency": 0.0, "kernel_size": 1,
@@ -72,17 +71,13 @@ class RunConfig:
     eo_lambda: float = 1.0
     ridge_penalty: float = 0.01
     sparsity_weight: float = 0.01
-    # final training: closed-form head warm-up, then optional joint fine-tune.
-    # train_epochs and train_lr are read by nothing since the warm-up became a
-    # ridge solve. They stay, validated as before, because the benchmark's
-    # workloads (perfbench/workloads.py) set train_epochs through
-    # dataclasses.replace and saved configs set both; removing them waits for
-    # a change to the benchmark.
+    # Read by nothing: the train stage is one closed-form head fit. These four
+    # exist only because the benchmark's schedules (perfbench/workloads.py)
+    # set them through dataclasses.replace; they stay validated and go with
+    # the next change to that benchmark (ROADMAP).
     train_epochs: int = 600
-    train_lr: float = 0.3
     finetune_encoder: bool = True
     finetune_epochs: int = 100
-    finetune_lr: float = 0.05
     patience: int = 8
     # reporting
     percent: bool = False

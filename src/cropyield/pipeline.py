@@ -168,19 +168,9 @@ def run_stage_train(run_dir: Path, ds: sd.Dataset, frames, cfg: RunConfig) -> No
     lstm, ssa = _load_encoder(load_checkpoint(run_dir / "pretrain.ckpt"), cfg)
     mask, _ = load_mask(run_dir, 2 * cfg.hidden_channels)
     y = np.array([s.y for s in ds.samples])
-    warm = pr.fit_head(frames, lstm, ssa, mask, y, ds.split.train, ds.split.val,
-                       pretrain_batch=cfg.batch_size)
-    result = warm
-    if cfg.finetune_encoder:
-        result = pr.train_final(
-            frames, lstm, ssa, mask, y, ds.split.train, ds.split.val,
-            rng_for(cfg.seed, "train-finetune"), epochs=cfg.finetune_epochs,
-            lr=cfg.finetune_lr, batch_size=cfg.batch_size,
-            patience=cfg.patience or None, head=warm.head,
-            start=warm.curve[0][1:],  # the warm-up's row evaluated these parameters
-            pretrain_batch=cfg.batch_size,
-        )
-    named = {**result.lstm.named(), **result.ssa.named(), **result.head.named(),
+    result = pr.fit_head(frames, lstm, ssa, mask, y, ds.split.train, ds.split.val,
+                         pretrain_batch=cfg.batch_size)
+    named = {**lstm.named(), **ssa.named(), **result.head.named(),
              "norm/y_mean": np.array(result.y_mean), "norm/y_std": np.array(result.y_std),
              "mask": mask.astype(np.float64)}
     save_checkpoint(run_dir / "model.ckpt", named)
@@ -188,10 +178,7 @@ def run_stage_train(run_dir: Path, ds: sd.Dataset, frames, cfg: RunConfig) -> No
         fh.write("epoch,train_mse,val_mse\n")
         for epoch, tr, va in result.curve:
             fh.write(f"{epoch},{tr!r},{va!r}\n")
-        fh.write(f"# ridge_lambda={warm.ridge_lambda!r}\n")
-        if result.diverged_at is not None:
-            fh.write(f"# finetune_diverged_at={result.diverged_at}\n")
-        fh.write(f"# best_epoch={result.best_epoch}\n")
+        fh.write(f"# ridge_lambda={result.ridge_lambda!r}\n")
 
 
 class YieldModel:

@@ -285,6 +285,7 @@ def test_criterion_8_determinism(pipeline_runs, tmp_path):
            f"(identical reports: {reports_equal}; save/load bit-exact: {round_trip})")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_criterion_9_ablation_harness(tmp_path_factory):
     from cropyield.config import load_config
     from cropyield.pipeline import ATTENTION_SWEEP, OPTIMIZER_SWEEP, run_ablation_sweep
@@ -296,7 +297,7 @@ def test_criterion_9_ablation_harness(tmp_path_factory):
     cfg = load_config(None, {
         "seed": 4, "n_plots": 20, "t_steps": 4, "height": 8, "width": 8,
         "pretrain_epochs": 2, "denoiser_epochs": 2, "eo_iters": 20,
-        "train_epochs": 60, "finetune_epochs": 5, "diff_steps": 6, "beta_end": 0.5,
+        "diff_steps": 6, "beta_end": 0.5,
     })
     tables = run_ablation_sweep(cfg, data, root)
 

@@ -143,36 +143,11 @@ class TestHeadWarmup:
         assert heads[0].curve[0][1] == heads[1].curve[0][1]
         assert heads[0].curve[0][2] != heads[1].curve[0][2]
 
-    @pytest.mark.parametrize("where", ["features", "targets"])
-    def test_ridge_rejects_non_finite_input(self, where):
-        x, y = np.ones((4, 3)), np.arange(4.0)
-        (x if where == "features" else y)[1] = np.nan
-        with pytest.raises(NumericalError, match="^probe: non-finite"):
-            eo.ridge_solve(x, y, 0.1, "probe")
-
-
-class TestTrainFinal:
-    def test_early_stopping_bookkeeping(self):
-        lstm, ssa, frames, y = tiny_encoder_setup(seed=2)
-        res = pr.train_final(
-            frames, lstm, ssa, np.ones(8, bool), y, train_idx=range(10),
-            val_idx=range(10, 14), rng=np.random.default_rng(3), epochs=40, lr=0.05,
-            pretrain_batch=2,
-        )
-        val_curve = [v for (_, _, v) in res.curve]
-        assert val_curve[res.best_epoch] <= val_curve[0]
-        assert val_curve[res.best_epoch] == min(val_curve)
-
     def test_learns_signal_better_than_mean(self):
         lstm, ssa, frames, y = tiny_encoder_setup(seed=4)
-        warm = pr.fit_head(frames, lstm, ssa, np.ones(8, bool), y, range(10), range(10, 14),
-                           pretrain_batch=2)
-        res = pr.train_final(
-            frames, lstm, ssa, np.ones(8, bool), y, train_idx=range(10),
-            val_idx=range(10, 14), rng=np.random.default_rng(5), epochs=10, lr=0.05,
-            head=warm.head, pretrain_batch=2,
-        )
-        feats = ct.encode_chunks([frames[i] for i in range(10, 14)], res.lstm, res.ssa, 2)
+        res = pr.fit_head(frames, lstm, ssa, np.ones(8, bool), y, range(10), range(10, 14),
+                          pretrain_batch=2)
+        feats = ct.encode_chunks([frames[i] for i in range(10, 14)], lstm, ssa, 2)
         with tc.no_grad():
             preds = res.y_mean + res.y_std * pr.predict_yield(Tensor(feats), res.head)[1].data
         mean_pred_err = np.mean((y[10:14] - np.mean(y[:10])) ** 2)
@@ -181,9 +156,6 @@ class TestTrainFinal:
 
     def test_empty_mask_rejected(self):
         lstm, ssa, frames, y = tiny_encoder_setup()
-        with pytest.raises(DomainError):
-            pr.train_final(frames, lstm, ssa, np.zeros(8, bool), y, range(10),
-                           range(10, 14), np.random.default_rng(0), pretrain_batch=2)
         with pytest.raises(DomainError):
             pr.fit_head(frames, lstm, ssa, np.zeros(8, bool), y, range(10), range(10, 14),
                         pretrain_batch=2)
@@ -200,171 +172,12 @@ class TestTrainFinal:
                 pr.fit_head(f, lstm, ssa, np.ones(8, bool), t, range(10), range(10, 14),
                             pretrain_batch=2)
 
-    def test_finetune_divergence_ends_the_finetune_and_restores_the_best_epoch(self):
-        # lr=1.0 improves the validation error until epoch 6, then blows up;
-        # the minibatch loss of epoch 13 overflows
-        lstm, ssa, frames, y = tiny_encoder_setup(seed=2)
-        with np.errstate(over="ignore", invalid="ignore"):
-            res = pr.train_final(frames, lstm, ssa, np.ones(8, bool), y, range(10),
-                                 range(10, 14), np.random.default_rng(3), epochs=40, lr=1.0,
-                                 batch_size=4, patience=None, pretrain_batch=2)
-        assert res.diverged_at == 13
-        assert [e for e, _, _ in res.curve] == list(range(13))
-        assert np.all(np.isfinite(res.curve))
-        val = [v for _, _, v in res.curve]
-        assert res.best_epoch == 6 and val[6] == min(val)
-        # the returned parameters are those of the best epoch, not the last
-        y_star = (y - res.y_mean) / res.y_std
-        with tc.no_grad():
-            feats = np.concatenate([ct.encode_features(frames[i][None], res.lstm, res.ssa).data
-                                    for i in range(10, 14)])
-            preds = pr.predict_yield(Tensor(feats), res.head)[1].data
-        assert float(np.mean((preds - y_star[10:14]) ** 2)) == val[6]
-        for p in res.lstm.parameters() + res.ssa.parameters() + res.head.parameters():
-            assert np.all(np.isfinite(p.data))
-
-
-def _conv(x, kernels, padding=0, dilation=1):
-    """The convolution of one [C,H,W] map: a one-item ``conv_items``."""
-    (out,) = tc.conv_items(tc.reshape(x, (1,) + x.shape), [kernels], padding, dilation)
-    return tc.reshape(out, out.shape[1:])
-
-
-def _per_plot_train_final(frames, lstm_p, ssa_p, mask, y, train_idx, val_idx, rng, epochs,
-                          lr, batch_size, patience, head=None, pretrain_batch=None):
-    """The fine-tune as a per-plot loop: one encoder and head graph per plot,
-    the predictions concatenated per minibatch (so ``pretrain_batch``, which
-    bounds the batched forward passes, has no counterpart)."""
-    sel = np.flatnonzero(mask)
-    y = np.asarray(y, dtype=np.float64)
-    y_mean, y_std = float(np.mean(y[train_idx])), float(np.std(y[train_idx])) or 1.0
-    y_star = (y - y_mean) / y_std
-    head = pr.init_head(sel.size) if head is None else head
-    params = head.parameters() + lstm_p.parameters() + ssa_p.parameters()
-
-    def predict(i):
-        feats = tc.take_channels(ct.encode_features(frames[i][None], lstm_p, ssa_p)[0], sel)
-        return (_conv(feats, head.w, padding=1) + head.b).mean()
-
-    def split_mse(idx):
-        with tc.no_grad():
-            preds = np.array([predict(i).item() for i in idx])
-        return float(np.mean((preds - y_star[list(idx)]) ** 2))
-
-    def batch_mse(chunk):
-        vec = tc.concat([tc.reshape(predict(i), (1,)) for i in chunk], axis=0)
-        return pr.mse_loss(Tensor(y_star[chunk]), vec)
-
-    train_list, val_list = list(train_idx), list(val_idx)
-    curve = [(0, split_mse(train_list), split_mse(val_list))]
-    best_val, best_snap, best_epoch, diverged_at, stale = curve[0][2], None, 0, None, 0
-    best_snap = [p.data.copy() for p in params]
-    for epoch in range(1, epochs + 1):
-        try:
-            for chunk in tc.minibatches(train_list, batch_size, rng):
-                tc.sgd_step(params, lambda: batch_mse(chunk), lr, "fine-tune")
-        except NumericalError:
-            diverged_at = epoch
-            break
-        tr, va = split_mse(train_list), split_mse(val_list)
-        curve.append((epoch, tr, va))
-        if va < best_val - 1e-12:
-            best_val, best_snap, best_epoch, stale = va, [p.data.copy() for p in params], epoch, 0
-        else:
-            stale += 1
-            if patience is not None and stale >= patience:
-                break
-    if patience is not None or diverged_at is not None:
-        for p, snap in zip(params, best_snap):
-            p.data[...] = snap
-    return pr.TrainResult(head=head, lstm=lstm_p, ssa=ssa_p, y_mean=y_mean, y_std=y_std,
-                          curve=curve, best_epoch=best_epoch, diverged_at=diverged_at)
-
-
-def _assert_same_training(ref, got):
-    assert repr(got.curve) == repr(ref.curve)
-    assert (got.best_epoch, got.diverged_at) == (ref.best_epoch, ref.diverged_at)
-    assert (got.y_mean, got.y_std) == (ref.y_mean, ref.y_std)
-    for tree in ("head", "lstm", "ssa"):
-        ref_named, got_named = getattr(ref, tree).named(), getattr(got, tree).named()
-        assert ref_named.keys() == got_named.keys()
-        for name in ref_named:
-            assert ref_named[name].tobytes() == got_named[name].tobytes(), name
-
-
-def _assert_close_training(ref, got):
-    """The item axis against the per-plot loop: the same epoch-0 row and
-    decisions, and curves and parameters to 1e-10, since each update follows
-    shared gradients summed over the items in one operation."""
-    assert repr(got.curve[0]) == repr(ref.curve[0])
-    assert [e for e, _, _ in got.curve] == [e for e, _, _ in ref.curve]
-    np.testing.assert_allclose(np.array(got.curve), np.array(ref.curve), rtol=1e-10, atol=0)
-    assert (got.best_epoch, got.diverged_at) == (ref.best_epoch, ref.diverged_at)
-    assert (got.y_mean, got.y_std) == (ref.y_mean, ref.y_std)
-    for tree in ("head", "lstm", "ssa"):
-        ref_named, got_named = getattr(ref, tree).named(), getattr(got, tree).named()
-        assert ref_named.keys() == got_named.keys()
-        for name in ref_named:
-            bound = 1e-10 * np.max(np.abs(ref_named[name]))
-            assert np.max(np.abs(got_named[name] - ref_named[name])) <= bound, name
-
-
-class TestBatchedHeadTraining:
-    """The fine-tune on the item axis against the per-plot loop it replaces,
-    from the warm-up's closed-form head."""
-
-    MASK = np.array([1, 0, 1, 1, 0, 1, 1, 0], dtype=bool)
-
-    def _both(self, seed, **kw):
-        runs = []
-        for fn in (_per_plot_train_final, pr.train_final):
-            lstm, ssa, frames, y = tiny_encoder_setup(seed=seed)
-            warm = pr.fit_head(frames, lstm, ssa, self.MASK, y, range(10), range(10, 14),
-                               pretrain_batch=2)
-            runs.append(fn(frames, lstm, ssa, self.MASK, y, range(10), range(10, 14),
-                           np.random.default_rng(seed + 1), head=warm.head, pretrain_batch=2,
-                           **kw))
-        return runs
-
-    def test_full_batch_finetune(self):
-        ref, got = self._both(4, epochs=3, lr=0.05, batch_size=10, patience=None)
-        assert [e for e, _, _ in ref.curve] == [0, 1, 2, 3]
-        _assert_close_training(ref, got)
-
-    def test_minibatch_finetune_with_a_short_last_chunk(self):
-        # 10 train plots in chunks of 8 and 2
-        ref, got = self._both(4, epochs=4, lr=0.5, batch_size=8, patience=1)
-        _assert_close_training(ref, got)
-
-    def test_finetune(self):
-        _assert_close_training(*self._both(6, epochs=2, lr=0.05, batch_size=4, patience=None))
-
-    def test_finetune_starts_where_the_warmup_ends(self):
-        # the warm-up's row already evaluates the parameters the fine-tune
-        # starts from, so passing it in as epoch 0 changes no bit
-        runs = []
-        for given in (False, True):
-            lstm, ssa, frames, y = tiny_encoder_setup(seed=6)
-            warm = pr.fit_head(frames, lstm, ssa, self.MASK, y, range(10), range(10, 14),
-                               pretrain_batch=2)
-            ft = pr.train_final(frames, lstm, ssa, self.MASK, y, range(10), range(10, 14),
-                                np.random.default_rng(8), epochs=2, lr=0.05, batch_size=4,
-                                patience=None, head=warm.head, pretrain_batch=2,
-                                **({"start": warm.curve[0][1:]} if given else {}))
-            assert repr(ft.curve[0][1:]) == repr(warm.curve[0][1:])
-            runs.append(ft)
-        _assert_same_training(*runs)
-
-    def test_finetune_divergence(self):
-        runs = []
-        for fn in (_per_plot_train_final, pr.train_final):
-            lstm, ssa, frames, y = tiny_encoder_setup(seed=2)
-            with np.errstate(over="ignore", invalid="ignore"):
-                runs.append(fn(frames, lstm, ssa, np.ones(8, bool), y, range(10), range(10, 14),
-                               np.random.default_rng(3), epochs=15, lr=1.0, batch_size=4,
-                               patience=None, pretrain_batch=2))
-        assert runs[0].diverged_at == 13
-        _assert_close_training(*runs)
+    @pytest.mark.parametrize("where", ["features", "targets"])
+    def test_ridge_rejects_non_finite_input(self, where):
+        x, y = np.ones((4, 3)), np.arange(4.0)
+        (x if where == "features" else y)[1] = np.nan
+        with pytest.raises(NumericalError, match="^probe: non-finite"):
+            eo.ridge_solve(x, y, 0.1, "probe")
 
 
 class TestForwardOnlyPrediction:
