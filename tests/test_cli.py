@@ -40,16 +40,16 @@ class TestConfig:
         back = RunConfig(**parse_overrides(text)).validate()
         assert back == cfg
 
-    def test_unknown_key_rejected(self, tmp_path):
-        # finetune_lr and train_lr went with the encoder fine-tune
-        for key in ("no_such_knob", "finetune_lr", "train_lr"):
-            with pytest.raises(ConfigError):
-                parse_overrides(f"{key}=1")
-            cfg = tmp_path / f"{key}.cfg"
-            cfg.write_text(f"{key}=0.1\n")
-            assert main(["pipeline", "--data", str(tmp_path / "none.mtms"),
-                         "--out", str(tmp_path / "r"), "--config", str(cfg)]) == 2
-            assert not (tmp_path / "r").exists()
+    # finetune_lr and train_lr went with the encoder fine-tune
+    @pytest.mark.parametrize("key", ["no_such_knob", "finetune_lr", "train_lr"])
+    def test_unknown_key_rejected(self, key, tmp_path):
+        with pytest.raises(ConfigError):
+            parse_overrides(f"{key}=1")
+        cfg = tmp_path / f"{key}.cfg"
+        cfg.write_text(f"{key}=0.1\n")
+        assert main(["pipeline", "--data", str(tmp_path / "none.mtms"),
+                     "--out", str(tmp_path / "r"), "--config", str(cfg)]) == 2
+        assert not (tmp_path / "r").exists()
 
     def test_reserved_tags_rejected(self):
         with pytest.raises(ConfigError):
@@ -261,6 +261,21 @@ class TestPipelineCommand:
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and "mask.txt" in err
         assert not (run_dir / "model.ckpt").exists()
+
+    def test_train_curve_is_the_closed_form_fit(self, selected_run, fast_config, tmp_path):
+        # the header, the fit's epoch-0 row and the penalty its
+        # leave-one-out error chose; nothing of a fine-tune
+        data, selected = selected_run
+        run_dir = tmp_path / "run"
+        shutil.copytree(selected, run_dir)
+        assert main(["pipeline", "--data", str(data), "--out", str(run_dir),
+                     "--config", str(fast_config), "--seed", "5", "--stage", "train"]) == 0
+        header, row, lam = (run_dir / "train_curve.txt").read_text().splitlines()
+        assert header == "epoch,train_mse,val_mse"
+        epoch, tr, va = row.split(",")
+        assert epoch == "0" and np.isfinite(float(tr)) and np.isfinite(float(va))
+        assert lam.startswith("# ridge_lambda=")
+        assert float(lam.partition("=")[2]) in pr.RIDGE_GRID
 
     def test_reserved_selector_exits_2(self, tiny_dataset, fast_config, tmp_path):
         code = main(["pipeline", "--data", str(tiny_dataset), "--out", str(tmp_path / "r"),

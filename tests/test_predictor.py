@@ -109,6 +109,57 @@ class TestHeadWarmup:
                 resid.append(y[i] - x[i] @ w_i)
             assert err == pytest.approx(float(np.mean(np.square(resid))), rel=1e-9)
 
+    def test_head_design_hand_values(self):
+        # one channel of ones on a 3x3 map: the centre tap sees all 9 cells,
+        # an edge tap 6 and a corner tap 4 once the map is zero-padded
+        x = pr.head_design(np.ones((2, 1, 3, 3)))
+        row = np.array([4, 6, 4, 6, 9, 6, 4, 6, 4, 9]) / 9.0
+        row[-1] = 1.0
+        np.testing.assert_allclose(x, np.stack([row, row]), rtol=0, atol=1e-15)
+
+    def test_interpolated_plot_has_infinite_loo_error(self):
+        # a lone plot and an unpenalized intercept: h_11 = 1, no refit exists
+        w, err = pr.ridge_loo(np.ones((1, 1)), np.array([2.0]), 0.1)
+        assert w.tolist() == [2.0] and err == np.inf
+
+    def test_no_finite_loo_error_raises(self, monkeypatch):
+        lstm, ssa, frames, y = tiny_encoder_setup(seed=1)
+        loo = pr.ridge_loo
+        monkeypatch.setattr(pr, "ridge_loo", lambda *a: (loo(*a)[0], np.inf))
+        with pytest.raises(NumericalError, match="^head warm-up: no ridge penalty"):
+            pr.fit_head(frames, lstm, ssa, np.ones(8, bool), y, range(10), range(10, 14),
+                        pretrain_batch=2)
+
+    def test_constant_train_yields_fit_a_zero_head(self):
+        lstm, ssa, frames, y = tiny_encoder_setup(seed=3)
+        y = np.append(np.full(10, 1500.0), y[10:])
+        res = pr.fit_head(frames, lstm, ssa, np.ones(8, bool), y, range(10), range(10, 14),
+                          pretrain_batch=2)
+        assert (res.y_mean, res.y_std) == (1500.0, 1.0)
+        assert not np.any(res.head.w.data) and res.head.b.data == 0.0
+        # every penalty fits the zero targets exactly: the first one wins the tie
+        assert res.ridge_lambda == pr.RIDGE_GRID[0]
+        assert res.curve == [(0, 0.0, float(np.mean((y[10:] - 1500.0) ** 2)))]
+
+    @pytest.mark.parametrize("pretrain_batch", [1, 3, 7])
+    def test_fit_head_matches_per_plot_encoding(self, pretrain_batch):
+        # the chunked encoder passes against one pass per plot, then the
+        # same design, grid search and fitted head
+        lstm, ssa, frames, y = tiny_encoder_setup(seed=6)
+        mask = np.array([1, 0, 1, 1, 0, 1, 1, 0], dtype=bool)
+        res = pr.fit_head(frames, lstm, ssa, mask, y, range(10), range(10, 14),
+                          pretrain_batch=pretrain_batch)
+        with tc.no_grad():
+            feats = np.concatenate([ct.encode_features(f[None], lstm, ssa).data
+                                    for f in frames])[:, mask]
+        y_star = (y - np.mean(y[:10])) / np.std(y[:10])
+        x = pr.head_design(feats[:10])
+        fits = [pr.ridge_loo(x, y_star[:10], lam) for lam in pr.RIDGE_GRID]
+        best = int(np.argmin([err for _, err in fits]))
+        assert res.ridge_lambda == pr.RIDGE_GRID[best]
+        w = np.append(res.head.w.data.ravel(), res.head.b.data)
+        assert w.tobytes() == fits[best][0].tobytes()
+
     def test_fitted_head_predicts_its_design_matrix(self):
         lstm, ssa, frames, y = tiny_encoder_setup(seed=4)
         mask = np.array([1, 0, 1, 1, 0, 1, 1, 0], dtype=bool)
