@@ -29,13 +29,17 @@ that differ and the times of both:
 With ``--pairs WORKLOAD`` it runs only the end-to-end measurement instead:
 ``PAIRS`` (10) alternating pairs of untraced perfbench runs of the parent and of
 this checkout at each ``--pair-seeds`` seed, the parent first in every
-other pair. Both sides run from fresh clones of their commits in the
-temporary directory, so that neither tree's location or untracked files
-count; a tree whose tracked files differ from its commit is refused. It
-stores each tree's commit id, every run's result line, each side's median
-and quartiles of each end-to-end metric, and the pairs the change wins on
-each, under ``pairs.<workload>/seed<s>``. These pairs are the only untraced
-end-to-end figures a BENCH file holds:
+other pair. Each A/B pair is followed by an A/A pair in the same
+alternation: the parent against a second fresh clone of the parent (the
+control), which shows how large a gap the same code can show in this
+session. All sides run from fresh clones of their commits in the
+temporary directory, so that no tree's location or untracked files count;
+a tree whose tracked files differ from its commit is refused. It stores
+each tree's commit id, every run's result line, each side's median and
+quartiles of each end-to-end metric, the pairs the change wins on each
+(``change_wins``) and the pairs the control wins in the A/A arm
+(``control_wins``), under ``pairs.<workload>/seed<s>``. These pairs are
+the only untraced end-to-end figures a BENCH file holds:
 
     python3 scripts/bench.py --parent ../parent --out BENCH_9.json --pairs ingest-s2
 
@@ -58,7 +62,7 @@ from pathlib import Path
 SEEDS = (1, 2, 3)
 ULPS = 3  # pretrain_lr is moved k = 0..ULPS ULPs up
 PERFBENCH_SECONDS = 15  # BENCHMARK.json's run_seconds, the same for both trees
-PAIRS = 10  # alternating parent/change pairs per workload and seed
+PAIRS = 10  # alternating parent/change and parent/control pairs per workload and seed
 TRACED = ("pipeline-s2", "ingest-s2")
 PINNED = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 HERE = Path(__file__).resolve()
@@ -270,29 +274,40 @@ def _clone(root: Path, dest: Path) -> dict:
     return source
 
 
+def _wins(values: dict, base: str, other: str) -> dict:
+    """Per metric, the pairs in which ``other`` reads lower than ``base``; a
+    tie counts for neither."""
+    return {m: f"{sum(o < b for b, o in zip(v, values[other][m]))}/{PAIRS}"
+            for m, v in values[base].items()}
+
+
 def pairs(parent: Path, workload: str, seed: int) -> dict:
-    """``PAIRS`` alternating pairs of untraced perfbench runs of ``parent`` and
-    of this checkout, each run from a fresh clone of its commit; a lower
-    metric wins a pair, a tie counts for neither."""
-    results = {"parent": [], "change": []}
+    """``PAIRS`` alternating A/B pairs of untraced perfbench runs of ``parent``
+    and of this checkout, each followed by an A/A pair of ``parent`` and the
+    control, a second clone of ``parent``. Every run is from a fresh clone of
+    its commit; a lower metric wins a pair."""
+    arms = (("parent", "change"), ("aa_parent", "control"))
+    results = {side: [] for arm in arms for side in arm}
     with tempfile.TemporaryDirectory(prefix="cropyield-pairs-") as tmp:
-        roots = {"parent": Path(tmp, "parent"), "change": Path(tmp, "change")}
-        sources = {side: _clone(root, roots[side])
-                   for side, root in (("parent", parent), ("change", HERE.parent.parent))}
+        roots = {side: Path(tmp, side) for side in ("parent", "change", "control")}
+        roots["aa_parent"] = roots["parent"]
+        sources = {side: _clone(root, roots[side]) for side, root in (
+            ("parent", parent), ("change", HERE.parent.parent), ("control", parent))}
         for i in range(PAIRS):
-            for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-                run = perfbench(roots[side], _pinned_env(roots[side]), workload, False, seed)
-                results[side].append(run["result"])
-                print(f"{workload} seed {seed} pair {i} {side}: "
-                      f"task_s {run['result']['metrics']['task_s']['value']:.3f}",
-                      file=sys.stderr)
+            for arm in arms:
+                for side in arm if i % 2 == 0 else arm[::-1]:
+                    run = perfbench(roots[side], _pinned_env(roots[side]), workload, False, seed)
+                    results[side].append(run["result"])
+                    print(f"{workload} seed {seed} pair {i} {side}: "
+                          f"task_s {run['result']['metrics']['task_s']['value']:.3f}",
+                          file=sys.stderr)
     values = {side: {m: [r["metrics"][m]["value"] for r in rows] for m in rows[0]["metrics"]}
               for side, rows in results.items()}
     return {"seconds": PERFBENCH_SECONDS, "sources": sources, "results": results,
             "quartiles": {side: {m: statistics.quantiles(v, n=4) for m, v in by_metric.items()}
                           for side, by_metric in values.items()},
-            "change_wins": {m: f"{sum(c < p for p, c in zip(v, values['change'][m]))}/{PAIRS}"
-                            for m, v in values["parent"].items()}}
+            "change_wins": _wins(values, "parent", "change"),
+            "control_wins": _wins(values, "aa_parent", "control")}
 
 
 def main(argv=None) -> int:

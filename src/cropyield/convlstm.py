@@ -97,9 +97,71 @@ def _chan(b: Tensor) -> Tensor:
     return tc.reshape(b, (-1, 1, 1))
 
 
+def _pre(x: Tensor, h: Tensor, w: Tensor, c: Tensor, b: Tensor) -> np.ndarray:
+    """A peephole gate's pre-activation x + h + w * c + b, with b per channel."""
+    return x.data + h.data + w.data * c.data + b.data.reshape(-1, 1, 1)
+
+
+def _times(a: np.ndarray, b: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """a * b in the memory layout of ``like``: the layout in which the primitive
+    graph held a pre-activation's gradient. A bias gradient sums it over
+    (H, W), and that sum rounds differently by layout."""
+    return np.multiply(a, b, out=np.empty_like(like))
+
+
+def _pre_bw(g: np.ndarray, w: Tensor, c: Tensor, b: Tensor, x: Tensor, h: Tensor):
+    """Backward of ``_pre`` for its gradient ``g``."""
+    tc._acc(w, tc._unbroadcast(g * c.data, w.data.shape))
+    tc._acc(c, g * w.data)
+    tc._acc(b, tc._unbroadcast(g, b.data.shape + (1, 1)).reshape(b.data.shape))
+    tc._acc(x, g)
+    tc._acc(h, g)
+
+
+def _cell(x_i, x_f, x_c, h_i, h_f, h_c, c, p: ConvLstmParams) -> Tensor:
+    """c_t = f * c + i * g as one node, bit-identical in value and gradients to
+    the graph of primitives it replaces (``tests/test_convlstm.py`` keeps that
+    graph). Its backward adds into c in that graph's order: g * f, then the
+    w_cf term, then the w_ci term. Its parent order keeps that graph's
+    backward order of the conv nodes, and with it the order of their sums into
+    h_{t-1}. b_c keeps its reshape node: the primitive graph runs those nodes
+    apart from the rest of their step, and b_c's gradient sums in that order."""
+    b_c = _chan(p.b_c)
+    i = tc._sigmoid(_pre(x_i, h_i, p.w_ci, c, p.b_i))
+    f = tc._sigmoid(_pre(x_f, h_f, p.w_cf, c, p.b_f))
+    cand = np.tanh(x_c.data + h_c.data + b_c.data)
+
+    def bw(g):
+        tc._acc(c, g * f)
+        _pre_bw(_times(g * c.data * f, 1.0 - f, f), p.w_cf, c, p.b_f, x_f, h_f)
+        _pre_bw(_times(g * cand * i, 1.0 - i, i), p.w_ci, c, p.b_i, x_i, h_i)
+        g_c = _times(g * i, 1.0 - cand * cand, cand)
+        tc._acc(b_c, tc._unbroadcast(g_c, b_c.data.shape))
+        tc._acc(x_c, g_c)
+        tc._acc(h_c, g_c)
+
+    return tc._node(f * c.data + i * cand,
+                    (x_f, h_f, x_i, h_i, x_c, h_c, c, p.w_cf, p.w_ci, p.b_f, p.b_i, b_c), bw)
+
+
+def _output(x_o, h_o, c_t, p: ConvLstmParams) -> Tensor:
+    """h_t = o * tanh(c_t) as one node, bit-identical like ``_cell``. It adds
+    into c_t after the next step's cell node: the w_co term, then the tanh'
+    term."""
+    o = tc._sigmoid(_pre(x_o, h_o, p.w_co, c_t, p.b_o))
+    tanh_c = np.tanh(c_t.data)
+
+    def bw(g):
+        _pre_bw(_times(g * tanh_c * o, 1.0 - o, o), p.w_co, c_t, p.b_o, x_o, h_o)
+        tc._acc(c_t, g * o * (1.0 - tanh_c * tanh_c))
+
+    return tc._node(o * tanh_c, (x_o, h_o, c_t, p.w_co, p.b_o), bw)
+
+
 def convlstm_step(f_t: Tensor, prev: ConvLstmState, p: ConvLstmParams) -> ConvLstmState:
     """One gate update of N items: frames [N,C_in,H,W], states [N,C_hid,H,W].
-    i/f read the previous cell state, o reads the new one."""
+    i/f read the previous cell state, o reads the new one. The gate
+    arithmetic after the eight convolutions is two graph nodes."""
     if f_t.data.ndim != 4 or (f_t.data.shape[0],) + f_t.data.shape[2:] != (
             prev.h.data.shape[0],) + prev.h.data.shape[2:]:
         raise ShapeMismatchError(
@@ -109,13 +171,8 @@ def convlstm_step(f_t: Tensor, prev: ConvLstmState, p: ConvLstmParams) -> ConvLs
     pad = p.padding
     x_i, x_f, x_c, x_o = tc.conv_items(f_t, [p.w_fi, p.w_ff, p.w_fc, p.w_fo], pad)
     h_i, h_f, h_c, h_o = tc.conv_items(prev.h, [p.w_hi, p.w_hf, p.w_hc, p.w_ho], pad)
-    i_t = tc.sigmoid(x_i + h_i + p.w_ci * prev.c + _chan(p.b_i))
-    f_gate = tc.sigmoid(x_f + h_f + p.w_cf * prev.c + _chan(p.b_f))
-    candidate = tc.tanh(x_c + h_c + _chan(p.b_c))
-    c_t = f_gate * prev.c + i_t * candidate
-    o_t = tc.sigmoid(x_o + h_o + p.w_co * c_t + _chan(p.b_o))
-    h_t = o_t * tc.tanh(c_t)
-    return ConvLstmState(h=h_t, c=c_t)
+    c_t = _cell(x_i, x_f, x_c, h_i, h_f, h_c, prev.c, p)
+    return ConvLstmState(h=_output(x_o, h_o, c_t, p), c=c_t)
 
 
 def convlstm_sequence(frames, p: ConvLstmParams, init: ConvLstmState) -> list[ConvLstmState]:

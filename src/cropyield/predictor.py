@@ -22,7 +22,7 @@ import numpy as np
 from . import contrastive as ct
 from . import eo
 from . import tensor as tc
-from .errors import DomainError, NumericalError, ShapeMismatchError
+from .errors import DomainError, NumericalError
 from .tensor import Tensor
 
 # the head's candidate ridge penalties; its features and targets are O(1)
@@ -74,23 +74,12 @@ def ridge_loo(x: np.ndarray, y: np.ndarray, lam: float):
     (h_ii = 1) makes the error infinite.
     """
     n = len(y)
-    sol = eo.ridge_solve(x, np.column_stack([y, np.eye(n)]), lam, "head warm-up")
+    sol = eo.ridge_solve(x, np.column_stack([y, np.eye(n)]), lam, "head fit")
     w, inv_xt = sol[:, 0], sol[:, 1:]  # (x^T x + lam I')^-1 x^T, [d, n]
     hat = np.einsum("ij,ji->i", x, inv_xt)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         err = float(np.mean(((y - x @ w) / (1.0 - hat)) ** 2))
     return w, err if np.isfinite(err) else np.inf
-
-
-def mse_loss(y: Tensor, y_pred: Tensor) -> Tensor:
-    if y.data.shape != y_pred.data.shape:
-        raise ShapeMismatchError(
-            f"mse_loss length mismatch: {y.data.shape} vs {y_pred.data.shape}"
-        )
-    if y.data.size < 1:
-        raise ShapeMismatchError("mse_loss needs at least one element")
-    diff = y - y_pred
-    return (diff * diff).mean()
 
 
 @dataclass
@@ -126,7 +115,7 @@ def fit_head(frames_by_sample, lstm_p, ssa_p, mask, y, train_idx, val_idx, *,
     fits = [ridge_loo(x, y_known[:n_train], lam) for lam in RIDGE_GRID]
     best = int(np.argmin([err for _, err in fits]))
     if not np.isfinite(fits[best][1]):
-        raise NumericalError("head warm-up: no ridge penalty gives a finite leave-one-out error")
+        raise NumericalError("head fit: no ridge penalty gives a finite leave-one-out error")
     w = fits[best][0]
     head = HeadParams(w=tc.param(w[:-1].reshape(1, sel.size, 3, 3)), b=tc.param(w[-1]))
     with tc.no_grad():

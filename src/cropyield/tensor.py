@@ -1,7 +1,10 @@
 """Dense float64 tensors with reverse-mode gradient accumulation.
 
 Everything downstream (recurrent cells, attention, losses) is composed from
-the primitive set in this module. Primitives are pure: given identical
+the primitive set in this module. The one exception is the ConvLSTM's gate
+arithmetic: ``convlstm`` builds it as two nodes of its own with this
+module's ``_node``, ``_acc``, ``_unbroadcast`` and ``_sigmoid``, bit-identical
+to the primitives they replace. Primitives are pure: given identical
 inputs they reproduce identical outputs bit for bit, so a recorded
 computation can be replayed exactly. Gradients are accumulated into the
 leaf tensors that participated in a computation when ``backward`` is called
@@ -464,12 +467,17 @@ def sqrt(a: Tensor) -> Tensor:
 # -- activations --------------------------------------------------------------
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
-    # split form avoids overflow in exp for large |x|
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """The logistic function of an array, in the memory layout of ``x``; the
+    split form avoids overflow in exp for large |x|. ``sigmoid`` and the fused
+    ConvLSTM gate nodes share it."""
     e = np.exp(-np.abs(x))
     d = 1.0 + e
-    out_data = np.where(x >= 0, 1.0 / d, e / d)
+    return np.where(x >= 0, 1.0 / d, e / d)
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    out_data = _sigmoid(a.data)
 
     def bw(g):
         _acc(a, g * out_data * (1.0 - out_data))

@@ -492,6 +492,22 @@ class TestBackwardFreesTheGraph:
         assert graph > 10 * 2**20  # the graph this test is about: tens of MB
         assert peak - marks["forward"] < 0.10 * graph, (peak - marks["forward"]) / graph
 
+    def test_forward_graph_of_a_pipeline_step_stays_small(self):
+        """The forward graph of the step above holds less than 30 MiB: about
+        26 MiB with each ConvLSTM step's gate arithmetic as two nodes, 35.1 MiB
+        when it was 27 primitive nodes."""
+        lstm, ssa, proj = _encoder(12, 10)
+        views = np.random.default_rng(6).normal(size=(16, 6, 12, 10, 10))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            loss = _minibatch_loss(views, lstm, ssa, proj)
+            graph = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert loss.requires_grad
+        assert graph < 30 * 2**20, graph / 2**20
+
 
 def _per_view_pretrain(frames_by_sample, train_idx, val_idx, den, sched, seed_rng, channels,
                        epochs, lr, batch_size, tau, embed_dim, hidden_channels, depth):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from cropyield import attention as at
+from cropyield import contrastive as ct
 from cropyield import convlstm as cl
 from cropyield import tensor as tc
 from cropyield.errors import ShapeMismatchError
@@ -121,3 +123,86 @@ class TestInvariants:
             np.testing.assert_array_equal(ta.data, tb.data)
         s = 1.0 / np.sqrt(2 * 9)
         assert np.all(np.abs(a.w_fi.data) <= s)
+
+
+def reference_step(f_t, prev, p):
+    """``convlstm_step`` with its gate arithmetic as a graph of ``tc``
+    primitives, as it was before the cell and output nodes replaced it."""
+    pad = p.padding
+    x_i, x_f, x_c, x_o = tc.conv_items(f_t, [p.w_fi, p.w_ff, p.w_fc, p.w_fo], pad)
+    h_i, h_f, h_c, h_o = tc.conv_items(prev.h, [p.w_hi, p.w_hf, p.w_hc, p.w_ho], pad)
+    i_t = tc.sigmoid(x_i + h_i + p.w_ci * prev.c + cl._chan(p.b_i))
+    f_gate = tc.sigmoid(x_f + h_f + p.w_cf * prev.c + cl._chan(p.b_f))
+    candidate = tc.tanh(x_c + h_c + cl._chan(p.b_c))
+    c_t = f_gate * prev.c + i_t * candidate
+    o_t = tc.sigmoid(x_o + h_o + p.w_co * c_t + cl._chan(p.b_o))
+    return cl.ConvLstmState(h=o_t * tc.tanh(c_t), c=c_t)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def _random_biases(p, rng):
+    for b in (p.b_i, p.b_f, p.b_o, p.b_c):  # away from their zero init, so that each counts
+        b.data[...] = rng.uniform(-0.5, 0.5, size=b.data.shape)
+
+
+def _sequence_and_grads(step, t_steps, n, init, c_in=5, c_hid=8, hw=10):
+    """Every state of one sequence run with ``step``, and the gradients of
+    the parameters, the frames and the initial state under a loss that reads
+    the final state and the two history states before it."""
+    rng = np.random.default_rng([t_steps, n, init == "random"])
+    p = cl.init_convlstm_params(c_in, c_hid, hw, hw, 3, rng)
+    _random_biases(p, rng)
+    frames = [tc.param(rng.normal(size=(n, c_in, hw, hw))) for _ in range(t_steps)]
+    shape = (n, c_hid, hw, hw)
+    h0, c0 = (tc.param(rng.normal(size=shape) * 0.5 if init == "random" else np.zeros(shape))
+              for _ in range(2))
+    states = [cl.ConvLstmState(h=h0, c=c0)]
+    for f_t in frames:
+        states.append(step(f_t, states[-1], p))
+    read = [states[-1].h, states[-1].c] + [s.h for s in states[max(1, t_steps - 2):-1]]
+    tc.sum_in_order([tc.tanh(t) * Tensor(rng.normal(size=shape)) for t in read]).backward()
+    named = {f"h{t}": s.h.data for t, s in enumerate(states[1:], 1)}
+    named.update({f"c{t}": s.c.data for t, s in enumerate(states[1:], 1)})
+    named.update({f"grad {k}": t.grad for k, t in zip(p.named(), p.parameters())})
+    named.update({f"grad frame {t}": f_t.grad for t, f_t in enumerate(frames, 1)})
+    named.update({"grad h0": h0.grad, "grad c0": c0.grad})
+    return named
+
+
+class TestFusedStepBitExact:
+    """The cell and output nodes against the graph of primitives they
+    replace: states and every gradient bit for bit."""
+
+    @pytest.mark.parametrize("init", ["zero", "random"])
+    @pytest.mark.parametrize("n", [1, 16])
+    @pytest.mark.parametrize("t_steps", [1, 2, 3, 6])
+    def test_states_and_gradients(self, t_steps, n, init):
+        want = _sequence_and_grads(reference_step, t_steps, n, init)
+        got = _sequence_and_grads(cl.convlstm_step, t_steps, n, init)
+        assert got.keys() == want.keys()
+        assert len([k for k in want if k.startswith("grad convlstm/")]) == 15
+        for name in want:
+            assert np.array_equal(_bits(got[name]), _bits(want[name])), name
+
+    def test_pretraining_minibatch(self, monkeypatch):
+        """A pretraining minibatch at the pipeline's shapes (8 pairs, T=6,
+        12 bands, 10x10): the loss and every encoder gradient."""
+        views = np.random.default_rng(7).normal(size=(16, 6, 12, 10, 10))
+        results = []
+        for step in (reference_step, cl.convlstm_step):
+            monkeypatch.setattr(cl, "convlstm_step", step)
+            rng = np.random.default_rng(8)
+            lstm = cl.init_convlstm_params(12, 8, 10, 10, 3, rng)
+            _random_biases(lstm, rng)
+            ssa = at.init_ssa_params(8, rng)
+            proj = tc.param(rng.uniform(-0.25, 0.25, size=(16, 16)))
+            emb = ct.embed_sequence(views, lstm, ssa, proj)
+            loss = ct.contrastive_loss(emb[:8], emb[8:], 0.5)
+            loss.backward()
+            results.append([loss.data] + [t.grad for t in lstm.parameters() + ssa.parameters()
+                                          + [proj]])
+        for got, want in zip(*results):
+            assert np.array_equal(_bits(got), _bits(want))

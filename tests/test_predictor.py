@@ -51,7 +51,8 @@ class TestPredictYield:
 
         def loss(_t):
             _, scalar = pr.predict_yield(Tensor(f), head)
-            return pr.mse_loss(target, scalar)
+            diff = target - scalar
+            return (diff * diff).mean()
 
         assert tc.grad_check(loss, head.w) < 1e-4
         assert tc.grad_check(loss, head.b) < 1e-4
@@ -59,26 +60,6 @@ class TestPredictYield:
     def test_empty_selection_rejected(self):
         with pytest.raises(DomainError):
             pr.init_head(0)
-
-
-class TestMseLoss:
-    def test_perfect_zero(self):
-        y = Tensor([1.0, 2.0, 3.0])
-        assert pr.mse_loss(y, y).item() == 0.0
-
-    def test_hand_value(self):
-        got = pr.mse_loss(Tensor([1.0, 3.0]), Tensor([2.0, 2.0])).item()
-        assert got == 1.0
-
-    def test_symmetry_and_nonnegative(self):
-        rng = np.random.default_rng(6)
-        a, b = Tensor(rng.normal(size=5)), Tensor(rng.normal(size=5))
-        assert pr.mse_loss(a, b).item() == pr.mse_loss(b, a).item()
-        assert pr.mse_loss(a, b).item() >= 0.0
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ShapeMismatchError):
-            pr.mse_loss(Tensor([1.0]), Tensor([1.0, 2.0]))
 
 
 def tiny_encoder_setup(n=14, t=4, c=3, hw=8, seed=0):
@@ -126,7 +107,7 @@ class TestHeadWarmup:
         lstm, ssa, frames, y = tiny_encoder_setup(seed=1)
         loo = pr.ridge_loo
         monkeypatch.setattr(pr, "ridge_loo", lambda *a: (loo(*a)[0], np.inf))
-        with pytest.raises(NumericalError, match="^head warm-up: no ridge penalty"):
+        with pytest.raises(NumericalError, match="^head fit: no ridge penalty"):
             pr.fit_head(frames, lstm, ssa, np.ones(8, bool), y, range(10), range(10, 14),
                         pretrain_batch=2)
 
@@ -173,7 +154,7 @@ class TestHeadWarmup:
         with tc.no_grad():
             preds = pr.predict_yield(Tensor(feats), warm.head)[1].data
         np.testing.assert_allclose(preds, x @ w, rtol=0, atol=1e-12)
-        # the warm-up's one curve row holds the train and validation MSE of those predictions
+        # the fit's one curve row holds the train and validation MSE of those predictions
         y_star = (y - warm.y_mean) / warm.y_std
         err = (preds - y_star) ** 2
         assert warm.curve == [(0, float(np.mean(err[:10])), float(np.mean(err[10:])))]
@@ -219,7 +200,7 @@ class TestHeadWarmup:
         bad_frames[3][0, 0, 0, 0] = np.nan
         for f, t in ((frames, bad_y), (bad_frames, y)):
             with np.errstate(invalid="ignore"), \
-                    pytest.raises(NumericalError, match="^head warm-up: non-finite"):
+                    pytest.raises(NumericalError, match="^head fit: non-finite"):
                 pr.fit_head(f, lstm, ssa, np.ones(8, bool), t, range(10), range(10, 14),
                             pretrain_batch=2)
 
