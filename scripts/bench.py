@@ -38,8 +38,12 @@ a tree whose tracked files differ from its commit is refused. It stores
 each tree's commit id, every run's result line, each side's median and
 quartiles of each end-to-end metric, the pairs the change wins on each
 (``change_wins``) and the pairs the control wins in the A/A arm
-(``control_wins``), under ``pairs.<workload>/seed<s>``. These pairs are
-the only untraced end-to-end figures a BENCH file holds:
+(``control_wins``), and each side's gap: the change median over the parent
+median, minus 1 (``change_gap``), and the control median over the A/A
+parent median, minus 1 (``control_gap``), under ``pairs.<workload>/seed<s>``.
+A gain shows as a ``change_gap`` many times the ``control_gap``, the gap
+the same code showed in the same session. These pairs are the only
+untraced end-to-end figures a BENCH file holds:
 
     python3 scripts/bench.py --parent ../parent --out BENCH_9.json --pairs ingest-s2
 
@@ -281,6 +285,12 @@ def _wins(values: dict, base: str, other: str) -> dict:
             for m, v in values[base].items()}
 
 
+def _gap(values: dict, base: str, other: str) -> dict:
+    """Per metric, ``other``'s median over ``base``'s median, minus 1."""
+    return {m: statistics.median(values[other][m]) / statistics.median(v) - 1
+            for m, v in values[base].items()}
+
+
 def pairs(parent: Path, workload: str, seed: int) -> dict:
     """``PAIRS`` alternating A/B pairs of untraced perfbench runs of ``parent``
     and of this checkout, each followed by an A/A pair of ``parent`` and the
@@ -307,7 +317,9 @@ def pairs(parent: Path, workload: str, seed: int) -> dict:
             "quartiles": {side: {m: statistics.quantiles(v, n=4) for m, v in by_metric.items()}
                           for side, by_metric in values.items()},
             "change_wins": _wins(values, "parent", "change"),
-            "control_wins": _wins(values, "aa_parent", "control")}
+            "control_wins": _wins(values, "aa_parent", "control"),
+            "change_gap": _gap(values, "parent", "change"),
+            "control_gap": _gap(values, "aa_parent", "control")}
 
 
 def main(argv=None) -> int:

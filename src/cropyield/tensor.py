@@ -14,8 +14,11 @@ exactly-zero gradient. Inside ``no_grad()`` primitives record no graph at all.
 ``backward`` consumes the graph it runs. Each node drops its gradient, its
 backward closure (with the buffers the closure saved) and its parents as
 soon as its closure has run, so a step's intermediate gradients and saved
-im2col matrices are freed while the backward goes on, not when the step
-ends. Intermediate tensors keep their values but not their gradients.
+buffers are freed while the backward goes on, not when the step ends. A
+convolution saves no im2col matrix: its backward gathers it again from its
+input's data, a few items at a time (``conv_items``), so the data of a
+convolution's input must not change between forward and backward.
+Intermediate tensors keep their values but not their gradients.
 Leaves keep ``.grad``. A second ``backward`` through a consumed node raises
 ``GraphConsumedError``: build the graph again to differentiate again.
 
@@ -642,20 +645,59 @@ def _pad(xd: np.ndarray, padded: tuple, padding: int) -> np.ndarray:
     return xp
 
 
-def _col2im(dcols: np.ndarray, plan: _ConvPlan, n: int) -> np.ndarray:
-    """Gradient [N,C,H,W] of N maps whose ``_pad`` + gather gave the im2col
-    gradient ``dcols`` [N, H'W', C k k].
+def _cols(xd: np.ndarray, plan: _ConvPlan) -> np.ndarray:
+    """The im2col [N, H'W', C k k] of maps [N,C,H,W]: row (i, j), column
+    (c, a, b) holds the padded map's [c, i + a*dilation, j + b*dilation],
+    C-contiguous. For a 1x1 kernel it is the [H*W, C] transposed view of each
+    padded map: the GEMM's rounding depends on its operands' layout, so that
+    layout stays."""
+    xp = _pad(xd, plan.padded, plan.padding)
+    if plan.k == 1:
+        return xp.reshape(xp.shape[0], plan.c_in, -1).transpose(0, 2, 1)
+    return _gather(xp, plan.gather)
+
+
+# Items per chunk in a convolution's backward: the im2col it re-gathers and
+# the im2col gradient it scatters exist for this many items at a time.
+REGATHER_ITEMS = 4
+
+
+def _kernel_grads(pending, cols_of, n: int):
+    """Accumulate, in order, the gradient of each kernel in ``pending``, a list
+    of (kernel, output gradient [N, C_out, H'W']) pairs of one call: one GEMM
+    per item against the im2col, which ``cols_of(s, e)`` gives for items
+    s..e-1, REGATHER_ITEMS items at a time. A shared kernel's gradient is the
+    sum of its per-item GEMMs."""
+    dks = [np.empty((n, kern.data.shape[-4], math.prod(kern.data.shape[-3:])))
+           for kern, _ in pending]
+    for s in range(0, n, REGATHER_ITEMS):
+        cols = cols_of(s, s + REGATHER_ITEMS)
+        for dk, (_, gmat) in zip(dks, pending):
+            np.matmul(gmat[s:s + REGATHER_ITEMS], cols, out=dk[s:s + REGATHER_ITEMS])
+    for dk, (kern, _) in zip(dks, pending):
+        kd = kern.data
+        _acc(kern, (dk if kd.ndim == 5 else dk.sum(axis=0)).reshape(kd.shape))
+
+
+def _input_grad(gmat: np.ndarray, kmat: np.ndarray, plan: _ConvPlan) -> np.ndarray:
+    """Gradient [N,C,H,W] of the maps of a convolution with kernel matrix
+    ``kmat`` from its output gradient ``gmat`` [N, C_out, H'W']: one GEMM per
+    item gives the im2col gradient, REGATHER_ITEMS items at a time.
 
     Each pixel sums its taps into 0.0 in (a, b) order: one add per tap, into a
     channel-last buffer, so that each add reads its tap's columns in order.
     """
+    n = gmat.shape[0]
     c_in, hp, wp = plan.padded
     k, d, h_out, w_out, p = plan.k, plan.dilation, plan.h_out, plan.w_out, plan.padding
-    taps = dcols.reshape(n, h_out, w_out, c_in, k, k)
     dxp = np.zeros((n, hp, wp, c_in))
-    for a in range(k):
-        for b in range(k):
-            dxp[:, a * d:a * d + h_out, b * d:b * d + w_out] += taps[..., a, b]
+    for s in range(0, n, REGATHER_ITEMS):
+        e = s + REGATHER_ITEMS
+        dcols = np.matmul(gmat[s:e].transpose(0, 2, 1), kmat[s:e] if kmat.ndim == 3 else kmat)
+        taps = dcols.reshape(-1, h_out, w_out, c_in, k, k)
+        for a in range(k):
+            for b in range(k):
+                dxp[s:e, a * d:a * d + h_out, b * d:b * d + w_out] += taps[..., a, b]
     dxp = dxp.transpose(0, 3, 1, 2)
     return dxp[..., p:-p, p:-p] if p else dxp
 
@@ -667,23 +709,40 @@ def conv_items(x: Tensor, kernels, padding: int = 0, dilation: int = 1) -> list:
     [N,C_out,C_in,k,k]. Returns one [N,C_out,H',W'] node per kernel. Zero
     padding, square odd kernels, unit stride; ``dilation`` spaces the kernel
     taps (effective size k + (k-1)(dilation-1)). The im2col is gathered once
-    for all kernels; each kernel makes one stacked ``np.matmul`` (one GEMM per
-    item) each way and scatters its own input gradient. A shared kernel's
-    gradient is the sum of its per-item GEMMs.
+    for all kernels; each kernel makes one GEMM per item each way and scatters
+    its own input gradient. A shared kernel's gradient is the sum of its
+    per-item GEMMs.
+
+    The graph does not keep the im2col, except a 1x1 kernel's, which is a view
+    of the maps: backward gathers it again from ``x.data``, once per call and
+    REGATHER_ITEMS items at a time, so ``x.data`` must not change between
+    forward and backward. Each per-item GEMM sees the operands it would see
+    with a kept im2col, so every bit is the same. With several kernels, a
+    hidden group node runs after all the outputs and makes the kernel
+    gradients from one gather.
     """
     xd = x.data
     if xd.ndim != 4:
         raise ShapeMismatchError(f"conv_items expects [N,C,H,W] maps, got shape {xd.shape}")
     n = xd.shape[0]
+    kernels = tuple(kernels)
     plans = [_conv_plan(xd.shape[1:], kern.data.shape[-4:], padding, dilation)
              for kern in kernels]
-    c_in, h_out, w_out = plans[0].c_in, plans[0].h_out, plans[0].w_out
-    xp = _pad(xd, plans[0].padded, padding)
-    # im2col: row (i, j), column (c, a, b) holds xp[c, i + a*dilation, j + b*dilation],
-    # C-contiguous. For a 1x1 kernel it is the [H*W, C] transposed view of each
-    # map: the GEMM's rounding depends on its operands' layout, so that layout stays.
-    cols = (xp.reshape(n, c_in, -1).transpose(0, 2, 1) if plans[0].k == 1
-            else _gather(xp, plans[0].gather))
+    plan0 = plans[0]
+    cols = _cols(xd, plan0)
+    if plan0.k == 1:  # only this closure keeps ``cols``: a view of the maps
+        def cols_of(s, e):
+            return cols[s:e]
+    else:
+        def cols_of(s, e):
+            return _cols(xd[s:e], plan0)
+    # The group's parents are the kernels, so that it records its closure even
+    # when x needs no gradient. It is each output's first parent, so the
+    # toposort finishes it after x's graph: it then runs before anything x
+    # came from, and a kernel's gradients from successive calls (a recurrent
+    # cell's steps) add up in the order they did when each output made its own.
+    group = (_node(np.empty(0), kernels, lambda pending: _kernel_grads(pending, cols_of, n))
+             if len(kernels) > 1 else None)
     outs = []
     for kern, plan in zip(kernels, plans):
         kd = kern.data
@@ -691,21 +750,25 @@ def conv_items(x: Tensor, kernels, padding: int = 0, dilation: int = 1) -> list:
             raise ShapeMismatchError(f"kernels {kd.shape} do not fit {n} items")
         kmat = kd.reshape(kd.shape[:-3] + (-1,))  # [C_out, C_in k k], per item if 5-D
         out_data = np.matmul(cols, kmat.swapaxes(-1, -2)).transpose(0, 2, 1)
-        outs.append(_node(out_data.reshape(n, plan.c_out, h_out, w_out), (x, kern),
-                          _conv_items_bw(x, kern, cols, kmat, plan, n)))
+        outs.append(_node(out_data.reshape(n, plan.c_out, plan.h_out, plan.w_out),
+                          (x, kern) if group is None else (group, x, kern),
+                          _conv_items_bw(x, kern, kmat, plan, cols_of, group)))
     return outs
 
 
-def _conv_items_bw(x, kern, cols, kmat, plan, n):
-    kd = kern.data
-
+def _conv_items_bw(x, kern, kmat, plan, cols_of, group):
     def bw(g):
+        n = g.shape[0]
         gmat = g.reshape(n, kmat.shape[-2], -1)
         if kern.requires_grad:
-            dk = np.matmul(gmat, cols)  # one GEMM per item
-            _acc(kern, (dk if kd.ndim == 5 else dk.sum(axis=0)).reshape(kd.shape))
+            if group is None:
+                _kernel_grads([(kern, gmat)], cols_of, n)
+            else:  # the group node's "gradient" is the list it makes kernel gradients of
+                if group._grad is None:
+                    group._grad = []
+                group._grad.append((kern, gmat))
         if x.requires_grad:
-            _acc(x, _col2im(np.matmul(gmat.transpose(0, 2, 1), kmat), plan, n))
+            _acc(x, _input_grad(gmat, kmat, plan))
 
     return bw
 

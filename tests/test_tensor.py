@@ -553,6 +553,104 @@ class TestBitExact:
             tc.conv_items(Tensor(np.ones((2, 2, 4, 4))), [Tensor(np.ones((3, 1, 2, 3, 3)))], 1)
 
 
+def _kept_col2im(dcols, plan, n):
+    """Gradient [N,C,H,W] of N maps from their im2col gradient ``dcols``."""
+    c_in, hp, wp = plan.padded
+    k, d, h_out, w_out, p = plan.k, plan.dilation, plan.h_out, plan.w_out, plan.padding
+    taps = dcols.reshape(n, h_out, w_out, c_in, k, k)
+    dxp = np.zeros((n, hp, wp, c_in))
+    for a in range(k):
+        for b in range(k):
+            dxp[:, a * d:a * d + h_out, b * d:b * d + w_out] += taps[..., a, b]
+    dxp = dxp.transpose(0, 3, 1, 2)
+    return dxp[..., p:-p, p:-p] if p else dxp
+
+
+def _kept_conv_items(x, kernels, padding=0, dilation=1):
+    """``conv_items`` with its im2col kept in the graph: one node per kernel,
+    whose backward makes the kernel and input gradients from the saved im2col
+    of all N items at once. The re-gathering backward must match it bit for
+    bit."""
+    xd = x.data
+    n = xd.shape[0]
+    plans = [tc._conv_plan(xd.shape[1:], kern.data.shape[-4:], padding, dilation)
+             for kern in kernels]
+    c_in = plans[0].c_in
+    xp = tc._pad(xd, plans[0].padded, padding)
+    cols = (xp.reshape(n, c_in, -1).transpose(0, 2, 1) if plans[0].k == 1
+            else tc._gather(xp, plans[0].gather))
+    outs = []
+    for kern, plan in zip(kernels, plans):
+        kd = kern.data
+        kmat = kd.reshape(kd.shape[:-3] + (-1,))
+
+        def bw(g, kern=kern, kd=kd, kmat=kmat, plan=plan):
+            gmat = g.reshape(n, kmat.shape[-2], -1)
+            if kern.requires_grad:
+                dk = np.matmul(gmat, cols)
+                tc._acc(kern, (dk if kd.ndim == 5 else dk.sum(axis=0)).reshape(kd.shape))
+            if x.requires_grad:
+                tc._acc(x, _kept_col2im(np.matmul(gmat.transpose(0, 2, 1), kmat), plan, n))
+
+        out_data = np.matmul(cols, kmat.swapaxes(-1, -2)).transpose(0, 2, 1)
+        outs.append(tc._node(out_data.reshape(n, plan.c_out, plan.h_out, plan.w_out),
+                             (x, kern), bw))
+    return outs
+
+
+def _conv_chain(conv, xd, kds, g, read, padding, dilation, x_grad):
+    """Three calls of ``conv`` that share the kernels ``kds``, as a recurrent
+    cell's steps do: each call reads tanh of the sum of the previous call's
+    outputs listed in ``read``, and the loss weighs those outputs of every call
+    by ``g``. Returns every call's outputs and the kernel and input gradients."""
+    kerns = [param(np.array(kd)) for kd in kds]
+    x0 = Tensor(np.array(xd), requires_grad=x_grad)
+    x, outs, loss = x0, [], None
+    for t in range(3):
+        step = conv(x, kerns, padding, dilation)
+        outs.append([o.data for o in step])
+        for j in read:
+            term = (step[j] * Tensor(g[t, j])).sum()
+            loss = term if loss is None else loss + term
+        mix = step[read[0]]
+        for j in read[1:]:
+            mix = mix + step[j]
+        x = tc.tanh(mix)
+    loss.backward()
+    return outs, [kern.grad for kern in kerns], x0.grad
+
+
+class TestConvRegathersItsIm2col:
+    """``conv_items`` keeps no im2col in the graph, and its backward gathers it
+    again in chunks of items: outputs, kernel gradients and input gradients
+    bit for bit those of the im2col kept in the graph."""
+
+    @pytest.mark.parametrize("x_grad", [False, True])
+    @pytest.mark.parametrize("n", [1, 5, 16])
+    @pytest.mark.parametrize("k,padding,dilation", [(1, 0, 1), (3, 1, 1), (3, 2, 2)])
+    @pytest.mark.parametrize("item_kernels", [False, True])
+    @pytest.mark.parametrize("n_kernels,read", [(1, (0,)), (4, (0, 1, 2, 3)), (4, (3, 1))])
+    def test_matches_the_kept_im2col(self, n_kernels, read, item_kernels, k, padding,
+                                     dilation, n, x_grad):
+        rng = np.random.default_rng([n_kernels, len(read), int(item_kernels), k, dilation, n])
+        c, h, w = 3, 7, 6
+        xd = rng.normal(size=(n, c, h, w))
+        xd[0, 0, 0, 0] = -0.0
+        kshape = ((n,) if item_kernels else ()) + (c, c, k, k)
+        kds = [rng.normal(size=kshape) for _ in range(n_kernels)]
+        g = rng.normal(size=(3, n_kernels, n, c, h, w))
+        want = _conv_chain(_kept_conv_items, xd, kds, g, read, padding, dilation, x_grad)
+        got = _conv_chain(tc.conv_items, xd, kds, g, read, padding, dilation, x_grad)
+        for t, (a, b) in enumerate(zip(want[0], got[0])):
+            for j in range(n_kernels):
+                assert np.array_equal(_bits(a[j]), _bits(b[j])), ("output", t, j)
+        for j, (a, b) in enumerate(zip(want[1], got[1])):
+            assert np.array_equal(_bits(a), _bits(b)), ("kernel grad", j)
+            assert np.any(a) == (j in read), j
+        assert np.array_equal(_bits(want[2]), _bits(got[2])), "input grad"
+        assert np.any(got[2]) == x_grad
+
+
 class TestNoGrad:
     def test_outputs_record_no_graph_and_match(self):
         rng = np.random.default_rng(5)
