@@ -42,7 +42,7 @@ quartiles of each end-to-end metric, the pairs the change wins on each
 median, minus 1 (``change_gap``), and the control median over the A/A
 parent median, minus 1 (``control_gap``), under ``pairs.<workload>/seed<s>``.
 A gain shows as a ``change_gap`` many times the ``control_gap``, the gap
-the same code showed in the same session. These pairs are the only
+the same code showed alongside. These pairs are the only
 untraced end-to-end figures a BENCH file holds:
 
     python3 scripts/bench.py --parent ../parent --out BENCH_9.json --pairs ingest-s2

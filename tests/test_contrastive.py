@@ -447,6 +447,22 @@ def _minibatch_loss(views, lstm, ssa, proj):
     return ct.contrastive_loss(emb[:n], emb[n:], 0.5)
 
 
+def _pipeline_step_graph():
+    """Bytes the forward graph of one pre-training minibatch at the
+    pipeline-s2 shapes (8 samples, T=6, 12 S2 bands, 10x10) holds."""
+    lstm, ssa, proj = _encoder(12, 10)
+    views = np.random.default_rng(6).normal(size=(16, 6, 12, 10, 10))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loss = _minibatch_loss(views, lstm, ssa, proj)
+        graph = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert loss.requires_grad
+    return graph
+
+
 class TestBackwardFreesTheGraph:
     """``backward`` drops each node's gradient, closure and parents once the
     closure has run: the leaves get the same bits, and the step holds little
@@ -497,32 +513,14 @@ class TestBackwardFreesTheGraph:
         10.8 MiB now, 25.7 MiB when the convolutions kept their im2col in the
         graph, 35.1 MiB when each ConvLSTM step's gate arithmetic was 27
         primitive nodes."""
-        lstm, ssa, proj = _encoder(12, 10)
-        views = np.random.default_rng(6).normal(size=(16, 6, 12, 10, 10))
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            loss = _minibatch_loss(views, lstm, ssa, proj)
-            graph = tracemalloc.get_traced_memory()[0] - base
-        finally:
-            tracemalloc.stop()
-        assert loss.requires_grad
+        graph = _pipeline_step_graph()
         assert graph < 30 * 2**20, graph / 2**20
 
     def test_forward_graph_keeps_no_im2col(self):
         """The forward graph of the step above holds less than 14 MiB: about
         10.8 MiB with the convolutions' im2col gathered again in backward,
         25.7 MiB when the graph kept it."""
-        lstm, ssa, proj = _encoder(12, 10)
-        views = np.random.default_rng(6).normal(size=(16, 6, 12, 10, 10))
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            loss = _minibatch_loss(views, lstm, ssa, proj)
-            graph = tracemalloc.get_traced_memory()[0] - base
-        finally:
-            tracemalloc.stop()
-        assert loss.requires_grad
+        graph = _pipeline_step_graph()
         assert graph < 14 * 2**20, graph / 2**20
 
     def test_conv_call_holds_its_outputs_only(self):
