@@ -7,8 +7,10 @@ schedule (the RunConfig defaults), once for each k = 0..ULPS with
 ``pretrain_lr`` moved k ULPs up through a config file. Each run is a fresh
 process with BLAS pinned to one thread. Per seed and k it records the wall
 time of each stage, the MAPE / baseline-MAPE ratio, the hold-out
-separation, the selected mask, the head's ridge penalty, the exit code and
-the digests of the run's files, and it counts the runs that pass acceptance
+separation, the selected mask, the head's ridge penalty, the exit code, the
+worker process's peak RSS (``peak_rss_mb``, its ``ru_maxrss``: the synth of
+the seed's dataset at k = 0 and the pipeline) and the digests of the run's
+files, and it counts the runs that pass acceptance
 criteria 5 and 6. The k = 0 runs are the acceptance runs; the others show how widely the
 criterion margins spread under a last-bit change of one input. It then runs
 ``perfbench/run.py --workload <w> --trace 1`` for ``pipeline-s2`` and
@@ -21,7 +23,7 @@ of the output file; with ``--parent CHECKOUT`` (a git checkout with
 ``runs.parent``. Each side records its commit id and whether its tracked
 files differ from that commit. Each keeps what the other recorded, so the
 two sit side by side and ``comparison`` holds, per seed and k, the files
-that differ and the times of both:
+that differ and the times and peak RSS of both:
 
     python3 scripts/bench.py --parent ../parent --out BENCH_9.json
     python3 scripts/bench.py --out BENCH_9.json
@@ -56,6 +58,7 @@ import json
 import math
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -176,7 +179,9 @@ def machine_facts() -> dict:
 
 
 def worker(seed: int, ulps: int, work: Path) -> None:
-    print(json.dumps({"seed": seed, "ulps": ulps, **run_seed(seed, ulps, work),
+    row = run_seed(seed, ulps, work)
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # as perfbench's
+    print(json.dumps({"seed": seed, "ulps": ulps, **row, "peak_rss_mb": peak_rss_mb,
                       "machine": machine_facts()}))
 
 
@@ -261,6 +266,7 @@ def compare(runs: dict) -> dict:
                 "files_differing": sorted(n for n in a.keys() | b.keys() if a.get(n) != b.get(n)),
                 "mape_ratio": [old.get("mape_ratio"), new.get("mape_ratio")],
                 "pipeline_s": [old.get("pipeline_s"), new.get("pipeline_s")],
+                "peak_rss_mb": [old.get("peak_rss_mb"), new.get("peak_rss_mb")],
                 "stage_s": {k: [old.get("stage_s", {}).get(k), v]
                             for k, v in new.get("stage_s", {}).items()},
             }

@@ -161,7 +161,9 @@ def _output(x_o, h_o, c_t, p: ConvLstmParams) -> Tensor:
 def convlstm_step(f_t: Tensor, prev: ConvLstmState, p: ConvLstmParams) -> ConvLstmState:
     """One gate update of N items: frames [N,C_in,H,W], states [N,C_hid,H,W].
     i/f read the previous cell state, o reads the new one. The gate
-    arithmetic after the eight convolutions is two graph nodes."""
+    arithmetic after the eight convolutions is two graph nodes; once they
+    are built, the convolutions' outputs are released (``tc.release``): only
+    those two nodes read their data, and only in forward."""
     if f_t.data.ndim != 4 or (f_t.data.shape[0],) + f_t.data.shape[2:] != (
             prev.h.data.shape[0],) + prev.h.data.shape[2:]:
         raise ShapeMismatchError(
@@ -172,7 +174,9 @@ def convlstm_step(f_t: Tensor, prev: ConvLstmState, p: ConvLstmParams) -> ConvLs
     x_i, x_f, x_c, x_o = tc.conv_items(f_t, [p.w_fi, p.w_ff, p.w_fc, p.w_fo], pad)
     h_i, h_f, h_c, h_o = tc.conv_items(prev.h, [p.w_hi, p.w_hf, p.w_hc, p.w_ho], pad)
     c_t = _cell(x_i, x_f, x_c, h_i, h_f, h_c, prev.c, p)
-    return ConvLstmState(h=_output(x_o, h_o, c_t, p), c=c_t)
+    h_t = _output(x_o, h_o, c_t, p)
+    tc.release(x_i, x_f, x_c, x_o, h_i, h_f, h_c, h_o)
+    return ConvLstmState(h=h_t, c=c_t)
 
 
 def convlstm_sequence(frames, p: ConvLstmParams, init: ConvLstmState) -> list[ConvLstmState]:

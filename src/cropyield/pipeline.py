@@ -88,7 +88,7 @@ def _load_encoder(named: dict, cfg: RunConfig):
 def run_stage_pretrain(run_dir: Path, ds: sd.Dataset, frames, cfg: RunConfig) -> None:
     channels = ds.band_spec.channels
     sched = df.linear_schedule(cfg.diff_steps, cfg.beta_start, cfg.beta_end)
-    den_frames = [frames[i][t] for i in ds.split.train for t in range(0, ds.dims[0], 2)]
+    den_frames = [frames[i][t] for i in ds.split.train for t in range(0, len(frames[0]), 2)]
     den, den_history = df.train_denoiser(
         den_frames, channels, sched, rng_for(cfg.seed, "denoiser"),
         epochs=cfg.denoiser_epochs, lr=cfg.denoiser_lr,
@@ -269,6 +269,8 @@ def run_pipeline(cfg: RunConfig, data_path, out_dir, stage: str | None = None) -
     snapshot.write_text(text)
     binding.write_text(bound)
     frames = prepare_frames(ds, cfg)
+    for s in ds.samples:  # the stages read the frames, not the cubes they were copied from
+        s.x = None
     tc.keep_freed_heap()  # the stages free and rebuild one minibatch graph per step
     todo = STAGES if stage is None else (stage,)
     for name in todo:

@@ -57,7 +57,7 @@ class BandSpec:
 class PlotSample:
     plot_id: int
     season_tag: str
-    x: np.ndarray  # [T, H, W, C], reflectance-like values in [0, 1]
+    x: np.ndarray | None  # [T, H, W, C] in [0, 1]; run_pipeline drops it once framed
     y: float  # scalar yield, > 0
 
     def __post_init__(self):

@@ -18,7 +18,13 @@ buffers are freed while the backward goes on, not when the step ends. A
 convolution saves no im2col matrix: its backward gathers it again from its
 input's data, a few items at a time (``conv_items``), so the data of a
 convolution's input must not change between forward and backward.
-Intermediate tensors keep their values but not their gradients.
+Intermediate tensors keep their values but not their gradients. The one
+exception is ``release``: ``convlstm`` drops the values of its gate
+convolutions' outputs once the gate nodes have read them, since no backward
+reads them. A released tensor's gradient takes the memory layout of the
+first gradient added into it, not that of its data; a convolution's backward
+reads its output gradient in the [N, H'W', C_out] memory order its forward
+gave the output, whatever the layout it arrives in, so the bits stay.
 Leaves keep ``.grad``. A second ``backward`` through a consumed node raises
 ``GraphConsumedError``: build the graph again to differentiate again.
 
@@ -339,12 +345,20 @@ def _toposort(root: Tensor):
     return order
 
 
+def release(*tensors) -> None:
+    """Drop the data of intermediate tensors that no backward reads. Their
+    nodes stay in the graph, and a gradient still reaches them."""
+    for t in tensors:
+        t.data = None
+
+
 def _acc(t: Tensor, g: np.ndarray):
     if not t.requires_grad:
         return
     if t._grad is None:
-        # one allocation with the values and memory layout of zeros_like(t.data) += g
-        t._grad = np.add(g, 0.0, out=np.empty_like(t.data))
+        # one allocation with the values and memory layout of zeros_like(t.data) += g;
+        # a released tensor has no data, and its gradient takes g's layout
+        t._grad = np.add(g, 0.0, out=np.empty_like(g if t.data is None else t.data))
     else:
         t._grad += g
 
@@ -674,6 +688,7 @@ def _kernel_grads(pending, cols_of, n: int):
         cols = cols_of(s, s + REGATHER_ITEMS)
         for dk, (_, gmat) in zip(dks, pending):
             np.matmul(gmat[s:s + REGATHER_ITEMS], cols, out=dk[s:s + REGATHER_ITEMS])
+        del cols  # before the next chunk gathers its own
     for dk, (kern, _) in zip(dks, pending):
         kd = kern.data
         _acc(kern, (dk if kd.ndim == 5 else dk.sum(axis=0)).reshape(kd.shape))
@@ -698,6 +713,7 @@ def _input_grad(gmat: np.ndarray, kmat: np.ndarray, plan: _ConvPlan) -> np.ndarr
         for a in range(k):
             for b in range(k):
                 dxp[s:e, a * d:a * d + h_out, b * d:b * d + w_out] += taps[..., a, b]
+        del dcols, taps  # before the next chunk makes its own
     dxp = dxp.transpose(0, 3, 1, 2)
     return dxp[..., p:-p, p:-p] if p else dxp
 
@@ -707,7 +723,7 @@ def conv_items(x: Tensor, kernels, padding: int = 0, dilation: int = 1) -> list:
 
     A kernel is shared by the items, [C_out,C_in,k,k], or has one per item,
     [N,C_out,C_in,k,k]. Returns one [N,C_out,H',W'] node per kernel. Zero
-    padding, square odd kernels, unit stride; ``dilation`` spaces the kernel
+    padding, square odd kernels of one size, unit stride; ``dilation`` spaces the kernel
     taps (effective size k + (k-1)(dilation-1)). The im2col is gathered once
     for all kernels; each kernel makes one GEMM per item each way and scatters
     its own input gradient. A shared kernel's gradient is the sum of its
@@ -729,6 +745,11 @@ def conv_items(x: Tensor, kernels, padding: int = 0, dilation: int = 1) -> list:
     plans = [_conv_plan(xd.shape[1:], kern.data.shape[-4:], padding, dilation)
              for kern in kernels]
     plan0 = plans[0]
+    for kern, plan in zip(kernels[1:], plans[1:]):
+        if plan.k != plan0.k:
+            raise ShapeMismatchError(
+                f"the kernels of one call share their im2col and must have one size, "
+                f"got {kernels[0].data.shape} and {kern.data.shape}")
     cols = _cols(xd, plan0)
     if plan0.k == 1:  # only this closure keeps ``cols``: a view of the maps
         def cols_of(s, e):
@@ -759,7 +780,11 @@ def conv_items(x: Tensor, kernels, padding: int = 0, dilation: int = 1) -> list:
 def _conv_items_bw(x, kern, kmat, plan, cols_of, group):
     def bw(g):
         n = g.shape[0]
-        gmat = g.reshape(n, kmat.shape[-2], -1)
+        # [N, C_out, H'W'] in the output's memory order, [N, H'W', C_out]: the
+        # GEMMs round by their operands' layout, and a released output's
+        # gradient may arrive in another (a copy only then)
+        gmat = np.ascontiguousarray(
+            g.reshape(n, kmat.shape[-2], -1).transpose(0, 2, 1)).transpose(0, 2, 1)
         if kern.requires_grad:
             if group is None:
                 _kernel_grads([(kern, gmat)], cols_of, n)

@@ -232,6 +232,23 @@ class TestPipelineCommand:
                      "--config", str(fast_config), "--seed", "5"]) == 0
         assert calls == [1]
 
+    def test_stages_see_no_raw_plot_cube(self, tiny_dataset, fast_config, tmp_path,
+                                         monkeypatch):
+        """run_pipeline drops each plot's raw [T,H,W,C] cube once the frames
+        are made from it: the stages read the frames and the plots' yields
+        and tags only."""
+        from cropyield import pipeline as pl
+        seen = {}
+        for stage, runner in list(pl._RUNNERS.items()):
+            def spy(run_dir, ds, frames, cfg, _stage=stage, _runner=runner):
+                seen[_stage] = [s.x for s in ds.samples]
+                return _runner(run_dir, ds, frames, cfg)
+            monkeypatch.setitem(pl._RUNNERS, stage, spy)
+        assert main(["pipeline", "--data", str(tiny_dataset), "--out", str(tmp_path / "run"),
+                     "--config", str(fast_config), "--seed", "5"]) == 0
+        assert list(seen) == list(pl.STAGES)
+        assert all(x is None for cubes in seen.values() for x in cubes)
+
     def test_dataset_path_is_a_directory_exits_3(self, fast_config, tmp_path, capsys):
         code = main(["pipeline", "--data", str(tmp_path), "--out", str(tmp_path / "r"),
                      "--config", str(fast_config)])

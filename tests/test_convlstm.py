@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,39 @@ class TestGradients:
         for t in p.parameters():
             worst = max(worst, tc.grad_check(loss, t))
         assert worst < 1e-4
+
+
+def _owner(a):
+    """The array that owns the memory of ``a``."""
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+class TestStepReleasesItsConvOutputs:
+    def test_grad_mode_step_keeps_no_gate_conv_output(self, monkeypatch):
+        """Once the gate nodes are built, the step's eight convolution
+        outputs are freed, while the graph it returns stays alive and still
+        carries every kernel's gradient."""
+        rng = np.random.default_rng(2)
+        p = cl.init_convlstm_params(c_in=3, c_hid=4, height=6, width=6, k=3, rng=rng)
+        outputs = []
+        conv_items = tc.conv_items
+
+        def recording(x, kernels, *args):
+            outs = conv_items(x, kernels, *args)
+            outputs.extend(weakref.ref(_owner(o.data)) for o in outs)
+            return outs
+
+        monkeypatch.setattr(tc, "conv_items", recording)
+        prev = cl.ConvLstmState(h=Tensor(rng.normal(size=(2, 4, 6, 6))),
+                                c=Tensor(rng.normal(size=(2, 4, 6, 6))))
+        state = cl.convlstm_step(Tensor(rng.normal(size=(2, 3, 6, 6))), prev, p)
+        assert state.h.requires_grad and len(outputs) == 8
+        assert [ref() for ref in outputs] == [None] * 8
+        tc.sum_in_order([state.h, state.c]).backward()
+        assert all(np.any(w.grad) for w in (p.w_fi, p.w_ff, p.w_fc, p.w_fo,
+                                            p.w_hi, p.w_hf, p.w_hc, p.w_ho))
 
 
 class TestSequence:

@@ -90,6 +90,14 @@ class TestConv2d:
         with pytest.raises(ShapeMismatchError):
             conv_one(Tensor(np.ones((1, 4, 4))), Tensor(np.ones((1, 1, 2, 2))))
 
+    @pytest.mark.parametrize("k1,k2", [(3, 5), (3, 1), (1, 3)])
+    def test_kernels_of_one_call_must_share_their_size(self, k1, k2):
+        x = Tensor(np.ones((2, 3, 6, 6)))
+        kernels = [param(np.ones((4, 3, k, k))) for k in (k1, k2)]
+        with pytest.raises(ShapeMismatchError,
+                           match=rf"\(4, 3, {k1}, {k1}\) and \(4, 3, {k2}, {k2}\)"):
+            tc.conv_items(x, kernels, padding=1)
+
     @settings(deadline=None, max_examples=25)
     @given(seed=st.integers(0, 10**6), a=st.floats(-3, 3), b=st.floats(-3, 3))
     def test_linearity(self, seed, a, b):
