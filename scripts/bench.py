@@ -7,15 +7,17 @@ schedule (the RunConfig defaults), once for each k = 0..ULPS with
 ``pretrain_lr`` moved k ULPs up through a config file. Each run is a fresh
 process with BLAS pinned to one thread. Per seed and k it records the wall
 time of each stage, the MAPE / baseline-MAPE ratio, the hold-out
-separation, the selected mask, the head's ridge penalty, the exit code, the
-worker process's peak RSS (``peak_rss_mb``, its ``ru_maxrss``: the synth of
-the seed's dataset at k = 0 and the pipeline) and the digests of the run's
-files, and it counts the runs that pass acceptance
-criteria 5 and 6. The k = 0 runs are the acceptance runs; the others show how widely the
-criterion margins spread under a last-bit change of one input. It then runs
-``perfbench/run.py --workload <w> --trace 1`` for ``pipeline-s2`` and
-``ingest-s2`` in the same tree and keeps each run's detail and result lines
-and its summary.json, with the per-layer times.
+separation, the epoch-0 contrastive loss over log(batch) (the band that
+criterion 5 and perfbench's ``pipeline-s2`` check bound), the selected
+mask, the head's ridge penalty, the exit code, the worker process's peak
+RSS (``peak_rss_mb``, its ``ru_maxrss``: the synth of the seed's dataset at
+k = 0 and the pipeline) and the digests of the run's files, and it counts
+the runs that pass acceptance criteria 5 and 6. The k = 0 runs are the
+acceptance runs; the others show how widely the criterion margins spread
+under a last-bit change of one input. It then runs ``perfbench/run.py
+--workload <w> --trace 1`` for ``pipeline-s2`` and ``ingest-s2`` in the
+same tree and keeps each run's detail and result lines and its
+summary.json, with the per-layer times.
 
 Without ``--parent`` it measures this checkout and writes ``runs.change``
 of the output file; with ``--parent CHECKOUT`` (a git checkout with
@@ -145,6 +147,7 @@ def run_seed(seed: int, ulps: int, work: Path) -> dict:
         "mask": (run_dir / "mask.txt").read_text().splitlines()[0],
         "ridge_lambda": float(lam) if lam is not None else None,
         "holdout_separation": float(stats.get("holdout_separation", "nan")),
+        "epoch0_over_log_batch": float(stats["epoch0_loss"]) / float(stats["uniform_loss"]),
         "criterion_5": passes_criterion_5(stats),
         "criterion_6": ratio <= 0.8 and pipeline_s < 600.0,
         "digests": {p.name: hashlib.sha256(p.read_bytes()).hexdigest()

@@ -117,15 +117,8 @@ def diffusion_loss(z0: np.ndarray, den, sched: NoiseSchedule, lam: float, rng) -
     if lam < 0:
         raise DomainError(f"lam must be >= 0, got {lam}")
     steps = sched.steps
-    # forward_diffuse at t = 1..steps: one draw for every t whose beta is not 1,
-    # laid out as consecutive per-t draws would be
-    betas = np.asarray(sched.betas, dtype=np.float64)
-    noisy = betas != 1.0
-    eps = rng.standard_normal((int(noisy.sum()),) + np.shape(z0))
-    beta = betas[noisy].reshape((-1,) + (1,) * np.ndim(z0))
-    targets = np.repeat(np.asarray(z0, dtype=np.float64)[None], steps, axis=0)
-    targets[noisy] = beta * z0 + np.sqrt(1.0 - beta) * eps
     ts = list(range(1, steps + 1))
+    targets = np.stack([forward_diffuse(z0, t, sched, rng) for t in ts])
     if lam > 0:
         ts += sorted(int(t) for t in rng.choice(steps, size=math.ceil(steps / 2),
                                                 replace=False) + 1)

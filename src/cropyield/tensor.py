@@ -21,10 +21,12 @@ convolution's input must not change between forward and backward.
 Intermediate tensors keep their values but not their gradients. The one
 exception is ``release``: ``convlstm`` drops the values of its gate
 convolutions' outputs once the gate nodes have read them, since no backward
-reads them. A released tensor's gradient takes the memory layout of the
-first gradient added into it, not that of its data; a convolution's backward
-reads its output gradient in the [N, H'W', C_out] memory order its forward
-gave the output, whatever the layout it arrives in, so the bits stay.
+reads them. A released tensor keeps the first gradient added into it by
+reference, without a copy, and a later add makes a new array, never adds in
+place: one array may be the gradient of two released tensors. A
+convolution's backward reads its output gradient in the [N, H'W', C_out]
+memory order its forward gave the output, whatever the layout it arrives in,
+so the bits stay.
 Leaves keep ``.grad``. A second ``backward`` through a consumed node raises
 ``GraphConsumedError``: build the graph again to differentiate again.
 
@@ -213,15 +215,8 @@ class Tensor:
         return reshape(self, shape)
 
 
-def param(data, rng=None, scale: float | None = None, shape=None) -> Tensor:
-    """Leaf tensor with gradient tracking.
-
-    With ``rng`` and ``shape`` given, initializes uniform in [-scale, scale].
-    """
-    if rng is not None:
-        if shape is None or scale is None:
-            raise ValueError("rng initialization needs shape and scale")
-        data = rng.uniform(-scale, scale, size=shape)
+def param(data) -> Tensor:
+    """Leaf tensor with gradient tracking."""
     return Tensor(data, requires_grad=True)
 
 
@@ -355,10 +350,11 @@ def release(*tensors) -> None:
 def _acc(t: Tensor, g: np.ndarray):
     if not t.requires_grad:
         return
-    if t._grad is None:
-        # one allocation with the values and memory layout of zeros_like(t.data) += g;
-        # a released tensor has no data, and its gradient takes g's layout
-        t._grad = np.add(g, 0.0, out=np.empty_like(g if t.data is None else t.data))
+    if t.data is None:  # released: keep g itself; g may also be another tensor's gradient
+        t._grad = g if t._grad is None else t._grad + g
+    elif t._grad is None:
+        # one allocation with the values and memory layout of zeros_like(t.data) += g
+        t._grad = np.add(g, 0.0, out=np.empty_like(t.data))
     else:
         t._grad += g
 
@@ -733,9 +729,8 @@ def conv_items(x: Tensor, kernels, padding: int = 0, dilation: int = 1) -> list:
     of the maps: backward gathers it again from ``x.data``, once per call and
     REGATHER_ITEMS items at a time, so ``x.data`` must not change between
     forward and backward. Each per-item GEMM sees the operands it would see
-    with a kept im2col, so every bit is the same. With several kernels, a
-    hidden group node runs after all the outputs and makes the kernel
-    gradients from one gather.
+    with a kept im2col, so every bit is the same. A hidden group node runs
+    after all the outputs and makes every kernel's gradient from one gather.
     """
     xd = x.data
     if xd.ndim != 4:
@@ -761,9 +756,9 @@ def conv_items(x: Tensor, kernels, padding: int = 0, dilation: int = 1) -> list:
     # when x needs no gradient. It is each output's first parent, so the
     # toposort finishes it after x's graph: it then runs before anything x
     # came from, and a kernel's gradients from successive calls (a recurrent
-    # cell's steps) add up in the order they did when each output made its own.
-    group = (_node(np.empty(0), kernels, lambda pending: _kernel_grads(pending, cols_of, n))
-             if len(kernels) > 1 else None)
+    # cell's steps) add up in the order of the calls, as they would if each
+    # output made its own.
+    group = _node(np.empty(0), kernels, lambda pending: _kernel_grads(pending, cols_of, n))
     outs = []
     for kern, plan in zip(kernels, plans):
         kd = kern.data
@@ -772,12 +767,11 @@ def conv_items(x: Tensor, kernels, padding: int = 0, dilation: int = 1) -> list:
         kmat = kd.reshape(kd.shape[:-3] + (-1,))  # [C_out, C_in k k], per item if 5-D
         out_data = np.matmul(cols, kmat.swapaxes(-1, -2)).transpose(0, 2, 1)
         outs.append(_node(out_data.reshape(n, plan.c_out, plan.h_out, plan.w_out),
-                          (x, kern) if group is None else (group, x, kern),
-                          _conv_items_bw(x, kern, kmat, plan, cols_of, group)))
+                          (group, x, kern), _conv_items_bw(x, kern, kmat, plan, group)))
     return outs
 
 
-def _conv_items_bw(x, kern, kmat, plan, cols_of, group):
+def _conv_items_bw(x, kern, kmat, plan, group):
     def bw(g):
         n = g.shape[0]
         # [N, C_out, H'W'] in the output's memory order, [N, H'W', C_out]: the
@@ -785,13 +779,10 @@ def _conv_items_bw(x, kern, kmat, plan, cols_of, group):
         # gradient may arrive in another (a copy only then)
         gmat = np.ascontiguousarray(
             g.reshape(n, kmat.shape[-2], -1).transpose(0, 2, 1)).transpose(0, 2, 1)
-        if kern.requires_grad:
-            if group is None:
-                _kernel_grads([(kern, gmat)], cols_of, n)
-            else:  # the group node's "gradient" is the list it makes kernel gradients of
-                if group._grad is None:
-                    group._grad = []
-                group._grad.append((kern, gmat))
+        if kern.requires_grad:  # the group's "gradient": the list it makes kernel gradients of
+            if group._grad is None:
+                group._grad = []
+            group._grad.append((kern, gmat))
         if x.requires_grad:
             _acc(x, _input_grad(gmat, kmat, plan))
 

@@ -2,6 +2,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from cropyield.fileio import load_checkpoint
 FAST = [
     "n_plots=12", "t_steps=4", "height=8", "width=8",
     "pretrain_epochs=1", "denoiser_epochs=1", "eo_iters=5", "eo_particles=6",
-    "train_epochs=10", "finetune_epochs=3", "diff_steps=4", "beta_end=0.5",
+    "diff_steps=4", "beta_end=0.5",
 ]
 
 
@@ -63,11 +64,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_overrides("seed=notanint")
         with pytest.raises(ConfigError):
-            parse_overrides("finetune_encoder=maybe")
+            parse_overrides("percent=maybe")
         with pytest.raises(ConfigError):
             load_config(None, {"t_steps": 2, "history": 2})
         for key, value in (("batch_size", 1), ("denoiser_epochs", -1), ("pretrain_epochs", -1),
-                           ("train_epochs", -1), ("finetune_epochs", -1), ("eo_iters", 0),
+                           ("height", 7), ("width", 7), ("eo_iters", 0),
                            ("eo_particles", 3), ("temperature", 0.0), ("sigma_scale", -0.1),
                            ("beta_start", 0.2), ("beta_end", -0.1), ("beta_start", 1.5),
                            ("kernel_size", 2), ("kernel_size", -1), ("lambda_consistency", -1.0),
@@ -75,7 +76,7 @@ class TestConfig:
                            ("embed_dim", 0), ("history", 0), ("experts", 0), ("se_reduction", 0),
                            ("shuffle_groups", 0), ("denoiser_lr", float("nan")),
                            ("pretrain_lr", float("inf")), ("yield_noise", float("-inf")),
-                           ("ridge_penalty", -0.01), ("patience", -1)):
+                           ("ridge_penalty", -0.01)):
             with pytest.raises(ConfigError):
                 load_config(None, {key: value})
         # the benchmark's shortened schedules stay valid
@@ -100,6 +101,13 @@ class TestSynthCommand:
     def test_too_few_plots_to_split_exits_2(self, tmp_path):
         out = tmp_path / "ds.mtms"
         assert main(["synth", "--source", "S2", "--plots", "9", "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_maps_below_the_synth_floor_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "ds.mtms"
+        assert main(["synth", "--source", "S2", "--plots", "12", "--height", "5", "--width", "7",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: height must be >= 8")
         assert not out.exists()
 
     def test_missing_required_flag_exits_2(self, tmp_path):
@@ -327,18 +335,23 @@ class TestPipelineCommand:
     def test_benchmark_only_keys_change_no_artifact(self, tiny_dataset, fast_config,
                                                     tmp_path):
         # train_epochs, finetune_encoder, finetune_epochs and patience are read
-        # by nothing; the benchmark's schedules still set them
-        other = tmp_path / "other.cfg"
-        other.write_text(fast_config.read_text() + "finetune_encoder=false\n"
-                         "finetune_epochs=1\npatience=0\ntrain_epochs=7\n")
-        runs = []
-        for cfg in (fast_config, other):
-            run_dir = tmp_path / cfg.stem
-            assert main(["pipeline", "--data", str(tiny_dataset), "--out", str(run_dir),
-                         "--config", str(cfg), "--seed", "5"]) == 0
-            runs.append(run_dir)
-        for name in ("model.ckpt", "train_curve.txt", "report.kv"):
-            assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
+        # by nothing: a config file may not name them, and the benchmark's
+        # schedules, which still pass them to dataclasses.replace, change no byte
+        from cropyield.pipeline import run_pipeline
+
+        keys = {"train_epochs": 7, "finetune_encoder": False, "finetune_epochs": 1, "patience": 0}
+        for key, value in keys.items():
+            cfg = tmp_path / f"{key}.cfg"
+            cfg.write_text(f"{fast_config.read_text()}{key}={value}\n")
+            assert main(["pipeline", "--data", str(tiny_dataset), "--out", str(tmp_path / key),
+                         "--config", str(cfg), "--seed", "5"]) == 2
+            assert not (tmp_path / key).exists()
+        base = load_config(fast_config, {"seed": 5})
+        runs = [run_pipeline(cfg, tiny_dataset, tmp_path / name)
+                for name, cfg in (("base", base), ("replaced", replace(base, **keys)))]
+        files = [{p.name: p.read_bytes() for p in sorted(run.iterdir())} for run in runs]
+        assert "config.txt" in files[0] and "model.ckpt" in files[0]
+        assert files[0] == files[1]
 
     def test_overflowing_denoiser_lr_exits_4(self, tiny_dataset, fast_config, tmp_path,
                                              capsys):
@@ -383,8 +396,7 @@ class TestPipelineCommand:
         # a run whose denoiser overflows: only the typed line may reach stderr
         data = tmp_path / "s2.mtms"
         cfg = tmp_path / "overflow.cfg"
-        cfg.write_text("denoiser_epochs=1\npretrain_epochs=1\neo_iters=2\n"
-                       "denoiser_lr=1e300\nfinetune_epochs=1\n")
+        cfg.write_text("denoiser_epochs=1\npretrain_epochs=1\neo_iters=2\ndenoiser_lr=1e300\n")
         env = {**os.environ, "PYTHONPATH": str(Path(cropyield.__file__).parents[1])}
         cli = [sys.executable, "-m", "cropyield.cli"]
         subprocess.run(cli + ["synth", "--source", "S2", "--plots", "20", "--seed", "3",
@@ -419,7 +431,7 @@ class TestPipelineCommand:
             pytest.skip("fewer than 2 usable CPUs: BLAS cannot run on 2 threads")
         data = tmp_path / "s2.mtms"
         cfg = tmp_path / "short.cfg"
-        cfg.write_text("denoiser_epochs=1\npretrain_epochs=2\neo_iters=5\nfinetune_epochs=1\n")
+        cfg.write_text("denoiser_epochs=1\npretrain_epochs=2\neo_iters=5\n")
         env = {**os.environ, "PYTHONPATH": str(Path(cropyield.__file__).parents[1])}
         cli = [sys.executable, "-m", "cropyield.cli"]
         subprocess.run(cli + ["synth", "--source", "S2", "--plots", "60", "--seed", "1",

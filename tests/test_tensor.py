@@ -400,6 +400,19 @@ class TestBitExact:
             ref += g
             assert np.array_equal(_bits(leaf.grad), _bits(ref))
 
+    def test_released_tensors_sharing_one_gradient_keep_their_own(self):
+        # a gate node passes one array to two released convolution outputs
+        a, b = param(np.ones((2, 3))), param(np.ones((2, 3)))
+        tc.release(a, b)
+        g = np.arange(6.0).reshape(2, 3)
+        tc._acc(a, g)
+        tc._acc(b, g)
+        assert a._grad is g and b._grad is g  # kept by reference, not copied
+        tc._acc(b, np.full((2, 3), 0.5))
+        assert np.array_equal(a._grad, np.arange(6.0).reshape(2, 3))
+        assert np.array_equal(b._grad, np.arange(6.0).reshape(2, 3) + 0.5)
+        assert np.array_equal(g, np.arange(6.0).reshape(2, 3))
+
     def test_sigmoid_matches_three_exp_form(self):
         x = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 0.5, -0.5, 36.7, -36.7,
                       709.0, -709.0, 710.0, -710.0, 745.2, -745.2, 1e4, -1e4,
