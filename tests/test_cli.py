@@ -19,6 +19,7 @@ from cropyield.cli import main
 from cropyield.config import RunConfig, config_text, load_config, parse_overrides
 from cropyield.errors import ConfigError
 from cropyield.fileio import load_checkpoint
+from cropyield.pipeline import run_pipeline
 
 FAST = [
     "n_plots=12", "t_steps=4", "height=8", "width=8",
@@ -337,8 +338,6 @@ class TestPipelineCommand:
         # train_epochs, finetune_encoder, finetune_epochs and patience are read
         # by nothing: a config file may not name them, and the benchmark's
         # schedules, which still pass them to dataclasses.replace, change no byte
-        from cropyield.pipeline import run_pipeline
-
         keys = {"train_epochs": 7, "finetune_encoder": False, "finetune_epochs": 1, "patience": 0}
         for key, value in keys.items():
             cfg = tmp_path / f"{key}.cfg"
