@@ -11,8 +11,10 @@ separation, the epoch-0 contrastive loss over log(batch) (the band that
 criterion 5 and perfbench's ``pipeline-s2`` check bound), the selected
 mask, the head's ridge penalty, the exit code, the worker process's peak
 RSS (``peak_rss_mb``, its ``ru_maxrss``: the synth of the seed's dataset at
-k = 0 and the pipeline) and the digests of the run's files, and it counts
-the runs that pass acceptance criteria 5 and 6. The k = 0 runs are the
+k = 0 and the pipeline), its minor page faults and user and system CPU
+seconds over the same span (``ru_minflt``, ``ru_utime``, ``ru_stime``) and
+the digests of the run's files, and it counts the runs that pass
+acceptance criteria 5 and 6. The k = 0 runs are the
 acceptance runs; the others show how widely the criterion margins spread
 under a last-bit change of one input. It then runs ``perfbench/run.py
 --workload <w> --trace 1`` for ``pipeline-s2`` and ``ingest-s2`` in the
@@ -25,7 +27,7 @@ of the output file; with ``--parent CHECKOUT`` (a git checkout with
 ``runs.parent``. Each side records its commit id and whether its tracked
 files differ from that commit. Each keeps what the other recorded, so the
 two sit side by side and ``comparison`` holds, per seed and k, the files
-that differ and the times and peak RSS of both:
+that differ and the times, peak RSS, faults and CPU seconds of both:
 
     python3 scripts/bench.py --parent ../parent --out BENCH_9.json
     python3 scripts/bench.py --out BENCH_9.json
@@ -74,6 +76,7 @@ PERFBENCH_SECONDS = 15  # BENCHMARK.json's run_seconds, the same for both trees
 PAIRS = 10  # alternating parent/change and parent/control pairs per workload and seed
 TRACED = ("pipeline-s2", "ingest-s2")
 PINNED = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+COUNTERS = ("ru_minflt", "ru_utime", "ru_stime")  # a probe worker's minor faults and CPU seconds
 HERE = Path(__file__).resolve()
 
 
@@ -183,8 +186,10 @@ def machine_facts() -> dict:
 
 def worker(seed: int, ulps: int, work: Path) -> None:
     row = run_seed(seed, ulps, work)
-    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # as perfbench's
-    print(json.dumps({"seed": seed, "ulps": ulps, **row, "peak_rss_mb": peak_rss_mb,
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    print(json.dumps({"seed": seed, "ulps": ulps, **row,
+                      "peak_rss_mb": usage.ru_maxrss / 1024.0,  # as perfbench's
+                      **{key: getattr(usage, key) for key in COUNTERS},
                       "machine": machine_facts()}))
 
 
@@ -257,7 +262,7 @@ def perfbench(root: Path, env: dict, workload: str, trace: bool, seed: int = 1) 
 
 def compare(runs: dict) -> dict:
     """Per seed and k, when a parent and a change were recorded: the run files
-    whose bytes differ, and the times of both."""
+    whose bytes differ, and the times, peak RSS and counters of both."""
     if "parent" not in runs or "change" not in runs:
         return {}
     out = {}
@@ -269,7 +274,7 @@ def compare(runs: dict) -> dict:
                 "files_differing": sorted(n for n in a.keys() | b.keys() if a.get(n) != b.get(n)),
                 "mape_ratio": [old.get("mape_ratio"), new.get("mape_ratio")],
                 "pipeline_s": [old.get("pipeline_s"), new.get("pipeline_s")],
-                "peak_rss_mb": [old.get("peak_rss_mb"), new.get("peak_rss_mb")],
+                **{key: [old.get(key), new.get(key)] for key in ("peak_rss_mb", *COUNTERS)},
                 "stage_s": {k: [old.get("stage_s", {}).get(k), v]
                             for k, v in new.get("stage_s", {}).items()},
             }

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 usage or configuration error, 3 data error
 (missing or unreadable files and any other OS error, malformed formats,
-domain violations, missing stage prerequisites), 4 numerical failure.
+domain violations, missing stage prerequisites, any other package error),
+4 numerical failure.
 """
 
 from __future__ import annotations
@@ -16,15 +17,7 @@ import numpy as np
 from .attention import ATTENTION_MODES, CONV_MODES
 from .config import load_config
 from .eo import FEATURE_SELECTORS
-from .errors import (
-    ConfigError,
-    CropYieldError,
-    DataFormatError,
-    DomainError,
-    NumericalError,
-    ShapeMismatchError,
-    StagePrerequisiteError,
-)
+from .errors import ConfigError, CropYieldError, DomainError, NumericalError
 from .pipeline import STAGES, format_table, merge_reports, run_pipeline
 
 
@@ -133,15 +126,11 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except (DataFormatError, DomainError, ShapeMismatchError, StagePrerequisiteError,
-            OSError) as err:
-        print(f"data error: {err}", file=sys.stderr)
-        return 3
     except NumericalError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 4
-    except CropYieldError as err:
-        print(f"error: {err}", file=sys.stderr)
+    except (CropYieldError, OSError) as err:
+        print(f"data error: {err}", file=sys.stderr)
         return 3
 
 

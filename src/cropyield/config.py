@@ -16,11 +16,11 @@ from .eo import FEATURE_SELECTORS
 from .errors import ConfigError
 
 
-# n_plots: the 80-10-10 split needs 10; height, width: synth's floor (synthdata);
-# batch_size: every anchor needs a negative; eo_particles: the equilibrium pool
-# holds 4; a negative ridge_penalty is no ridge
-_LOWER_BOUNDS = {"n_plots": 10, "height": 8, "width": 8, "batch_size": 2, "denoiser_epochs": 0,
-                 "pretrain_epochs": 0, "eo_iters": 1, "eo_particles": 4,
+# n_plots: the 80-10-10 split needs 10; t_steps, height, width: synth's floor
+# (synthdata); batch_size: every anchor needs a negative; eo_particles: the
+# equilibrium pool holds 4; a negative ridge_penalty is no ridge
+_LOWER_BOUNDS = {"n_plots": 10, "t_steps": 2, "height": 8, "width": 8, "batch_size": 2,
+                 "denoiser_epochs": 0, "pretrain_epochs": 0, "eo_iters": 1, "eo_particles": 4,
                  "sigma_scale": 0.0, "lambda_consistency": 0.0, "kernel_size": 1,
                  "diff_steps": 1, "denoiser_hidden": 1, "hidden_channels": 1, "embed_dim": 1,
                  "history": 1, "experts": 1, "se_reduction": 1, "shuffle_groups": 1,
@@ -106,10 +106,6 @@ class RunConfig:
             raise ConfigError(f"kernel_size must be odd, got {self.kernel_size}")
         if not self.temperature > 0:
             raise ConfigError(f"temperature must be > 0, got {self.temperature}")
-        if self.t_steps < self.history + 1:
-            raise ConfigError(
-                f"t_steps={self.t_steps} too short for history={self.history} (need history+1)"
-            )
         if not 0 <= self.augment_depth <= self.diff_steps:
             raise ConfigError(
                 f"augment_depth={self.augment_depth} outside 0..diff_steps={self.diff_steps}"

@@ -271,7 +271,6 @@ def run_pipeline(cfg: RunConfig, data_path, out_dir, stage: str | None = None) -
     frames = prepare_frames(ds, cfg)
     for s in ds.samples:  # the stages read the frames, not the cubes they were copied from
         s.x = None
-    tc.keep_freed_heap()  # the stages free and rebuild one minibatch graph per step
     todo = STAGES if stage is None else (stage,)
     for name in todo:
         _RUNNERS[name](run_dir, ds, frames, cfg)

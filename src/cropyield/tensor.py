@@ -57,9 +57,7 @@ contract:
 
 from __future__ import annotations
 
-import ctypes
 import math
-import sys
 from contextlib import contextmanager
 from dataclasses import fields
 from functools import lru_cache
@@ -74,31 +72,6 @@ from .errors import (
     NumericalError,
     ShapeMismatchError,
 )
-
-
-@lru_cache(maxsize=None)
-def keep_freed_heap() -> None:
-    """Let glibc's malloc keep freed memory on its heap for reuse, for the
-    rest of the process (``pipeline.run_pipeline`` calls this once).
-
-    A minibatch graph holds tens of MB in arrays of 0.1 to a few MB and frees
-    them during its backward. With its start-up thresholds, glibc returns
-    that memory to the system at once, and the next minibatch faults every
-    page in again: in the benchmark's pipeline-s2 task on a 2-core x86-64 VM,
-    1.4 million minor faults and 3 s of system time in an 11 s task. The
-    values set here are the most that glibc's own dynamic thresholds reach
-    (mmap above 32 MB, trim above 64 MB); setting them turns that dynamic
-    adjustment off. Other C libraries ignore them or lack the call.
-    """
-    if not sys.platform.startswith("linux"):
-        return
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
-    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
 
 
 class Tensor:

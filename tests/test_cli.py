@@ -66,10 +66,8 @@ class TestConfig:
             parse_overrides("seed=notanint")
         with pytest.raises(ConfigError):
             parse_overrides("percent=maybe")
-        with pytest.raises(ConfigError):
-            load_config(None, {"t_steps": 2, "history": 2})
         for key, value in (("batch_size", 1), ("denoiser_epochs", -1), ("pretrain_epochs", -1),
-                           ("height", 7), ("width", 7), ("eo_iters", 0),
+                           ("t_steps", 1), ("height", 7), ("width", 7), ("eo_iters", 0),
                            ("eo_particles", 3), ("temperature", 0.0), ("sigma_scale", -0.1),
                            ("beta_start", 0.2), ("beta_end", -0.1), ("beta_start", 1.5),
                            ("kernel_size", 2), ("kernel_size", -1), ("lambda_consistency", -1.0),
@@ -83,6 +81,22 @@ class TestConfig:
         # the benchmark's shortened schedules stay valid
         load_config(None, {"pretrain_epochs": 0, "denoiser_epochs": 0, "batch_size": 2,
                            "eo_iters": 2})
+
+    def test_bool_values_parse(self, tmp_path):
+        assert parse_overrides("percent=true") == {"percent": True}
+        assert parse_overrides("percent=no") == {"percent": False}
+        cfg = tmp_path / "percent.cfg"
+        cfg.write_text("percent=true\n")
+        assert load_config(cfg).percent is True
+
+    @pytest.mark.parametrize("key", ["se_reduction", "shuffle_groups"])
+    def test_non_divisor_of_hidden_channels_exits_2(self, key, tmp_path, capsys):
+        cfg = tmp_path / f"{key}.cfg"
+        cfg.write_text(f"hidden_channels=8\n{key}=3\n")
+        assert main(["pipeline", "--data", str(tmp_path / "none.mtms"),
+                     "--out", str(tmp_path / "r"), "--config", str(cfg)]) == 2
+        assert "must divide hidden_channels" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
     def test_comments_and_blank_lines(self):
         out = parse_overrides("# a comment\n\nseed=3  # trailing\n")
@@ -110,6 +124,15 @@ class TestSynthCommand:
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("config error: height must be >= 8")
         assert not out.exists()
+
+    def test_two_time_steps_is_the_synth_floor(self, tmp_path):
+        argv = ["synth", "--source", "S1", "--plots", "10", "--height", "8", "--width", "8"]
+        out = tmp_path / "ds.mtms"
+        assert main(argv + ["--t-steps", "2", "--out", str(out)]) == 0
+        assert sd.load_dataset(out).dims[0] == 2
+        short = tmp_path / "short.mtms"
+        assert main(argv + ["--t-steps", "1", "--out", str(short)]) == 2
+        assert not short.exists()
 
     def test_missing_required_flag_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -185,12 +208,9 @@ class TestPipelineCommand:
                      "--config", str(cfg)]) == 0
 
     def test_dataset_shorter_than_history_exits_2(self, fast_config, tmp_path):
-        short_cfg = tmp_path / "short.cfg"
-        short_cfg.write_text("history=1\n")
         data = tmp_path / "short.mtms"
         assert main(["synth", "--source", "S1", "--plots", "10", "--t-steps", "2",
-                     "--height", "8", "--width", "8", "--config", str(short_cfg),
-                     "--out", str(data)]) == 0
+                     "--height", "8", "--width", "8", "--out", str(data)]) == 0
         run_dir = tmp_path / "r"
         assert main(["pipeline", "--data", str(data), "--out", str(run_dir),
                      "--config", str(fast_config)]) == 2
@@ -226,20 +246,6 @@ class TestPipelineCommand:
         assert main(["pipeline", "--data", str(cut), "--out", str(fresh)]) == 3
         assert "data error" in capsys.readouterr().err
         assert not fresh.exists()
-
-    def test_a_run_not_an_import_sets_the_malloc_thresholds(self, tiny_dataset, fast_config,
-                                                             tmp_path, monkeypatch):
-        probe = "import cropyield.tensor as tc; print(tc.keep_freed_heap.cache_info().currsize)"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                             text=True, check=True).stdout
-        assert out.strip() == "0"
-        from cropyield import tensor as tc
-        calls = []
-        monkeypatch.setattr(tc, "keep_freed_heap", lambda: calls.append(1))
-        assert main(["pipeline", "--data", str(tiny_dataset), "--out", str(tmp_path / "run"),
-                     "--config", str(fast_config), "--seed", "5"]) == 0
-        assert calls == [1]
 
     def test_stages_see_no_raw_plot_cube(self, tiny_dataset, fast_config, tmp_path,
                                          monkeypatch):
@@ -475,6 +481,24 @@ class TestReportCommand:
         assert any("mean-baseline" in l for l in lines)
         mapes = [float(l.split(",")[1]) for l in lines[1:]]
         assert mapes == sorted(mapes)
+
+    def test_percent_scales_every_metric_and_the_baseline(self, tmp_path, capsys):
+        runs = []
+        for name, mape in (("a", 0.25), ("b", 0.125)):
+            run = tmp_path / name
+            run.mkdir()
+            (run / "report.kv").write_text(
+                f"mape={mape}\nrmsle=0.5\nsmape=0.375\n"
+                "baseline_mape=0.75\nbaseline_rmsle=0.625\nbaseline_smape=0.875\n")
+            runs.append(str(run))
+        tables = {}
+        for flags in ((), ("--percent",)):
+            assert main(["report", *runs, *flags]) == 0
+            tables[flags] = capsys.readouterr().out.splitlines()
+        assert tables[("--percent",)] == ["model,mape,rmsle,smape", "b,12.5,50,37.5",
+                                          "a,25,50,37.5", "mean-baseline,75,62.5,87.5"]
+        assert tables[()][1:] == ["b,0.125,0.5,0.375", "a,0.25,0.5,0.375",
+                                  "mean-baseline,0.75,0.625,0.875"]
 
     def test_out_is_a_directory_exits_3(self, tmp_path, capsys):
         run = tmp_path / "run"
