@@ -26,6 +26,7 @@ from .tensor import Tensor
 
 ATTENTION_MODES = ("senet_shuffle", "shuffle_senet", "se_only", "shuffle_only", "none")
 CONV_MODES = ("conv_condconv", "conv_only", "condconv_only", "dilated")
+DILATION = 2  # tap spacing of the standard conv in conv_mode "dilated"
 
 
 def check_modes(attention_mode: str, conv_mode: str) -> None:
@@ -62,7 +63,6 @@ class SsaParams(tc.ParamTree):
     experts: list[Tensor] = field(metadata={"stem": "expert"})
     attention_mode: str = "senet_shuffle"
     conv_mode: str = "conv_condconv"
-    dilation: int = 2
 
     def __post_init__(self):
         # _attend and conv_stack fall through to "none"/"dilated" on any other value
@@ -182,8 +182,8 @@ def conv_stack(h_t: Tensor, p: SsaParams) -> Tensor:
     mode-toggled."""
     if p.conv_mode == "condconv_only":
         return cond_conv(h_t, p)
-    # dilated: same kernel tensor, taps spread by the dilation factor
-    dilation = p.dilation if p.conv_mode == "dilated" else 1
+    # dilated: same kernel tensor, taps spread by DILATION
+    dilation = DILATION if p.conv_mode == "dilated" else 1
     pad = (p.conv_kernel.data.shape[2] - 1) * dilation // 2
     mid = tc.relu(tc.conv_items(h_t, [p.conv_kernel], pad, dilation)[0]
                   + tc.reshape(p.conv_bias, (-1, 1, 1)))

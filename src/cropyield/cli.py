@@ -21,25 +21,20 @@ from .errors import ConfigError, CropYieldError, DomainError, NumericalError
 from .pipeline import STAGES, format_table, merge_reports, run_pipeline
 
 
+# command-line flags that set the config key of their own (argparse dest) name
+_OVERRIDES = ("seed", "source", "n_plots", "t_steps", "height", "width",
+              "attention_mode", "conv_mode", "feature_selector")
+
+
 def _add_config_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--config", type=Path, default=None, help="key=value config file")
     parser.add_argument("--seed", type=int, default=None, help="master RNG seed")
-    parser.add_argument("--percent", action="store_true", help="report metrics as percentages")
-    parser.add_argument("--attention-mode", default=None, help=" | ".join(ATTENTION_MODES))
-    parser.add_argument("--conv-mode", default=None, help=" | ".join(CONV_MODES))
-    parser.add_argument("--feature-selector", default=None, help=" | ".join(FEATURE_SELECTORS))
 
 
-def _collect_overrides(args) -> dict:
-    overrides = {}
-    for flag, key in (("seed", "seed"), ("attention_mode", "attention_mode"),
-                      ("conv_mode", "conv_mode"), ("feature_selector", "feature_selector")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[key] = value
-    if getattr(args, "percent", False):
-        overrides["percent"] = True
-    return overrides
+def _load_config(args):
+    """Defaults, then ``--config``, then the command's override flags."""
+    return load_config(args.config, {key: getattr(args, key) for key in _OVERRIDES
+                                     if getattr(args, key, None) is not None})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -49,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_synth = sub.add_parser("synth", help="generate and save a synthetic dataset")
     p_synth.add_argument("--source", required=True, choices=["S1", "S2", "L8"])
-    p_synth.add_argument("--plots", required=True, type=int)
+    p_synth.add_argument("--plots", dest="n_plots", metavar="PLOTS", required=True, type=int)
     p_synth.add_argument("--t-steps", type=int, default=None)
     p_synth.add_argument("--height", type=int, default=None)
     p_synth.add_argument("--width", type=int, default=None)
@@ -62,24 +57,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_pipe.add_argument("--stage", choices=list(STAGES), default=None,
                         help="run exactly this stage, resuming from prior artifacts")
     _add_config_flags(p_pipe)
+    p_pipe.add_argument("--attention-mode", default=None, help=" | ".join(ATTENTION_MODES))
+    p_pipe.add_argument("--conv-mode", default=None, help=" | ".join(CONV_MODES))
+    p_pipe.add_argument("--feature-selector", default=None, help=" | ".join(FEATURE_SELECTORS))
 
     p_rep = sub.add_parser("report", help="merge run reports into one comparison table")
     p_rep.add_argument("run_dirs", nargs="*", type=Path)
     p_rep.add_argument("--out", type=Path, default=None, help="also write the table here")
-    p_rep.add_argument("--percent", action="store_true")
+    p_rep.add_argument("--percent", action="store_true", help="show metrics as percentages")
     return parser
 
 
 def cmd_synth(args) -> int:
     from . import synthdata as sd
 
-    overrides = _collect_overrides(args)
-    overrides["source"] = args.source
-    overrides["n_plots"] = args.plots
-    for flag, key in (("t_steps", "t_steps"), ("height", "height"), ("width", "width")):
-        if getattr(args, flag) is not None:
-            overrides[key] = getattr(args, flag)
-    cfg = load_config(args.config, overrides)
+    cfg = _load_config(args)
     ds = sd.generate_dataset(sd.BandSpec(cfg.source), cfg.n_plots, cfg.t_steps,
                              cfg.height, cfg.width, cfg.seed, yield_noise=cfg.yield_noise)
     sd.save_dataset(ds, args.out)
@@ -88,7 +80,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    cfg = load_config(args.config, _collect_overrides(args))
+    cfg = _load_config(args)
     if not args.data.exists():
         raise DomainError(f"dataset file not found: {args.data}")
     run_dir = run_pipeline(cfg, args.data, args.out, stage=args.stage)

@@ -80,8 +80,6 @@ class RunConfig:
     finetune_encoder: InitVar[bool] = True
     finetune_epochs: InitVar[int] = 100
     patience: InitVar[int] = 8
-    # reporting
-    percent: bool = False
 
     def validate(self) -> "RunConfig":
         if self.source not in ("S1", "S2", "L8"):
@@ -123,12 +121,6 @@ _FIELDS = {f.name: f.type for f in fields(RunConfig)}
 def _coerce(key: str, raw: str):
     kind = _FIELDS[key]
     raw = raw.strip()
-    if kind == "bool":
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"bad boolean for {key}: {raw!r}")
     try:
         if kind == "int":
             return int(raw)

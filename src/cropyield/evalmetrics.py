@@ -1,8 +1,8 @@
 """Regression error metrics and report emission.
 
 All three metrics are reported as fractions (a perfect predictor scores 0,
-a 10% average miss scores 0.1); the ``percent`` flag on the report writers
-multiplies by 100 for display. RMSLE uses the natural logarithm.
+a 10% average miss scores 0.1); ``cropyield report --percent`` shows them
+multiplied by 100. RMSLE uses the natural logarithm.
 """
 
 from __future__ import annotations
@@ -91,21 +91,17 @@ def evaluate(samples, preds, baseline_constant: float | None = None) -> EvalRepo
     return report
 
 
-def _fmt(v: float, percent: bool) -> str:
-    return f"{v * 100.0 if percent else v:.12g}"
-
-
-def write_report_table(report: EvalReport, path, percent: bool = False) -> None:
+def write_report_table(report: EvalReport, path) -> None:
     """Delimited text table: metric, value, group, n."""
     lines = ["metric,value,group,n"]
     for name in ("mape", "rmsle", "smape"):
-        lines.append(f"{name},{_fmt(getattr(report, name), percent)},all,{report.n}")
+        lines.append(f"{name},{getattr(report, name):.12g},all,{report.n}")
     for tag, group in sorted(report.per_group.items()):
         for name in ("mape", "rmsle", "smape"):
-            lines.append(f"{name},{_fmt(group[name], percent)},{tag},{group['n']}")
+            lines.append(f"{name},{group[name]:.12g},{tag},{group['n']}")
     for name in ("mape", "rmsle", "smape"):
         if name in report.baseline:
-            lines.append(f"baseline_{name},{_fmt(report.baseline[name], percent)},all,{report.n}")
+            lines.append(f"baseline_{name},{report.baseline[name]:.12g},all,{report.n}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -184,11 +184,10 @@ def run_stage_train(run_dir: Path, ds: sd.Dataset, frames, cfg: RunConfig) -> No
 class YieldModel:
     """Frozen end-to-end predictor reconstructed from a run's model checkpoint."""
 
-    def __init__(self, lstm, ssa, head, mask, y_mean, y_std, cfg: RunConfig):
+    def __init__(self, lstm, ssa, head, mask, y_mean, y_std):
         self.lstm, self.ssa, self.head = lstm, ssa, head
         self.sel = np.flatnonzero(mask)
         self.y_mean, self.y_std = y_mean, y_std
-        self.cfg = cfg
 
     @classmethod
     def load(cls, run_dir: Path, cfg: RunConfig) -> "YieldModel":
@@ -197,7 +196,7 @@ class YieldModel:
         return cls(
             lstm=lstm, ssa=ssa, head=pr.HeadParams.from_named(named),
             mask=named["mask"] > 0.5, y_mean=float(named["norm/y_mean"]),
-            y_std=float(named["norm/y_std"]), cfg=cfg,
+            y_std=float(named["norm/y_std"]),
         )
 
     def predict_frames(self, frames_tchw) -> float:
@@ -210,12 +209,12 @@ class YieldModel:
 def run_stage_evaluate(run_dir: Path, ds: sd.Dataset, frames, cfg: RunConfig) -> None:
     _require_stage(run_dir, "train")
     model = YieldModel.load(run_dir, cfg)
-    y_train_mean = float(np.mean([ds.samples[i].y for i in ds.split.train]))
     test = ds.split.test
+    # the baseline predicts the train-split mean yield, which fit_head stored
     report = em.evaluate([ds.samples[i] for i in test],
                          [model.predict_frames(frames[i]) for i in test],
-                         baseline_constant=y_train_mean)
-    em.write_report_table(report, run_dir / "report.txt", percent=cfg.percent)
+                         baseline_constant=model.y_mean)
+    em.write_report_table(report, run_dir / "report.txt")
     em.write_report_kv(report, run_dir / "report.kv")
 
 
@@ -349,7 +348,7 @@ def run_ablation_sweep(base_cfg: RunConfig, data_path, out_root) -> dict:
             if not (run_dir / "report.kv").exists():
                 run_pipeline(cfg, data_path, run_dir)
             dirs.append(run_dir)
-        rows, _ = merge_reports(dirs, percent=base_cfg.percent)
+        rows, _ = merge_reports(dirs)
         table_path = out_root / f"ablation_{axis}.txt"
         table_path.write_text(format_table(rows))
         tables[axis] = table_path

@@ -148,14 +148,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, _as_tensor(other))
 
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
     def __sub__(self, other):
         return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
 
     def __mul__(self, other):
         return mul(self, _as_tensor(other))
@@ -165,9 +159,6 @@ class Tensor:
 
     def __truediv__(self, other):
         return div(self, _as_tensor(other))
-
-    def __rtruediv__(self, other):
-        return div(_as_tensor(other), self)
 
     def __neg__(self):
         return neg(self)
@@ -183,9 +174,6 @@ class Tensor:
 
     def mean(self):
         return tmean(self)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
 
 
 def param(data) -> Tensor:

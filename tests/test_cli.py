@@ -17,7 +17,7 @@ from cropyield import predictor as pr
 from cropyield import synthdata as sd
 from cropyield.cli import main
 from cropyield.config import RunConfig, config_text, load_config, parse_overrides
-from cropyield.errors import ConfigError
+from cropyield.errors import ConfigError, DomainError
 from cropyield.fileio import load_checkpoint
 from cropyield.pipeline import run_pipeline
 
@@ -42,11 +42,14 @@ class TestConfig:
         back = RunConfig(**parse_overrides(text)).validate()
         assert back == cfg
 
-    # finetune_lr and train_lr went with the encoder fine-tune
-    @pytest.mark.parametrize("key", ["no_such_knob", "finetune_lr", "train_lr"])
+    # finetune_lr and train_lr went with the encoder fine-tune; percent is a
+    # view of the report (`report --percent`), not part of a run
+    @pytest.mark.parametrize("key", ["no_such_knob", "finetune_lr", "train_lr", "percent"])
     def test_unknown_key_rejected(self, key, tmp_path):
         with pytest.raises(ConfigError):
             parse_overrides(f"{key}=1")
+        with pytest.raises(ConfigError):
+            load_config(None, {key: 1})
         cfg = tmp_path / f"{key}.cfg"
         cfg.write_text(f"{key}=0.1\n")
         assert main(["pipeline", "--data", str(tmp_path / "none.mtms"),
@@ -64,8 +67,8 @@ class TestConfig:
     def test_bad_values_rejected(self):
         with pytest.raises(ConfigError):
             parse_overrides("seed=notanint")
-        with pytest.raises(ConfigError):
-            parse_overrides("percent=maybe")
+        with pytest.raises(ConfigError, match="expected key=value"):
+            parse_overrides("seed 3")
         for key, value in (("batch_size", 1), ("denoiser_epochs", -1), ("pretrain_epochs", -1),
                            ("t_steps", 1), ("height", 7), ("width", 7), ("eo_iters", 0),
                            ("eo_particles", 3), ("temperature", 0.0), ("sigma_scale", -0.1),
@@ -75,19 +78,13 @@ class TestConfig:
                            ("embed_dim", 0), ("history", 0), ("experts", 0), ("se_reduction", 0),
                            ("shuffle_groups", 0), ("denoiser_lr", float("nan")),
                            ("pretrain_lr", float("inf")), ("yield_noise", float("-inf")),
-                           ("ridge_penalty", -0.01)):
+                           ("ridge_penalty", -0.01), ("source", "S3"),
+                           ("preprocess", "sharpen"), ("augment_depth", 11)):
             with pytest.raises(ConfigError):
                 load_config(None, {key: value})
         # the benchmark's shortened schedules stay valid
         load_config(None, {"pretrain_epochs": 0, "denoiser_epochs": 0, "batch_size": 2,
                            "eo_iters": 2})
-
-    def test_bool_values_parse(self, tmp_path):
-        assert parse_overrides("percent=true") == {"percent": True}
-        assert parse_overrides("percent=no") == {"percent": False}
-        cfg = tmp_path / "percent.cfg"
-        cfg.write_text("percent=true\n")
-        assert load_config(cfg).percent is True
 
     @pytest.mark.parametrize("key", ["se_reduction", "shuffle_groups"])
     def test_non_divisor_of_hidden_channels_exits_2(self, key, tmp_path, capsys):
@@ -138,6 +135,16 @@ class TestSynthCommand:
         with pytest.raises(SystemExit) as exc:
             main(["synth", "--plots", "12"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag", [["--attention-mode", "none"], ["--conv-mode", "dilated"],
+                                      ["--feature-selector", "none"], ["--percent"]])
+    def test_pipeline_only_flags_exit_2(self, flag, tmp_path):
+        # synth reads none of them, so it takes none of them
+        out = tmp_path / "ds.mtms"
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--source", "S1", "--plots", "10", *flag, "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
 
     def test_same_flags_identical_files(self, tmp_path):
         a, b = tmp_path / "a.mtms", tmp_path / "b.mtms"
@@ -225,6 +232,18 @@ class TestPipelineCommand:
         assert not (run_dir / "mask.txt").exists()
         assert main(["pipeline", *base, "--stage", "select"]) == 0
         assert (run_dir / "mask.txt").exists()
+
+    def test_percent_is_not_a_pipeline_flag(self, tiny_dataset, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["pipeline", "--data", str(tiny_dataset), "--out", str(tmp_path / "r"),
+                  "--percent"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "r").exists()
+
+    def test_unknown_stage_raises_before_any_write(self, tiny_dataset, tmp_path):
+        with pytest.raises(DomainError, match="unknown stage 'bogus'"):
+            run_pipeline(RunConfig(), tiny_dataset, tmp_path / "r", stage="bogus")
+        assert not (tmp_path / "r").exists()
 
     def test_missing_prerequisite_exits_3(self, tiny_dataset, fast_config, tmp_path):
         code = main(["pipeline", "--data", str(tiny_dataset), "--out", str(tmp_path / "empty"),

@@ -327,7 +327,7 @@ def _ref_ssa(h_t, hist, p):
     if p.conv_mode == "condconv_only":
         spatial = _ref_cond_conv(h_t, p)
     else:
-        dilation = p.dilation if p.conv_mode == "dilated" else 1
+        dilation = at.DILATION if p.conv_mode == "dilated" else 1
         pad = (p.conv_kernel.data.shape[2] - 1) * dilation // 2
         spatial = tc.relu(_conv(h_t, p.conv_kernel, pad, dilation=dilation)
                           + tc.reshape(p.conv_bias, (-1, 1, 1)))

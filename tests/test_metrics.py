@@ -146,7 +146,7 @@ class TestEvaluate:
     def test_report_files_round_trip(self, ds, tmp_path):
         report = scored(identity_model, ds, range(15), baseline_constant=100.0)
         table, kv = tmp_path / "report.txt", tmp_path / "report.kv"
-        em.write_report_table(report, table, percent=False)
+        em.write_report_table(report, table)
         em.write_report_kv(report, kv)
         text = table.read_text()
         assert text.startswith("metric,value,group,n\n")
@@ -155,11 +155,3 @@ class TestEvaluate:
         assert float(back["mape"]) == report.mape
         assert int(back["n"]) == 15
         assert float(back["baseline_smape"]) == report.baseline["smape"]
-
-    def test_percent_flag_scales_table_only(self, ds, tmp_path):
-        report = scored(lambda s: s.y * 1.1, ds, range(15))
-        em.write_report_table(report, tmp_path / "p.txt", percent=True)
-        line = (tmp_path / "p.txt").read_text().splitlines()[1]
-        # mape of a uniform 10% over-prediction is 0.1 -> 10 in percent mode
-        assert line.split(",")[0] == "mape"
-        assert float(line.split(",")[1]) == pytest.approx(10.0, rel=1e-9)

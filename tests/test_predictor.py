@@ -9,7 +9,6 @@ from cropyield import convlstm as cl
 from cropyield import eo
 from cropyield import predictor as pr
 from cropyield import tensor as tc
-from cropyield.config import RunConfig
 from cropyield.pipeline import YieldModel
 from cropyield.errors import DomainError, NumericalError, ShapeMismatchError
 from cropyield.tensor import Tensor
@@ -218,8 +217,7 @@ class TestForwardOnlyPrediction:
         rng = np.random.default_rng(5)
         lstm = cl.init_convlstm_params(3, 4, 6, 6, 3, rng)
         ssa = at.init_ssa_params(4, rng)  # history=2
-        model = YieldModel(lstm, ssa, pr.init_head(8), np.ones(8, bool), y_mean=1.0,
-                           y_std=1.0, cfg=RunConfig())
+        model = YieldModel(lstm, ssa, pr.init_head(8), np.ones(8, bool), y_mean=1.0, y_std=1.0)
         with pytest.raises(ShapeMismatchError):
             model.predict_frames(rng.normal(size=(n_frames, 3, 6, 6)))
         model.predict_frames(rng.normal(size=(3, 3, 6, 6)))
@@ -232,7 +230,7 @@ class TestForwardOnlyPrediction:
         mask = np.arange(16) % 3 == 0
         head = pr.init_head(int(mask.sum()))
         head.w.data[:] = rng.normal(size=head.w.data.shape)
-        model = YieldModel(lstm, ssa, head, mask, y_mean=3.0, y_std=0.5, cfg=RunConfig())
+        model = YieldModel(lstm, ssa, head, mask, y_mean=3.0, y_std=0.5)
         frames = rng.normal(size=(4, c, h, w))
 
         def recorded():  # the same pass with the graph kept alive until it returns

@@ -568,10 +568,25 @@ class TestBitExact:
         _assert_close(w.grad, w_b.grad)
 
     def test_shape_checks(self):
+        maps = Tensor(np.ones((2, 2, 4, 4)))
         with pytest.raises(ShapeMismatchError):
             tc.conv_items(Tensor(np.ones((2, 4, 4))), [Tensor(np.ones((1, 2, 3, 3)))], 1)
         with pytest.raises(ShapeMismatchError):
-            tc.conv_items(Tensor(np.ones((2, 2, 4, 4))), [Tensor(np.ones((3, 1, 2, 3, 3)))], 1)
+            tc.conv_items(maps, [Tensor(np.ones((3, 1, 2, 3, 3)))], 1)
+        with pytest.raises(ShapeMismatchError, match="kernels \\[O,C,k,k\\]"):
+            tc.conv_items(maps, [Tensor(np.ones((2, 3, 3)))], 1)
+        with pytest.raises(ShapeMismatchError, match="bad padding=-1"):
+            tc.conv_items(maps, [Tensor(np.ones((1, 2, 3, 3)))], -1)
+        with pytest.raises(ShapeMismatchError, match="output would be 0x0"):
+            tc.conv_items(maps, [Tensor(np.ones((1, 2, 5, 5)))], 0)
+        with pytest.raises(ShapeMismatchError, match="matmul supports"):
+            Tensor(np.ones(3)) @ Tensor(np.ones(3))
+        with pytest.raises(ShapeMismatchError, match="matmul supports"):
+            Tensor(np.ones((2, 3))) @ Tensor(np.ones((2, 2, 3)))
+        with pytest.raises(ShapeMismatchError, match="inner dims differ"):
+            Tensor(np.ones((2, 3))) @ Tensor(np.ones((4, 2)))
+        with pytest.raises(ShapeMismatchError, match="global_avg_pool expects"):
+            tc.global_avg_pool(Tensor(np.ones((3, 3))))
 
 
 def _kept_col2im(dcols, plan, n):
