@@ -28,8 +28,8 @@ of the output file; with ``--parent CHECKOUT`` (a git checkout with
 files differ from that commit. Each keeps what the other recorded, so the
 two sit side by side and ``comparison`` holds, per seed and k, the files
 that differ and both sides' MAPE ratio, peak RSS and minor faults. It
-pairs no times or CPU seconds: the two sides run minutes apart, in two
-sessions, and what the machine does meanwhile moves them (in
+pairs no times or CPU seconds: the two sides run minutes apart, and
+what the machine does in between moves them (in
 ``BENCH_22.json`` the change side read 8-44 % slower at every seed and k,
 and its traced ``ingest-s2``, whose code neither side touched, saved at
 76 against 112 MB/s). Each side's probe rows keep all their times; a time
