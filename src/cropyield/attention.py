@@ -27,6 +27,9 @@ from .tensor import Tensor
 ATTENTION_MODES = ("senet_shuffle", "shuffle_senet", "se_only", "shuffle_only", "none")
 CONV_MODES = ("conv_condconv", "conv_only", "condconv_only", "dilated")
 DILATION = 2  # tap spacing of the standard conv in conv_mode "dilated"
+KERNEL = 3  # size of every encoder convolution: the ConvLSTM gates' and the spatial branch's
+SE_REDUCTION = 2  # squeeze-and-excitation bottleneck: C -> C / SE_REDUCTION -> C
+HISTORY = 2  # past hidden maps the temporal branch reads
 
 
 def check_modes(attention_mode: str, conv_mode: str) -> None:
@@ -73,17 +76,17 @@ class SsaParams(tc.ParamTree):
         return self.w_temporal.data.shape[0]
 
 
-def init_ssa_params(channels: int, rng, reduction: int = 2, groups: int = 2,
-                    experts: int = 2, history: int = 2, k: int = 3,
-                    attention_mode: str = "senet_shuffle",
+def init_ssa_params(channels: int, rng, groups: int = 2, experts: int = 2,
+                    history: int = HISTORY, attention_mode: str = "senet_shuffle",
                     conv_mode: str = "conv_condconv") -> SsaParams:
-    if channels % reduction != 0:
-        raise ConfigError(f"reduction {reduction} must divide channel count {channels}")
+    if channels % SE_REDUCTION != 0:
+        raise ConfigError(f"SE reduction {SE_REDUCTION} must divide channel count {channels}")
     if channels % groups != 0:
         raise ConfigError(f"shuffle groups {groups} must divide channel count {channels}")
     if experts < 1:
         raise ConfigError(f"need at least one expert kernel, got {experts}")
-    mid = channels // reduction
+    k = KERNEL
+    mid = channels // SE_REDUCTION
     s_se1 = 1.0 / math.sqrt(channels)
     s_se2 = 1.0 / math.sqrt(mid)
     s_conv = 1.0 / math.sqrt(channels * k * k)

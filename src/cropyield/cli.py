@@ -73,7 +73,7 @@ def cmd_synth(args) -> int:
 
     cfg = _load_config(args)
     ds = sd.generate_dataset(sd.BandSpec(cfg.source), cfg.n_plots, cfg.t_steps,
-                             cfg.height, cfg.width, cfg.seed, yield_noise=cfg.yield_noise)
+                             cfg.height, cfg.width, cfg.seed)
     sd.save_dataset(ds, args.out)
     print(f"wrote {len(ds.samples)} samples ({cfg.source}, C={ds.band_spec.channels}) to {args.out}")
     return 0

@@ -1,4 +1,9 @@
-"""Run configuration: every tunable knob in one flat dataclass.
+"""Run configuration: the settable values of a run in one flat dataclass.
+
+The method's fixed hyperparameters are not among them: they are constants
+of the modules that use them (``attention.SE_REDUCTION``,
+``diffusion.BETA_START``, ...) or the defaults of the functions that take
+them.
 
 Configs live on disk as flat ``key=value`` text. Unknown keys are rejected
 rather than ignored, and the fully resolved config (defaults + file +
@@ -11,20 +16,17 @@ from __future__ import annotations
 import math
 from dataclasses import InitVar, dataclass, fields
 
-from .attention import check_modes
+from .attention import SE_REDUCTION, check_modes
+from .diffusion import BETA_START
 from .eo import FEATURE_SELECTORS
 from .errors import ConfigError
 
 
 # n_plots: the 80-10-10 split needs 10; t_steps, height, width: synth's floor
-# (synthdata); batch_size: every anchor needs a negative; eo_particles: the
-# equilibrium pool holds 4; a negative ridge_penalty is no ridge
+# (synthdata); batch_size: every anchor needs a negative
 _LOWER_BOUNDS = {"n_plots": 10, "t_steps": 2, "height": 8, "width": 8, "batch_size": 2,
-                 "denoiser_epochs": 0, "pretrain_epochs": 0, "eo_iters": 1, "eo_particles": 4,
-                 "sigma_scale": 0.0, "lambda_consistency": 0.0, "kernel_size": 1,
-                 "diff_steps": 1, "denoiser_hidden": 1, "hidden_channels": 1, "embed_dim": 1,
-                 "history": 1, "experts": 1, "se_reduction": 1, "shuffle_groups": 1,
-                 "ridge_penalty": 0.0}
+                 "denoiser_epochs": 0, "pretrain_epochs": 0, "eo_iters": 1, "diff_steps": 1,
+                 "hidden_channels": 1, "shuffle_groups": 1}
 
 
 @dataclass
@@ -36,42 +38,23 @@ class RunConfig:
     t_steps: int = 6
     height: int = 10
     width: int = 10
-    yield_noise: float = 0.05
     preprocess: str = "laplacian"  # laplacian | none
     # diffusion augmentation
     diff_steps: int = 10
-    beta_start: float = 0.95
     beta_end: float = 0.30
-    lambda_consistency: float = 0.1
-    augment_depth: int = 1
-    sigma_scale: float = 0.1
-    denoiser_hidden: int = 8
     denoiser_epochs: int = 8
-    denoiser_lr: float = 0.001
-    # recurrent encoder
-    kernel_size: int = 3
+    # encoder
     hidden_channels: int = 8
-    # attention fusion
-    se_reduction: int = 2
     shuffle_groups: int = 2
-    experts: int = 2
-    history: int = 2
     attention_mode: str = "senet_shuffle"
     conv_mode: str = "conv_condconv"
     # contrastive pre-training
-    temperature: float = 0.22
-    embed_dim: int = 16
     pretrain_epochs: int = 20
     pretrain_lr: float = 0.01
     batch_size: int = 8
     # feature selection
     feature_selector: str = "eo"  # eo | none
-    eo_particles: int = 20
     eo_iters: int = 100
-    eo_alpha: float = 0.5
-    eo_lambda: float = 1.0
-    ridge_penalty: float = 0.01
-    sparsity_weight: float = 0.01
     # Not config keys: the train stage is one closed-form head fit, and nothing
     # reads these. The benchmark's schedules (perfbench/workloads.py) still
     # pass them to dataclasses.replace, so the constructor takes and drops
@@ -95,22 +78,13 @@ class RunConfig:
         for key, low in _LOWER_BOUNDS.items():
             if not getattr(self, key) >= low:
                 raise ConfigError(f"{key} must be >= {low}, got {getattr(self, key)}")
-        if not 0 <= self.beta_end <= self.beta_start <= 1:
+        if not 0 <= self.beta_end <= BETA_START:
             raise ConfigError(
-                f"need 0 <= beta_end <= beta_start <= 1, got beta_start={self.beta_start}, "
-                f"beta_end={self.beta_end}"
+                f"need 0 <= beta_end <= beta_start = {BETA_START}, got beta_end={self.beta_end}"
             )
-        if self.kernel_size % 2 == 0:
-            raise ConfigError(f"kernel_size must be odd, got {self.kernel_size}")
-        if not self.temperature > 0:
-            raise ConfigError(f"temperature must be > 0, got {self.temperature}")
-        if not 0 <= self.augment_depth <= self.diff_steps:
+        if self.hidden_channels % SE_REDUCTION or self.hidden_channels % self.shuffle_groups:
             raise ConfigError(
-                f"augment_depth={self.augment_depth} outside 0..diff_steps={self.diff_steps}"
-            )
-        if self.hidden_channels % self.se_reduction or self.hidden_channels % self.shuffle_groups:
-            raise ConfigError(
-                "se_reduction and shuffle_groups must divide hidden_channels"
+                f"the SE reduction {SE_REDUCTION} and shuffle_groups must divide hidden_channels"
             )
         return self
 

@@ -118,10 +118,8 @@ def _view_batch(frames_by_sample, idx, den, sched, depth, rng, sigma_scale):
 
 def pretrain_encoder(frames_by_sample, train_idx, val_idx, den, sched,
                      seed_rng, channels: int, epochs: int = 20, lr: float = 0.01,
-                     batch_size: int = 8, tau: float = 0.5, embed_dim: int = 16,
-                     hidden_channels: int = 8, kernel: int = 3, depth: int = 2,
-                     sigma_scale: float = 0.1, se_reduction: int = 2,
-                     shuffle_groups: int = 2, experts: int = 2, history: int = 2,
+                     batch_size: int = 8, tau: float = 0.22, embed_dim: int = 16,
+                     hidden_channels: int = 8, depth: int = 1, shuffle_groups: int = 2,
                      attention_mode: str = "senet_shuffle",
                      conv_mode: str = "conv_condconv") -> PretrainResult:
     """SGD on the contrastive objective; returns params, history, held-out stats.
@@ -130,19 +128,17 @@ def pretrain_encoder(frames_by_sample, train_idx, val_idx, den, sched,
     Epoch 0 of the history is measured before any parameter update.
     """
     t_steps, _, h, w = frames_by_sample[train_idx[0]].shape
-    lstm_p = cl.init_convlstm_params(channels, hidden_channels, h, w, kernel, seed_rng)
+    lstm_p = cl.init_convlstm_params(channels, hidden_channels, h, w, at.KERNEL, seed_rng)
     feat_channels = 2 * hidden_channels
-    ssa_p = at.init_ssa_params(
-        hidden_channels, seed_rng, reduction=se_reduction, groups=shuffle_groups,
-        experts=experts, history=history, k=kernel,
-        attention_mode=attention_mode, conv_mode=conv_mode,
-    )
+    ssa_p = at.init_ssa_params(hidden_channels, seed_rng, groups=shuffle_groups,
+                               attention_mode=attention_mode, conv_mode=conv_mode)
     proj = tc.param(seed_rng.uniform(-1.0, 1.0, size=(embed_dim, feat_channels))
                     / math.sqrt(feat_channels))
     params = lstm_p.parameters() + ssa_p.parameters() + [proj]
 
     def batch_loss(idx_batch, rng):
-        views = _view_batch(frames_by_sample, idx_batch, den, sched, depth, rng, sigma_scale)
+        views = _view_batch(frames_by_sample, idx_batch, den, sched, depth, rng,
+                            df.SIGMA_SCALE)
         emb = embed_sequence(views, lstm_p, ssa_p, proj)
         n = len(idx_batch)
         return contrastive_loss(emb[:n], emb[n:], tau)
@@ -175,7 +171,7 @@ def pretrain_encoder(frames_by_sample, train_idx, val_idx, den, sched,
         with tc.no_grad():
             pos, neg = holdout_similarities(
                 frames_by_sample, val_idx, lstm_p, ssa_p, proj, den, sched, depth,
-                holdout_rng, batch_size, sigma_scale,
+                holdout_rng, batch_size,
             )
         stats["holdout_pos_sim"] = pos
         if neg is not None:  # one held-out sample has no negative pair
@@ -186,7 +182,7 @@ def pretrain_encoder(frames_by_sample, train_idx, val_idx, den, sched,
 
 
 def holdout_similarities(frames_by_sample, idx, lstm_p, ssa_p, proj, den, sched,
-                         depth, rng, batch_size: int, sigma_scale: float = 0.1):
+                         depth, rng, batch_size: int, sigma_scale: float = df.SIGMA_SCALE):
     """Mean positive-pair and negative-pair cosine similarity on held-out samples.
 
     The views are laid out as in a pretraining minibatch (``_view_batch``:

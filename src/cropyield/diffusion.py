@@ -20,6 +20,11 @@ from . import tensor as tc
 from .errors import DomainError, ShapeMismatchError
 from .tensor import Tensor
 
+BETA_START = 0.95  # beta_1 of the linear schedule: the first step keeps most of the image
+SIGMA_SCALE = 0.1  # reverse-step noise, as a fraction of the forward step's
+DENOISER_HIDDEN = 8  # channels of the denoiser's hidden layer
+CONSISTENCY_WEIGHT = 0.1  # weight of the trajectory penalty in the denoiser's training loss
+
 
 @dataclass(frozen=True)
 class NoiseSchedule:
@@ -44,7 +49,8 @@ class NoiseSchedule:
         return float(self.betas[t - 1])
 
 
-def linear_schedule(steps: int = 10, beta_start: float = 0.95, beta_end: float = 0.30) -> NoiseSchedule:
+def linear_schedule(steps: int = 10, beta_start: float = BETA_START,
+                    beta_end: float = 0.30) -> NoiseSchedule:
     return NoiseSchedule(tuple(np.linspace(beta_start, beta_end, steps)))
 
 
@@ -132,7 +138,7 @@ def diffusion_loss(z0: np.ndarray, den, sched: NoiseSchedule, lam: float, rng) -
 
 
 def augment_pair(frames: np.ndarray, den, sched: NoiseSchedule, depth: int, rng,
-                 sigma_scale: float = 0.1):
+                 sigma_scale: float = SIGMA_SCALE):
     """Two independent forward-then-reverse round trips of each of M frames
     [M,C,H,W]: views (v1, v2), each [M,C,H,W].
 
@@ -167,20 +173,22 @@ def augment_pair(frames: np.ndarray, den, sched: NoiseSchedule, depth: int, rng,
 
 
 def train_denoiser(frames, channels: int, sched: NoiseSchedule, rng, epochs: int = 10,
-                   lr: float = 0.001, lam: float = 0.1, hidden: int = 8):
-    """SGD on the diffusion objective over a list of [C,H,W] frames.
+                   lr: float = 0.001):
+    """SGD on the diffusion objective over a list of [C,H,W] frames, with
+    ``DENOISER_HIDDEN`` hidden channels and the trajectory penalty weighted
+    by ``CONSISTENCY_WEIGHT``.
 
     Returns the trained denoiser and the per-epoch mean loss.
     """
-    den = init_denoiser(channels, hidden, sched.steps, rng)
+    den = init_denoiser(channels, DENOISER_HIDDEN, sched.steps, rng)
     params = den.parameters()
     history = []
     for _ in range(epochs):
         epoch_loss = 0.0
         for (i,) in tc.minibatches(range(len(frames)), 1, rng):
             epoch_loss += tc.sgd_step(
-                params, lambda: diffusion_loss(frames[i], den, sched, lam, rng), lr,
-                "denoiser training",
+                params, lambda: diffusion_loss(frames[i], den, sched, CONSISTENCY_WEIGHT, rng),
+                lr, "denoiser training",
             )
         history.append(epoch_loss / len(frames))
     return den, history

@@ -30,7 +30,8 @@ from . import predictor as pr
 from . import synthdata as sd
 from . import tensor as tc
 from .config import RunConfig, config_text
-from .errors import ConfigError, DataFormatError, DomainError, StagePrerequisiteError
+from .errors import (ConfigError, DataFormatError, DomainError, NumericalError,
+                     StagePrerequisiteError)
 from .fileio import container_trailer, load_checkpoint, rng_for, save_checkpoint
 
 STAGES = ("pretrain", "select", "train", "evaluate")
@@ -67,9 +68,9 @@ def prepare_frames(ds: sd.Dataset, cfg: RunConfig):
 def _load_split_dataset(data_path, cfg: RunConfig) -> sd.Dataset:
     ds = sd.load_dataset(data_path)
     t_steps = ds.dims[0]
-    if t_steps < cfg.history + 1:
+    if t_steps < at.HISTORY + 1:
         raise ConfigError(
-            f"dataset has T={t_steps} time steps, too few for history={cfg.history} "
+            f"dataset has T={t_steps} time steps, too few for history={at.HISTORY} "
             f"(need history+1)"
         )
     return sd.split_dataset(ds, cfg.seed)
@@ -87,25 +88,28 @@ def _load_encoder(named: dict, cfg: RunConfig):
 
 def run_stage_pretrain(run_dir: Path, ds: sd.Dataset, frames, cfg: RunConfig) -> None:
     channels = ds.band_spec.channels
-    sched = df.linear_schedule(cfg.diff_steps, cfg.beta_start, cfg.beta_end)
+    sched = df.linear_schedule(cfg.diff_steps, beta_end=cfg.beta_end)
     den_frames = [frames[i][t] for i in ds.split.train for t in range(0, len(frames[0]), 2)]
-    den, den_history = df.train_denoiser(
-        den_frames, channels, sched, rng_for(cfg.seed, "denoiser"),
-        epochs=cfg.denoiser_epochs, lr=cfg.denoiser_lr,
-        lam=cfg.lambda_consistency, hidden=cfg.denoiser_hidden,
-    )
+    den, den_history = df.train_denoiser(den_frames, channels, sched,
+                                         rng_for(cfg.seed, "denoiser"),
+                                         epochs=cfg.denoiser_epochs)
     result = ct.pretrain_encoder(
         frames, ds.split.train, ds.split.val, den, sched, rng_for(cfg.seed, "pretrain"),
         channels=channels, epochs=cfg.pretrain_epochs, lr=cfg.pretrain_lr,
-        batch_size=cfg.batch_size, tau=cfg.temperature, embed_dim=cfg.embed_dim,
-        hidden_channels=cfg.hidden_channels, kernel=cfg.kernel_size,
-        depth=cfg.augment_depth, sigma_scale=cfg.sigma_scale,
-        se_reduction=cfg.se_reduction, shuffle_groups=cfg.shuffle_groups,
-        experts=cfg.experts, history=cfg.history,
-        attention_mode=cfg.attention_mode, conv_mode=cfg.conv_mode,
+        batch_size=cfg.batch_size, hidden_channels=cfg.hidden_channels,
+        shuffle_groups=cfg.shuffle_groups, attention_mode=cfg.attention_mode,
+        conv_mode=cfg.conv_mode,
     )
     named = {**den.named(), **result.lstm.named(), **result.ssa.named(),
              "projection": result.projection.data}
+    # a last update can overflow after its loss was taken: write no NaN
+    written = {"denoiser loss history": den_history,
+               "contrastive loss history": result.loss_history,
+               **{f"statistic {key}": value for key, value in result.stats.items()}, **named}
+    bad = [what for what, values in written.items() if not np.isfinite(values).all()]
+    if bad:
+        raise NumericalError(f"pretrain stage: non-finite values in {len(bad)} of its outputs, "
+                             f"first {bad[0]}")
     save_checkpoint(run_dir / "pretrain.ckpt", named)
     with open(run_dir / "pretrain_loss.txt", "w") as fh:
         fh.write("epoch,contrastive_loss\n")
@@ -123,15 +127,10 @@ def run_stage_select(run_dir: Path, ds: sd.Dataset, frames, cfg: RunConfig) -> N
     feats = ct.encode_chunks(frames, lstm, ssa, cfg.batch_size).mean(axis=(2, 3))
     y = np.array([s.y for s in ds.samples])
     y_std = (y - y[ds.split.train].mean()) / (y[ds.split.train].std() or 1.0)
-    fitness = eo.make_probe_fitness(feats, y_std, ds.split.train, ds.split.val,
-                                    ridge=cfg.ridge_penalty,
-                                    sparsity_weight=cfg.sparsity_weight)
+    fitness = eo.make_probe_fitness(feats, y_std, ds.split.train, ds.split.val)
     dim = feats.shape[1]
     if cfg.feature_selector == "eo":
-        result = eo.run_eo(dim, fitness, eo.EoConfig(
-            n_particles=cfg.eo_particles, max_iter=cfg.eo_iters,
-            alpha=cfg.eo_alpha, lam=cfg.eo_lambda, seed=cfg.seed,
-        ))
+        result = eo.run_eo(dim, fitness, eo.EoConfig(max_iter=cfg.eo_iters, seed=cfg.seed))
         mask, best, history = result.best_mask, result.best_fitness, result.history
     else:  # "none": keep every channel
         mask = np.ones(dim, dtype=bool)

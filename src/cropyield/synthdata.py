@@ -31,6 +31,9 @@ _VEG_BAND = {"S1": 1, "S2": 7, "L8": 4}
 
 _SEASONS = ["oct_mar", "sep_feb", "may_sep"]
 
+YIELD_SCALE = 2400.0  # yield per unit of the fertility-and-response signal
+YIELD_NOISE = 0.05  # relative spread of a plot's yield around its signal
+
 
 @dataclass(frozen=True)
 class BandSpec:
@@ -67,6 +70,8 @@ class PlotSample:
             raise DomainError(
                 f"plot {self.plot_id}: x must be [T>=2,H,W,C], got shape {self.x.shape}"
             )
+        if not np.isfinite(self.x).all():
+            raise DomainError(f"plot {self.plot_id}: x holds a non-finite value")
 
 
 @dataclass
@@ -107,16 +112,8 @@ def _smooth_field(h: int, w: int, rng) -> np.ndarray:
     return out / 3.0
 
 
-def generate_dataset(
-    spec: BandSpec,
-    n_plots: int,
-    t_steps: int,
-    height: int,
-    width: int,
-    seed: int,
-    yield_noise: float = 0.05,
-    yield_scale: float = 2400.0,
-) -> Dataset:
+def generate_dataset(spec: BandSpec, n_plots: int, t_steps: int, height: int, width: int,
+                     seed: int) -> Dataset:
     """Deterministic synthetic dataset with a recoverable fertility-to-yield signal."""
     if n_plots < 10:
         raise DomainError(f"need at least 10 plots, got {n_plots}")
@@ -152,7 +149,7 @@ def generate_dataset(
 
         veg_response = float(x[-late:, :, :, spec.veg_band].mean())
         eta = float(np.clip(rng.normal(0.0, 1.0), -3.0, 3.0))
-        y = yield_scale * (0.25 + 0.7 * fertility + 1.1 * veg_response) * (1.0 + yield_noise * eta)
+        y = YIELD_SCALE * (0.25 + 0.7 * fertility + 1.1 * veg_response) * (1.0 + YIELD_NOISE * eta)
         samples.append(
             PlotSample(
                 plot_id=plot_id,

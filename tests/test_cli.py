@@ -2,7 +2,7 @@ import os
 import shutil
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,7 @@ from cropyield.pipeline import run_pipeline
 
 FAST = [
     "n_plots=12", "t_steps=4", "height=8", "width=8",
-    "pretrain_epochs=1", "denoiser_epochs=1", "eo_iters=5", "eo_particles=6",
+    "pretrain_epochs=1", "denoiser_epochs=1", "eo_iters=5",
     "diff_steps=4", "beta_end=0.5",
 ]
 
@@ -42,9 +42,23 @@ class TestConfig:
         back = RunConfig(**parse_overrides(text)).validate()
         assert back == cfg
 
+    def test_field_names(self):
+        assert [f.name for f in fields(RunConfig)] == [
+            "seed", "source", "n_plots", "t_steps", "height", "width", "preprocess",
+            "diff_steps", "beta_end", "denoiser_epochs", "hidden_channels", "shuffle_groups",
+            "attention_mode", "conv_mode", "pretrain_epochs", "pretrain_lr", "batch_size",
+            "feature_selector", "eo_iters"]
+        assert len(config_text(RunConfig()).splitlines()) == 19
+
     # finetune_lr and train_lr went with the encoder fine-tune; percent is a
-    # view of the report (`report --percent`), not part of a run
-    @pytest.mark.parametrize("key", ["no_such_knob", "finetune_lr", "train_lr", "percent"])
+    # view of the report (`report --percent`), not part of a run; the method's
+    # fixed hyperparameters are module constants and function defaults
+    @pytest.mark.parametrize("key", [
+        "no_such_knob", "finetune_lr", "train_lr", "percent",
+        "yield_noise", "beta_start", "lambda_consistency", "augment_depth", "sigma_scale",
+        "denoiser_hidden", "denoiser_lr", "kernel_size", "se_reduction", "experts", "history",
+        "temperature", "embed_dim", "eo_particles", "eo_alpha", "eo_lambda", "ridge_penalty",
+        "sparsity_weight"])
     def test_unknown_key_rejected(self, key, tmp_path):
         with pytest.raises(ConfigError):
             parse_overrides(f"{key}=1")
@@ -71,25 +85,22 @@ class TestConfig:
             parse_overrides("seed 3")
         for key, value in (("batch_size", 1), ("denoiser_epochs", -1), ("pretrain_epochs", -1),
                            ("t_steps", 1), ("height", 7), ("width", 7), ("eo_iters", 0),
-                           ("eo_particles", 3), ("temperature", 0.0), ("sigma_scale", -0.1),
-                           ("beta_start", 0.2), ("beta_end", -0.1), ("beta_start", 1.5),
-                           ("kernel_size", 2), ("kernel_size", -1), ("lambda_consistency", -1.0),
-                           ("diff_steps", 0), ("denoiser_hidden", 0), ("hidden_channels", 0),
-                           ("embed_dim", 0), ("history", 0), ("experts", 0), ("se_reduction", 0),
-                           ("shuffle_groups", 0), ("denoiser_lr", float("nan")),
-                           ("pretrain_lr", float("inf")), ("yield_noise", float("-inf")),
-                           ("ridge_penalty", -0.01), ("source", "S3"),
-                           ("preprocess", "sharpen"), ("augment_depth", 11)):
+                           ("beta_end", -0.1), ("beta_end", 0.96), ("beta_end", float("nan")),
+                           ("diff_steps", 0), ("hidden_channels", 0),
+                           ("shuffle_groups", 0), ("pretrain_lr", float("inf")),
+                           ("source", "S3"), ("preprocess", "sharpen")):
             with pytest.raises(ConfigError):
                 load_config(None, {key: value})
         # the benchmark's shortened schedules stay valid
         load_config(None, {"pretrain_epochs": 0, "denoiser_epochs": 0, "batch_size": 2,
                            "eo_iters": 2})
 
-    @pytest.mark.parametrize("key", ["se_reduction", "shuffle_groups"])
-    def test_non_divisor_of_hidden_channels_exits_2(self, key, tmp_path, capsys):
-        cfg = tmp_path / f"{key}.cfg"
-        cfg.write_text(f"hidden_channels=8\n{key}=3\n")
+    # 9 channels: shuffle_groups=3 divides them, the SE reduction 2 does not
+    @pytest.mark.parametrize("hidden,groups", [(9, 3), (8, 3)],
+                             ids=["se_reduction", "shuffle_groups"])
+    def test_non_divisor_of_hidden_channels_exits_2(self, hidden, groups, tmp_path, capsys):
+        cfg = tmp_path / "divisor.cfg"
+        cfg.write_text(f"hidden_channels={hidden}\nshuffle_groups={groups}\n")
         assert main(["pipeline", "--data", str(tmp_path / "none.mtms"),
                      "--out", str(tmp_path / "r"), "--config", str(cfg)]) == 2
         assert "must divide hidden_channels" in capsys.readouterr().err
@@ -196,8 +207,8 @@ class TestPipelineCommand:
         cfg = load_config(fast_config)
         rng = np.random.default_rng(0)
         encoder = {**cl.init_convlstm_params(12, cfg.hidden_channels, 8, 8, 3, rng).named(),
-                   **at.init_ssa_params(cfg.hidden_channels, rng, experts=cfg.experts).named()}
-        den = df.init_denoiser(12, cfg.denoiser_hidden, cfg.diff_steps, rng).named()
+                   **at.init_ssa_params(cfg.hidden_channels, rng).named()}
+        den = df.init_denoiser(12, df.DENOISER_HIDDEN, cfg.diff_steps, rng).named()
         head = pr.init_head(1).named()
         assert set(load_checkpoint(run_dir / "pretrain.ckpt")) == {*den, *encoder, "projection"}
         assert set(load_checkpoint(run_dir / "model.ckpt")) == {
@@ -213,6 +224,21 @@ class TestPipelineCommand:
         cfg.write_text("\n".join(k for k in FAST if not k.startswith("t_steps=")) + "\n")
         assert main(["pipeline", "--data", str(tiny_dataset), "--out", str(tmp_path / "r"),
                      "--config", str(cfg)]) == 0
+
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_non_finite_cube_value_exits_3_before_any_write(self, tiny_dataset, fast_config,
+                                                           tmp_path, capsys, value):
+        ds = sd.load_dataset(tiny_dataset)
+        ds.samples[3].x[1, 2, 2, 0] = value
+        data = tmp_path / "bad.mtms"
+        sd.save_dataset(ds, data)
+        with pytest.raises(DomainError, match="plot 3: x holds a non-finite value"):
+            sd.load_dataset(data)
+        run_dir = tmp_path / "r"
+        assert main(["pipeline", "--data", str(data), "--out", str(run_dir),
+                     "--config", str(fast_config), "--seed", "5", "--stage", "select"]) == 3
+        assert capsys.readouterr().err.startswith("data error: plot 3: x holds a non-finite")
+        assert not run_dir.exists()
 
     def test_dataset_shorter_than_history_exits_2(self, fast_config, tmp_path):
         data = tmp_path / "short.mtms"
@@ -292,7 +318,7 @@ class TestPipelineCommand:
     def test_bad_config_value_exits_2_before_any_write(self, tiny_dataset, fast_config,
                                                         tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(fast_config.read_text() + "beta_start=0.2\n")
+        cfg.write_text(fast_config.read_text() + "beta_end=0.96\n")
         run_dir = tmp_path / "r"
         assert main(["pipeline", "--data", str(tiny_dataset), "--out", str(run_dir),
                      "--config", str(cfg)]) == 2
@@ -348,7 +374,7 @@ class TestPipelineCommand:
         assert main(base + ["--config", str(fast_config)]) == 0
         before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
         changed = tmp_path / "changed.cfg"
-        changed.write_text(fast_config.read_text() + "ridge_penalty=0.1\n")
+        changed.write_text(fast_config.read_text() + "eo_iters=7\n")
         assert main(base + ["--config", str(changed), "--stage", "train"]) == 2
         assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
         # the same config resumes, and the stage reproduces its artifacts
@@ -356,7 +382,7 @@ class TestPipelineCommand:
         assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
         # a full run is not a resume: it writes the new snapshot
         assert main(base + ["--config", str(changed)]) == 0
-        assert load_config(run_dir / "config.txt").ridge_penalty == 0.1
+        assert load_config(run_dir / "config.txt").eo_iters == 7
 
     def test_benchmark_only_keys_change_no_artifact(self, tiny_dataset, fast_config,
                                                     tmp_path):
@@ -377,19 +403,22 @@ class TestPipelineCommand:
         assert "config.txt" in files[0] and "model.ckpt" in files[0]
         assert files[0] == files[1]
 
-    def test_overflowing_denoiser_lr_exits_4(self, tiny_dataset, fast_config, tmp_path,
+    def test_overflowing_pretrain_lr_exits_4(self, tiny_dataset, fast_config, tmp_path,
                                              capsys):
+        # one update per epoch: every loss is taken before the parameters
+        # overflow, and only the held-out statistics come out NaN
         cfg = tmp_path / "overflow.cfg"
-        cfg.write_text(fast_config.read_text() + "denoiser_lr=1e300\n")
+        cfg.write_text(fast_config.read_text() + "pretrain_lr=1e300\n")
         run_dir = tmp_path / "r"
         with np.errstate(all="ignore"):
             code = main(["pipeline", "--data", str(tiny_dataset), "--out", str(run_dir),
-                         "--config", str(cfg)])
+                         "--config", str(cfg), "--stage", "pretrain"])
         assert code == 4
         err = capsys.readouterr().err
-        assert err.startswith("numerical failure: denoiser training diverged")
+        assert err.startswith("numerical failure: pretrain stage: non-finite values")
+        assert "statistic holdout_pos_sim" in err
         assert "Traceback" not in err
-        assert not (run_dir / "pretrain.ckpt").exists()
+        assert sorted(p.name for p in run_dir.iterdir()) == ["config.txt", "data.txt"]
 
     def test_resume_against_other_data_exits_2(self, tiny_dataset, fast_config, tmp_path):
         run_dir = tmp_path / "run"
@@ -417,10 +446,11 @@ class TestPipelineCommand:
         assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
 
     def test_numpy_warnings_stay_off_stderr(self, tmp_path):
-        # a run whose denoiser overflows: only the typed line may reach stderr
+        # a run whose pre-training overflows: only the typed line may reach stderr
         data = tmp_path / "s2.mtms"
         cfg = tmp_path / "overflow.cfg"
-        cfg.write_text("denoiser_epochs=1\npretrain_epochs=1\neo_iters=2\ndenoiser_lr=1e300\n")
+        cfg.write_text("denoiser_epochs=1\npretrain_epochs=1\neo_iters=2\nbatch_size=16\n"
+                       "pretrain_lr=1e300\n")
         env = {**os.environ, "PYTHONPATH": str(Path(cropyield.__file__).parents[1])}
         cli = [sys.executable, "-m", "cropyield.cli"]
         subprocess.run(cli + ["synth", "--source", "S2", "--plots", "20", "--seed", "3",
@@ -429,7 +459,7 @@ class TestPipelineCommand:
                                     "--config", str(cfg), "--seed", "3"],
                              env=env, capture_output=True, text=True)
         assert run.returncode == 4
-        assert run.stderr.startswith("numerical failure: denoiser training diverged")
+        assert run.stderr.startswith("numerical failure: pretrain stage: non-finite values")
         assert run.stderr.count("\n") == 1 and run.stderr.endswith("\n"), run.stderr
 
     def test_zero_norm_holdout_embedding_exits_3_without_stats(self, tiny_dataset, fast_config,
