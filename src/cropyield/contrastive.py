@@ -107,12 +107,11 @@ class PretrainResult:
     stats: dict
 
 
-def _view_batch(frames_by_sample, idx, den, sched, depth, rng, sigma_scale):
+def _view_batch(frames_by_sample, idx, den, sched, depth, rng):
     """The augmented views of the n samples ``idx`` on the item axis
     [2n,T,C,H,W]: the n first views, then the n second views, drawn sample by
     sample."""
-    views = [df.augment_pair(frames_by_sample[i], den, sched, depth, rng, sigma_scale)
-             for i in idx]
+    views = [df.augment_pair(frames_by_sample[i], den, sched, depth, rng) for i in idx]
     return np.stack([v1 for v1, _ in views] + [v2 for _, v2 in views])
 
 
@@ -137,8 +136,7 @@ def pretrain_encoder(frames_by_sample, train_idx, val_idx, den, sched,
     params = lstm_p.parameters() + ssa_p.parameters() + [proj]
 
     def batch_loss(idx_batch, rng):
-        views = _view_batch(frames_by_sample, idx_batch, den, sched, depth, rng,
-                            df.SIGMA_SCALE)
+        views = _view_batch(frames_by_sample, idx_batch, den, sched, depth, rng)
         emb = embed_sequence(views, lstm_p, ssa_p, proj)
         n = len(idx_batch)
         return contrastive_loss(emb[:n], emb[n:], tau)
@@ -182,7 +180,7 @@ def pretrain_encoder(frames_by_sample, train_idx, val_idx, den, sched,
 
 
 def holdout_similarities(frames_by_sample, idx, lstm_p, ssa_p, proj, den, sched,
-                         depth, rng, batch_size: int, sigma_scale: float = df.SIGMA_SCALE):
+                         depth, rng, batch_size: int):
     """Mean positive-pair and negative-pair cosine similarity on held-out samples.
 
     The views are laid out as in a pretraining minibatch (``_view_batch``:
@@ -190,7 +188,7 @@ def holdout_similarities(frames_by_sample, idx, lstm_p, ssa_p, proj, den, sched,
     ``encode_chunks``. The negative mean is None when ``idx`` holds a single
     sample; a zero-norm embedding raises DomainError.
     """
-    views = _view_batch(frames_by_sample, idx, den, sched, depth, rng, sigma_scale)
+    views = _view_batch(frames_by_sample, idx, den, sched, depth, rng)
     with tc.no_grad():
         feats = encode_chunks(views, lstm_p, ssa_p, batch_size)
         emb = (proj @ tc.global_avg_pool(Tensor(feats))).data

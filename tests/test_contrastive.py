@@ -246,7 +246,7 @@ def test_holdout_similarities_match_the_interleaved_layout(n, batch_size, c_in, 
     proj = tc.param(rng.normal(size=(6, 8)))
     idx = list(range(2, n + 2))
     got, want = (holdout(frames, idx, lstm, ssa, proj, den, sched, 1,
-                         np.random.default_rng(14), batch_size, 0.1)
+                         np.random.default_rng(14), batch_size)
                  for holdout in (ct.holdout_similarities, _interleaved_holdout))
     assert repr(got) == repr(want)
 
