@@ -24,6 +24,7 @@ from . import tensor as tc
 from .errors import ConfigError, DomainError, ShapeMismatchError
 from .tensor import Tensor
 
+# the first mode of each is the paper's composition and the default
 ATTENTION_MODES = ("senet_shuffle", "shuffle_senet", "se_only", "shuffle_only", "none")
 CONV_MODES = ("conv_condconv", "conv_only", "condconv_only", "dilated")
 DILATION = 2  # tap spacing of the standard conv in conv_mode "dilated"
@@ -64,8 +65,8 @@ class SsaParams(tc.ParamTree):
     routing: Tensor  # [K, C] routing matrix applied to pooled input
     # K kernels [C_out, C, k, k] for the conditional conv
     experts: list[Tensor] = field(metadata={"stem": "expert"})
-    attention_mode: str = "senet_shuffle"
-    conv_mode: str = "conv_condconv"
+    attention_mode: str
+    conv_mode: str
 
     def __post_init__(self):
         # _attend and conv_stack fall through to "none"/"dilated" on any other value
@@ -76,9 +77,9 @@ class SsaParams(tc.ParamTree):
         return self.w_temporal.data.shape[0]
 
 
-def init_ssa_params(channels: int, rng, groups: int = 2, experts: int = 2,
-                    history: int = HISTORY, attention_mode: str = "senet_shuffle",
-                    conv_mode: str = "conv_condconv") -> SsaParams:
+def init_ssa_params(channels: int, rng, *, groups: int, experts: int = 2,
+                    history: int = HISTORY, attention_mode: str = ATTENTION_MODES[0],
+                    conv_mode: str = CONV_MODES[0]) -> SsaParams:
     if channels % SE_REDUCTION != 0:
         raise ConfigError(f"SE reduction {SE_REDUCTION} must divide channel count {channels}")
     if channels % groups != 0:

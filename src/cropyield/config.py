@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import InitVar, dataclass, fields
 
-from .attention import SE_REDUCTION, check_modes
+from .attention import ATTENTION_MODES, CONV_MODES, SE_REDUCTION, check_modes
 from .diffusion import BETA_START
 from .eo import FEATURE_SELECTORS
 from .errors import ConfigError
@@ -46,8 +46,8 @@ class RunConfig:
     # encoder
     hidden_channels: int = 8
     shuffle_groups: int = 2
-    attention_mode: str = "senet_shuffle"
-    conv_mode: str = "conv_condconv"
+    attention_mode: str = ATTENTION_MODES[0]
+    conv_mode: str = CONV_MODES[0]
     # contrastive pre-training
     pretrain_epochs: int = 20
     pretrain_lr: float = 0.01

@@ -115,18 +115,16 @@ def _view_batch(frames_by_sample, idx, den, sched, depth, rng):
     return np.stack([v1 for v1, _ in views] + [v2 for _, v2 in views])
 
 
-def pretrain_encoder(frames_by_sample, train_idx, val_idx, den, sched,
-                     seed_rng, channels: int, epochs: int = 20, lr: float = 0.01,
-                     batch_size: int = 8, tau: float = 0.22, embed_dim: int = 16,
-                     hidden_channels: int = 8, depth: int = 1, shuffle_groups: int = 2,
-                     attention_mode: str = "senet_shuffle",
-                     conv_mode: str = "conv_condconv") -> PretrainResult:
+def pretrain_encoder(frames_by_sample, train_idx, val_idx, den, sched, seed_rng, *,
+                     epochs: int, lr: float, batch_size: int, hidden_channels: int,
+                     shuffle_groups: int, attention_mode: str, conv_mode: str,
+                     tau: float = 0.22, embed_dim: int = 16, depth: int = 1) -> PretrainResult:
     """SGD on the contrastive objective; returns params, history, held-out stats.
 
     ``frames_by_sample[i]`` is a [T,C,H,W] array (already preprocessed).
     Epoch 0 of the history is measured before any parameter update.
     """
-    t_steps, _, h, w = frames_by_sample[train_idx[0]].shape
+    _, channels, h, w = frames_by_sample[train_idx[0]].shape
     lstm_p = cl.init_convlstm_params(channels, hidden_channels, h, w, at.KERNEL, seed_rng)
     feat_channels = 2 * hidden_channels
     ssa_p = at.init_ssa_params(hidden_channels, seed_rng, groups=shuffle_groups,

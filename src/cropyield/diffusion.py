@@ -49,8 +49,8 @@ class NoiseSchedule:
         return float(self.betas[t - 1])
 
 
-def linear_schedule(steps: int = 10, beta_start: float = BETA_START,
-                    beta_end: float = 0.30) -> NoiseSchedule:
+def linear_schedule(*, steps: int, beta_end: float,
+                    beta_start: float = BETA_START) -> NoiseSchedule:
     return NoiseSchedule(tuple(np.linspace(beta_start, beta_end, steps)))
 
 
@@ -172,15 +172,14 @@ def augment_pair(frames: np.ndarray, den, sched: NoiseSchedule, depth: int, rng,
     return z[:, 0], z[:, 1]
 
 
-def train_denoiser(frames, channels: int, sched: NoiseSchedule, rng, epochs: int = 10,
-                   lr: float = 0.001):
+def train_denoiser(frames, sched: NoiseSchedule, rng, *, epochs: int, lr: float = 0.001):
     """SGD on the diffusion objective over a list of [C,H,W] frames, with
     ``DENOISER_HIDDEN`` hidden channels and the trajectory penalty weighted
     by ``CONSISTENCY_WEIGHT``.
 
     Returns the trained denoiser and the per-epoch mean loss.
     """
-    den = init_denoiser(channels, DENOISER_HIDDEN, sched.steps, rng)
+    den = init_denoiser(frames[0].shape[0], DENOISER_HIDDEN, sched.steps, rng)
     params = den.parameters()
     history = []
     for _ in range(epochs):

@@ -32,21 +32,9 @@ from .errors import DomainError, NumericalError
 from .fileio import rng_for
 
 FEATURE_SELECTORS = ("eo", "none")
-
-
-@dataclass(frozen=True)
-class EoConfig:
-    n_particles: int = 20
-    max_iter: int = 100
-    alpha: float = 0.5
-    lam: float = 1.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.n_particles < 4:
-            raise DomainError(
-                f"equilibrium pool needs >= 4 particles, got {self.n_particles}"
-            )
+N_PARTICLES = 20  # population size
+ALPHA = 0.5  # weight of the last move in the generation term
+LAM = 1.0  # weight of the generation term in each move
 
 
 def position_update(position: np.ndarray, prev_position, p_avg: np.ndarray,
@@ -75,7 +63,8 @@ class EoResult:
     history: list  # best-ever fitness after each iteration (including iteration 0)
 
 
-def run_eo(dim: int, fitness_fn, config: EoConfig) -> EoResult:
+def run_eo(dim: int, fitness_fn, *, max_iter: int, seed: int,
+           n_particles: int = N_PARTICLES) -> EoResult:
     """Full optimization loop; returns the best mask ever seen and its fitness.
 
     ``fitness_fn`` must be deterministic: masks are scored in particle order,
@@ -85,6 +74,8 @@ def run_eo(dim: int, fitness_fn, config: EoConfig) -> EoResult:
     """
     if dim < 1:
         raise DomainError(f"dim must be >= 1, got {dim}")
+    if n_particles < 4:
+        raise DomainError(f"equilibrium pool needs >= 4 particles, got {n_particles}")
     scores = {}
 
     def score(masks: np.ndarray) -> np.ndarray:
@@ -97,17 +88,15 @@ def run_eo(dim: int, fitness_fn, config: EoConfig) -> EoResult:
                 fit[i] = scores[key]
         return fit
 
-    n = config.n_particles
-    rng = rng_for(config.seed, "eo")
-    pos, prev = rng.random((n, dim)), None
+    rng = rng_for(seed, "eo")
+    pos, prev = rng.random((n_particles, dim)), None
     history = []
-    for it in range(config.max_iter + 1):
+    for it in range(max_iter + 1):
         if it:
             # per particle: one step size, then one sign draw per coordinate
-            draws = rng.random((n, 1 + dim))
+            draws = rng.random((n_particles, 1 + dim))
             signs = np.where(draws[:, 1:] < 0.5, -1.0, 1.0)
-            pos, prev = position_update(pos, prev, p_avg, draws[:, :1], signs,
-                                        config.alpha, config.lam), pos
+            pos, prev = position_update(pos, prev, p_avg, draws[:, :1], signs, ALPHA, LAM), pos
         masks = pos >= 0.5
         fit = score(masks)
         pool, p_avg = equilibrium_pool(pos, fit)

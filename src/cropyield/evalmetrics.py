@@ -59,15 +59,16 @@ class EvalReport:
     rmsle: float
     smape: float
     n: int
+    baseline: dict  # metrics of the constant reference predictor
     per_group: dict = field(default_factory=dict)  # tag -> {metric: value, n: count}
-    baseline: dict = field(default_factory=dict)  # mean-predictor reference metrics
 
 
-def evaluate(samples, preds, baseline_constant: float | None = None) -> EvalReport:
+def evaluate(samples, preds, baseline_constant: float) -> EvalReport:
     """Score the yield predictions ``preds`` of ``samples``, one per sample.
 
-    Groups are the samples' season tags. ``baseline_constant`` (usually the
-    train-split mean yield) adds reference metrics for the same samples.
+    Groups are the samples' season tags. The baseline scores the constant
+    prediction ``baseline_constant`` (the train-split mean yield) on the same
+    samples.
     """
     samples = list(samples)
     if not samples:
@@ -79,15 +80,13 @@ def evaluate(samples, preds, baseline_constant: float | None = None) -> EvalRepo
     def all_metrics(yv, pv):
         return {name: fn(yv, pv) for name, fn in METRICS.items()}
 
-    report = EvalReport(**all_metrics(y, preds), n=len(samples))
+    report = EvalReport(**all_metrics(y, preds), n=len(samples),
+                        baseline=all_metrics(y, np.full_like(y, baseline_constant)))
     for tag in sorted(set(tags)):
         sel = [k for k, t in enumerate(tags) if t == tag]
         group = all_metrics(y[sel], preds[sel])
         group["n"] = len(sel)
         report.per_group[tag] = group
-    if baseline_constant is not None:
-        const = np.full_like(y, baseline_constant)
-        report.baseline = all_metrics(y, const)
     return report
 
 
@@ -100,8 +99,7 @@ def write_report_table(report: EvalReport, path) -> None:
         for name in ("mape", "rmsle", "smape"):
             lines.append(f"{name},{group[name]:.12g},{tag},{group['n']}")
     for name in ("mape", "rmsle", "smape"):
-        if name in report.baseline:
-            lines.append(f"baseline_{name},{report.baseline[name]:.12g},all,{report.n}")
+        lines.append(f"baseline_{name},{report.baseline[name]:.12g},all,{report.n}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -112,8 +110,7 @@ def write_report_kv(report: EvalReport, path) -> None:
     for name in ("mape", "rmsle", "smape"):
         lines.append(f"{name}={getattr(report, name)!r}")
     for name in ("mape", "rmsle", "smape"):
-        if name in report.baseline:
-            lines.append(f"baseline_{name}={report.baseline[name]!r}")
+        lines.append(f"baseline_{name}={report.baseline[name]!r}")
     for tag, group in sorted(report.per_group.items()):
         lines.append(f"group.{tag}.n={group['n']}")
         for name in ("mape", "rmsle", "smape"):

@@ -87,18 +87,15 @@ def _load_encoder(named: dict, cfg: RunConfig):
 
 
 def run_stage_pretrain(run_dir: Path, ds: sd.Dataset, frames, cfg: RunConfig) -> None:
-    channels = ds.band_spec.channels
-    sched = df.linear_schedule(cfg.diff_steps, beta_end=cfg.beta_end)
+    sched = df.linear_schedule(steps=cfg.diff_steps, beta_end=cfg.beta_end)
     den_frames = [frames[i][t] for i in ds.split.train for t in range(0, len(frames[0]), 2)]
-    den, den_history = df.train_denoiser(den_frames, channels, sched,
-                                         rng_for(cfg.seed, "denoiser"),
+    den, den_history = df.train_denoiser(den_frames, sched, rng_for(cfg.seed, "denoiser"),
                                          epochs=cfg.denoiser_epochs)
     result = ct.pretrain_encoder(
         frames, ds.split.train, ds.split.val, den, sched, rng_for(cfg.seed, "pretrain"),
-        channels=channels, epochs=cfg.pretrain_epochs, lr=cfg.pretrain_lr,
-        batch_size=cfg.batch_size, hidden_channels=cfg.hidden_channels,
-        shuffle_groups=cfg.shuffle_groups, attention_mode=cfg.attention_mode,
-        conv_mode=cfg.conv_mode,
+        epochs=cfg.pretrain_epochs, lr=cfg.pretrain_lr, batch_size=cfg.batch_size,
+        hidden_channels=cfg.hidden_channels, shuffle_groups=cfg.shuffle_groups,
+        attention_mode=cfg.attention_mode, conv_mode=cfg.conv_mode,
     )
     named = {**den.named(), **result.lstm.named(), **result.ssa.named(),
              "projection": result.projection.data}
@@ -130,7 +127,7 @@ def run_stage_select(run_dir: Path, ds: sd.Dataset, frames, cfg: RunConfig) -> N
     fitness = eo.make_probe_fitness(feats, y_std, ds.split.train, ds.split.val)
     dim = feats.shape[1]
     if cfg.feature_selector == "eo":
-        result = eo.run_eo(dim, fitness, eo.EoConfig(max_iter=cfg.eo_iters, seed=cfg.seed))
+        result = eo.run_eo(dim, fitness, max_iter=cfg.eo_iters, seed=cfg.seed)
         mask, best, history = result.best_mask, result.best_fitness, result.history
     else:  # "none": keep every channel
         mask = np.ones(dim, dtype=bool)

@@ -175,13 +175,6 @@ def enhance_sample(x: np.ndarray) -> np.ndarray:
     return x + lap
 
 
-def laplacian_enhance(image: np.ndarray) -> np.ndarray:
-    """``enhance_sample`` on a single [H,W] image."""
-    if image.ndim != 2 or image.shape[0] < 3 or image.shape[1] < 3:
-        raise DomainError(f"laplacian_enhance expects [H>=3, W>=3], got {image.shape}")
-    return enhance_sample(image[None, :, :, None])[0, :, :, 0]
-
-
 # -- splits -------------------------------------------------------------------------
 
 

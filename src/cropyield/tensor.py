@@ -208,16 +208,14 @@ class ParamTree:
     def parameters(self) -> list[Tensor]:
         return [t for _, t in self._leaves()]
 
-    def named(self, prefix: str | None = None) -> dict:
+    def named(self) -> dict:
         """Checkpoint arrays keyed ``<prefix>/<leaf name>``."""
-        prefix = self.prefix if prefix is None else prefix
-        return {f"{prefix}/{name}": t.data for name, t in self._leaves()}
+        return {f"{self.prefix}/{name}": t.data for name, t in self._leaves()}
 
     @classmethod
-    def from_named(cls, named: dict, prefix: str | None = None, **static):
+    def from_named(cls, named: dict, **static):
         """Rebuild from ``named()`` output; ``static`` supplies the non-tensor fields."""
-        prefix = cls.prefix if prefix is None else prefix
-        return cls._build(named, prefix + "/", static)
+        return cls._build(named, cls.prefix + "/", static)
 
     @classmethod
     def _build(cls, named: dict, stem: str, static: dict):

@@ -10,7 +10,7 @@ from cropyield.tensor import Tensor
 
 
 def make_params(channels=4, rng_seed=0, **kw):
-    return at.init_ssa_params(channels, np.random.default_rng(rng_seed), **kw)
+    return at.init_ssa_params(channels, np.random.default_rng(rng_seed), groups=2, **kw)
 
 
 class TestSeAttention:

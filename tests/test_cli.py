@@ -1,3 +1,4 @@
+import inspect
 import os
 import shutil
 import subprocess
@@ -11,8 +12,11 @@ import pytest
 import cropyield
 
 from cropyield import attention as at
+from cropyield import contrastive as ct
 from cropyield import convlstm as cl
 from cropyield import diffusion as df
+from cropyield import eo
+from cropyield import evalmetrics as em
 from cropyield import predictor as pr
 from cropyield import synthdata as sd
 from cropyield.cli import main
@@ -49,6 +53,29 @@ class TestConfig:
             "attention_mode", "conv_mode", "pretrain_epochs", "pretrain_lr", "batch_size",
             "feature_selector", "eo_iters"]
         assert len(config_text(RunConfig()).splitlines()) == 19
+
+    # RunConfig holds the one default of a run setting: the library entry
+    # points take these parameters with none of their own
+    @pytest.mark.parametrize("fn,names", [
+        (df.linear_schedule, ("steps", "beta_end")),
+        (df.train_denoiser, ("epochs",)),
+        (ct.pretrain_encoder, ("epochs", "lr", "batch_size", "hidden_channels", "shuffle_groups",
+                               "attention_mode", "conv_mode")),
+        (at.init_ssa_params, ("groups",)),
+        (at.SsaParams, ("attention_mode", "conv_mode")),
+        (eo.run_eo, ("max_iter", "seed")),
+        (em.evaluate, ("baseline_constant",)),
+    ], ids=lambda x: getattr(x, "__qualname__", "names"))
+    def test_run_settings_have_no_library_default(self, fn, names):
+        params = inspect.signature(fn).parameters
+        for name in names:
+            assert params[name].default is inspect.Parameter.empty, name
+
+    def test_paper_composition_is_written_once(self):
+        params = inspect.signature(at.init_ssa_params).parameters
+        cfg = RunConfig()
+        assert params["attention_mode"].default == cfg.attention_mode == at.ATTENTION_MODES[0]
+        assert params["conv_mode"].default == cfg.conv_mode == at.CONV_MODES[0]
 
     # finetune_lr and train_lr went with the encoder fine-tune; percent is a
     # view of the report (`report --percent`), not part of a run; the method's
@@ -206,8 +233,9 @@ class TestPipelineCommand:
                      "--config", str(fast_config)]) == 0
         cfg = load_config(fast_config)
         rng = np.random.default_rng(0)
+        ssa = at.init_ssa_params(cfg.hidden_channels, rng, groups=cfg.shuffle_groups)
         encoder = {**cl.init_convlstm_params(12, cfg.hidden_channels, 8, 8, 3, rng).named(),
-                   **at.init_ssa_params(cfg.hidden_channels, rng).named()}
+                   **ssa.named()}
         den = df.init_denoiser(12, df.DENOISER_HIDDEN, cfg.diff_steps, rng).named()
         head = pr.init_head(1).named()
         assert set(load_checkpoint(run_dir / "pretrain.ckpt")) == {*den, *encoder, "projection"}
@@ -353,6 +381,14 @@ class TestPipelineCommand:
         assert epoch == "0" and np.isfinite(float(tr)) and np.isfinite(float(va))
         assert lam.startswith("# ridge_lambda=")
         assert float(lam.partition("=")[2]) in pr.RIDGE_GRID
+
+    def test_denoiser_line_holds_one_loss_per_configured_epoch(self, selected_run,
+                                                                fast_config):
+        _, run_dir = selected_run
+        last = (run_dir / "pretrain_loss.txt").read_text().splitlines()[-1]
+        head, _, losses = last.partition(": ")
+        assert head == "# denoiser per-epoch loss"
+        assert len(losses.split()) == load_config(fast_config).denoiser_epochs
 
     def test_reserved_selector_exits_2(self, tiny_dataset, fast_config, tmp_path):
         code = main(["pipeline", "--data", str(tiny_dataset), "--out", str(tmp_path / "r"),

@@ -12,11 +12,15 @@ from cropyield import tensor as tc
 from cropyield.errors import DomainError, NumericalError, ShapeMismatchError
 from cropyield.tensor import Tensor
 
+# the settings of pretrain_encoder that the run config holds, at the paper's composition
+PAPER_ENCODER = dict(shuffle_groups=2, attention_mode=at.ATTENTION_MODES[0],
+                     conv_mode=at.CONV_MODES[0])
+
 
 def make_encoder(c_in=3, c_hid=4, h=6, w=6, d_e=4, seed=0):
     rng = np.random.default_rng(seed)
     lstm = cl.init_convlstm_params(c_in, c_hid, h, w, 3, rng)
-    ssa = at.init_ssa_params(c_hid, rng)
+    ssa = at.init_ssa_params(c_hid, rng, groups=2)
     proj = tc.param(rng.uniform(-0.5, 0.5, size=(d_e, 2 * c_hid)))
     return lstm, ssa, proj
 
@@ -202,10 +206,10 @@ class TestContrastiveLoss:
 def test_holdout_similarities_reject_a_zero_norm_embedding():
     rng = np.random.default_rng(9)
     frames = [rng.normal(size=(3, 2, 5, 5)) for _ in range(3)]
-    sched = df.linear_schedule(4, 0.95, 0.5)
+    sched = df.linear_schedule(steps=4, beta_start=0.95, beta_end=0.5)
     den = df.init_denoiser(2, 4, sched.steps, rng)
     lstm = cl.init_convlstm_params(2, 4, 5, 5, 3, rng)
-    ssa = at.init_ssa_params(4, rng)
+    ssa = at.init_ssa_params(4, rng, groups=2)
     args = (frames, [0, 1, 2], lstm, ssa)
     rest = (den, sched, 1, np.random.default_rng(10), 2)
     pos, neg = ct.holdout_similarities(*args, tc.param(rng.normal(size=(4, 8))), *rest)
@@ -239,10 +243,10 @@ def test_holdout_similarities_match_the_interleaved_layout(n, batch_size, c_in, 
     # when 2n views exceed one chunk; every similarity keeps its bits
     rng = np.random.default_rng([n, batch_size, c_in])
     frames = [rng.normal(size=(t_steps, c_in, hw, hw)) for _ in range(n + 2)]
-    sched = df.linear_schedule(4, 0.95, 0.5)
+    sched = df.linear_schedule(steps=4, beta_start=0.95, beta_end=0.5)
     den = df.init_denoiser(c_in, 4, sched.steps, rng)
     lstm = cl.init_convlstm_params(c_in, 4, hw, hw, 3, rng)
-    ssa = at.init_ssa_params(4, rng)
+    ssa = at.init_ssa_params(4, rng, groups=2)
     proj = tc.param(rng.normal(size=(6, 8)))
     idx = list(range(2, n + 2))
     got, want = (holdout(frames, idx, lstm, ssa, proj, den, sched, 1,
@@ -255,12 +259,12 @@ def test_pretrain_raise_names_its_stage():
     rng = np.random.default_rng(7)
     frames = [rng.normal(size=(3, 2, 5, 5)) for _ in range(4)]
     frames[2][1, 0, 0, 0] = np.nan
-    sched = df.linear_schedule(4, 0.95, 0.5)
+    sched = df.linear_schedule(steps=4, beta_start=0.95, beta_end=0.5)
     den = df.init_denoiser(2, 4, sched.steps, rng)
     with np.errstate(invalid="ignore"), \
             pytest.raises(NumericalError, match="^contrastive pre-training diverged"):
         ct.pretrain_encoder(frames, [0, 1, 2, 3], [], den, sched, np.random.default_rng(8),
-                            channels=2, epochs=1, batch_size=4, hidden_channels=4,
+                            epochs=1, lr=0.01, batch_size=4, hidden_channels=4, **PAPER_ENCODER,
                             embed_dim=4, depth=0)
 
 
@@ -359,7 +363,7 @@ def _bits(a):
 def _encoder(c_in, hw, attention_mode="senet_shuffle", conv_mode="conv_condconv", seed=0):
     rng = np.random.default_rng([seed, hw, c_in])
     lstm = cl.init_convlstm_params(c_in, 8, hw, hw, 3, rng)
-    ssa = at.init_ssa_params(8, rng, attention_mode=attention_mode, conv_mode=conv_mode)
+    ssa = at.init_ssa_params(8, rng, groups=2, attention_mode=attention_mode, conv_mode=conv_mode)
     # bias and temporal weights away from their constant init, so every part counts
     for t in (lstm.b_i, lstm.b_f, lstm.b_o, lstm.b_c, ssa.conv_bias, ssa.w_temporal):
         t.data[...] = rng.uniform(-0.5, 0.5, size=t.data.shape)
@@ -550,12 +554,12 @@ class TestBackwardFreesTheGraph:
         assert held < 2**20, held / 2**20
 
 
-def _per_view_pretrain(frames_by_sample, train_idx, val_idx, den, sched, seed_rng, channels,
+def _per_view_pretrain(frames_by_sample, train_idx, val_idx, den, sched, seed_rng,
                        epochs, lr, batch_size, tau, embed_dim, hidden_channels, depth):
     """``pretrain_encoder`` as it was before the item axis: one graph per view."""
-    _, _, h, w = frames_by_sample[train_idx[0]].shape
+    _, channels, h, w = frames_by_sample[train_idx[0]].shape
     lstm = cl.init_convlstm_params(channels, hidden_channels, h, w, 3, seed_rng)
-    ssa = at.init_ssa_params(hidden_channels, seed_rng)
+    ssa = at.init_ssa_params(hidden_channels, seed_rng, groups=2)
     proj = tc.param(seed_rng.uniform(-1.0, 1.0, size=(embed_dim, 2 * hidden_channels))
                     / math.sqrt(2 * hidden_channels))
     params = lstm.parameters() + ssa.parameters() + [proj]
@@ -599,14 +603,14 @@ def test_pretraining_matches_the_per_view_loop():
     # 9 train samples in minibatches of 4: chunks of 4, 4 and a last pair
     rng = np.random.default_rng(11)
     frames = [rng.normal(size=(4, 3, 6, 6)) for _ in range(12)]
-    sched = df.linear_schedule(4, 0.95, 0.5)
+    sched = df.linear_schedule(steps=4, beta_start=0.95, beta_end=0.5)
     den = df.init_denoiser(3, 4, sched.steps, rng)
-    kw = dict(channels=3, epochs=2, lr=0.05, batch_size=4, tau=0.5, embed_dim=6,
-              hidden_channels=4, depth=1)
+    kw = dict(epochs=2, lr=0.05, batch_size=4, tau=0.5, embed_dim=6, hidden_channels=4, depth=1)
     train, val = list(range(9)), [9, 10, 11]
     history, stats, named = _per_view_pretrain(frames, train, val, den, sched,
                                                np.random.default_rng(12), **kw)
-    got = ct.pretrain_encoder(frames, train, val, den, sched, np.random.default_rng(12), **kw)
+    got = ct.pretrain_encoder(frames, train, val, den, sched, np.random.default_rng(12), **kw,
+                              **PAPER_ENCODER)
     # the epoch-0 evaluation precedes any update: the same bits
     assert repr(got.loss_history[0]) == repr(history[0])
     assert repr(got.stats["epoch0_loss"]) == repr(stats["epoch0_loss"])

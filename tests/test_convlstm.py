@@ -232,7 +232,7 @@ class TestFusedStepBitExact:
             rng = np.random.default_rng(8)
             lstm = cl.init_convlstm_params(12, 8, 10, 10, 3, rng)
             _random_biases(lstm, rng)
-            ssa = at.init_ssa_params(8, rng)
+            ssa = at.init_ssa_params(8, rng, groups=2)
             proj = tc.param(rng.uniform(-0.25, 0.25, size=(16, 16)))
             emb = ct.embed_sequence(views, lstm, ssa, proj)
             loss = ct.contrastive_loss(emb[:8], emb[8:], 0.5)

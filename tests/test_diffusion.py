@@ -113,7 +113,7 @@ def _bits(a):
 
 @pytest.fixture
 def sched():
-    return df.linear_schedule(10, 0.95, 0.30)
+    return df.linear_schedule(steps=10, beta_start=0.95, beta_end=0.30)
 
 
 class TestSchedule:
@@ -294,11 +294,11 @@ class TestBitExact:
     and the denoiser's gradients (summed over the items) to 1e-10."""
 
     CASES = {
-        "default": (df.linear_schedule(10, 0.95, 0.30), 0.1),
-        "lam_zero": (df.linear_schedule(10, 0.95, 0.30), 0.0),
-        "odd_steps": (df.linear_schedule(7, 0.9, 0.2), 0.3),
+        "default": (df.linear_schedule(steps=10, beta_start=0.95, beta_end=0.30), 0.1),
+        "lam_zero": (df.linear_schedule(steps=10, beta_start=0.95, beta_end=0.30), 0.0),
+        "odd_steps": (df.linear_schedule(steps=7, beta_start=0.9, beta_end=0.2), 0.3),
         "beta_one": (df.NoiseSchedule((1.0, 1.0, 0.8, 0.5)), 0.1),
-        "long_odd": (df.linear_schedule(21, 0.95, 0.2), 0.1),
+        "long_odd": (df.linear_schedule(steps=21, beta_start=0.95, beta_end=0.2), 0.1),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -359,20 +359,20 @@ class TestBitExact:
 
 
 def test_train_denoiser_reduces_loss():
-    sched = df.linear_schedule(6, 0.95, 0.4)
+    sched = df.linear_schedule(steps=6, beta_start=0.95, beta_end=0.4)
     rng = np.random.default_rng(16)
     frames = [rng.uniform(size=(2, 6, 6)) for _ in range(6)]
-    den, history = df.train_denoiser(frames, 2, sched, np.random.default_rng(17), epochs=8, lr=0.002)
+    den, history = df.train_denoiser(frames, sched, np.random.default_rng(17), epochs=8, lr=0.002)
     assert history[-1] < history[0]
 
 
 def test_trained_round_trip_stays_near_input():
     # half-depth round trips through a trained denoiser deviate by well under
     # half the input dynamic range
-    sched = df.linear_schedule(10, 0.95, 0.30)
+    sched = df.linear_schedule(steps=10, beta_start=0.95, beta_end=0.30)
     rng = np.random.default_rng(18)
     frames = [rng.uniform(size=(3, 8, 8)) for _ in range(10)]
-    den, _ = df.train_denoiser(frames, 3, sched, np.random.default_rng(19), epochs=8)
+    den, _ = df.train_denoiser(frames, sched, np.random.default_rng(19), epochs=8)
     probe = frames[0]
     dyn = probe.max() - probe.min()
     mads = []
@@ -384,7 +384,7 @@ def test_trained_round_trip_stays_near_input():
 
 
 def test_train_denoiser_raise_names_its_stage():
-    sched = df.linear_schedule(4, 0.95, 0.5)
+    sched = df.linear_schedule(steps=4, beta_start=0.95, beta_end=0.5)
     frames = [np.full((2, 5, 5), np.nan)]
     with pytest.raises(NumericalError, match="^denoiser training diverged"):
-        df.train_denoiser(frames, 2, sched, np.random.default_rng(0), epochs=1)
+        df.train_denoiser(frames, sched, np.random.default_rng(0), epochs=1)

@@ -10,7 +10,7 @@ from cropyield.errors import DomainError
 from cropyield.fileio import rng_for
 
 
-def reference_run_eo(dim, fitness_fn, config):
+def reference_run_eo(dim, fitness_fn, *, max_iter, seed, n_particles=eo.N_PARTICLES):
     """Particle-object form of ``run_eo``: one position vector and one fitness
     per particle, moved and scored one particle at a time, the pool sorted by
     (fitness, index). ``eo.run_eo`` must reproduce it bit for bit."""
@@ -25,8 +25,8 @@ def reference_run_eo(dim, fitness_fn, config):
             scores[key] = fitness_fn(mask)
         return float(scores[key])
 
-    rng = rng_for(config.seed, "eo")
-    particles = [{"pos": rng.random(dim), "prev": None} for _ in range(config.n_particles)]
+    rng = rng_for(seed, "eo")
+    particles = [{"pos": rng.random(dim), "prev": None} for _ in range(n_particles)]
     for p in particles:
         p["fit"] = evaluate(p["pos"])
 
@@ -38,12 +38,11 @@ def reference_run_eo(dim, fitness_fn, config):
     best_fitness = particles[order[0]]["fit"]
     best_mask = particles[order[0]]["pos"] >= 0.5
     history = [best_fitness]
-    for _ in range(config.max_iter):
+    for _ in range(max_iter):
         for p in particles:
             delta = rng.random()
             signs = np.where(rng.random(dim) < 0.5, -1.0, 1.0)
-            new = eo.position_update(p["pos"], p["prev"], p_avg, delta, signs,
-                                     config.alpha, config.lam)
+            new = eo.position_update(p["pos"], p["prev"], p_avg, delta, signs, eo.ALPHA, eo.LAM)
             p["prev"], p["pos"] = p["pos"], new
             p["fit"] = evaluate(new)
         order, p_avg = pool()
@@ -66,19 +65,18 @@ def recording(fitness_fn):
     return fn, seen
 
 
-def initial_masks(dim, config):
-    return rng_for(config.seed, "eo").random((config.n_particles, dim)) >= 0.5
+def initial_masks(dim, seed, n_particles=eo.N_PARTICLES):
+    return rng_for(seed, "eo").random((n_particles, dim)) >= 0.5
 
 
 class TestInitialize:
     def test_positions_in_unit_box(self):
         # the initial population is one uniform draw over [0,1)^(n x dim),
         # scored in particle order
-        cfg = eo.EoConfig(n_particles=8, max_iter=0, seed=4)
         fn, seen = recording(lambda m: float(m.sum()))
-        eo.run_eo(5, fn, cfg)
+        eo.run_eo(5, fn, n_particles=8, max_iter=0, seed=4)
         expected = []
-        for mask in initial_masks(5, cfg):
+        for mask in initial_masks(5, seed=4, n_particles=8):
             if mask.any() and not any(np.array_equal(mask, m) for m in expected):
                 expected.append(mask)
         assert len(seen) == len(expected)
@@ -86,59 +84,56 @@ class TestInitialize:
             np.testing.assert_array_equal(got, want)
 
     def test_same_seed_identical_population(self):
-        cfg = eo.EoConfig(max_iter=0, seed=3)
         fa, seen_a = recording(lambda m: float(m.sum()))
         fb, seen_b = recording(lambda m: float(m.sum()))
-        eo.run_eo(7, fa, cfg)
-        eo.run_eo(7, fb, cfg)
+        eo.run_eo(7, fa, max_iter=0, seed=3)
+        eo.run_eo(7, fb, max_iter=0, seed=3)
         assert len(seen_a) == len(seen_b) > 0
         for a, b in zip(seen_a, seen_b):
             np.testing.assert_array_equal(a, b)
 
     def test_shape_contract(self):
         fn, seen = recording(lambda m: float(m.sum()))
-        res = eo.run_eo(5, fn, eo.EoConfig(n_particles=4, max_iter=0, seed=1))
+        res = eo.run_eo(5, fn, n_particles=4, max_iter=0, seed=1)
         assert 1 <= len(seen) <= 4
         assert all(m.shape == (5,) for m in seen)
         assert res.best_mask.shape == (5,) and res.best_mask.dtype == bool
         assert res.history == [res.best_fitness]
 
     def test_too_few_particles_rejected(self):
-        with pytest.raises(DomainError):
-            eo.EoConfig(n_particles=3)
+        with pytest.raises(DomainError, match="needs >= 4 particles, got 3"):
+            eo.run_eo(5, lambda m: 0.0, n_particles=3, max_iter=0, seed=0)
 
     def test_empty_dimension_rejected(self):
         with pytest.raises(DomainError):
-            eo.run_eo(0, lambda m: 0.0, eo.EoConfig())
+            eo.run_eo(0, lambda m: 0.0, max_iter=0, seed=0)
 
 
 class TestFitness:
     def test_high_positions_full_mask(self):
         # rewarding every selected coordinate drives all positions above 0.5
-        res = eo.run_eo(6, lambda m: -float(m.sum()), eo.EoConfig(max_iter=30, seed=2))
+        res = eo.run_eo(6, lambda m: -float(m.sum()), max_iter=30, seed=2)
         assert res.best_fitness == -6.0
         assert res.best_mask.all()
 
     def test_low_positions_empty_mask_penalized(self):
         # one coordinate: a particle below 0.5 has the empty mask, which
         # scores inf without a call; seed 63 starts every particle there
-        cfg = eo.EoConfig(n_particles=4, max_iter=0, seed=63)
-        assert not initial_masks(1, cfg).any()
+        assert not initial_masks(1, seed=63, n_particles=4).any()
         fn, seen = recording(lambda m: 0.0)
-        res = eo.run_eo(1, fn, cfg)
+        res = eo.run_eo(1, fn, n_particles=4, max_iter=0, seed=63)
         assert seen == []
         assert res.best_fitness == math.inf and res.history == [math.inf]
         assert not res.best_mask.any()
         # later iterations leave the empty mask and never score it
         fn, seen = recording(lambda m: 0.0)
-        res = eo.run_eo(1, fn, eo.EoConfig(n_particles=4, max_iter=50, seed=63))
+        res = eo.run_eo(1, fn, n_particles=4, max_iter=50, seed=63)
         assert res.best_fitness == 0.0 and res.best_mask.all()
         assert len(seen) == 1
 
     def test_hamming_oracle(self):
         planted = np.array([True, False, True, False, True, True, False, False])
-        res = eo.run_eo(8, lambda m: float(np.sum(m != planted)),
-                        eo.EoConfig(max_iter=40, seed=9))
+        res = eo.run_eo(8, lambda m: float(np.sum(m != planted)), max_iter=40, seed=9)
         assert res.best_fitness == float(np.sum(res.best_mask != planted)) == 0.0
 
 
@@ -160,11 +155,11 @@ class TestPool:
     def test_value_then_index_order(self):
         # every non-empty mask ties, so the pool and the best mask go by index:
         # the best mask stays the first particle's with a non-empty mask
-        cfg = eo.EoConfig(n_particles=10, max_iter=20, seed=6)
-        res = eo.run_eo(4, lambda m: 1.0, cfg)
-        first = next(m for m in initial_masks(4, cfg) if m.any())
+        cfg = dict(n_particles=10, max_iter=20, seed=6)
+        res = eo.run_eo(4, lambda m: 1.0, **cfg)
+        first = next(m for m in initial_masks(4, seed=6, n_particles=10) if m.any())
         np.testing.assert_array_equal(res.best_mask, first)
-        ref = reference_run_eo(4, lambda m: 1.0, cfg)
+        ref = reference_run_eo(4, lambda m: 1.0, **cfg)
         np.testing.assert_array_equal(res.best_mask, ref.best_mask)
 
 
@@ -212,7 +207,7 @@ class TestRunEo:
                 seen[mask.tobytes()] += 1
                 return float(np.sum(mask != planted))
 
-            res = eo.run_eo(dim, fitness, eo.EoConfig(n_particles=20, max_iter=100, seed=seed))
+            res = eo.run_eo(dim, fitness, n_particles=20, max_iter=100, seed=seed)
             assert max(seen.values()) == 1  # each distinct mask is scored once
             assert res.history == sorted(res.history, reverse=True)
             if res.best_fitness == 0.0:
@@ -223,7 +218,7 @@ class TestRunEo:
     def test_best_ever_monotone_and_bounded_positions(self):
         target = np.random.default_rng(7).random(8) >= 0.5
         fn, seen = recording(lambda mask: float(np.sum(mask != target)))
-        res = eo.run_eo(8, fn, eo.EoConfig(n_particles=8, max_iter=30, seed=11))
+        res = eo.run_eo(8, fn, n_particles=8, max_iter=30, seed=11)
         assert len(res.history) == 31
         assert res.history == sorted(res.history, reverse=True)
         assert res.best_fitness == res.history[-1] == min(np.sum(m != target) for m in seen)
@@ -239,8 +234,8 @@ class TestRunEo:
 
     def test_bit_reproducible(self):
         fitness = lambda mask: float(mask.sum())
-        a = eo.run_eo(6, fitness, eo.EoConfig(seed=42, max_iter=20))
-        b = eo.run_eo(6, fitness, eo.EoConfig(seed=42, max_iter=20))
+        a = eo.run_eo(6, fitness, seed=42, max_iter=20)
+        b = eo.run_eo(6, fitness, seed=42, max_iter=20)
         assert a.best_fitness == b.best_fitness
         assert a.history == b.history
         np.testing.assert_array_equal(a.best_mask, b.best_mask)
@@ -273,14 +268,12 @@ class TestReference:
         rng = np.random.default_rng(sorted(self.FITNESS).index(kind))
         for _ in range(10):
             dim = int(rng.integers(1, 13))
-            cfg = eo.EoConfig(n_particles=int(rng.integers(4, 16)),
-                              max_iter=int(rng.integers(0, 30)),
-                              alpha=float(rng.uniform(0.0, 1.5)), lam=float(rng.uniform(0.0, 2.0)),
-                              seed=int(rng.integers(0, 10_000)))
-            fitness = self.FITNESS[kind](rng.random(dim) >= 0.5, cfg.seed)
+            cfg = dict(n_particles=int(rng.integers(4, 16)), max_iter=int(rng.integers(0, 30)),
+                       seed=int(rng.integers(0, 10_000)))
+            fitness = self.FITNESS[kind](rng.random(dim) >= 0.5, cfg["seed"])
             fn, seen = recording(fitness)
-            got = eo.run_eo(dim, fn, cfg)
-            want = reference_run_eo(dim, fitness, cfg)
+            got = eo.run_eo(dim, fn, **cfg)
+            want = reference_run_eo(dim, fitness, **cfg)
             assert got.history == want.history
             assert all(type(v) is float for v in got.history + [got.best_fitness])
             assert got.best_fitness == want.best_fitness
@@ -297,7 +290,7 @@ class TestExhaustiveOracle:
         for seed in range(10):
             fitness = _probe_problem(dim, seed)
             optimum = min(fitness(m) for m in masks)
-            res = eo.run_eo(dim, fitness, eo.EoConfig(seed=seed))
+            res = eo.run_eo(dim, fitness, max_iter=100, seed=seed)
             assert res.best_fitness >= optimum
             hits += res.best_fitness == optimum
         assert hits >= 9

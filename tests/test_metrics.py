@@ -105,10 +105,10 @@ def identity_model(sample):
     return sample.y
 
 
-def scored(predict, ds, idx, **kwargs):
+def scored(predict, ds, idx, baseline_constant=100.0):
     """``evaluate`` of the samples ``idx`` and ``predict``'s yield for each."""
     samples = [ds.samples[i] for i in idx]
-    return em.evaluate(samples, [predict(s) for s in samples], **kwargs)
+    return em.evaluate(samples, [predict(s) for s in samples], baseline_constant)
 
 
 @pytest.fixture(scope="module")
@@ -144,7 +144,7 @@ class TestEvaluate:
             scored(identity_model, ds, [])
 
     def test_report_files_round_trip(self, ds, tmp_path):
-        report = scored(identity_model, ds, range(15), baseline_constant=100.0)
+        report = scored(identity_model, ds, range(15))
         table, kv = tmp_path / "report.txt", tmp_path / "report.kv"
         em.write_report_table(report, table)
         em.write_report_kv(report, kv)

@@ -21,7 +21,7 @@ def _head(rng):
 PARTS = {
     "denoiser": (lambda rng: df.init_denoiser(3, 4, 5, rng), {"steps": 5}),
     "convlstm": (lambda rng: cl.init_convlstm_params(3, 4, 6, 6, 3, rng), {}),
-    "ssa": (lambda rng: at.init_ssa_params(4, rng, experts=3, attention_mode="se_only",
+    "ssa": (lambda rng: at.init_ssa_params(4, rng, groups=2, experts=3, attention_mode="se_only",
                                            conv_mode="dilated"),
             {"groups": 2, "attention_mode": "se_only", "conv_mode": "dilated"}),
     "head": (_head, {}),

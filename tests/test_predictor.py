@@ -64,7 +64,7 @@ class TestPredictYield:
 def tiny_encoder_setup(n=14, t=4, c=3, hw=8, seed=0):
     rng = np.random.default_rng(seed)
     lstm = cl.init_convlstm_params(c, 4, hw, hw, 3, rng)
-    ssa = at.init_ssa_params(4, rng)
+    ssa = at.init_ssa_params(4, rng, groups=2)
     frames = [rng.uniform(size=(t, c, hw, hw)) for _ in range(n)]
     fert = rng.uniform(0.2, 0.8, size=n)
     for i in range(n):
@@ -216,7 +216,7 @@ class TestForwardOnlyPrediction:
     def test_predict_frames_needs_history_plus_one_frames(self, n_frames):
         rng = np.random.default_rng(5)
         lstm = cl.init_convlstm_params(3, 4, 6, 6, 3, rng)
-        ssa = at.init_ssa_params(4, rng)  # history=2
+        ssa = at.init_ssa_params(4, rng, groups=2)  # history=2
         model = YieldModel(lstm, ssa, pr.init_head(8), np.ones(8, bool), y_mean=1.0, y_std=1.0)
         with pytest.raises(ShapeMismatchError):
             model.predict_frames(rng.normal(size=(n_frames, 3, 6, 6)))
@@ -226,7 +226,7 @@ class TestForwardOnlyPrediction:
         rng = np.random.default_rng(4)
         c, h, w = 6, 24, 24
         lstm = cl.init_convlstm_params(c, 8, h, w, 3, rng)
-        ssa = at.init_ssa_params(8, rng)
+        ssa = at.init_ssa_params(8, rng, groups=2)
         mask = np.arange(16) % 3 == 0
         head = pr.init_head(int(mask.sum()))
         head.w.data[:] = rng.normal(size=head.w.data.shape)
