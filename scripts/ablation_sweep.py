@@ -3,14 +3,18 @@
 
 Each variant runs the full pipeline into its own subdirectory of --out-root;
 the per-axis comparison tables land next to them. Use --fast for a small
-configuration that finishes in a couple of minutes.
+configuration that finishes in a couple of minutes. A variant whose
+directory holds a finished run of the same config and dataset is reused; one
+made under another config or dataset exits 2, naming the keys that differ.
 """
 
 import argparse
+import sys
 from pathlib import Path
 
 from cropyield.cli import main as cli_main
 from cropyield.config import load_config
+from cropyield.errors import ConfigError
 from cropyield.pipeline import run_ablation_sweep
 
 FAST_OVERRIDES = {
@@ -20,7 +24,7 @@ FAST_OVERRIDES = {
 }
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--data", type=Path, default=None,
                         help="dataset file; synthesized when omitted")
@@ -28,7 +32,7 @@ def main():
     parser.add_argument("--config", type=Path, default=None)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--fast", action="store_true", help="small desk-scale sweep")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     overrides = dict(FAST_OVERRIDES) if args.fast else {}
     overrides["seed"] = args.seed
@@ -45,7 +49,11 @@ def main():
         if rc:
             return rc
 
-    tables = run_ablation_sweep(cfg, data, args.out_root)
+    try:
+        tables = run_ablation_sweep(cfg, data, args.out_root)
+    except ConfigError as err:
+        print(f"config error: {err}", file=sys.stderr)
+        return 2
     for axis, path in tables.items():
         print(f"== {axis} sweep ==")
         print(path.read_text())

@@ -38,15 +38,18 @@ claim uses ``--pairs``:
     python3 scripts/bench.py --parent ../parent --out BENCH_9.json
     python3 scripts/bench.py --out BENCH_9.json
 
-With ``--pairs WORKLOAD`` it runs only the end-to-end measurement instead:
-``PAIRS`` (10) alternating pairs of untraced perfbench runs of the parent and of
-this checkout at each ``--pair-seeds`` seed, the parent first in every
-other pair. Each A/B pair is followed by an A/A pair in the same
+With ``--pairs WORKLOAD [WORKLOAD ...]`` it runs only the end-to-end
+measurement instead: for each workload in turn, ``PAIRS`` (10) alternating
+pairs of untraced perfbench runs of the parent and of this checkout at each
+``--pair-seeds`` seed, the parent first in every other pair. Each A/B pair is followed by an A/A pair in the same
 alternation: the parent against a second fresh clone of the parent (the
 control), which shows how large a gap the same code can show in this
 session. All sides run from fresh clones of their commits in the
 temporary directory, so that no tree's location or untracked files count;
-a tree whose tracked files differ from its commit is refused. It stores
+a tree whose tracked files differ from its commit is refused. The trees are
+cloned once for all the workloads, and ``--out`` is written once, after the
+last run, so one commit id per side covers every workload and the output
+file, even when it is tracked in this checkout, leaves it clean until then. It stores
 each tree's commit id, every run's result line, each side's median and
 quartiles of each end-to-end metric, the pairs the change wins on each
 (``change_wins``) and the pairs the control wins in the A/A arm
@@ -57,7 +60,8 @@ A gain shows as a ``change_gap`` many times the ``control_gap``, the gap
 the same code showed alongside. These pairs are the only
 untraced end-to-end figures a BENCH file holds:
 
-    python3 scripts/bench.py --parent ../parent --out BENCH_9.json --pairs ingest-s2
+    python3 scripts/bench.py --parent ../parent --out BENCH_9.json \
+        --pairs pipeline-s2 predict-l8-32 ingest-s2
 
 Working files go to a temporary directory that is removed.
 """
@@ -308,26 +312,7 @@ def _gap(values: dict, base: str, other: str) -> dict:
             for m, v in values[base].items()}
 
 
-def pairs(parent: Path, workload: str, seed: int) -> dict:
-    """``PAIRS`` alternating A/B pairs of untraced perfbench runs of ``parent``
-    and of this checkout, each followed by an A/A pair of ``parent`` and the
-    control, a second clone of ``parent``. Every run is from a fresh clone of
-    its commit; a lower metric wins a pair."""
-    arms = (("parent", "change"), ("aa_parent", "control"))
-    results = {side: [] for arm in arms for side in arm}
-    with tempfile.TemporaryDirectory(prefix="cropyield-pairs-") as tmp:
-        roots = {side: Path(tmp, side) for side in ("parent", "change", "control")}
-        roots["aa_parent"] = roots["parent"]
-        sources = {side: _clone(root, roots[side]) for side, root in (
-            ("parent", parent), ("change", HERE.parent.parent), ("control", parent))}
-        for i in range(PAIRS):
-            for arm in arms:
-                for side in arm if i % 2 == 0 else arm[::-1]:
-                    run = perfbench(roots[side], _pinned_env(roots[side]), workload, False, seed)
-                    results[side].append(run["result"])
-                    print(f"{workload} seed {seed} pair {i} {side}: "
-                          f"task_s {run['result']['metrics']['task_s']['value']:.3f}",
-                          file=sys.stderr)
+def _pair_summary(results: dict, sources: dict) -> dict:
     values = {side: {m: [r["metrics"][m]["value"] for r in rows] for m in rows[0]["metrics"]}
               for side, rows in results.items()}
     return {"seconds": PERFBENCH_SECONDS, "sources": sources, "results": results,
@@ -339,6 +324,35 @@ def pairs(parent: Path, workload: str, seed: int) -> dict:
             "control_gap": _gap(values, "aa_parent", "control")}
 
 
+def pairs(parent: Path, workloads, seeds) -> dict:
+    """Per workload and seed, ``PAIRS`` alternating A/B pairs of untraced
+    perfbench runs of ``parent`` and of this checkout, each followed by an
+    A/A pair of ``parent`` and the control, a second clone of ``parent``.
+    The three trees are cloned once, before any run, so that one commit id
+    per side covers every workload; a lower metric wins a pair."""
+    arms = (("parent", "change"), ("aa_parent", "control"))
+    out = {}
+    with tempfile.TemporaryDirectory(prefix="cropyield-pairs-") as tmp:
+        roots = {side: Path(tmp, side) for side in ("parent", "change", "control")}
+        roots["aa_parent"] = roots["parent"]
+        sources = {side: _clone(root, roots[side]) for side, root in (
+            ("parent", parent), ("change", HERE.parent.parent), ("control", parent))}
+        for workload in workloads:
+            for seed in seeds:
+                results = {side: [] for arm in arms for side in arm}
+                for i in range(PAIRS):
+                    for arm in arms:
+                        for side in arm if i % 2 == 0 else arm[::-1]:
+                            run = perfbench(roots[side], _pinned_env(roots[side]), workload,
+                                            False, seed)
+                            results[side].append(run["result"])
+                            print(f"{workload} seed {seed} pair {i} {side}: task_s "
+                                  f"{run['result']['metrics']['task_s']['value']:.3f}",
+                                  file=sys.stderr)
+                out[f"{workload}/seed{seed}"] = _pair_summary(results, sources)
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -346,9 +360,9 @@ def main(argv=None) -> int:
                         help="parent checkout to measure, recorded as runs.parent "
                              "(default: this checkout, recorded as runs.change)")
     parser.add_argument("--out", type=Path, default=Path("BENCH.json"))
-    parser.add_argument("--pairs", metavar="WORKLOAD",
-                        help="run only alternating parent/change pairs of this workload "
-                             "(needs --parent)")
+    parser.add_argument("--pairs", metavar="WORKLOAD", nargs="+",
+                        help="run only alternating parent/change pairs of these workloads "
+                             "(needs --parent); --out is written once all have run")
     parser.add_argument("--pair-seeds", type=int, nargs="+", default=[1])
     parser.add_argument("--worker-seed", type=int, help=argparse.SUPPRESS)
     parser.add_argument("--worker-ulps", type=int, default=0, help=argparse.SUPPRESS)
@@ -365,9 +379,8 @@ def main(argv=None) -> int:
     if args.pairs:
         if args.parent is None:
             parser.error("--pairs needs --parent")
-        for seed in args.pair_seeds:
-            doc.setdefault("pairs", {})[f"{args.pairs}/seed{seed}"] = pairs(
-                args.parent.resolve(), args.pairs, seed)
+        doc.setdefault("pairs", {}).update(pairs(args.parent.resolve(), args.pairs,
+                                                 args.pair_seeds))
         args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
         return 0
     other = [side for side, run in doc["runs"].items()

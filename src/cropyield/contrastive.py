@@ -44,14 +44,13 @@ def encode_features(frames, lstm_p: cl.ConvLstmParams, ssa_p: at.SsaParams) -> T
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 5:
         raise ShapeMismatchError(f"expected [N,T,C,H,W] frame sequences, got {frames.shape}")
-    n, t_steps, _, h, w = frames.shape
+    t_steps = frames.shape[1]
     a = ssa_p.history
     if t_steps < a + 1:
         raise ShapeMismatchError(
             f"need at least history+1 = {a + 1} frames, got {t_steps}"
         )
-    states = cl.convlstm_sequence([frames[:, t] for t in range(t_steps)], lstm_p,
-                                  cl.zero_state(n, lstm_p.hidden_channels, h, w))
+    states = cl.convlstm_sequence([frames[:, t] for t in range(t_steps)], lstm_p, None)
     hist = [states[t].h for t in range(t_steps - 1 - a, t_steps - 1)]
     return at.ssa_forward(states[-1].h, hist, ssa_p)
 

@@ -230,15 +230,15 @@ def _data_text(data_path, ds: sd.Dataset) -> str:
             f"dims={t} {h} {w} {c}\ntrailer={container_trailer(data_path):016x}\n")
 
 
-def _refuse_other(path: Path, text: str, stage: str, what: str) -> None:
-    """Refuse a ``stage`` resume when the run's ``path`` records other lines than ``text``."""
+def _refuse_other(path: Path, text: str, action: str, what: str) -> None:
+    """Refuse to ``action`` a run directory whose ``path`` records other lines than ``text``."""
     if not path.exists():
         return
     diff = set(path.read_text().splitlines()) ^ set(text.splitlines())
     if diff:
         keys = sorted({line.split("=", 1)[0] for line in diff})
         raise ConfigError(
-            f"cannot resume stage {stage!r} in {path.parent}: its {path.name} differs in "
+            f"cannot {action} in {path.parent}: its {path.name} differs in "
             f"{', '.join(keys)}; use the same {what} or a new run directory"
         )
 
@@ -255,11 +255,11 @@ def run_pipeline(cfg: RunConfig, data_path, out_dir, stage: str | None = None) -
     snapshot, binding = run_dir / "config.txt", run_dir / "data.txt"
     text = config_text(cfg)
     if stage is not None:
-        _refuse_other(snapshot, text, stage, "config")
+        _refuse_other(snapshot, text, f"resume stage {stage!r}", "config")
     ds = _load_split_dataset(data_path, cfg)
     bound = _data_text(data_path, ds)
     if stage is not None:
-        _refuse_other(binding, bound, stage, "dataset")
+        _refuse_other(binding, bound, f"resume stage {stage!r}", "dataset")
     run_dir.mkdir(parents=True, exist_ok=True)  # only once the data has loaded and a resume fits
     snapshot.write_text(text)
     binding.write_text(bound)
@@ -330,18 +330,27 @@ OPTIMIZER_SWEEP = (
 
 def run_ablation_sweep(base_cfg: RunConfig, data_path, out_root) -> dict:
     """Run the attention/conv and optimizer switch sweeps into subdirectories
-    and emit one comparison table per axis. Returns table paths."""
+    and emit one comparison table per axis. Returns table paths.
+
+    A variant whose run directory already holds a ``report.kv``, a
+    ``config.txt`` and a ``data.txt`` is not run again. It is reused only
+    when those two snapshots are the variant's; otherwise ConfigError names
+    the keys that differ."""
     from dataclasses import replace
 
     out_root = Path(out_root)
     out_root.mkdir(parents=True, exist_ok=True)
+    bound = _data_text(data_path, sd.load_dataset(data_path))
     tables = {}
     for axis, sweep in (("attention", ATTENTION_SWEEP), ("optimizer", OPTIMIZER_SWEEP)):
         dirs = []
         for name, overrides in sweep:
             cfg = replace(base_cfg, **overrides).validate()
             run_dir = out_root / axis / name
-            if not (run_dir / "report.kv").exists():
+            if all((run_dir / f).exists() for f in ("report.kv", "config.txt", "data.txt")):
+                _refuse_other(run_dir / "config.txt", config_text(cfg), "reuse", "config")
+                _refuse_other(run_dir / "data.txt", bound, "reuse", "dataset")
+            else:
                 run_pipeline(cfg, data_path, run_dir)
             dirs.append(run_dir)
         rows, _ = merge_reports(dirs)

@@ -23,7 +23,7 @@ from cropyield.cli import main
 from cropyield.config import RunConfig, config_text, load_config, parse_overrides
 from cropyield.errors import ConfigError, DomainError
 from cropyield.fileio import load_checkpoint
-from cropyield.pipeline import run_pipeline
+from cropyield.pipeline import ATTENTION_SWEEP, OPTIMIZER_SWEEP, _data_text, run_pipeline
 
 FAST = [
     "n_plots=12", "t_steps=4", "height=8", "width=8",
@@ -602,3 +602,53 @@ class TestReportCommand:
         code = main(["report", str(bad)])
         assert code == 3
         assert "skipped" in capsys.readouterr().err
+
+
+def _sweep_script():
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "scripts" / "ablation_sweep.py"
+    spec = importlib.util.spec_from_file_location("ablation_sweep", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestAblationSweep:
+    @pytest.fixture
+    def seed7_root(self, tmp_path):
+        """A sweep root whose every variant holds a finished seed-7 --fast
+        run: the dataset the script synthesizes and each variant's config
+        and data snapshots, with a report whose MAPE is 0.123456789."""
+        script = _sweep_script()
+        cfg = load_config(None, {**script.FAST_OVERRIDES, "seed": 7})
+        data = tmp_path / "dataset.mtms"
+        assert main(["synth", "--source", cfg.source, "--plots", str(cfg.n_plots),
+                     "--t-steps", str(cfg.t_steps), "--height", str(cfg.height),
+                     "--width", str(cfg.width), "--seed", "7", "--out", str(data)]) == 0
+        bound = _data_text(data, sd.load_dataset(data))
+        for axis, sweep in (("attention", ATTENTION_SWEEP), ("optimizer", OPTIMIZER_SWEEP)):
+            for name, overrides in sweep:
+                run = tmp_path / axis / name
+                run.mkdir(parents=True)
+                (run / "config.txt").write_text(config_text(replace(cfg, **overrides)))
+                (run / "data.txt").write_text(bound)
+                (run / "report.kv").write_text(
+                    "mape=0.123456789\nrmsle=0.5\nsmape=0.25\n"
+                    "baseline_mape=0.75\nbaseline_rmsle=0.625\nbaseline_smape=0.875\n")
+        return script, tmp_path
+
+    def test_same_sweep_reuses_its_runs(self, seed7_root, capsys):
+        script, root = seed7_root
+        assert script.main(["--fast", "--seed", "7", "--out-root", str(root)]) == 0
+        out = capsys.readouterr().out
+        assert "== attention sweep ==" in out
+        assert out.count("0.123456789") == len(ATTENTION_SWEEP) + len(OPTIMIZER_SWEEP)
+
+    def test_other_seed_into_the_root_exits_2(self, seed7_root, capsys):
+        script, root = seed7_root
+        assert script.main(["--fast", "--seed", "8", "--out-root", str(root)]) == 2
+        captured = capsys.readouterr()
+        assert "config error" in captured.err and "differs in seed;" in captured.err
+        assert "0.123456789" not in captured.out and "sweep ==" not in captured.out
+        assert not (root / "ablation_attention.txt").exists()

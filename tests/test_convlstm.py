@@ -162,7 +162,11 @@ class TestInvariants:
 
 def reference_step(f_t, prev, p):
     """``convlstm_step`` with its gate arithmetic as a graph of ``tc``
-    primitives, as it was before the cell and output nodes replaced it."""
+    primitives, as it was before the cell and output nodes replaced it. It
+    runs ``prev=None`` as a ``zero_state``, through all eight convolutions."""
+    if prev is None:
+        n, _, h, w = f_t.data.shape
+        prev = cl.zero_state(n, p.hidden_channels, h, w)
     pad = p.padding
     x_i, x_f, x_c, x_o = tc.conv_items(f_t, [p.w_fi, p.w_ff, p.w_fc, p.w_fo], pad)
     h_i, h_f, h_c, h_o = tc.conv_items(prev.h, [p.w_hi, p.w_hf, p.w_hc, p.w_ho], pad)
@@ -185,16 +189,24 @@ def _random_biases(p, rng):
 
 def _sequence_and_grads(step, t_steps, n, init, c_in=5, c_hid=8, hw=10):
     """Every state of one sequence run with ``step``, and the gradients of
-    the parameters, the frames and the initial state under a loss that reads
-    the final state and the two history states before it."""
+    the parameters, the frames and a ``"zero"`` or ``"random"`` initial state
+    under a loss that reads the final state and the two history states
+    before it. ``"zero_state"`` starts from ``cl.zero_state`` and ``"none"``
+    from ``None``; neither takes a gradient. All but ``"random"`` draw the
+    same parameters, frames and loss weights."""
     rng = np.random.default_rng([t_steps, n, init == "random"])
     p = cl.init_convlstm_params(c_in, c_hid, hw, hw, 3, rng)
     _random_biases(p, rng)
     frames = [tc.param(rng.normal(size=(n, c_in, hw, hw))) for _ in range(t_steps)]
     shape = (n, c_hid, hw, hw)
-    h0, c0 = (tc.param(rng.normal(size=shape) * 0.5 if init == "random" else np.zeros(shape))
-              for _ in range(2))
-    states = [cl.ConvLstmState(h=h0, c=c0)]
+    if init == "none":
+        start = None
+    elif init == "zero_state":
+        start = cl.zero_state(*shape)
+    else:
+        start = cl.ConvLstmState(*(tc.param(rng.normal(size=shape) * 0.5 if init == "random"
+                                            else np.zeros(shape)) for _ in range(2)))
+    states = [start]
     for f_t in frames:
         states.append(step(f_t, states[-1], p))
     read = [states[-1].h, states[-1].c] + [s.h for s in states[max(1, t_steps - 2):-1]]
@@ -203,7 +215,8 @@ def _sequence_and_grads(step, t_steps, n, init, c_in=5, c_hid=8, hw=10):
     named.update({f"c{t}": s.c.data for t, s in enumerate(states[1:], 1)})
     named.update({f"grad {k}": t.grad for k, t in zip(p.named(), p.parameters())})
     named.update({f"grad frame {t}": f_t.grad for t, f_t in enumerate(frames, 1)})
-    named.update({"grad h0": h0.grad, "grad c0": c0.grad})
+    if init in ("zero", "random"):
+        named.update({"grad h0": start.h.grad, "grad c0": start.c.grad})
     return named
 
 
@@ -241,3 +254,64 @@ class TestFusedStepBitExact:
                                           + [proj]])
         for got, want in zip(*results):
             assert np.array_equal(_bits(got), _bits(want))
+
+
+class TestZeroStateStepBitExact:
+    """A sequence from no state, whose first step skips the hidden-state
+    convolutions, the forget gate and the peepholes on c_0, against the same
+    sequence from ``zero_state`` through the general step and through the
+    primitive graph: every state and gradient bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 16])
+    @pytest.mark.parametrize("t_steps", [1, 2, 6])
+    def test_states_and_gradients(self, t_steps, n):
+        got = _sequence_and_grads(cl.convlstm_step, t_steps, n, "none")
+        assert len([k for k in got if k.startswith("grad convlstm/")]) == 15
+        assert len([k for k in got if k.startswith("grad frame ")]) == t_steps
+        for step, init in ((cl.convlstm_step, "zero_state"), (reference_step, "none")):
+            want = _sequence_and_grads(step, t_steps, n, init)
+            assert got.keys() == want.keys()
+            for name in want:
+                assert np.array_equal(_bits(got[name]), _bits(want[name])), (step, name)
+
+    def test_first_step_convolves_the_frames_alone(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        p = cl.init_convlstm_params(3, 4, 6, 6, 3, rng)
+        calls = []
+        conv_items = tc.conv_items
+
+        def recording(x, kernels, *args):
+            calls.append(list(kernels))
+            return conv_items(x, kernels, *args)
+
+        monkeypatch.setattr(tc, "conv_items", recording)
+        cl.convlstm_sequence([rng.normal(size=(2, 3, 6, 6)) for _ in range(2)], p, None)
+        assert [len(kernels) for kernels in calls] == [3, 4, 4]
+        assert all(a is b for a, b in zip(calls[0], (p.w_fi, p.w_fc, p.w_fo)))
+
+    def test_predict_frames_at_32x32(self, monkeypatch):
+        """One L8-shaped plot (T=6, 8 bands, 32x32) through ``predict_frames``,
+        against the same prediction with every step from ``zero_state``."""
+        from cropyield import predictor as pr
+        from cropyield.pipeline import YieldModel
+
+        rng = np.random.default_rng(5)
+        lstm = cl.init_convlstm_params(8, 8, 32, 32, 3, rng)
+        _random_biases(lstm, rng)
+        ssa = at.init_ssa_params(8, rng, groups=2)
+        head = pr.HeadParams(w=tc.param(rng.normal(size=(1, 16, 3, 3))),
+                             b=tc.param(rng.normal(size=())))
+        model = YieldModel(lstm, ssa, head, np.ones(16, dtype=bool), 2000.0, 300.0)
+        frames = rng.normal(size=(6, 8, 32, 32))
+        got = model.predict_frames(frames)
+        step = cl.convlstm_step
+
+        def from_zero_state(f_t, prev, p):
+            if prev is None:
+                n, _, h, w = f_t.data.shape
+                prev = cl.zero_state(n, p.hidden_channels, h, w)
+            return step(f_t, prev, p)
+
+        monkeypatch.setattr(cl, "convlstm_step", from_zero_state)
+        want = model.predict_frames(frames)
+        assert _bits(got) == _bits(want)
