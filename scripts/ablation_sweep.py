@@ -5,11 +5,15 @@ Each variant runs the full pipeline into its own subdirectory of --out-root;
 the per-axis comparison tables land next to them. Use --fast for a small
 configuration that finishes in a couple of minutes. A variant whose
 directory holds a finished run of the same config and dataset is reused; one
-made under another config or dataset exits 2, naming the keys that differ.
+made under another config or dataset exits 2, naming the keys that differ,
+before anything is written into --out-root. A dataset synthesized for the
+sweep moves into --out-root once the sweep has run.
 """
 
 import argparse
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 from cropyield.cli import main as cli_main
@@ -38,19 +42,20 @@ def main(argv=None):
     overrides["seed"] = args.seed
     cfg = load_config(args.config, overrides)
 
-    args.out_root.mkdir(parents=True, exist_ok=True)
-    data = args.data
-    if data is None:
-        data = args.out_root / "dataset.mtms"
-        rc = cli_main(["synth", "--source", cfg.source, "--plots", str(cfg.n_plots),
-                       "--t-steps", str(cfg.t_steps), "--height", str(cfg.height),
-                       "--width", str(cfg.width), "--seed", str(cfg.seed),
-                       "--out", str(data)])
-        if rc:
-            return rc
-
     try:
-        tables = run_ablation_sweep(cfg, data, args.out_root)
+        with tempfile.TemporaryDirectory() as tmp:
+            data = args.data
+            if data is None:  # staged, and moved into --out-root once the sweep has run
+                data = Path(tmp) / "dataset.mtms"
+                rc = cli_main(["synth", "--source", cfg.source, "--plots", str(cfg.n_plots),
+                               "--t-steps", str(cfg.t_steps), "--height", str(cfg.height),
+                               "--width", str(cfg.width), "--seed", str(cfg.seed),
+                               "--out", str(data)])
+                if rc:
+                    return rc
+            tables = run_ablation_sweep(cfg, data, args.out_root)
+            if args.data is None:
+                shutil.move(data, args.out_root / "dataset.mtms")
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

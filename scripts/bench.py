@@ -42,15 +42,16 @@ With ``--pairs WORKLOAD [WORKLOAD ...]`` it runs only the end-to-end
 measurement instead: for each workload in turn, ``PAIRS`` (10) alternating
 pairs of untraced perfbench runs of the parent and of this checkout at each
 ``--pair-seeds`` seed, the parent first in every other pair. Each A/B pair is followed by an A/A pair in the same
-alternation: the parent against a second fresh clone of the parent (the
-control), which shows how large a gap the same code can show in this
-session. All sides run from fresh clones of their commits in the
-temporary directory, so that no tree's location or untracked files count;
-a tree whose tracked files differ from its commit is refused. The trees are
+alternation: two more fresh clones of the parent, the A/A parent and the
+control, which show how large a gap the same code can show in this
+session. Each of the four sides runs from its own fresh clone of its
+commit in the temporary directory, so that no tree's location or untracked
+files count and no clone makes more than a quarter of the runs; a tree
+whose tracked files differ from its commit is refused. The trees are
 cloned once for all the workloads, and ``--out`` is written once, after the
 last run, so one commit id per side covers every workload and the output
 file, even when it is tracked in this checkout, leaves it clean until then. It stores
-each tree's commit id, every run's result line, each side's median and
+each side's commit id, every run's result line, each side's median and
 quartiles of each end-to-end metric, the pairs the change wins on each
 (``change_wins``) and the pairs the control wins in the A/A arm
 (``control_wins``), and each side's gap: the change median over the parent
@@ -327,16 +328,17 @@ def _pair_summary(results: dict, sources: dict) -> dict:
 def pairs(parent: Path, workloads, seeds) -> dict:
     """Per workload and seed, ``PAIRS`` alternating A/B pairs of untraced
     perfbench runs of ``parent`` and of this checkout, each followed by an
-    A/A pair of ``parent`` and the control, a second clone of ``parent``.
-    The three trees are cloned once, before any run, so that one commit id
-    per side covers every workload; a lower metric wins a pair."""
+    A/A pair of two more clones of ``parent``: the A/A parent and the
+    control. Each side runs from its own clone, and the four trees are
+    cloned once, before any run, so that one commit id per side covers every
+    workload; a lower metric wins a pair."""
     arms = (("parent", "change"), ("aa_parent", "control"))
     out = {}
     with tempfile.TemporaryDirectory(prefix="cropyield-pairs-") as tmp:
-        roots = {side: Path(tmp, side) for side in ("parent", "change", "control")}
-        roots["aa_parent"] = roots["parent"]
-        sources = {side: _clone(root, roots[side]) for side, root in (
-            ("parent", parent), ("change", HERE.parent.parent), ("control", parent))}
+        origins = {"parent": parent, "change": HERE.parent.parent,
+                   "aa_parent": parent, "control": parent}
+        roots = {side: Path(tmp, side) for side in origins}
+        sources = {side: _clone(origin, roots[side]) for side, origin in origins.items()}
         for workload in workloads:
             for seed in seeds:
                 results = {side: [] for arm in arms for side in arm}

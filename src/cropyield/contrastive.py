@@ -106,18 +106,18 @@ class PretrainResult:
     stats: dict
 
 
-def _view_batch(frames_by_sample, idx, den, sched, depth, rng):
+def _view_batch(frames_by_sample, idx, den, sched, rng):
     """The augmented views of the n samples ``idx`` on the item axis
     [2n,T,C,H,W]: the n first views, then the n second views, drawn sample by
     sample."""
-    views = [df.augment_pair(frames_by_sample[i], den, sched, depth, rng) for i in idx]
+    views = [df.augment_pair(frames_by_sample[i], den, sched, rng) for i in idx]
     return np.stack([v1 for v1, _ in views] + [v2 for _, v2 in views])
 
 
 def pretrain_encoder(frames_by_sample, train_idx, val_idx, den, sched, seed_rng, *,
                      epochs: int, lr: float, batch_size: int, hidden_channels: int,
                      shuffle_groups: int, attention_mode: str, conv_mode: str,
-                     tau: float = 0.22, embed_dim: int = 16, depth: int = 1) -> PretrainResult:
+                     tau: float = 0.22, embed_dim: int = 16) -> PretrainResult:
     """SGD on the contrastive objective; returns params, history, held-out stats.
 
     ``frames_by_sample[i]`` is a [T,C,H,W] array (already preprocessed).
@@ -133,7 +133,7 @@ def pretrain_encoder(frames_by_sample, train_idx, val_idx, den, sched, seed_rng,
     params = lstm_p.parameters() + ssa_p.parameters() + [proj]
 
     def batch_loss(idx_batch, rng):
-        views = _view_batch(frames_by_sample, idx_batch, den, sched, depth, rng)
+        views = _view_batch(frames_by_sample, idx_batch, den, sched, rng)
         emb = embed_sequence(views, lstm_p, ssa_p, proj)
         n = len(idx_batch)
         return contrastive_loss(emb[:n], emb[n:], tau)
@@ -165,8 +165,8 @@ def pretrain_encoder(frames_by_sample, train_idx, val_idx, den, sched, seed_rng,
         holdout_rng = np.random.default_rng(seed_rng.integers(2**63))
         with tc.no_grad():
             pos, neg = holdout_similarities(
-                frames_by_sample, val_idx, lstm_p, ssa_p, proj, den, sched, depth,
-                holdout_rng, batch_size,
+                frames_by_sample, val_idx, lstm_p, ssa_p, proj, den, sched, holdout_rng,
+                batch_size,
             )
         stats["holdout_pos_sim"] = pos
         if neg is not None:  # one held-out sample has no negative pair
@@ -176,8 +176,8 @@ def pretrain_encoder(frames_by_sample, train_idx, val_idx, den, sched, seed_rng,
                           loss_history=history_losses, stats=stats)
 
 
-def holdout_similarities(frames_by_sample, idx, lstm_p, ssa_p, proj, den, sched,
-                         depth, rng, batch_size: int):
+def holdout_similarities(frames_by_sample, idx, lstm_p, ssa_p, proj, den, sched, rng,
+                         batch_size: int):
     """Mean positive-pair and negative-pair cosine similarity on held-out samples.
 
     The views are laid out as in a pretraining minibatch (``_view_batch``:
@@ -185,7 +185,7 @@ def holdout_similarities(frames_by_sample, idx, lstm_p, ssa_p, proj, den, sched,
     ``encode_chunks``. The negative mean is None when ``idx`` holds a single
     sample; a zero-norm embedding raises DomainError.
     """
-    views = _view_batch(frames_by_sample, idx, den, sched, depth, rng)
+    views = _view_batch(frames_by_sample, idx, den, sched, rng)
     with tc.no_grad():
         feats = encode_chunks(views, lstm_p, ssa_p, batch_size)
         emb = (proj @ tc.global_avg_pool(Tensor(feats))).data

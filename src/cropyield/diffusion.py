@@ -1,12 +1,12 @@
-"""Diffusion-style augmentation: forward noising, learned reverse steps, and
+"""Diffusion-style augmentation: forward noising, a learned reverse step, and
 the training objective for the small convolutional denoiser.
 
 The forward kernel is q(z_t | z_0) = N(beta_t * z_0, (1 - beta_t) I): the
 mean coefficient is beta_t itself, so beta decreasing toward 0 walks the
 image toward pure noise. The denoiser is a two-layer conv net conditioned on
 t through an extra constant channel; the same network serves as the mean
-predictor for reverse steps and as the trajectory generator whose output is
-penalized for drifting away from the recorded noisy target.
+predictor for the reverse step and as the trajectory generator whose output
+is penalized for drifting away from the recorded noisy target.
 """
 
 from __future__ import annotations
@@ -137,38 +137,28 @@ def diffusion_loss(z0: np.ndarray, den, sched: NoiseSchedule, lam: float, rng) -
     return tc.sum_in_order([sums[:steps] / z0.size, lam * sums[steps:]])
 
 
-def augment_pair(frames: np.ndarray, den, sched: NoiseSchedule, depth: int, rng,
-                 sigma_scale: float = SIGMA_SCALE):
-    """Two independent forward-then-reverse round trips of each of M frames
+def augment_pair(frames: np.ndarray, den, sched: NoiseSchedule, rng):
+    """Two independent round trips through t = 1 of each of M frames
     [M,C,H,W]: views (v1, v2), each [M,C,H,W].
 
-    A round trip noises a frame to ``depth`` and walks it back with reverse
-    draws z_{t-1} = mu(z_t, t) + sigma_t eps, sigma_t = sigma_scale
-    sqrt(1 - beta_t). All its noise comes from one draw, laid out frame by
-    frame, view by view, as if each round trip drew its own in turn; each
+    A round trip noises a frame to z_1 = beta_1 z_0 + sqrt(1 - beta_1) eps and
+    draws it back as mu(z_1, 1) + sigma eps', sigma = SIGMA_SCALE
+    sqrt(1 - beta_1). Both noises come from one draw [M, 2, 2, C, H, W], laid
+    out frame by frame and view by view, plane 0 the forward and plane 1 the
+    reverse noise; at beta_1 = 1 both are zero and nothing is drawn. The
     reverse step is one denoiser pass over the 2M views.
     """
-    if depth > sched.steps or depth < 0:
-        raise DomainError(f"depth {depth} outside 0..{sched.steps}")
-    if sigma_scale < 0:
-        raise DomainError(f"sigma_scale must be >= 0, got {sigma_scale}")
     frames = np.asarray(frames, dtype=np.float64)
-    m = frames.shape[0]
+    m, shape = frames.shape[0], frames.shape[1:]
     z = np.stack([frames, frames], axis=1)  # [M, 2, C, H, W]
-    if depth == 0:
-        return z[:, 0], z[:, 1]
-    beta = sched.beta(depth)
-    sigmas = {t: sigma_scale * math.sqrt(1.0 - sched.beta(t)) for t in range(depth, 0, -1)}
-    draws = (beta != 1.0) + sum(s != 0.0 for s in sigmas.values())
-    noise = iter(np.moveaxis(rng.standard_normal((m, 2, draws) + frames.shape[1:]), 2, 0))
+    beta = sched.beta(1)
     if beta != 1.0:
-        z = beta * z + math.sqrt(1.0 - beta) * next(noise)
-    for t, sigma in sigmas.items():
-        with tc.no_grad():
-            z = den.forward(Tensor(z.reshape((2 * m,) + frames.shape[1:])), t).data
-        z = z.reshape((m, 2) + frames.shape[1:])
-        if sigma != 0.0:
-            z = z + sigma * next(noise)
+        noise = rng.standard_normal((m, 2, 2) + shape)
+        z = beta * z + math.sqrt(1.0 - beta) * noise[:, :, 0]
+    with tc.no_grad():
+        z = den.forward(Tensor(z.reshape((2 * m,) + shape)), 1).data.reshape((m, 2) + shape)
+    if beta != 1.0:
+        z = z + SIGMA_SCALE * math.sqrt(1.0 - beta) * noise[:, :, 1]
     return z[:, 0], z[:, 1]
 
 

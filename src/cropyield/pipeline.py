@@ -121,10 +121,13 @@ def run_stage_pretrain(run_dir: Path, ds: sd.Dataset, frames, cfg: RunConfig) ->
 def run_stage_select(run_dir: Path, ds: sd.Dataset, frames, cfg: RunConfig) -> None:
     _require_stage(run_dir, "pretrain")
     lstm, ssa = _load_encoder(load_checkpoint(run_dir / "pretrain.ckpt"), cfg)
-    feats = ct.encode_chunks(frames, lstm, ssa, cfg.batch_size).mean(axis=(2, 3))
+    rows = ds.split.train + ds.split.val  # the probe reads no test plot
+    feats = ct.encode_chunks([frames[i] for i in rows], lstm, ssa, cfg.batch_size)
+    feats = feats.mean(axis=(2, 3))
     y = np.array([s.y for s in ds.samples])
     y_std = (y - y[ds.split.train].mean()) / (y[ds.split.train].std() or 1.0)
-    fitness = eo.make_probe_fitness(feats, y_std, ds.split.train, ds.split.val)
+    n = len(ds.split.train)
+    fitness = eo.make_probe_fitness(feats, y_std[rows], range(n), range(n, len(rows)))
     dim = feats.shape[1]
     if cfg.feature_selector == "eo":
         result = eo.run_eo(dim, fitness, max_iter=cfg.eo_iters, seed=cfg.seed)
@@ -335,26 +338,27 @@ def run_ablation_sweep(base_cfg: RunConfig, data_path, out_root) -> dict:
     A variant whose run directory already holds a ``report.kv``, a
     ``config.txt`` and a ``data.txt`` is not run again. It is reused only
     when those two snapshots are the variant's; otherwise ConfigError names
-    the keys that differ."""
+    the keys that differ. Every variant is checked before any runs, so a
+    refused sweep writes nothing."""
     from dataclasses import replace
 
     out_root = Path(out_root)
-    out_root.mkdir(parents=True, exist_ok=True)
     bound = _data_text(data_path, sd.load_dataset(data_path))
+    axes = {axis: [(replace(base_cfg, **overrides).validate(), out_root / axis / name)
+                   for name, overrides in sweep]
+            for axis, sweep in (("attention", ATTENTION_SWEEP), ("optimizer", OPTIMIZER_SWEEP))}
+    done = set()
+    for cfg, run_dir in [variant for variants in axes.values() for variant in variants]:
+        if all((run_dir / f).exists() for f in ("report.kv", "config.txt", "data.txt")):
+            _refuse_other(run_dir / "config.txt", config_text(cfg), "reuse", "config")
+            _refuse_other(run_dir / "data.txt", bound, "reuse", "dataset")
+            done.add(run_dir)
     tables = {}
-    for axis, sweep in (("attention", ATTENTION_SWEEP), ("optimizer", OPTIMIZER_SWEEP)):
-        dirs = []
-        for name, overrides in sweep:
-            cfg = replace(base_cfg, **overrides).validate()
-            run_dir = out_root / axis / name
-            if all((run_dir / f).exists() for f in ("report.kv", "config.txt", "data.txt")):
-                _refuse_other(run_dir / "config.txt", config_text(cfg), "reuse", "config")
-                _refuse_other(run_dir / "data.txt", bound, "reuse", "dataset")
-            else:
+    for axis, variants in axes.items():
+        for cfg, run_dir in variants:
+            if run_dir not in done:
                 run_pipeline(cfg, data_path, run_dir)
-            dirs.append(run_dir)
-        rows, _ = merge_reports(dirs)
-        table_path = out_root / f"ablation_{axis}.txt"
-        table_path.write_text(format_table(rows))
-        tables[axis] = table_path
+        rows, _ = merge_reports([run_dir for _, run_dir in variants])
+        tables[axis] = out_root / f"ablation_{axis}.txt"
+        tables[axis].write_text(format_table(rows))
     return tables

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import os
 import shutil
@@ -604,14 +605,19 @@ class TestReportCommand:
         assert "skipped" in capsys.readouterr().err
 
 
-def _sweep_script():
+def _script(name):
     import importlib.util
 
-    path = Path(__file__).resolve().parents[1] / "scripts" / "ablation_sweep.py"
-    spec = importlib.util.spec_from_file_location("ablation_sweep", path)
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _tree_digests(root: Path) -> dict:
+    return {str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in root.rglob("*") if p.is_file()}
 
 
 class TestAblationSweep:
@@ -620,7 +626,7 @@ class TestAblationSweep:
         """A sweep root whose every variant holds a finished seed-7 --fast
         run: the dataset the script synthesizes and each variant's config
         and data snapshots, with a report whose MAPE is 0.123456789."""
-        script = _sweep_script()
+        script = _script("ablation_sweep")
         cfg = load_config(None, {**script.FAST_OVERRIDES, "seed": 7})
         data = tmp_path / "dataset.mtms"
         assert main(["synth", "--source", cfg.source, "--plots", str(cfg.n_plots),
@@ -647,8 +653,44 @@ class TestAblationSweep:
 
     def test_other_seed_into_the_root_exits_2(self, seed7_root, capsys):
         script, root = seed7_root
+        before = _tree_digests(root)
         assert script.main(["--fast", "--seed", "8", "--out-root", str(root)]) == 2
         captured = capsys.readouterr()
         assert "config error" in captured.err and "differs in seed;" in captured.err
         assert "0.123456789" not in captured.out and "sweep ==" not in captured.out
         assert not (root / "ablation_attention.txt").exists()
+        # the refused sweep wrote nothing: the seed-7 dataset keeps its bytes
+        assert _tree_digests(root)["dataset.mtms"] == before["dataset.mtms"]
+        assert _tree_digests(root) == before
+
+
+class TestBenchPairs:
+    def test_each_side_runs_from_its_own_clone(self, monkeypatch, tmp_path):
+        """--pairs clones the parent three times and this checkout once, and
+        every run of a side is made in that side's own clone."""
+        bench = _script("bench")
+        cloned, ran = {}, {}
+
+        def fake_clone(root, dest):
+            cloned[dest] = root
+            return {"commit": f"{root.name}-commit", "dirty": False}
+
+        def fake_perfbench(root, env, workload, trace, seed=1):
+            ran.setdefault(root, []).append((workload, trace, seed, env["PYTHONPATH"]))
+            return {"result": {"metrics": {"task_s": {"value": 1.0 + len(ran[root])}}}}
+
+        monkeypatch.setattr(bench, "_clone", fake_clone)
+        monkeypatch.setattr(bench, "perfbench", fake_perfbench)
+        parent = tmp_path / "parent"
+        out = bench.pairs(parent, ["ingest-s2", "predict-l8-32"], [1])
+        sides = ("parent", "change", "aa_parent", "control")
+        assert len(cloned) == len(ran) == 4 and cloned.keys() == ran.keys()
+        assert sorted(dest.name for dest in cloned) == sorted(sides)
+        assert sorted(root == parent for root in cloned.values()) == [False, True, True, True]
+        for root, runs in ran.items():
+            assert len(runs) == 2 * bench.PAIRS
+            assert {env for *_, env in runs} == {str(root / "src")}
+            assert not any(trace for _, trace, *_ in runs)
+        summary = out["ingest-s2/seed1"]
+        assert set(summary["sources"]) == set(summary["results"]) == set(sides)
+        assert all(len(rows) == bench.PAIRS for rows in summary["results"].values())

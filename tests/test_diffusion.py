@@ -88,19 +88,18 @@ def _scalar_tail_loss(z0, den, sched, lam, rng):
     return total
 
 
-def _ref_augment(frames, den, sched, depth, rng, sigma_scale):
+def _ref_augment(frames, den, sched, rng):
     """``augment_pair`` before the item axis: frame by frame, view by view,
-    one denoiser call and one draw per reverse step."""
+    one forward draw, one denoiser call and one reverse draw per round trip
+    through t = 1."""
+    sigma = df.SIGMA_SCALE * math.sqrt(1.0 - sched.beta(1))
+
     def round_trip(frame):
-        if depth == 0:
-            return np.array(frame, copy=True)
-        z = df.forward_diffuse(frame, depth, sched, rng)
-        for t in range(depth, 0, -1):
-            sigma = sigma_scale * math.sqrt(1.0 - sched.beta(t))
-            with tc.no_grad():
-                z = _ref_forward(den, Tensor(z), t).data
-            if sigma != 0.0:
-                z = z + sigma * rng.standard_normal(z.shape)
+        z = df.forward_diffuse(frame, 1, sched, rng)
+        with tc.no_grad():
+            z = _ref_forward(den, Tensor(z), 1).data
+        if sigma != 0.0:
+            z = z + sigma * rng.standard_normal(z.shape)
         return z
 
     pairs = [(round_trip(f), round_trip(f)) for f in frames]
@@ -168,15 +167,16 @@ class TestReverseStep:
         rng = np.random.default_rng(4)
         den = df.init_denoiser(2, 4, sched.steps, rng)
         z = rng.normal(size=(3, 2, 5, 5))
-        a, b = df.augment_pair(z, den, sched, 1, rng)
+        a, b = df.augment_pair(z, den, sched, rng)
         np.testing.assert_array_equal(a, den.forward(Tensor(z), 1).data)
         np.testing.assert_array_equal(b, a)
 
-    def test_zero_denoiser_unit_sigma_standard_normal(self):
+    def test_zero_denoiser_unit_sigma_standard_normal(self, monkeypatch):
         # sigma_1 = 2 sqrt(1 - 0.75) = 1
+        monkeypatch.setattr(df, "SIGMA_SCALE", 2.0)
         sched = df.NoiseSchedule((0.75,))
         draws = np.concatenate(df.augment_pair(
-            np.ones((5_000, 1, 4, 4)), ZeroDenoiser(), sched, 1, np.random.default_rng(5), 2.0))
+            np.ones((5_000, 1, 4, 4)), ZeroDenoiser(), sched, np.random.default_rng(5)))
         assert abs(draws.mean()) < 0.05
         assert abs(draws.var() - 1.0) < 0.05
 
@@ -184,7 +184,7 @@ class TestReverseStep:
         rng = np.random.default_rng(6)
         den = df.init_denoiser(3, 4, sched.steps, rng)
         z = rng.normal(size=(2, 3, 6, 7))
-        a, b = df.augment_pair(z, den, sched, 2, rng, 0.5)
+        a, b = df.augment_pair(z, den, sched, rng)
         assert a.shape == b.shape == z.shape
 
 
@@ -256,20 +256,12 @@ class TestDiffusionLoss:
 
 
 class TestAugmentPair:
-    def test_depth_zero_is_identity(self, sched):
-        rng = np.random.default_rng(13)
-        den = df.init_denoiser(2, 4, sched.steps, rng)
-        frames = rng.uniform(size=(3, 2, 5, 5))
-        a, b = df.augment_pair(frames, den, sched, 0, rng)
-        np.testing.assert_array_equal(a, frames)
-        np.testing.assert_array_equal(b, frames)
-
     def test_same_seed_same_pair(self, sched):
         rng = np.random.default_rng(14)
         den = df.init_denoiser(2, 4, sched.steps, rng)
         frames = rng.uniform(size=(3, 2, 5, 5))
-        a1, b1 = df.augment_pair(frames, den, sched, 5, np.random.default_rng(99))
-        a2, b2 = df.augment_pair(frames, den, sched, 5, np.random.default_rng(99))
+        a1, b1 = df.augment_pair(frames, den, sched, np.random.default_rng(99))
+        a2, b2 = df.augment_pair(frames, den, sched, np.random.default_rng(99))
         np.testing.assert_array_equal(a1, a2)
         np.testing.assert_array_equal(b1, b2)
 
@@ -277,15 +269,10 @@ class TestAugmentPair:
         rng = np.random.default_rng(15)
         den = df.init_denoiser(2, 4, sched.steps, rng)
         frames = rng.uniform(size=(3, 2, 5, 5))
-        a, b = df.augment_pair(frames, den, sched, 5, rng)
+        a, b = df.augment_pair(frames, den, sched, rng)
         for m in range(3):
             assert not np.array_equal(a[m], frames[m])
             assert not np.array_equal(a[m], b[m])
-
-    def test_depth_beyond_schedule_rejected(self, sched):
-        with pytest.raises(DomainError):
-            df.augment_pair(np.ones((1, 1, 5, 5)), ZeroDenoiser(), sched, 11,
-                            np.random.default_rng(0))
 
 
 class TestBitExact:
@@ -342,17 +329,15 @@ class TestBitExact:
             np.testing.assert_array_equal(_bits(got), _bits(want))
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    @pytest.mark.parametrize("depth", [0, 1, 3])
-    @pytest.mark.parametrize("sigma_scale", [0.1, 0.0])
     @pytest.mark.parametrize("m", [1, 6])
-    def test_views(self, case, depth, sigma_scale, m):
+    def test_views(self, case, m):
         sched, _ = self.CASES[case]
         rng = np.random.default_rng(22)
         den = df.init_denoiser(3, 4, sched.steps, rng)
         frames = rng.normal(size=(m, 3, 6, 5))
         got_rng, ref_rng = np.random.default_rng(23), np.random.default_rng(23)
-        got = df.augment_pair(frames, den, sched, depth, got_rng, sigma_scale)
-        want = _ref_augment(frames, den, sched, depth, ref_rng, sigma_scale)
+        got = df.augment_pair(frames, den, sched, got_rng)
+        want = _ref_augment(frames, den, sched, ref_rng)
         for g, w in zip(got, want):
             np.testing.assert_array_equal(_bits(g), _bits(w))
         assert got_rng.random() == ref_rng.random()
@@ -367,7 +352,7 @@ def test_train_denoiser_reduces_loss():
 
 
 def test_trained_round_trip_stays_near_input():
-    # half-depth round trips through a trained denoiser deviate by well under
+    # round trips through t = 1 of a trained denoiser deviate by well under
     # half the input dynamic range
     sched = df.linear_schedule(steps=10, beta_start=0.95, beta_end=0.30)
     rng = np.random.default_rng(18)
@@ -377,7 +362,7 @@ def test_trained_round_trip_stays_near_input():
     dyn = probe.max() - probe.min()
     mads = []
     for _ in range(10):
-        (a,), (b,) = df.augment_pair(probe[None], den, sched, sched.steps // 2, rng)
+        (a,), (b,) = df.augment_pair(probe[None], den, sched, rng)
         mads.append(np.mean(np.abs(a - probe)))
         mads.append(np.mean(np.abs(b - probe)))
     assert np.mean(mads) < 0.5 * dyn
