@@ -660,8 +660,9 @@ class TestAblationSweep:
         assert "0.123456789" not in captured.out and "sweep ==" not in captured.out
         assert not (root / "ablation_attention.txt").exists()
         # the refused sweep wrote nothing: the seed-7 dataset keeps its bytes
-        assert _tree_digests(root)["dataset.mtms"] == before["dataset.mtms"]
-        assert _tree_digests(root) == before
+        after = _tree_digests(root)
+        assert after["dataset.mtms"] == before["dataset.mtms"]
+        assert after == before
 
 
 class TestBenchPairs:
