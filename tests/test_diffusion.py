@@ -91,14 +91,16 @@ def _scalar_tail_loss(z0, den, sched, lam, rng):
 def _ref_augment(frames, den, sched, rng):
     """``augment_pair`` before the item axis: frame by frame, view by view,
     one forward draw, one denoiser call and one reverse draw per round trip
-    through t = 1."""
-    sigma = df.SIGMA_SCALE * math.sqrt(1.0 - sched.beta(1))
+    through t = 1. Both draws are made whenever beta_1 < 1, even at a zero
+    ``SIGMA_SCALE``."""
+    beta = sched.beta(1)
+    sigma = df.SIGMA_SCALE * math.sqrt(1.0 - beta)
 
     def round_trip(frame):
         z = df.forward_diffuse(frame, 1, sched, rng)
         with tc.no_grad():
             z = _ref_forward(den, Tensor(z), 1).data
-        if sigma != 0.0:
+        if beta != 1.0:
             z = z + sigma * rng.standard_normal(z.shape)
         return z
 
@@ -274,6 +276,27 @@ class TestAugmentPair:
             assert not np.array_equal(a[m], frames[m])
             assert not np.array_equal(a[m], b[m])
 
+    def test_one_denoiser_pass_at_t1(self, sched):
+        calls = []
+
+        class Recording:
+            def forward(self, z, t):
+                calls.append((z.data.shape, t))
+                return z
+
+        frames = np.random.default_rng(16).uniform(size=(3, 2, 5, 5))
+        df.augment_pair(frames, Recording(), sched, np.random.default_rng(17))
+        assert calls == [((6, 2, 5, 5), 1)]
+
+    def test_beta_one_draws_nothing(self):
+        rng = np.random.default_rng(18)
+        state = rng.bit_generator.state
+        a, b = df.augment_pair(np.ones((2, 1, 4, 4)), ZeroDenoiser(), df.NoiseSchedule((1.0, 0.5)),
+                               rng)
+        assert rng.bit_generator.state == state
+        np.testing.assert_array_equal(a, 0.0)
+        np.testing.assert_array_equal(b, 0.0)
+
 
 class TestBitExact:
     """The item axis against the per-term loss and the per-frame augmentation:
@@ -329,17 +352,25 @@ class TestBitExact:
             np.testing.assert_array_equal(_bits(got), _bits(want))
 
     @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("earlier_calls", [0, 1, 3])
+    @pytest.mark.parametrize("sigma_scale", [0.1, 0.0])
     @pytest.mark.parametrize("m", [1, 6])
-    def test_views(self, case, m):
+    def test_views(self, case, earlier_calls, sigma_scale, m, monkeypatch):
+        """``earlier_calls`` + 1 successive calls on one generator, each
+        against the reference's, with ``SIGMA_SCALE`` set to ``sigma_scale``:
+        a zero scale still draws the reverse plane, so the calls after the
+        first read the same stream as the reference's."""
+        monkeypatch.setattr(df, "SIGMA_SCALE", sigma_scale)
         sched, _ = self.CASES[case]
         rng = np.random.default_rng(22)
         den = df.init_denoiser(3, 4, sched.steps, rng)
         frames = rng.normal(size=(m, 3, 6, 5))
         got_rng, ref_rng = np.random.default_rng(23), np.random.default_rng(23)
-        got = df.augment_pair(frames, den, sched, got_rng)
-        want = _ref_augment(frames, den, sched, ref_rng)
-        for g, w in zip(got, want):
-            np.testing.assert_array_equal(_bits(g), _bits(w))
+        for _ in range(earlier_calls + 1):
+            got = df.augment_pair(frames, den, sched, got_rng)
+            want = _ref_augment(frames, den, sched, ref_rng)
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(_bits(g), _bits(w))
         assert got_rng.random() == ref_rng.random()
 
 
