@@ -16,7 +16,7 @@ once, with shared weights.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,27 +44,18 @@ def check_modes(attention_mode: str, conv_mode: str) -> None:
 
 
 @dataclass
-class SeParams(tc.ParamTree):
-    w1: Tensor  # [C/r, C]
-    w2: Tensor  # [C, C/r]
-
-    @property
-    def channels(self) -> int:
-        return self.w2.data.shape[0]
-
-
-@dataclass
 class SsaParams(tc.ParamTree):
     prefix = "ssa"
 
-    se: SeParams
+    se_w1: Tensor  # [C/r, C] squeeze-and-excitation bottleneck
+    se_w2: Tensor  # [C, C/r]
     groups: int  # channel-shuffle group count, divides C
     w_temporal: Tensor  # [a], one weight per history offset
     conv_kernel: Tensor  # [C_out, C, k, k] standard conv of the spatial stack
     conv_bias: Tensor  # [C_out]
-    routing: Tensor  # [K, C] routing matrix applied to pooled input
-    # K kernels [C_out, C, k, k] for the conditional conv
-    experts: list[Tensor] = field(metadata={"stem": "expert"})
+    routing: Tensor  # [2, C] routing matrix applied to pooled input
+    expert_0: Tensor  # [C_out, C, k, k], the two kernels of the conditional conv
+    expert_1: Tensor
     attention_mode: str
     conv_mode: str
 
@@ -77,46 +68,43 @@ class SsaParams(tc.ParamTree):
         return self.w_temporal.data.shape[0]
 
 
-def init_ssa_params(channels: int, rng, *, groups: int, experts: int = 2,
-                    history: int = HISTORY, attention_mode: str = ATTENTION_MODES[0],
+def init_ssa_params(channels: int, rng, *, groups: int, history: int = HISTORY,
+                    attention_mode: str = ATTENTION_MODES[0],
                     conv_mode: str = CONV_MODES[0]) -> SsaParams:
     if channels % SE_REDUCTION != 0:
         raise ConfigError(f"SE reduction {SE_REDUCTION} must divide channel count {channels}")
     if channels % groups != 0:
         raise ConfigError(f"shuffle groups {groups} must divide channel count {channels}")
-    if experts < 1:
-        raise ConfigError(f"need at least one expert kernel, got {experts}")
     k = KERNEL
     mid = channels // SE_REDUCTION
     s_se1 = 1.0 / math.sqrt(channels)
     s_se2 = 1.0 / math.sqrt(mid)
     s_conv = 1.0 / math.sqrt(channels * k * k)
-    se = SeParams(
-        w1=tc.param(rng.uniform(-s_se1, s_se1, size=(mid, channels))),
-        w2=tc.param(rng.uniform(-s_se2, s_se2, size=(channels, mid))),
-    )
-    return SsaParams(
-        se=se,
+    conv_shape = (channels, channels, k, k)
+    return SsaParams(  # the keyword order is the draw order
+        se_w1=tc.param(rng.uniform(-s_se1, s_se1, size=(mid, channels))),
+        se_w2=tc.param(rng.uniform(-s_se2, s_se2, size=(channels, mid))),
         groups=groups,
         w_temporal=tc.param(np.full(history, 1.0 / history)),
-        conv_kernel=tc.param(rng.uniform(-s_conv, s_conv, size=(channels, channels, k, k))),
+        conv_kernel=tc.param(rng.uniform(-s_conv, s_conv, size=conv_shape)),
         conv_bias=tc.param(np.zeros(channels)),
-        experts=[tc.param(rng.uniform(-s_conv, s_conv, size=(channels, channels, k, k)))
-                 for _ in range(experts)],
-        routing=tc.param(rng.uniform(-s_se1, s_se1, size=(experts, channels))),
+        expert_0=tc.param(rng.uniform(-s_conv, s_conv, size=conv_shape)),
+        expert_1=tc.param(rng.uniform(-s_conv, s_conv, size=conv_shape)),
+        routing=tc.param(rng.uniform(-s_se1, s_se1, size=(2, channels))),
         attention_mode=attention_mode,
         conv_mode=conv_mode,
     )
 
 
-def se_attention(hmap: Tensor, p: SeParams) -> Tensor:
+def se_attention(hmap: Tensor, w1: Tensor, w2: Tensor) -> Tensor:
     """Scale each channel by sigmoid(W2 relu(W1 pool(H))); scales lie in (0,1)."""
-    if hmap.data.ndim != 4 or hmap.data.shape[1] != p.channels:
+    channels = w2.data.shape[0]
+    if hmap.data.ndim != 4 or hmap.data.shape[1] != channels:
         raise ShapeMismatchError(
-            f"SE params expect [N,{p.channels},H,W] maps, got {hmap.data.shape}"
+            f"SE params expect [N,{channels},H,W] maps, got {hmap.data.shape}"
         )
     squeeze = tc.global_avg_pool(hmap)
-    scale = tc.sigmoid(p.w2 @ tc.relu(p.w1 @ squeeze))
+    scale = tc.sigmoid(w2 @ tc.relu(w1 @ squeeze))
     return tc.reshape(scale, scale.data.shape + (1, 1)) * hmap
 
 
@@ -135,11 +123,11 @@ def channel_shuffle(x: Tensor, groups: int) -> Tensor:
 def _attend(hmap: Tensor, p: SsaParams) -> Tensor:
     mode = p.attention_mode
     if mode == "senet_shuffle":
-        return channel_shuffle(se_attention(hmap, p.se), p.groups)
+        return channel_shuffle(se_attention(hmap, p.se_w1, p.se_w2), p.groups)
     if mode == "shuffle_senet":
-        return se_attention(channel_shuffle(hmap, p.groups), p.se)
+        return se_attention(channel_shuffle(hmap, p.groups), p.se_w1, p.se_w2)
     if mode == "se_only":
-        return se_attention(hmap, p.se)
+        return se_attention(hmap, p.se_w1, p.se_w2)
     if mode == "shuffle_only":
         return channel_shuffle(hmap, p.groups)
     return hmap  # "none"
@@ -162,21 +150,19 @@ def temporal_attention(hist, p: SsaParams) -> Tensor:
 
 
 def cond_conv(x: Tensor, p: SsaParams) -> Tensor:
-    """Convolution with an input-routed convex mixture of expert kernels: each
-    item mixes its own kernel [C_out, C, k, k]."""
+    """Convolution with an input-routed convex mixture of the two expert
+    kernels: each item mixes its own kernel [C_out, C, k, k]."""
     n = x.data.shape[0]
     logits = p.routing @ tc.global_avg_pool(x)
     pi = tc.softmax1d(logits)
-    mixed = None
-    for k, expert in enumerate(p.experts):
-        term = tc.reshape(pi[:, k], (n, 1, 1, 1, 1)) * expert
-        mixed = term if mixed is None else mixed + term
+    mixed = (tc.reshape(pi[:, 0], (n, 1, 1, 1, 1)) * p.expert_0
+             + tc.reshape(pi[:, 1], (n, 1, 1, 1, 1)) * p.expert_1)
     pad = (mixed.data.shape[-1] - 1) // 2
     return tc.conv_items(x, [mixed], padding=pad)[0]
 
 
 def routing_weights(x: Tensor, p: SsaParams) -> np.ndarray:
-    """Routing probabilities [N, K] for inspection/testing: positive, each row
+    """Routing probabilities [N, 2] for inspection/testing: positive, each row
     summing to 1."""
     return tc.softmax1d(p.routing @ tc.global_avg_pool(x)).data
 

@@ -64,7 +64,7 @@ class DenoiserParams(tc.ParamTree):
     b1: Tensor  # [hidden]
     conv2: Tensor  # [C, hidden, 3, 3]
     b2: Tensor  # [C]
-    steps: int  # schedule length; t enters as t / steps
+    sched: NoiseSchedule  # the schedule it is trained on; t enters as t / sched.steps
 
     @property
     def channels(self) -> int:
@@ -78,7 +78,7 @@ class DenoiserParams(tc.ParamTree):
                 f"denoiser expects [N,{self.channels},H,W], got {z.data.shape}"
             )
         n, _, h, w = z.data.shape
-        t_map = np.reshape(np.asarray(t) / self.steps, (-1, 1, 1, 1))
+        t_map = np.reshape(np.asarray(t) / self.sched.steps, (-1, 1, 1, 1))
         x = tc.concat([z, Tensor(np.broadcast_to(t_map, (n, 1, h, w)))], axis=1)
         (h1,) = tc.conv_items(x, [self.conv1], padding=1)
         (out,) = tc.conv_items(tc.relu(h1 + _chan(self.b1)), [self.conv2], padding=1)
@@ -89,7 +89,7 @@ def _chan(b: Tensor) -> Tensor:
     return tc.reshape(b, (-1, 1, 1))
 
 
-def init_denoiser(channels: int, hidden: int, steps: int, rng) -> DenoiserParams:
+def init_denoiser(channels: int, hidden: int, sched: NoiseSchedule, rng) -> DenoiserParams:
     """Seeded uniform init in [-s, s] with s = 1/sqrt(fan_in); zero biases."""
     k = 3
     s1 = 1.0 / math.sqrt((channels + 1) * k * k)
@@ -99,7 +99,7 @@ def init_denoiser(channels: int, hidden: int, steps: int, rng) -> DenoiserParams
         b1=tc.param(np.zeros(hidden)),
         conv2=tc.param(rng.uniform(-s2, s2, size=(channels, hidden, k, k))),
         b2=tc.param(np.zeros(channels)),
-        steps=steps,
+        sched=sched,
     )
 
 
@@ -111,9 +111,9 @@ def forward_diffuse(z0: np.ndarray, t: int, sched: NoiseSchedule, rng) -> np.nda
     return beta * z0 + math.sqrt(1.0 - beta) * rng.standard_normal(np.shape(z0))
 
 
-def diffusion_loss(z0: np.ndarray, den, sched: NoiseSchedule, lam: float, rng) -> Tensor:
+def diffusion_loss(z0: np.ndarray, den, lam: float, rng) -> Tensor:
     """Denoiser training objective: per-step reconstruction MSE summed over the
-    whole schedule, plus ``lam`` times the trajectory penalty (the squared L2
+    denoiser's whole schedule, plus ``lam`` times the trajectory penalty (the squared L2
     gap between the recorded noisy target z_t and the prediction from the
     clean image) on a seeded random half of the timesteps.
 
@@ -122,6 +122,7 @@ def diffusion_loss(z0: np.ndarray, den, sched: NoiseSchedule, lam: float, rng) -
     """
     if lam < 0:
         raise DomainError(f"lam must be >= 0, got {lam}")
+    sched = den.sched
     steps = sched.steps
     ts = list(range(1, steps + 1))
     targets = np.stack([forward_diffuse(z0, t, sched, rng) for t in ts])
@@ -137,13 +138,13 @@ def diffusion_loss(z0: np.ndarray, den, sched: NoiseSchedule, lam: float, rng) -
     return tc.sum_in_order([sums[:steps] / z0.size, lam * sums[steps:]])
 
 
-def augment_pair(frames: np.ndarray, den, sched: NoiseSchedule, rng):
+def augment_pair(frames: np.ndarray, den, rng):
     """Two independent round trips through t = 1 of each of M frames
     [M,C,H,W]: views (v1, v2), each [M,C,H,W].
 
-    A round trip noises a frame to z_1 = beta_1 z_0 + sqrt(1 - beta_1) eps and
-    draws it back as mu(z_1, 1) + sigma eps', sigma = SIGMA_SCALE
-    sqrt(1 - beta_1). Both noises come from one draw [M, 2, 2, C, H, W], laid
+    A round trip, with beta_1 from the denoiser's schedule, noises a frame to
+    z_1 = beta_1 z_0 + sqrt(1 - beta_1) eps and draws it back as
+    mu(z_1, 1) + sigma eps', sigma = SIGMA_SCALE sqrt(1 - beta_1). Both noises come from one draw [M, 2, 2, C, H, W], laid
     out frame by frame and view by view, plane 0 the forward and plane 1 the
     reverse noise; at beta_1 = 1 both are zero and nothing is drawn. The
     reverse step is one denoiser pass over the 2M views.
@@ -151,7 +152,7 @@ def augment_pair(frames: np.ndarray, den, sched: NoiseSchedule, rng):
     frames = np.asarray(frames, dtype=np.float64)
     m, shape = frames.shape[0], frames.shape[1:]
     z = np.stack([frames, frames], axis=1)  # [M, 2, C, H, W]
-    beta = sched.beta(1)
+    beta = den.sched.beta(1)
     if beta != 1.0:
         noise = rng.standard_normal((m, 2, 2) + shape)
         z = beta * z + math.sqrt(1.0 - beta) * noise[:, :, 0]
@@ -169,14 +170,14 @@ def train_denoiser(frames, sched: NoiseSchedule, rng, *, epochs: int, lr: float 
 
     Returns the trained denoiser and the per-epoch mean loss.
     """
-    den = init_denoiser(frames[0].shape[0], DENOISER_HIDDEN, sched.steps, rng)
+    den = init_denoiser(frames[0].shape[0], DENOISER_HIDDEN, sched, rng)
     params = den.parameters()
     history = []
     for _ in range(epochs):
         epoch_loss = 0.0
         for (i,) in tc.minibatches(range(len(frames)), 1, rng):
             epoch_loss += tc.sgd_step(
-                params, lambda: diffusion_loss(frames[i], den, sched, CONSISTENCY_WEIGHT, rng),
+                params, lambda: diffusion_loss(frames[i], den, CONSISTENCY_WEIGHT, rng),
                 lr, "denoiser training",
             )
         history.append(epoch_loss / len(frames))

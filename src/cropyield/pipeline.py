@@ -16,6 +16,7 @@ or from a dataset that differs from the directory's snapshot (``config.txt``,
 from __future__ import annotations
 
 import math
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -92,7 +93,7 @@ def run_stage_pretrain(run_dir: Path, ds: sd.Dataset, frames, cfg: RunConfig) ->
     den, den_history = df.train_denoiser(den_frames, sched, rng_for(cfg.seed, "denoiser"),
                                          epochs=cfg.denoiser_epochs)
     result = ct.pretrain_encoder(
-        frames, ds.split.train, ds.split.val, den, sched, rng_for(cfg.seed, "pretrain"),
+        frames, ds.split.train, ds.split.val, den, rng_for(cfg.seed, "pretrain"),
         epochs=cfg.pretrain_epochs, lr=cfg.pretrain_lr, batch_size=cfg.batch_size,
         hidden_channels=cfg.hidden_channels, shuffle_groups=cfg.shuffle_groups,
         attention_mode=cfg.attention_mode, conv_mode=cfg.conv_mode,
@@ -339,7 +340,9 @@ def run_ablation_sweep(base_cfg: RunConfig, data_path, out_root) -> dict:
     ``config.txt`` and a ``data.txt`` is not run again. It is reused only
     when those two snapshots are the variant's; otherwise ConfigError names
     the keys that differ. Every variant is checked before any runs, so a
-    refused sweep writes nothing."""
+    refused sweep writes nothing. Each distinct config runs once: a variant
+    with the config of another variant's finished run gets a copy of that
+    run directory."""
     from dataclasses import replace
 
     out_root = Path(out_root)
@@ -348,16 +351,24 @@ def run_ablation_sweep(base_cfg: RunConfig, data_path, out_root) -> dict:
                    for name, overrides in sweep]
             for axis, sweep in (("attention", ATTENTION_SWEEP), ("optimizer", OPTIMIZER_SWEEP))}
     done = set()
+    finished = {}  # config text -> a run directory holding that config's finished run
     for cfg, run_dir in [variant for variants in axes.values() for variant in variants]:
         if all((run_dir / f).exists() for f in ("report.kv", "config.txt", "data.txt")):
             _refuse_other(run_dir / "config.txt", config_text(cfg), "reuse", "config")
             _refuse_other(run_dir / "data.txt", bound, "reuse", "dataset")
             done.add(run_dir)
+            finished.setdefault(config_text(cfg), run_dir)
     tables = {}
     for axis, variants in axes.items():
         for cfg, run_dir in variants:
-            if run_dir not in done:
+            text = config_text(cfg)
+            if run_dir in done:
+                continue
+            if text in finished:
+                shutil.copytree(finished[text], run_dir, dirs_exist_ok=True)
+            else:
                 run_pipeline(cfg, data_path, run_dir)
+                finished[text] = run_dir
         rows, _ = merge_reports([run_dir for _, run_dir in variants])
         tables[axis] = out_root / f"ablation_{axis}.txt"
         tables[axis].write_text(format_table(rows))

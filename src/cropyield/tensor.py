@@ -61,7 +61,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import fields
 from functools import lru_cache
-from typing import ClassVar, NamedTuple, get_origin, get_type_hints
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -184,57 +184,37 @@ def param(data) -> Tensor:
 class ParamTree:
     """Base of the parameter dataclasses: one walk for training and checkpoints.
 
-    A ``Tensor`` field is a leaf, a list of Tensors gives the leaves
-    ``<name>_0``, ``<name>_1``, ..., and a nested tree is flattened with ``_``
-    (``se`` + ``w1`` -> ``se_w1``). A field's ``stem`` metadata replaces its
-    name on disk. Other fields (ints, strs) are static: they are not stored
-    and are passed to ``from_named``.
+    Every ``Tensor`` field is a parameter, stored as ``<prefix>/<field name>``.
+    Other fields (ints, strs, a noise schedule) are static: they are not
+    stored and are passed to ``from_named``.
     """
 
     prefix: ClassVar[str] = ""
 
-    def _leaves(self, stem: str = ""):
+    def _leaves(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            name = stem + f.metadata.get("stem", f.name)
             if isinstance(value, Tensor):
-                yield name, value
-            elif isinstance(value, ParamTree):
-                yield from value._leaves(name + "_")
-            elif isinstance(value, list):
-                for i, t in enumerate(value):
-                    yield f"{name}_{i}", t
+                yield f.name, value
 
     def parameters(self) -> list[Tensor]:
         return [t for _, t in self._leaves()]
 
     def named(self) -> dict:
-        """Checkpoint arrays keyed ``<prefix>/<leaf name>``."""
+        """Checkpoint arrays keyed ``<prefix>/<field name>``."""
         return {f"{self.prefix}/{name}": t.data for name, t in self._leaves()}
 
     @classmethod
     def from_named(cls, named: dict, **static):
-        """Rebuild from ``named()`` output; ``static`` supplies the non-tensor fields."""
-        return cls._build(named, cls.prefix + "/", static)
-
-    @classmethod
-    def _build(cls, named: dict, stem: str, static: dict):
+        """Rebuild from ``named()`` output; ``static`` supplies the non-Tensor
+        fields, and every other field is read from ``named``."""
         kwargs = dict(static)
-        hints = get_type_hints(cls)
         for f in fields(cls):
-            kind = hints[f.name]
-            name = stem + f.metadata.get("stem", f.name)
-            if kind is Tensor:
-                if name not in named:
-                    raise DataFormatError(f"checkpoint has no tensor {name!r}")
-                kwargs[f.name] = param(named[name])
-            elif get_origin(kind) is list:
-                items = []
-                while f"{name}_{len(items)}" in named:
-                    items.append(param(named[f"{name}_{len(items)}"]))
-                kwargs[f.name] = items
-            elif isinstance(kind, type) and issubclass(kind, ParamTree):
-                kwargs[f.name] = kind._build(named, name + "_", {})
+            if f.name not in static:
+                key = f"{cls.prefix}/{f.name}"
+                if key not in named:
+                    raise DataFormatError(f"checkpoint has no tensor {key!r}")
+                kwargs[f.name] = param(named[key])
         return cls(**kwargs)
 
 
@@ -472,7 +452,8 @@ def relu(a: Tensor) -> Tensor:
     def bw(g):
         _acc(a, g * mask)
 
-    return _node(np.where(mask, a.data, 0.0), (a,), bw)
+    # NaN fails both comparisons, so it passes through forward to the loss check
+    return _node(np.where(a.data <= 0, 0.0, a.data), (a,), bw)
 
 
 # -- shape manipulation --------------------------------------------------------

@@ -71,7 +71,7 @@ def test_criterion_1_gradient_suite():
 
     worst["convlstm_step"] = max(tc.grad_check(lstm_loss, t) for t in p.parameters())
 
-    ssa = at.init_ssa_params(4, np.random.default_rng(102), groups=2, history=2, experts=2)
+    ssa = at.init_ssa_params(4, np.random.default_rng(102), groups=2, history=2)
     h_t = rng.normal(size=(4, 6, 6)) * 0.5
     hist = [rng.normal(size=(4, 6, 6)) * 0.5 for _ in range(2)]
 
@@ -82,11 +82,10 @@ def test_criterion_1_gradient_suite():
     worst["ssa_forward"] = max(tc.grad_check(ssa_loss, t) for t in ssa.parameters())
 
     sched = df.linear_schedule(steps=6, beta_start=0.95, beta_end=0.4)
-    den = df.init_denoiser(2, 3, sched.steps, np.random.default_rng(103))
+    den = df.init_denoiser(2, 3, sched, np.random.default_rng(103))
     z0 = rng.normal(size=(2, 5, 5)) * 0.5
     worst["diffusion_loss"] = max(
-        tc.grad_check(lambda _t: df.diffusion_loss(z0, den, sched, 0.1,
-                                                   np.random.default_rng(5)), t)
+        tc.grad_check(lambda _t: df.diffusion_loss(z0, den, 0.1, np.random.default_rng(5)), t)
         for t in den.parameters()
     )
 
@@ -145,9 +144,9 @@ def test_criterion_2_equation_oracles():
                    and float(np.max(np.abs(out.h.data[0] - 0.5 * np.tanh(0.5 * c0)))) < 1e-9))
 
     # SE with zero weights scales by exactly 0.5
-    se = at.SeParams(w1=tc.param(np.zeros((2, 4))), w2=tc.param(np.zeros((4, 2))))
     h = np.random.default_rng(1).normal(size=(4, 5, 5))
-    got = at.se_attention(Tensor(h[None]), se).data[0]
+    got = at.se_attention(Tensor(h[None]), tc.param(np.zeros((2, 4))),
+                          tc.param(np.zeros((4, 2)))).data[0]
     checks.append(("SE half scale", float(np.max(np.abs(got - 0.5 * h))) < 1e-9))
 
     # channel shuffle permutation for C=4, g=2

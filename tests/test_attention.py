@@ -16,20 +16,20 @@ def make_params(channels=4, rng_seed=0, **kw):
 class TestSeAttention:
     def test_zero_input_zero_output(self):
         p = make_params()
-        out = at.se_attention(Tensor(np.zeros((1, 4, 5, 5))), p.se)
+        out = at.se_attention(Tensor(np.zeros((1, 4, 5, 5))), p.se_w1, p.se_w2)
         assert np.all(out.data == 0.0)
 
     def test_zero_weights_half_scale(self):
-        se = at.SeParams(w1=tc.param(np.zeros((2, 4))), w2=tc.param(np.zeros((4, 2))))
         rng = np.random.default_rng(1)
         h = rng.normal(size=(4, 5, 5))
-        out = at.se_attention(Tensor(h[None]), se)
+        out = at.se_attention(Tensor(h[None]), tc.param(np.zeros((2, 4))),
+                              tc.param(np.zeros((4, 2))))
         np.testing.assert_allclose(out.data[0], 0.5 * h, atol=1e-12)
 
     def test_ratio_constant_per_channel(self):
         p = make_params()
         h = np.random.default_rng(2).normal(size=(4, 6, 6)) + 5.0  # keep away from 0
-        out = at.se_attention(Tensor(h[None]), p.se)
+        out = at.se_attention(Tensor(h[None]), p.se_w1, p.se_w2)
         ratio = out.data[0] / h
         for c in range(4):
             assert np.allclose(ratio[c], ratio[c].flat[0])
@@ -38,7 +38,7 @@ class TestSeAttention:
     def test_never_increases_magnitude_or_flips_sign(self):
         p = make_params()
         h = np.random.default_rng(3).normal(size=(4, 5, 5))
-        out = at.se_attention(Tensor(h[None]), p.se).data[0]
+        out = at.se_attention(Tensor(h[None]), p.se_w1, p.se_w2).data[0]
         assert np.all(np.abs(out) <= np.abs(h))
         assert np.all(out * h >= 0.0)
 
@@ -79,7 +79,8 @@ class TestTemporalAttention:
         p = make_params(history=1)
         h = Tensor(np.random.default_rng(6).normal(size=(1, 4, 5, 5)))
         got = at.temporal_attention([h], p)
-        want = p.w_temporal.data[0] * at.channel_shuffle(at.se_attention(h, p.se), p.groups).data
+        attended = at.channel_shuffle(at.se_attention(h, p.se_w1, p.se_w2), p.groups)
+        want = p.w_temporal.data[0] * attended.data
         np.testing.assert_allclose(got.data, want, atol=1e-12)
 
     def test_zero_weights_zero_map(self):
@@ -121,18 +122,10 @@ def _conv(x, kernels, padding=0, dilation=1):
 
 
 class TestCondConv:
-    def test_single_expert_equals_conv2d(self):
-        p = make_params(experts=1)
-        x = Tensor(np.random.default_rng(9).normal(size=(1, 4, 6, 6)))
-        got = at.cond_conv(x, p)
-        want = _conv(Tensor(x.data[0]), p.experts[0], padding=1)
-        np.testing.assert_allclose(got.data[0], want.data, atol=1e-12)
-        assert at.routing_weights(x, p)[0, 0] == 1.0
-
     def test_equal_experts_routing_invariant(self):
-        p = make_params(experts=3)
-        shared = np.random.default_rng(10).normal(size=p.experts[0].data.shape)
-        for e in p.experts:
+        p = make_params()
+        shared = np.random.default_rng(10).normal(size=p.expert_0.data.shape)
+        for e in (p.expert_0, p.expert_1):
             e.data[:] = shared
         x = Tensor(np.random.default_rng(11).normal(size=(1, 4, 6, 6)))
         got = at.cond_conv(x, p)
@@ -140,7 +133,7 @@ class TestCondConv:
         np.testing.assert_allclose(got.data[0], want.data, atol=1e-10)
 
     def test_routing_is_probability_vector(self):
-        p = make_params(experts=2)
+        p = make_params()
         for seed in range(5):
             x = Tensor(np.random.default_rng(seed).normal(size=(1, 4, 6, 6)))
             pi = at.routing_weights(x, p)[0]

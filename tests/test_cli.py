@@ -24,7 +24,8 @@ from cropyield.cli import main
 from cropyield.config import RunConfig, config_text, load_config, parse_overrides
 from cropyield.errors import ConfigError, DomainError
 from cropyield.fileio import load_checkpoint
-from cropyield.pipeline import ATTENTION_SWEEP, OPTIMIZER_SWEEP, _data_text, run_pipeline
+from cropyield.pipeline import (ATTENTION_SWEEP, OPTIMIZER_SWEEP, _data_text, run_ablation_sweep,
+                                run_pipeline)
 
 FAST = [
     "n_plots=12", "t_steps=4", "height=8", "width=8",
@@ -237,7 +238,8 @@ class TestPipelineCommand:
         ssa = at.init_ssa_params(cfg.hidden_channels, rng, groups=cfg.shuffle_groups)
         encoder = {**cl.init_convlstm_params(12, cfg.hidden_channels, 8, 8, 3, rng).named(),
                    **ssa.named()}
-        den = df.init_denoiser(12, df.DENOISER_HIDDEN, cfg.diff_steps, rng).named()
+        sched = df.linear_schedule(steps=cfg.diff_steps, beta_end=cfg.beta_end)
+        den = df.init_denoiser(12, df.DENOISER_HIDDEN, sched, rng).named()
         head = pr.init_head(1).named()
         assert set(load_checkpoint(run_dir / "pretrain.ckpt")) == {*den, *encoder, "projection"}
         assert set(load_checkpoint(run_dir / "model.ckpt")) == {
@@ -663,6 +665,29 @@ class TestAblationSweep:
         after = _tree_digests(root)
         assert after["dataset.mtms"] == before["dataset.mtms"]
         assert after == before
+
+
+    def test_each_distinct_config_runs_once(self, tiny_dataset, monkeypatch, tmp_path):
+        """The optimizer axis's equilibrium variant has the config of the
+        attention axis's default composition: on a fresh root it gets a copy
+        of that run, and 9 of the 10 variants run."""
+        runs = []
+
+        def counting_run(cfg, data_path, run_dir):
+            runs.append(run_dir)
+            run_dir.mkdir(parents=True)
+            (run_dir / "config.txt").write_text(config_text(cfg))
+            (run_dir / "data.txt").write_text(_data_text(data_path, sd.load_dataset(data_path)))
+            (run_dir / "report.kv").write_text(f"mape=0.{len(runs)}\nrmsle=0.5\nsmape=0.25\n")
+            return run_dir
+
+        monkeypatch.setattr("cropyield.pipeline.run_pipeline", counting_run)
+        run_ablation_sweep(RunConfig(), tiny_dataset, tmp_path)
+        assert len(runs) == len(set(runs)) == 9
+        copy = tmp_path / "optimizer" / "equilibrium"
+        assert copy not in runs
+        assert (_tree_digests(copy)
+                == _tree_digests(tmp_path / "attention" / "senet_shuffle_conv_condconv"))
 
 
 class TestBenchPairs:

@@ -207,24 +207,23 @@ def test_holdout_similarities_reject_a_zero_norm_embedding():
     rng = np.random.default_rng(9)
     frames = [rng.normal(size=(3, 2, 5, 5)) for _ in range(3)]
     sched = df.linear_schedule(steps=4, beta_start=0.95, beta_end=0.5)
-    den = df.init_denoiser(2, 4, sched.steps, rng)
+    den = df.init_denoiser(2, 4, sched, rng)
     lstm = cl.init_convlstm_params(2, 4, 5, 5, 3, rng)
     ssa = at.init_ssa_params(4, rng, groups=2)
     args = (frames, [0, 1, 2], lstm, ssa)
-    rest = (den, sched, np.random.default_rng(10), 2)
+    rest = (den, np.random.default_rng(10), 2)
     pos, neg = ct.holdout_similarities(*args, tc.param(rng.normal(size=(4, 8))), *rest)
     assert -1.0 <= pos <= 1.0 and -1.0 <= neg <= 1.0
     with pytest.raises(DomainError, match="zero-norm"):
         ct.holdout_similarities(*args, tc.param(np.zeros((4, 8))), *rest)
 
 
-def _interleaved_holdout(frames_by_sample, idx, lstm_p, ssa_p, proj, den, sched, rng,
-                         batch_size):
+def _interleaved_holdout(frames_by_sample, idx, lstm_p, ssa_p, proj, den, rng, batch_size):
     """``holdout_similarities`` as it was with its own view loop: the views
     interleaved (v1, v2 of sample 0, then of sample 1, ...), sims read off
     the even and the odd rows."""
     views = [v for i in idx
-             for v in df.augment_pair(frames_by_sample[i], den, sched, rng)]
+             for v in df.augment_pair(frames_by_sample[i], den, rng)]
     with tc.no_grad():
         feats = ct.encode_chunks(views, lstm_p, ssa_p, batch_size)
         emb = (proj @ tc.global_avg_pool(Tensor(feats))).data
@@ -244,23 +243,15 @@ def test_holdout_similarities_match_the_interleaved_layout(n, batch_size, c_in, 
     rng = np.random.default_rng([n, batch_size, c_in])
     frames = [rng.normal(size=(t_steps, c_in, hw, hw)) for _ in range(n + 2)]
     sched = df.linear_schedule(steps=4, beta_start=0.95, beta_end=0.5)
-    den = df.init_denoiser(c_in, 4, sched.steps, rng)
+    den = df.init_denoiser(c_in, 4, sched, rng)
     lstm = cl.init_convlstm_params(c_in, 4, hw, hw, 3, rng)
     ssa = at.init_ssa_params(4, rng, groups=2)
     proj = tc.param(rng.normal(size=(6, 8)))
     idx = list(range(2, n + 2))
-    got, want = (holdout(frames, idx, lstm, ssa, proj, den, sched,
-                         np.random.default_rng(14), batch_size)
+    got, want = (holdout(frames, idx, lstm, ssa, proj, den, np.random.default_rng(14),
+                         batch_size)
                  for holdout in (ct.holdout_similarities, _interleaved_holdout))
     assert repr(got) == repr(want)
-
-
-class _IdentityDenoiser:
-    """Returns its input: a NaN in a frame survives the round trip, where the
-    denoiser's relu would map it to 0."""
-
-    def forward(self, z, t):
-        return z
 
 
 def test_pretrain_raise_names_its_stage():
@@ -268,10 +259,10 @@ def test_pretrain_raise_names_its_stage():
     frames = [rng.normal(size=(3, 2, 5, 5)) for _ in range(4)]
     frames[2][1, 0, 0, 0] = np.nan
     sched = df.linear_schedule(steps=4, beta_start=0.95, beta_end=0.5)
-    den = _IdentityDenoiser()
+    den = df.init_denoiser(2, 4, sched, rng)
     with np.errstate(invalid="ignore"), \
             pytest.raises(NumericalError, match="^contrastive pre-training diverged"):
-        ct.pretrain_encoder(frames, [0, 1, 2, 3], [], den, sched, np.random.default_rng(8),
+        ct.pretrain_encoder(frames, [0, 1, 2, 3], [], den, np.random.default_rng(8),
                             epochs=1, lr=0.01, batch_size=4, hidden_channels=4, **PAPER_ENCODER,
                             embed_dim=4)
 
@@ -304,8 +295,8 @@ def _ref_step(f_t, h, c, p):
     return o_t * tc.tanh(c_t), c_t
 
 
-def _ref_se(hmap, se):
-    scale = tc.sigmoid(se.w2 @ tc.relu(se.w1 @ tc.global_avg_pool(hmap)))
+def _ref_se(hmap, p):
+    scale = tc.sigmoid(p.se_w2 @ tc.relu(p.se_w1 @ tc.global_avg_pool(hmap)))
     return tc.reshape(scale, (-1, 1, 1)) * hmap
 
 
@@ -316,11 +307,11 @@ def _ref_shuffle(x, groups):
 def _ref_attend(hmap, p):
     mode = p.attention_mode
     if mode == "senet_shuffle":
-        return _ref_shuffle(_ref_se(hmap, p.se), p.groups)
+        return _ref_shuffle(_ref_se(hmap, p), p.groups)
     if mode == "shuffle_senet":
-        return _ref_se(_ref_shuffle(hmap, p.groups), p.se)
+        return _ref_se(_ref_shuffle(hmap, p.groups), p)
     if mode == "se_only":
-        return _ref_se(hmap, p.se)
+        return _ref_se(hmap, p)
     if mode == "shuffle_only":
         return _ref_shuffle(hmap, p.groups)
     return hmap
@@ -329,7 +320,7 @@ def _ref_attend(hmap, p):
 def _ref_cond_conv(x, p):
     pi = tc.softmax1d(p.routing @ tc.global_avg_pool(x))
     mixed = None
-    for k, expert in enumerate(p.experts):
+    for k, expert in enumerate((p.expert_0, p.expert_1)):
         term = pi[k] * expert
         mixed = term if mixed is None else mixed + term
     return _conv(x, mixed, padding=(mixed.data.shape[2] - 1) // 2)
@@ -562,7 +553,7 @@ class TestBackwardFreesTheGraph:
         assert held < 2**20, held / 2**20
 
 
-def _per_view_pretrain(frames_by_sample, train_idx, val_idx, den, sched, seed_rng,
+def _per_view_pretrain(frames_by_sample, train_idx, val_idx, den, seed_rng,
                        epochs, lr, batch_size, tau, embed_dim, hidden_channels):
     """``pretrain_encoder`` as it was before the item axis: one graph per view."""
     _, channels, h, w = frames_by_sample[train_idx[0]].shape
@@ -575,7 +566,7 @@ def _per_view_pretrain(frames_by_sample, train_idx, val_idx, den, sched, seed_rn
     def batch_loss(batch, rng):
         pairs = []
         for i in batch:
-            v1, v2 = df.augment_pair(frames_by_sample[i], den, sched, rng)
+            v1, v2 = df.augment_pair(frames_by_sample[i], den, rng)
             pairs.append((_ref_embed(v1, lstm, ssa, proj), _ref_embed(v2, lstm, ssa, proj)))
         return ct.contrastive_loss(*blocks(pairs), tau)
 
@@ -594,7 +585,7 @@ def _per_view_pretrain(frames_by_sample, train_idx, val_idx, den, sched, seed_rn
              "final_loss": history[-1]}
     rng = np.random.default_rng(seed_rng.integers(2**63))
     with tc.no_grad():
-        embedded = [df.augment_pair(frames_by_sample[i], den, sched, rng)
+        embedded = [df.augment_pair(frames_by_sample[i], den, rng)
                     for i in val_idx]
         v1s = [_ref_embed(v1, lstm, ssa, proj) for v1, _ in embedded]
         v2s = [_ref_embed(v2, lstm, ssa, proj) for _, v2 in embedded]
@@ -612,12 +603,12 @@ def test_pretraining_matches_the_per_view_loop():
     rng = np.random.default_rng(11)
     frames = [rng.normal(size=(4, 3, 6, 6)) for _ in range(12)]
     sched = df.linear_schedule(steps=4, beta_start=0.95, beta_end=0.5)
-    den = df.init_denoiser(3, 4, sched.steps, rng)
+    den = df.init_denoiser(3, 4, sched, rng)
     kw = dict(epochs=2, lr=0.05, batch_size=4, tau=0.5, embed_dim=6, hidden_channels=4)
     train, val = list(range(9)), [9, 10, 11]
-    history, stats, named = _per_view_pretrain(frames, train, val, den, sched,
+    history, stats, named = _per_view_pretrain(frames, train, val, den,
                                                np.random.default_rng(12), **kw)
-    got = ct.pretrain_encoder(frames, train, val, den, sched, np.random.default_rng(12), **kw,
+    got = ct.pretrain_encoder(frames, train, val, den, np.random.default_rng(12), **kw,
                               **PAPER_ENCODER)
     # the epoch-0 evaluation precedes any update: the same bits
     assert repr(got.loss_history[0]) == repr(history[0])

@@ -10,6 +10,9 @@ from cropyield.tensor import Tensor
 
 
 class ZeroDenoiser:
+    def __init__(self, sched):
+        self.sched = sched
+
     def forward(self, z, t):
         return Tensor(np.zeros_like(z.data))
 
@@ -18,8 +21,8 @@ class OracleDenoiser:
     """Returns the clean image for a noisy input and, for the clean image at
     timestep t, the recorded noisy target of t plus ``offset``."""
 
-    def __init__(self, z0, targets, offset=0.0):
-        self.z0, self.targets, self.offset = z0, targets, offset
+    def __init__(self, z0, targets, sched, offset=0.0):
+        self.z0, self.targets, self.sched, self.offset = z0, targets, sched, offset
 
     def forward(self, z, t):
         ts = np.broadcast_to(t, len(z.data))
@@ -29,6 +32,9 @@ class OracleDenoiser:
 
 
 class IdentityDenoiser:
+    def __init__(self, sched):
+        self.sched = sched
+
     def forward(self, z, t):
         return z if isinstance(z, Tensor) else Tensor(z)
 
@@ -41,14 +47,15 @@ def _conv(x, kernels, padding):
 
 def _ref_forward(den, z, t):
     """The denoiser before the item axis: one [C,H,W] image per call."""
-    t_map = Tensor(np.full((1,) + z.data.shape[1:], t / den.steps))
+    t_map = Tensor(np.full((1,) + z.data.shape[1:], t / den.sched.steps))
     x = tc.concat([z, t_map], axis=0)
     h = tc.relu(_conv(x, den.conv1, 1) + tc.reshape(den.b1, (-1, 1, 1)))
     return _conv(h, den.conv2, 1) + tc.reshape(den.b2, (-1, 1, 1))
 
 
-def _ref_loss(z0, den, sched, lam, rng):
+def _ref_loss(z0, den, lam, rng):
     """``diffusion_loss`` before the item axis: one denoiser graph per term."""
+    sched = den.sched
     targets = {t: df.forward_diffuse(z0, t, sched, rng) for t in range(1, sched.steps + 1)}
     z0_t = Tensor(z0)
     total = Tensor(0.0)
@@ -63,11 +70,11 @@ def _ref_loss(z0, den, sched, lam, rng):
     return total
 
 
-def _scalar_tail_loss(z0, den, sched, lam, rng):
+def _scalar_tail_loss(z0, den, lam, rng):
     """``diffusion_loss`` with its sum as a chain of scalar nodes: three nodes
     per term (``sums[i, 0]``, ``/ z0.size`` or ``lam *``, ``+``)."""
-    steps = sched.steps
-    betas = np.asarray(sched.betas, dtype=np.float64)
+    steps = den.sched.steps
+    betas = np.asarray(den.sched.betas, dtype=np.float64)
     noisy = betas != 1.0
     eps = rng.standard_normal((int(noisy.sum()),) + np.shape(z0))
     beta = betas[noisy].reshape((-1,) + (1,) * np.ndim(z0))
@@ -88,11 +95,12 @@ def _scalar_tail_loss(z0, den, sched, lam, rng):
     return total
 
 
-def _ref_augment(frames, den, sched, rng):
+def _ref_augment(frames, den, rng):
     """``augment_pair`` before the item axis: frame by frame, view by view,
     one forward draw, one denoiser call and one reverse draw per round trip
     through t = 1. Both draws are made whenever beta_1 < 1, even at a zero
     ``SIGMA_SCALE``."""
+    sched = den.sched
     beta = sched.beta(1)
     sigma = df.SIGMA_SCALE * math.sqrt(1.0 - beta)
 
@@ -167,9 +175,9 @@ class TestReverseStep:
         # beta_1 = 1: no forward noise, and sigma_1 = 0 whatever the scale
         sched = df.NoiseSchedule((1.0, 0.5))
         rng = np.random.default_rng(4)
-        den = df.init_denoiser(2, 4, sched.steps, rng)
+        den = df.init_denoiser(2, 4, sched, rng)
         z = rng.normal(size=(3, 2, 5, 5))
-        a, b = df.augment_pair(z, den, sched, rng)
+        a, b = df.augment_pair(z, den, rng)
         np.testing.assert_array_equal(a, den.forward(Tensor(z), 1).data)
         np.testing.assert_array_equal(b, a)
 
@@ -178,15 +186,15 @@ class TestReverseStep:
         monkeypatch.setattr(df, "SIGMA_SCALE", 2.0)
         sched = df.NoiseSchedule((0.75,))
         draws = np.concatenate(df.augment_pair(
-            np.ones((5_000, 1, 4, 4)), ZeroDenoiser(), sched, np.random.default_rng(5)))
+            np.ones((5_000, 1, 4, 4)), ZeroDenoiser(sched), np.random.default_rng(5)))
         assert abs(draws.mean()) < 0.05
         assert abs(draws.var() - 1.0) < 0.05
 
     def test_shape_preserved(self, sched):
         rng = np.random.default_rng(6)
-        den = df.init_denoiser(3, 4, sched.steps, rng)
+        den = df.init_denoiser(3, 4, sched, rng)
         z = rng.normal(size=(2, 3, 6, 7))
-        a, b = df.augment_pair(z, den, sched, rng)
+        a, b = df.augment_pair(z, den, rng)
         assert a.shape == b.shape == z.shape
 
 
@@ -201,34 +209,34 @@ class TestTrajectoryConsistency:
 
     def test_forced_equal_is_zero(self, sched):
         z0 = np.random.default_rng(7).normal(size=(2, 4, 4))
-        den = OracleDenoiser(z0, self._targets(z0, sched, 42))
-        out = df.diffusion_loss(z0, den, sched, 0.5, np.random.default_rng(42))
+        den = OracleDenoiser(z0, self._targets(z0, sched, 42), sched)
+        out = df.diffusion_loss(z0, den, 0.5, np.random.default_rng(42))
         assert out.item() == 0.0
 
     def test_constant_offset_gives_n_c_squared(self, sched):
         z0 = np.random.default_rng(8).normal(size=(2, 4, 4))
         c, lam = 0.37, 0.5
-        den = OracleDenoiser(z0, self._targets(z0, sched, 43), offset=c)
-        out = df.diffusion_loss(z0, den, sched, lam, np.random.default_rng(43))
+        den = OracleDenoiser(z0, self._targets(z0, sched, 43), sched, offset=c)
+        out = df.diffusion_loss(z0, den, lam, np.random.default_rng(43))
         terms = math.ceil(sched.steps / 2)
         assert abs(out.item() - lam * terms * z0.size * c * c) < 1e-9
 
     def test_non_negative(self, sched):
         rng = np.random.default_rng(9)
-        den = df.init_denoiser(2, 4, sched.steps, rng)
+        den = df.init_denoiser(2, 4, sched, rng)
         for seed in range(5):
             z0 = np.random.default_rng(seed).normal(size=(2, 4, 4))
-            with_traj = df.diffusion_loss(z0, den, sched, 1.0, np.random.default_rng(seed))
-            recon = df.diffusion_loss(z0, den, sched, 0.0, np.random.default_rng(seed))
+            with_traj = df.diffusion_loss(z0, den, 1.0, np.random.default_rng(seed))
+            recon = df.diffusion_loss(z0, den, 0.0, np.random.default_rng(seed))
             assert with_traj.item() >= recon.item()
 
 
 class TestDiffusionLoss:
     def test_lambda_zero_equals_reconstruction_sum(self, sched):
         rng = np.random.default_rng(10)
-        den = df.init_denoiser(2, 4, sched.steps, rng)
+        den = df.init_denoiser(2, 4, sched, rng)
         z0 = rng.normal(size=(2, 5, 5))
-        got = df.diffusion_loss(z0, den, sched, 0.0, np.random.default_rng(77))
+        got = df.diffusion_loss(z0, den, 0.0, np.random.default_rng(77))
         # independent recomputation with the identical rng stream
         rng2 = np.random.default_rng(77)
         want = 0.0
@@ -240,18 +248,18 @@ class TestDiffusionLoss:
     def test_perfect_denoiser_single_step_beta_one(self):
         sched = df.NoiseSchedule((1.0,))
         z0 = np.random.default_rng(11).normal(size=(2, 4, 4))
-        out = df.diffusion_loss(z0, IdentityDenoiser(), sched, 0.5, np.random.default_rng(0))
+        out = df.diffusion_loss(z0, IdentityDenoiser(sched), 0.5, np.random.default_rng(0))
         assert out.item() == 0.0
 
     def test_gradient_wrt_denoiser_params(self, sched):
         rng = np.random.default_rng(12)
-        den = df.init_denoiser(2, 3, sched.steps, rng)
+        den = df.init_denoiser(2, 3, sched, rng)
         z0 = rng.normal(size=(2, 5, 5)) * 0.5
 
         worst = 0.0
         for p in den.parameters():
             err = tc.grad_check(
-                lambda _p: df.diffusion_loss(z0, den, sched, 0.1, np.random.default_rng(5)), p
+                lambda _p: df.diffusion_loss(z0, den, 0.1, np.random.default_rng(5)), p
             )
             worst = max(worst, err)
         assert worst < 1e-4
@@ -260,18 +268,18 @@ class TestDiffusionLoss:
 class TestAugmentPair:
     def test_same_seed_same_pair(self, sched):
         rng = np.random.default_rng(14)
-        den = df.init_denoiser(2, 4, sched.steps, rng)
+        den = df.init_denoiser(2, 4, sched, rng)
         frames = rng.uniform(size=(3, 2, 5, 5))
-        a1, b1 = df.augment_pair(frames, den, sched, np.random.default_rng(99))
-        a2, b2 = df.augment_pair(frames, den, sched, np.random.default_rng(99))
+        a1, b1 = df.augment_pair(frames, den, np.random.default_rng(99))
+        a2, b2 = df.augment_pair(frames, den, np.random.default_rng(99))
         np.testing.assert_array_equal(a1, a2)
         np.testing.assert_array_equal(b1, b2)
 
     def test_views_differ_from_input_and_each_other(self, sched):
         rng = np.random.default_rng(15)
-        den = df.init_denoiser(2, 4, sched.steps, rng)
+        den = df.init_denoiser(2, 4, sched, rng)
         frames = rng.uniform(size=(3, 2, 5, 5))
-        a, b = df.augment_pair(frames, den, sched, rng)
+        a, b = df.augment_pair(frames, den, rng)
         for m in range(3):
             assert not np.array_equal(a[m], frames[m])
             assert not np.array_equal(a[m], b[m])
@@ -279,19 +287,19 @@ class TestAugmentPair:
     def test_one_denoiser_pass_at_t1(self, sched):
         calls = []
 
-        class Recording:
+        class Recording(ZeroDenoiser):
             def forward(self, z, t):
                 calls.append((z.data.shape, t))
                 return z
 
         frames = np.random.default_rng(16).uniform(size=(3, 2, 5, 5))
-        df.augment_pair(frames, Recording(), sched, np.random.default_rng(17))
+        df.augment_pair(frames, Recording(sched), np.random.default_rng(17))
         assert calls == [((6, 2, 5, 5), 1)]
 
     def test_beta_one_draws_nothing(self):
         rng = np.random.default_rng(18)
         state = rng.bit_generator.state
-        a, b = df.augment_pair(np.ones((2, 1, 4, 4)), ZeroDenoiser(), df.NoiseSchedule((1.0, 0.5)),
+        a, b = df.augment_pair(np.ones((2, 1, 4, 4)), ZeroDenoiser(df.NoiseSchedule((1.0, 0.5))),
                                rng)
         assert rng.bit_generator.state == state
         np.testing.assert_array_equal(a, 0.0)
@@ -315,12 +323,12 @@ class TestBitExact:
     def test_loss_and_gradients(self, case):
         sched, lam = self.CASES[case]
         rng = np.random.default_rng(20)
-        den = df.init_denoiser(3, 4, sched.steps, rng)
+        den = df.init_denoiser(3, 4, sched, rng)
         z0 = rng.normal(size=(3, 6, 5))
         got_rng, ref_rng = np.random.default_rng(21), np.random.default_rng(21)
         runs = []
-        for loss_fn in (lambda: df.diffusion_loss(z0, den, sched, lam, got_rng),
-                        lambda: _ref_loss(z0, den, sched, lam, ref_rng)):
+        for loss_fn in (lambda: df.diffusion_loss(z0, den, lam, got_rng),
+                        lambda: _ref_loss(z0, den, lam, ref_rng)):
             for p in den.parameters():
                 p.zero_grad()
             loss = loss_fn()
@@ -339,13 +347,13 @@ class TestBitExact:
         the loss and every denoiser gradient bit for bit."""
         sched, lam = self.CASES[case]
         rng = np.random.default_rng(24)
-        den = df.init_denoiser(3, 4, sched.steps, rng)
+        den = df.init_denoiser(3, 4, sched, rng)
         z0 = rng.normal(size=(3, 6, 5))
         runs = []
         for loss_fn in (df.diffusion_loss, _scalar_tail_loss):
             for p in den.parameters():
                 p.zero_grad()
-            loss = loss_fn(z0, den, sched, lam, np.random.default_rng(25))
+            loss = loss_fn(z0, den, lam, np.random.default_rng(25))
             loss.backward()
             runs.append([loss.data] + [p.grad for p in den.parameters()])
         for got, want in zip(*runs):
@@ -363,12 +371,12 @@ class TestBitExact:
         monkeypatch.setattr(df, "SIGMA_SCALE", sigma_scale)
         sched, _ = self.CASES[case]
         rng = np.random.default_rng(22)
-        den = df.init_denoiser(3, 4, sched.steps, rng)
+        den = df.init_denoiser(3, 4, sched, rng)
         frames = rng.normal(size=(m, 3, 6, 5))
         got_rng, ref_rng = np.random.default_rng(23), np.random.default_rng(23)
         for _ in range(earlier_calls + 1):
-            got = df.augment_pair(frames, den, sched, got_rng)
-            want = _ref_augment(frames, den, sched, ref_rng)
+            got = df.augment_pair(frames, den, got_rng)
+            want = _ref_augment(frames, den, ref_rng)
             for g, w in zip(got, want):
                 np.testing.assert_array_equal(_bits(g), _bits(w))
         assert got_rng.random() == ref_rng.random()
@@ -393,7 +401,7 @@ def test_trained_round_trip_stays_near_input():
     dyn = probe.max() - probe.min()
     mads = []
     for _ in range(10):
-        (a,), (b,) = df.augment_pair(probe[None], den, sched, rng)
+        (a,), (b,) = df.augment_pair(probe[None], den, rng)
         mads.append(np.mean(np.abs(a - probe)))
         mads.append(np.mean(np.abs(b - probe)))
     assert np.mean(mads) < 0.5 * dyn

@@ -17,23 +17,29 @@ def _head(rng):
     return head
 
 
-# part name -> (build from an rng, static fields from_named needs)
+SCHED = df.linear_schedule(steps=5, beta_end=0.5)
+
+# part name -> (build from an rng, static fields from_named needs, the leaf
+# names of its checkpoint keys: saved checkpoints and perfbench/refs.py read them)
 PARTS = {
-    "denoiser": (lambda rng: df.init_denoiser(3, 4, 5, rng), {"steps": 5}),
-    "convlstm": (lambda rng: cl.init_convlstm_params(3, 4, 6, 6, 3, rng), {}),
-    "ssa": (lambda rng: at.init_ssa_params(4, rng, groups=2, experts=3, attention_mode="se_only",
+    "denoiser": (lambda rng: df.init_denoiser(3, 4, SCHED, rng), {"sched": SCHED},
+                 "conv1 b1 conv2 b2"),
+    "convlstm": (lambda rng: cl.init_convlstm_params(3, 4, 6, 6, 3, rng), {},
+                 "w_fi w_ff w_fo w_fc w_hi w_hf w_ho w_hc w_ci w_cf w_co b_i b_f b_o b_c"),
+    "ssa": (lambda rng: at.init_ssa_params(4, rng, groups=2, attention_mode="se_only",
                                            conv_mode="dilated"),
-            {"groups": 2, "attention_mode": "se_only", "conv_mode": "dilated"}),
-    "head": (_head, {}),
+            {"groups": 2, "attention_mode": "se_only", "conv_mode": "dilated"},
+            "se_w1 se_w2 w_temporal conv_kernel conv_bias routing expert_0 expert_1"),
+    "head": (_head, {}, "w b"),
 }
 
 
 @pytest.mark.parametrize("part", sorted(PARTS))
 def test_tree_round_trip_and_coverage(part):
-    build, static = PARTS[part]
+    build, static, leaves = PARTS[part]
     x = build(np.random.default_rng(7))
     named = x.named()
-    assert all(key.startswith(part + "/") for key in named)
+    assert set(named) == {f"{part}/{leaf}" for leaf in leaves.split()}
 
     back = type(x).from_named(named, **static)
     back_named = back.named()

@@ -138,9 +138,11 @@ class TestPoolAndActivations:
         assert 0.0 <= out[0] and out[1] <= 1.0
 
     def test_identity_and_relu(self):
-        # relu is the identity on positive inputs and zero elsewhere
-        x = Tensor([-1.0, 0.0, 2.0])
-        np.testing.assert_array_equal(tc.relu(x).data, [0.0, 0.0, 2.0])
+        # relu is the identity on positive inputs and NaN, and +0.0 elsewhere
+        x = Tensor([-1.0, -0.0, 0.0, 2.0, np.nan])
+        out = tc.relu(x).data
+        np.testing.assert_array_equal(out, [0.0, 0.0, 0.0, 2.0, np.nan])
+        assert not np.signbit(out[:3]).any()
 
 
 class TestGradCheck:
