@@ -113,9 +113,9 @@ def forward_diffuse(z0: np.ndarray, t: int, sched: NoiseSchedule, rng) -> np.nda
 
 def diffusion_loss(z0: np.ndarray, den, lam: float, rng) -> Tensor:
     """Denoiser training objective: per-step reconstruction MSE summed over the
-    denoiser's whole schedule, plus ``lam`` times the trajectory penalty (the squared L2
-    gap between the recorded noisy target z_t and the prediction from the
-    clean image) on a seeded random half of the timesteps.
+    denoiser's whole schedule, plus ``lam`` times the trajectory penalty (the
+    squared L2 gap between the recorded noisy target z_t and the prediction
+    from the clean image) on a seeded random half of the timesteps.
 
     One denoiser pass over all terms' items: the reconstructions t = 1..steps,
     then the trajectory terms in ascending t.
@@ -144,10 +144,11 @@ def augment_pair(frames: np.ndarray, den, rng):
 
     A round trip, with beta_1 from the denoiser's schedule, noises a frame to
     z_1 = beta_1 z_0 + sqrt(1 - beta_1) eps and draws it back as
-    mu(z_1, 1) + sigma eps', sigma = SIGMA_SCALE sqrt(1 - beta_1). Both noises come from one draw [M, 2, 2, C, H, W], laid
-    out frame by frame and view by view, plane 0 the forward and plane 1 the
-    reverse noise; at beta_1 = 1 both are zero and nothing is drawn. The
-    reverse step is one denoiser pass over the 2M views.
+    mu(z_1, 1) + sigma eps', sigma = SIGMA_SCALE sqrt(1 - beta_1). Both noises
+    come from one draw [M, 2, 2, C, H, W], laid out frame by frame and view by
+    view, plane 0 the forward and plane 1 the reverse noise; at beta_1 = 1 both
+    are zero and nothing is drawn. The reverse step is one denoiser pass over
+    the 2M views.
     """
     frames = np.asarray(frames, dtype=np.float64)
     m, shape = frames.shape[0], frames.shape[1:]

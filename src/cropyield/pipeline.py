@@ -361,9 +361,9 @@ def run_ablation_sweep(base_cfg: RunConfig, data_path, out_root) -> dict:
     tables = {}
     for axis, variants in axes.items():
         for cfg, run_dir in variants:
-            text = config_text(cfg)
             if run_dir in done:
                 continue
+            text = config_text(cfg)
             if text in finished:
                 shutil.copytree(finished[text], run_dir, dirs_exist_ok=True)
             else:
