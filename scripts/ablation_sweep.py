@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Run the attention/convolution and feature-selector ablation sweeps.
 
-Each variant runs the full pipeline into its own subdirectory of --out-root;
-the per-axis comparison tables land next to them. Use --fast for a small
+Each variant gets its own subdirectory of --out-root, and each distinct
+config runs the full pipeline once: a variant that shares another's config
+gets a copy of that run. The per-axis comparison tables land next to them. Use --fast for a small
 configuration that finishes in a couple of minutes. A variant whose
 directory holds a finished run of the same config and dataset is reused; one
 made under another config or dataset exits 2, naming the keys that differ,
