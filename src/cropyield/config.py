@@ -23,10 +23,11 @@ from .errors import ConfigError
 
 
 # n_plots: the 80-10-10 split needs 10; t_steps, height, width: synth's floor
-# (synthdata); batch_size: every anchor needs a negative
+# (synthdata); batch_size: every anchor needs a negative; pretrain_lr: a
+# negative rate climbs the loss
 _LOWER_BOUNDS = {"n_plots": 10, "t_steps": 2, "height": 8, "width": 8, "batch_size": 2,
                  "denoiser_epochs": 0, "pretrain_epochs": 0, "eo_iters": 1, "diff_steps": 1,
-                 "hidden_channels": 1, "shuffle_groups": 1}
+                 "hidden_channels": 1, "shuffle_groups": 1, "pretrain_lr": 0.0}
 
 
 @dataclass

@@ -1,11 +1,11 @@
 """Contrastive pre-training of the ConvLSTM + attention encoder.
 
-Each training sample yields two stochastically augmented copies of its frame
-sequence. Both are embedded (recurrent encoding, attention fusion at the
-final step, global pooling, linear projection) and the loss pulls the two
-views of one sample together while pushing apart the second views of every
-other sample in the batch. The positive term appears in the denominator as
-well, so the per-anchor loss under uniform similarities is exactly log(n).
+A view maker from the caller turns each training sample's frame sequence into
+two augmented views. Both are embedded (recurrent encoding, attention fusion
+at the final step, global pooling, linear projection) and the loss pulls the
+two views of one sample together while pushing apart the second views of
+every other sample in the batch. The positive term is in the denominator too,
+so the per-anchor loss under uniform similarities is exactly log(n).
 
 A minibatch of n samples is one graph: its 2n views are encoded together on
 the item axis of the encoder, the n first views and then the n second views,
@@ -22,7 +22,6 @@ import numpy as np
 
 from . import attention as at
 from . import convlstm as cl
-from . import diffusion as df
 from . import tensor as tc
 from .errors import DomainError, ShapeMismatchError
 from .tensor import Tensor
@@ -106,22 +105,22 @@ class PretrainResult:
     stats: dict
 
 
-def _view_batch(frames_by_sample, idx, den, rng):
-    """The augmented views of the n samples ``idx`` on the item axis
-    [2n,T,C,H,W]: the n first views, then the n second views, drawn sample by
-    sample."""
-    views = [df.augment_pair(frames_by_sample[i], den, rng) for i in idx]
-    return np.stack([v1 for v1, _ in views] + [v2 for _, v2 in views])
+def _view_batch(frames_by_sample, idx, views, rng):
+    """The ``views`` of the n samples ``idx`` on the item axis [2n,T,C,H,W]:
+    the n first views, then the n second views, drawn sample by sample."""
+    pairs = [views(frames_by_sample[i], rng) for i in idx]
+    return np.stack([v1 for v1, _ in pairs] + [v2 for _, v2 in pairs])
 
 
-def pretrain_encoder(frames_by_sample, train_idx, val_idx, den, seed_rng, *,
+def pretrain_encoder(frames_by_sample, train_idx, val_idx, views, seed_rng, *,
                      epochs: int, lr: float, batch_size: int, hidden_channels: int,
                      shuffle_groups: int, attention_mode: str, conv_mode: str,
                      tau: float = 0.22, embed_dim: int = 16) -> PretrainResult:
     """SGD on the contrastive objective; returns params, history, held-out stats.
 
-    ``frames_by_sample[i]`` is a [T,C,H,W] array (already preprocessed).
-    Epoch 0 of the history is measured before any parameter update.
+    ``frames_by_sample[i]`` is a [T,C,H,W] array (already preprocessed);
+    ``views(frames, rng) -> (v1, v2)`` makes its two views from the phase's
+    generator. Epoch 0 of the history is measured before any parameter update.
     """
     _, channels, h, w = frames_by_sample[train_idx[0]].shape
     lstm_p = cl.init_convlstm_params(channels, hidden_channels, h, w, at.KERNEL, seed_rng)
@@ -133,8 +132,8 @@ def pretrain_encoder(frames_by_sample, train_idx, val_idx, den, seed_rng, *,
     params = lstm_p.parameters() + ssa_p.parameters() + [proj]
 
     def batch_loss(idx_batch, rng):
-        views = _view_batch(frames_by_sample, idx_batch, den, rng)
-        emb = embed_sequence(views, lstm_p, ssa_p, proj)
+        emb = embed_sequence(_view_batch(frames_by_sample, idx_batch, views, rng),
+                             lstm_p, ssa_p, proj)
         n = len(idx_batch)
         return contrastive_loss(emb[:n], emb[n:], tau)
 
@@ -143,8 +142,9 @@ def pretrain_encoder(frames_by_sample, train_idx, val_idx, den, seed_rng, *,
 
     history_losses = []
     eval_rng = np.random.default_rng(seed_rng.integers(2**63))
+    eval_batches = epoch_batches(eval_rng)
     with tc.no_grad():
-        losses = [batch_loss(b, eval_rng).item() for b in epoch_batches(eval_rng)]
+        losses = [batch_loss(b, eval_rng).item() for b in eval_batches]
     history_losses.append(float(np.mean(losses)))
 
     for _ in range(epochs):
@@ -158,14 +158,15 @@ def pretrain_encoder(frames_by_sample, train_idx, val_idx, den, seed_rng, *,
 
     stats = {
         "epoch0_loss": history_losses[0],
-        "uniform_loss": math.log(batch_size),
+        # the epoch-0 loss under uniform similarities
+        "uniform_loss": float(np.mean([math.log(len(b)) for b in eval_batches])),
         "final_loss": history_losses[-1],
     }
     if val_idx:
         holdout_rng = np.random.default_rng(seed_rng.integers(2**63))
         with tc.no_grad():
             pos, neg = holdout_similarities(
-                frames_by_sample, val_idx, lstm_p, ssa_p, proj, den, holdout_rng, batch_size,
+                frames_by_sample, val_idx, lstm_p, ssa_p, proj, views, holdout_rng, batch_size,
             )
         stats["holdout_pos_sim"] = pos
         if neg is not None:  # one held-out sample has no negative pair
@@ -175,7 +176,7 @@ def pretrain_encoder(frames_by_sample, train_idx, val_idx, den, seed_rng, *,
                           loss_history=history_losses, stats=stats)
 
 
-def holdout_similarities(frames_by_sample, idx, lstm_p, ssa_p, proj, den, rng,
+def holdout_similarities(frames_by_sample, idx, lstm_p, ssa_p, proj, views, rng,
                          batch_size: int):
     """Mean positive-pair and negative-pair cosine similarity on held-out samples.
 
@@ -184,9 +185,9 @@ def holdout_similarities(frames_by_sample, idx, lstm_p, ssa_p, proj, den, rng,
     ``encode_chunks``. The negative mean is None when ``idx`` holds a single
     sample; a zero-norm embedding raises DomainError.
     """
-    views = _view_batch(frames_by_sample, idx, den, rng)
     with tc.no_grad():
-        feats = encode_chunks(views, lstm_p, ssa_p, batch_size)
+        feats = encode_chunks(_view_batch(frames_by_sample, idx, views, rng), lstm_p, ssa_p,
+                              batch_size)
         emb = (proj @ tc.global_avg_pool(Tensor(feats))).data
     unit = _unit_rows(Tensor(emb)).data
     n = len(idx)

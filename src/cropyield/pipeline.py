@@ -6,11 +6,13 @@ never writes outside itself. Stages run in the fixed order
 
     pretrain -> select -> train -> evaluate
 
-A full invocation executes all four. Invoking a single stage resumes from
-the artifacts earlier stages left behind; a missing upstream artifact is an
-explicit error rather than a silent recompute, and a resume under a config
-or from a dataset that differs from the directory's snapshot (``config.txt``,
-``data.txt``) is refused, so resumed runs stay attributable to both.
+A full invocation first removes every stage's artifacts, so that a failed
+run leaves none of another config's behind, then executes all four.
+Invoking a single stage resumes from the artifacts earlier stages left
+behind; a missing upstream artifact is an explicit error rather than a
+silent recompute, and a resume under a config or from a dataset that
+differs from the directory's snapshot (``config.txt``, ``data.txt``) is
+refused, so resumed runs stay attributable to both.
 """
 
 from __future__ import annotations
@@ -93,7 +95,8 @@ def run_stage_pretrain(run_dir: Path, ds: sd.Dataset, frames, cfg: RunConfig) ->
     den, den_history = df.train_denoiser(den_frames, sched, rng_for(cfg.seed, "denoiser"),
                                          epochs=cfg.denoiser_epochs)
     result = ct.pretrain_encoder(
-        frames, ds.split.train, ds.split.val, den, rng_for(cfg.seed, "pretrain"),
+        frames, ds.split.train, ds.split.val, lambda f, rng: df.augment_pair(f, den, rng),
+        rng_for(cfg.seed, "pretrain"),
         epochs=cfg.pretrain_epochs, lr=cfg.pretrain_lr, batch_size=cfg.batch_size,
         hidden_channels=cfg.hidden_channels, shuffle_groups=cfg.shuffle_groups,
         attention_mode=cfg.attention_mode, conv_mode=cfg.conv_mode,
@@ -265,6 +268,10 @@ def run_pipeline(cfg: RunConfig, data_path, out_dir, stage: str | None = None) -
     if stage is not None:
         _refuse_other(binding, bound, f"resume stage {stage!r}", "dataset")
     run_dir.mkdir(parents=True, exist_ok=True)  # only once the data has loaded and a resume fits
+    if stage is None:  # a failed run must leave no earlier run's artifacts under its config
+        for name in STAGES:
+            for path in stage_artifacts(run_dir, name):
+                path.unlink(missing_ok=True)
     snapshot.write_text(text)
     binding.write_text(bound)
     frames = prepare_frames(ds, cfg)

@@ -115,8 +115,8 @@ class TestConfig:
         for key, value in (("batch_size", 1), ("denoiser_epochs", -1), ("pretrain_epochs", -1),
                            ("t_steps", 1), ("height", 7), ("width", 7), ("eo_iters", 0),
                            ("beta_end", -0.1), ("beta_end", 0.96), ("beta_end", float("nan")),
-                           ("diff_steps", 0), ("hidden_channels", 0),
-                           ("shuffle_groups", 0), ("pretrain_lr", float("inf")),
+                           ("diff_steps", 0), ("hidden_channels", 0), ("shuffle_groups", 0),
+                           ("pretrain_lr", float("inf")), ("pretrain_lr", -0.01),
                            ("source", "S3"), ("preprocess", "sharpen")):
             with pytest.raises(ConfigError):
                 load_config(None, {key: value})
@@ -458,6 +458,22 @@ class TestPipelineCommand:
         assert "statistic holdout_pos_sim" in err
         assert "Traceback" not in err
         assert sorted(p.name for p in run_dir.iterdir()) == ["config.txt", "data.txt"]
+
+    def test_failed_full_run_leaves_no_earlier_artifacts(self, tiny_dataset, fast_config,
+                                                         tmp_path, capsys):
+        # a full run under another config into a finished run's directory
+        # fails in pretrain: no stage may then resume from the first run's files
+        run_dir = tmp_path / "r"
+        base = ["pipeline", "--data", str(tiny_dataset), "--out", str(run_dir), "--seed", "5"]
+        assert main(base + ["--config", str(fast_config)]) == 0
+        cfg = tmp_path / "overflow.cfg"
+        cfg.write_text(fast_config.read_text() + "pretrain_lr=1e200\n")
+        with np.errstate(all="ignore"):
+            assert main(base + ["--config", str(cfg)]) == 4
+        assert sorted(p.name for p in run_dir.iterdir()) == ["config.txt", "data.txt"]
+        capsys.readouterr()
+        assert main(base + ["--config", str(cfg), "--stage", "evaluate"]) == 3
+        assert "stage prerequisite missing" in capsys.readouterr().err
 
     def test_resume_against_other_data_exits_2(self, tiny_dataset, fast_config, tmp_path):
         run_dir = tmp_path / "run"

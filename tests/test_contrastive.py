@@ -7,7 +7,6 @@ import pytest
 from cropyield import attention as at
 from cropyield import contrastive as ct
 from cropyield import convlstm as cl
-from cropyield import diffusion as df
 from cropyield import tensor as tc
 from cropyield.errors import DomainError, NumericalError, ShapeMismatchError
 from cropyield.tensor import Tensor
@@ -38,6 +37,13 @@ def rows(vectors):
 def blocks(pairs):
     """The first-view and the second-view [n, d] blocks of n (v1, v2) pairs."""
     return rows([v1 for v1, _ in pairs]), rows([v2 for _, v2 in pairs])
+
+
+def jitter_views(frames, rng):
+    """A cheap view maker: two copies of [T,C,H,W] frames, each plus its own
+    N(0, 0.1^2) noise, from one draw."""
+    noise = rng.standard_normal((2,) + frames.shape)
+    return frames + 0.1 * noise[0], frames + 0.1 * noise[1]
 
 
 class TestEmbedSequence:
@@ -206,26 +212,23 @@ class TestContrastiveLoss:
 def test_holdout_similarities_reject_a_zero_norm_embedding():
     rng = np.random.default_rng(9)
     frames = [rng.normal(size=(3, 2, 5, 5)) for _ in range(3)]
-    sched = df.linear_schedule(steps=4, beta_start=0.95, beta_end=0.5)
-    den = df.init_denoiser(2, 4, sched, rng)
     lstm = cl.init_convlstm_params(2, 4, 5, 5, 3, rng)
     ssa = at.init_ssa_params(4, rng, groups=2)
     args = (frames, [0, 1, 2], lstm, ssa)
-    rest = (den, np.random.default_rng(10), 2)
+    rest = (jitter_views, np.random.default_rng(10), 2)
     pos, neg = ct.holdout_similarities(*args, tc.param(rng.normal(size=(4, 8))), *rest)
     assert -1.0 <= pos <= 1.0 and -1.0 <= neg <= 1.0
     with pytest.raises(DomainError, match="zero-norm"):
         ct.holdout_similarities(*args, tc.param(np.zeros((4, 8))), *rest)
 
 
-def _interleaved_holdout(frames_by_sample, idx, lstm_p, ssa_p, proj, den, rng, batch_size):
+def _interleaved_holdout(frames_by_sample, idx, lstm_p, ssa_p, proj, views, rng, batch_size):
     """``holdout_similarities`` as it was with its own view loop: the views
     interleaved (v1, v2 of sample 0, then of sample 1, ...), sims read off
     the even and the odd rows."""
-    views = [v for i in idx
-             for v in df.augment_pair(frames_by_sample[i], den, rng)]
+    interleaved = [v for i in idx for v in views(frames_by_sample[i], rng)]
     with tc.no_grad():
-        feats = ct.encode_chunks(views, lstm_p, ssa_p, batch_size)
+        feats = ct.encode_chunks(interleaved, lstm_p, ssa_p, batch_size)
         emb = (proj @ tc.global_avg_pool(Tensor(feats))).data
     unit = ct._unit_rows(Tensor(emb)).data
     sims = unit[0::2] @ unit[1::2].T
@@ -242,13 +245,11 @@ def test_holdout_similarities_match_the_interleaved_layout(n, batch_size, c_in, 
     # when 2n views exceed one chunk; every similarity keeps its bits
     rng = np.random.default_rng([n, batch_size, c_in])
     frames = [rng.normal(size=(t_steps, c_in, hw, hw)) for _ in range(n + 2)]
-    sched = df.linear_schedule(steps=4, beta_start=0.95, beta_end=0.5)
-    den = df.init_denoiser(c_in, 4, sched, rng)
     lstm = cl.init_convlstm_params(c_in, 4, hw, hw, 3, rng)
     ssa = at.init_ssa_params(4, rng, groups=2)
     proj = tc.param(rng.normal(size=(6, 8)))
     idx = list(range(2, n + 2))
-    got, want = (holdout(frames, idx, lstm, ssa, proj, den, np.random.default_rng(14),
+    got, want = (holdout(frames, idx, lstm, ssa, proj, jitter_views, np.random.default_rng(14),
                          batch_size)
                  for holdout in (ct.holdout_similarities, _interleaved_holdout))
     assert repr(got) == repr(want)
@@ -258,13 +259,54 @@ def test_pretrain_raise_names_its_stage():
     rng = np.random.default_rng(7)
     frames = [rng.normal(size=(3, 2, 5, 5)) for _ in range(4)]
     frames[2][1, 0, 0, 0] = np.nan
-    sched = df.linear_schedule(steps=4, beta_start=0.95, beta_end=0.5)
-    den = df.init_denoiser(2, 4, sched, rng)
     with np.errstate(invalid="ignore"), \
             pytest.raises(NumericalError, match="^contrastive pre-training diverged"):
-        ct.pretrain_encoder(frames, [0, 1, 2, 3], [], den, np.random.default_rng(8),
+        ct.pretrain_encoder(frames, [0, 1, 2, 3], [], jitter_views, np.random.default_rng(8),
                             epochs=1, lr=0.01, batch_size=4, hidden_channels=4, **PAPER_ENCODER,
                             embed_dim=4)
+
+
+def test_uniform_loss_reads_the_batches_that_ran():
+    # 3 train samples and batch_size 8: one minibatch of 3, so log 3, not log 8
+    rng = np.random.default_rng(15)
+    frames = [rng.normal(size=(3, 2, 5, 5)) for _ in range(3)]
+    got = ct.pretrain_encoder(frames, [0, 1, 2], [], jitter_views, np.random.default_rng(16),
+                              epochs=0, lr=0.01, batch_size=8, hidden_channels=4,
+                              **PAPER_ENCODER, embed_dim=4)
+    assert got.stats["uniform_loss"] == math.log(3)
+
+
+def test_views_are_drawn_per_sample_in_minibatch_order(monkeypatch):
+    """The view maker gets each sample's frames once per phase, in the order
+    of that phase's minibatches (the epoch-0 evaluation, then each epoch),
+    and then each hold-out sample in turn, each with its phase's generator."""
+    rng = np.random.default_rng(17)
+    frames = [rng.normal(size=(3, 2, 5, 5)) for _ in range(11)]
+    train, val = list(range(8)), [8, 9, 10]
+    minibatches = tc.minibatches
+    shuffles, calls = [], []
+
+    def recording_minibatches(idx, batch_size, rng):
+        batches = minibatches(idx, batch_size, rng)
+        shuffles.append((batches, rng))
+        return batches
+
+    def recording_views(f, rng):
+        calls.append(([i for i, g in enumerate(frames) if g is f], rng))
+        return jitter_views(f, rng)
+
+    monkeypatch.setattr(tc, "minibatches", recording_minibatches)
+    ct.pretrain_encoder(frames, train, val, recording_views, np.random.default_rng(18),
+                        epochs=1, lr=0.01, batch_size=3, hidden_channels=4,
+                        **PAPER_ENCODER, embed_dim=4)
+    assert len(shuffles) == 2  # the epoch-0 evaluation and one epoch
+    assert [len(b) for b in shuffles[0][0]] == [3, 3, 2]
+    holdout_rng = calls[-1][1]
+    assert all(holdout_rng is not rng for _, rng in shuffles)
+    want = [([i], rng) for batches, rng in shuffles for b in batches for i in b]
+    want += [([i], holdout_rng) for i in val]
+    assert [c for c, _ in calls] == [c for c, _ in want]
+    assert all(got is expected for (_, got), (_, expected) in zip(calls, want))
 
 
 # -- the per-view graph that the item axis replaces ------------------------------
@@ -553,7 +595,7 @@ class TestBackwardFreesTheGraph:
         assert held < 2**20, held / 2**20
 
 
-def _per_view_pretrain(frames_by_sample, train_idx, val_idx, den, seed_rng,
+def _per_view_pretrain(frames_by_sample, train_idx, val_idx, views, seed_rng,
                        epochs, lr, batch_size, tau, embed_dim, hidden_channels):
     """``pretrain_encoder`` as it was before the item axis: one graph per view."""
     _, channels, h, w = frames_by_sample[train_idx[0]].shape
@@ -566,7 +608,7 @@ def _per_view_pretrain(frames_by_sample, train_idx, val_idx, den, seed_rng,
     def batch_loss(batch, rng):
         pairs = []
         for i in batch:
-            v1, v2 = df.augment_pair(frames_by_sample[i], den, rng)
+            v1, v2 = views(frames_by_sample[i], rng)
             pairs.append((_ref_embed(v1, lstm, ssa, proj), _ref_embed(v2, lstm, ssa, proj)))
         return ct.contrastive_loss(*blocks(pairs), tau)
 
@@ -585,8 +627,7 @@ def _per_view_pretrain(frames_by_sample, train_idx, val_idx, den, seed_rng,
              "final_loss": history[-1]}
     rng = np.random.default_rng(seed_rng.integers(2**63))
     with tc.no_grad():
-        embedded = [df.augment_pair(frames_by_sample[i], den, rng)
-                    for i in val_idx]
+        embedded = [views(frames_by_sample[i], rng) for i in val_idx]
         v1s = [_ref_embed(v1, lstm, ssa, proj) for v1, _ in embedded]
         v2s = [_ref_embed(v2, lstm, ssa, proj) for _, v2 in embedded]
     sims = [[_scalar_cosine(a, b).item() for b in v2s] for a in v1s]
@@ -599,16 +640,15 @@ def _per_view_pretrain(frames_by_sample, train_idx, val_idx, den, seed_rng,
 
 
 def test_pretraining_matches_the_per_view_loop():
-    # 9 train samples in minibatches of 4: chunks of 4, 4 and a last pair
+    # 9 train samples in minibatches of 4: chunks of 4 and 4, and a single
+    # sample that no minibatch keeps
     rng = np.random.default_rng(11)
     frames = [rng.normal(size=(4, 3, 6, 6)) for _ in range(12)]
-    sched = df.linear_schedule(steps=4, beta_start=0.95, beta_end=0.5)
-    den = df.init_denoiser(3, 4, sched, rng)
     kw = dict(epochs=2, lr=0.05, batch_size=4, tau=0.5, embed_dim=6, hidden_channels=4)
     train, val = list(range(9)), [9, 10, 11]
-    history, stats, named = _per_view_pretrain(frames, train, val, den,
+    history, stats, named = _per_view_pretrain(frames, train, val, jitter_views,
                                                np.random.default_rng(12), **kw)
-    got = ct.pretrain_encoder(frames, train, val, den, np.random.default_rng(12), **kw,
+    got = ct.pretrain_encoder(frames, train, val, jitter_views, np.random.default_rng(12), **kw,
                               **PAPER_ENCODER)
     # the epoch-0 evaluation precedes any update: the same bits
     assert repr(got.loss_history[0]) == repr(history[0])
