@@ -91,16 +91,6 @@ COUNTERS = ("ru_minflt", "ru_utime", "ru_stime")  # a probe worker's minor fault
 HERE = Path(__file__).resolve()
 
 
-def _kv(path: Path) -> dict:
-    return dict(line.split("=", 1) for line in path.read_text().split())
-
-
-def _comments(path: Path) -> dict:
-    """The ``# key=value`` lines of a run file."""
-    return dict(line[2:].split("=", 1) for line in path.read_text().splitlines()
-                if line.startswith("# ") and "=" in line)
-
-
 def passes_criterion_5(stats: dict) -> bool:
     """tests/test_acceptance.py criterion 5 on one run's pretrain statistics."""
     sep = float(stats["holdout_pos_sim"]) - float(stats["holdout_neg_sim"])
@@ -143,31 +133,35 @@ def run_seed(seed: int, ulps: int, work: Path) -> dict:
     code = main(["pipeline", "--data", str(data), "--out", str(run_dir), "--seed", str(seed),
                  "--config", str(config)])
     pipeline_s = time.perf_counter() - t0
-    row = {"exit": code, "pretrain_lr": lr, "synth_s": synth_s, "pipeline_s": pipeline_s,
-           "stage_s": stage_s, "criterion_5": False, "criterion_6": False}
-    if code:
-        return row
+    return {"exit": code, "run_dir": str(run_dir), "pretrain_lr": lr, "synth_s": synth_s,
+            "pipeline_s": pipeline_s, "stage_s": stage_s, "criterion_5": False,
+            "criterion_6": False}
 
-    kv = _kv(run_dir / "report.kv")
-    stats = _kv(run_dir / "pretrain_stats.kv")
-    notes = _comments(run_dir / "train_curve.txt")
+
+def read_run(run_dir: Path, row: dict) -> dict:
+    """The figures of the finished probe run ``row``, read from its files by
+    this checkout's ``fileio`` (``record`` puts it on the path)."""
+    from cropyield.fileio import parse_kv
+
+    kv = parse_kv((run_dir / "report.kv").read_text())
+    stats = parse_kv((run_dir / "pretrain_stats.kv").read_text())
+    curve = (run_dir / "train_curve.txt").read_text().splitlines()
+    notes = parse_kv("\n".join(line[2:] for line in curve if line.startswith("# ")))
     ratio = float(kv["mape"]) / float(kv["baseline_mape"])
-    lam = notes.get("ridge_lambda")
-    row.update({
-        "load_and_prep_s": pipeline_s - sum(stage_s.values()),
+    return {
+        "load_and_prep_s": row["pipeline_s"] - sum(row["stage_s"].values()),
         "mape_ratio": ratio,
         "mape": float(kv["mape"]),
         "baseline_mape": float(kv["baseline_mape"]),
         "mask": (run_dir / "mask.txt").read_text().splitlines()[0],
-        "ridge_lambda": float(lam) if lam is not None else None,
+        "ridge_lambda": float(notes["ridge_lambda"]),
         "holdout_separation": float(stats.get("holdout_separation", "nan")),
         "epoch0_over_log_batch": float(stats["epoch0_loss"]) / float(stats["uniform_loss"]),
         "criterion_5": passes_criterion_5(stats),
-        "criterion_6": ratio <= 0.8 and pipeline_s < 600.0,
+        "criterion_6": ratio <= 0.8 and row["pipeline_s"] < 600.0,
         "digests": {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                     for p in sorted(run_dir.iterdir()) if p.is_file()},
-    })
-    return row
+    }
 
 
 def machine_facts() -> dict:
@@ -228,6 +222,7 @@ def source_id(root: Path) -> dict:
 
 def record(root: Path) -> dict:
     env = _pinned_env(root)
+    sys.path.insert(0, str(HERE.parent.parent / "src"))  # for read_run
     probe, machine = {}, None
     with tempfile.TemporaryDirectory(prefix="cropyield-bench-") as tmp:
         for seed in SEEDS:
@@ -242,7 +237,9 @@ def record(root: Path) -> dict:
                            "stderr_tail": proc.stderr[-400:]}
                 else:
                     row = json.loads(lines[-1])
-                    machine = row.pop("machine")
+                    machine, run_dir = row.pop("machine"), Path(row.pop("run_dir"))
+                    if not row["exit"]:
+                        row.update(read_run(run_dir, row))
                 probe.setdefault(str(seed), []).append(row)
                 print(f"seed {seed} k={ulps}: exit {row['exit']}, "
                       f"pipeline {row.get('pipeline_s', math.nan):.1f} s, "

@@ -14,12 +14,14 @@ a run can be reproduced from the snapshot and nothing else.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, fields
+from dataclasses import InitVar, asdict, dataclass, fields
+from pathlib import Path
 
 from .attention import ATTENTION_MODES, CONV_MODES, SE_REDUCTION, check_modes
 from .diffusion import BETA_START
 from .eo import FEATURE_SELECTORS
 from .errors import ConfigError
+from .fileio import kv_text, parse_kv
 
 
 # n_plots: the 80-10-10 split needs 10; t_steps, height, width: synth's floor
@@ -93,7 +95,11 @@ class RunConfig:
 _FIELDS = {f.name: f.type for f in fields(RunConfig)}
 
 
-def _coerce(key: str, raw: str):
+def _coerce(key: str, raw):
+    if key not in _FIELDS:
+        raise ConfigError(f"unknown config key {key!r}")
+    if not isinstance(raw, str):
+        return raw
     kind = _FIELDS[key]
     raw = raw.strip()
     try:
@@ -107,35 +113,20 @@ def _coerce(key: str, raw: str):
 
 
 def parse_overrides(text: str) -> dict:
-    """key=value lines -> typed dict; '#' starts a comment; unknown keys rejected."""
-    out = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        key = key.strip()
-        if not sep:
-            raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
-        if key not in _FIELDS:
-            raise ConfigError(f"line {lineno}: unknown config key {key!r}")
-        out[key] = _coerce(key, value)
-    return out
+    """``key=value`` lines (``fileio.parse_kv``) -> typed dict; unknown keys rejected."""
+    try:
+        values = parse_kv(text)
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
+    return {key: _coerce(key, value) for key, value in values.items()}
 
 
 def load_config(path=None, overrides: dict | None = None) -> RunConfig:
     """Defaults, then the config file, then explicit overrides; validated."""
-    values = {}
-    if path is not None:
-        with open(path) as fh:
-            values.update(parse_overrides(fh.read()))
-    for key, value in (overrides or {}).items():
-        if key not in _FIELDS:
-            raise ConfigError(f"unknown config key {key!r}")
-        values[key] = value if not isinstance(value, str) else _coerce(key, value)
+    values = parse_overrides(Path(path).read_text()) if path is not None else {}
+    values.update({key: _coerce(key, value) for key, value in (overrides or {}).items()})
     return RunConfig(**values).validate()
 
 
 def config_text(cfg: RunConfig) -> str:
-    lines = [f"{f.name}={getattr(cfg, f.name)}" for f in fields(RunConfig)]
-    return "\n".join(lines) + "\n"
+    return kv_text(asdict(cfg))

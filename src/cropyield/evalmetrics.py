@@ -8,10 +8,12 @@ multiplied by 100. RMSLE uses the natural logarithm.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from .errors import DomainError, ShapeMismatchError
+from .fileio import kv_text, parse_kv, table_text
 
 
 def _paired(y, y_pred):
@@ -92,42 +94,26 @@ def evaluate(samples, preds, baseline_constant: float) -> EvalReport:
 
 def write_report_table(report: EvalReport, path) -> None:
     """Delimited text table: metric, value, group, n."""
-    lines = ["metric,value,group,n"]
-    for name in ("mape", "rmsle", "smape"):
-        lines.append(f"{name},{getattr(report, name):.12g},all,{report.n}")
-    for tag, group in sorted(report.per_group.items()):
-        for name in ("mape", "rmsle", "smape"):
-            lines.append(f"{name},{group[name]:.12g},{tag},{group['n']}")
-    for name in ("mape", "rmsle", "smape"):
-        lines.append(f"baseline_{name},{report.baseline[name]:.12g},all,{report.n}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    blocks = [("", vars(report), "all", report.n),
+              *(("", group, tag, group["n"]) for tag, group in sorted(report.per_group.items())),
+              ("baseline_", report.baseline, "all", report.n)]
+    rows = [(prefix + name, format(values[name], ".12g"), group, n)
+            for prefix, values, group, n in blocks for name in METRICS]
+    Path(path).write_text(table_text(("metric", "value", "group", "n"), rows))
 
 
 def write_report_kv(report: EvalReport, path) -> None:
     """Machine-readable key=value file; values always fractional."""
-    lines = [f"n={report.n}"]
-    for name in ("mape", "rmsle", "smape"):
-        lines.append(f"{name}={getattr(report, name)!r}")
-    for name in ("mape", "rmsle", "smape"):
-        lines.append(f"baseline_{name}={report.baseline[name]!r}")
+    values = {"n": report.n, **{name: getattr(report, name) for name in METRICS},
+              **{f"baseline_{name}": report.baseline[name] for name in METRICS}}
     for tag, group in sorted(report.per_group.items()):
-        lines.append(f"group.{tag}.n={group['n']}")
-        for name in ("mape", "rmsle", "smape"):
-            lines.append(f"group.{tag}.{name}={group[name]!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        values.update({f"group.{tag}.{name}": group[name] for name in ("n", *METRICS)})
+    Path(path).write_text(kv_text(values))
 
 
 def read_report_kv(path) -> dict:
-    out = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            key, _, value = line.partition("=")
-            if not _:
-                raise DomainError(f"malformed report line in {path}: {line!r}")
-            out[key] = value
-    return out
+    """A ``report.kv`` file as a dict of strings; a malformed line raises DomainError."""
+    try:
+        return parse_kv(Path(path).read_text())
+    except ValueError as err:
+        raise DomainError(f"malformed report {path}: {err}") from None

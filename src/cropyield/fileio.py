@@ -1,4 +1,5 @@
-"""Shared on-disk conventions: FNV-1a checksums, seeded RNG streams, the container codec.
+"""Shared on-disk conventions: FNV-1a checksums, seeded RNG streams, the
+container codec, and the ``key=value`` files and tables of a run's text files.
 
 Dataset and checkpoint files are one container format: text header lines,
 then records of one text metadata line and one raw little-endian float64
@@ -247,3 +248,34 @@ def load_checkpoint(path) -> dict:
             name, *shape = rd.fields("tensor metadata", (str,), rest=positive_int)
             tensors[name] = rd.payload(tuple(shape), f"tensor {name!r}")
     return tensors
+
+
+# -- text files of a run ------------------------------------------------------------
+
+
+def kv_text(values: dict) -> str:
+    """One ``key=value`` line per item, in order; ``str`` writes a float as its repr."""
+    return "".join(f"{key}={value}\n" for key, value in values.items())
+
+
+def parse_kv(text: str) -> dict:
+    """The ``key=value`` lines of ``text`` as stripped strings, skipping blank
+    lines and ``#`` comments. A line without ``=`` or a key, or one that sets
+    a key again, raises ValueError naming its line number."""
+    values, first = {}, {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        key, sep, value = (part.strip() for part in line.split("#", 1)[0].partition("="))
+        if not (key or sep):
+            continue  # a blank or comment line
+        if not (key and sep):
+            raise ValueError(f"line {lineno}: expected key=value, got {line.strip()!r}")
+        if key in first:
+            raise ValueError(f"line {lineno}: {key!r} is set again, first on line {first[key]}")
+        values[key], first[key] = value, lineno
+    return values
+
+
+def table_text(header, rows, notes=()) -> str:
+    """The ``header`` and ``rows`` as comma-separated lines of ``str`` cells, then ``# `` notes."""
+    lines = [",".join(map(str, row)) for row in (header, *rows)] + ["# " + n for n in notes]
+    return "".join(line + "\n" for line in lines)

@@ -35,7 +35,8 @@ from . import tensor as tc
 from .config import RunConfig, config_text
 from .errors import (ConfigError, DataFormatError, DomainError, NumericalError,
                      StagePrerequisiteError)
-from .fileio import container_trailer, load_checkpoint, rng_for, save_checkpoint
+from .fileio import (container_trailer, kv_text, load_checkpoint, parse_kv, rng_for,
+                     save_checkpoint, table_text)
 
 STAGES = ("pretrain", "select", "train", "evaluate")
 
@@ -112,14 +113,10 @@ def run_stage_pretrain(run_dir: Path, ds: sd.Dataset, frames, cfg: RunConfig) ->
         raise NumericalError(f"pretrain stage: non-finite values in {len(bad)} of its outputs, "
                              f"first {bad[0]}")
     save_checkpoint(run_dir / "pretrain.ckpt", named)
-    with open(run_dir / "pretrain_loss.txt", "w") as fh:
-        fh.write("epoch,contrastive_loss\n")
-        for epoch, loss in enumerate(result.loss_history):
-            fh.write(f"{epoch},{loss!r}\n")
-        fh.write("# denoiser per-epoch loss: " + " ".join(repr(v) for v in den_history) + "\n")
-    with open(run_dir / "pretrain_stats.kv", "w") as fh:
-        for key in sorted(result.stats):
-            fh.write(f"{key}={result.stats[key]!r}\n")
+    (run_dir / "pretrain_loss.txt").write_text(table_text(
+        ("epoch", "contrastive_loss"), enumerate(result.loss_history),
+        ["denoiser per-epoch loss: " + " ".join(map(repr, den_history))]))
+    (run_dir / "pretrain_stats.kv").write_text(kv_text(dict(sorted(result.stats.items()))))
 
 
 def run_stage_select(run_dir: Path, ds: sd.Dataset, frames, cfg: RunConfig) -> None:
@@ -143,10 +140,8 @@ def run_stage_select(run_dir: Path, ds: sd.Dataset, frames, cfg: RunConfig) -> N
     with open(run_dir / "mask.txt", "w") as fh:
         fh.write("".join("1" if b else "0" for b in mask) + "\n")
         fh.write(f"{best!r}\n")
-    with open(run_dir / "eo_history.txt", "w") as fh:
-        fh.write("iteration,best_fitness\n")
-        for i, v in enumerate(history):
-            fh.write(f"{i},{v!r}\n")
+    (run_dir / "eo_history.txt").write_text(
+        table_text(("iteration", "best_fitness"), enumerate(history)))
 
 
 def load_mask(run_dir: Path, dim: int) -> tuple[np.ndarray, float]:
@@ -177,11 +172,9 @@ def run_stage_train(run_dir: Path, ds: sd.Dataset, frames, cfg: RunConfig) -> No
              "norm/y_mean": np.array(result.y_mean), "norm/y_std": np.array(result.y_std),
              "mask": mask.astype(np.float64)}
     save_checkpoint(run_dir / "model.ckpt", named)
-    with open(run_dir / "train_curve.txt", "w") as fh:
-        fh.write("epoch,train_mse,val_mse\n")
-        for epoch, tr, va in result.curve:
-            fh.write(f"{epoch},{tr!r},{va!r}\n")
-        fh.write(f"# ridge_lambda={result.ridge_lambda!r}\n")
+    (run_dir / "train_curve.txt").write_text(table_text(
+        ("epoch", "train_mse", "val_mse"), [(0, result.train_mse, result.val_mse)],
+        [f"ridge_lambda={result.ridge_lambda!r}"]))
 
 
 class YieldModel:
@@ -232,18 +225,21 @@ _RUNNERS = {
 def _data_text(data_path, ds: sd.Dataset) -> str:
     """What binds a run directory to its dataset: source, plot count, dims
     and the container's checksum trailer, one ``key=value`` line each."""
-    t, h, w, c = ds.dims
-    return (f"source={ds.band_spec.source}\nplots={len(ds.samples)}\n"
-            f"dims={t} {h} {w} {c}\ntrailer={container_trailer(data_path):016x}\n")
+    return kv_text({"source": ds.band_spec.source, "plots": len(ds.samples),
+                    "dims": " ".join(map(str, ds.dims)),
+                    "trailer": f"{container_trailer(data_path):016x}"})
 
 
 def _refuse_other(path: Path, text: str, action: str, what: str) -> None:
-    """Refuse to ``action`` a run directory whose ``path`` records other lines than ``text``."""
+    """Refuse to ``action`` a run directory whose ``path`` holds other pairs than ``text``."""
     if not path.exists():
         return
-    diff = set(path.read_text().splitlines()) ^ set(text.splitlines())
+    try:
+        diff = set(parse_kv(path.read_text()).items()) ^ set(parse_kv(text).items())
+    except ValueError as err:
+        raise ConfigError(f"cannot {action} in {path.parent}: its {path.name} {err}") from None
     if diff:
-        keys = sorted({line.split("=", 1)[0] for line in diff})
+        keys = sorted({key for key, _ in diff})
         raise ConfigError(
             f"cannot {action} in {path.parent}: its {path.name} differs in "
             f"{', '.join(keys)}; use the same {what} or a new run directory"
@@ -290,36 +286,32 @@ def merge_reports(run_dirs, percent: bool = False):
     """Collect per-run metrics and a mean-baseline row, sorted by MAPE, lowest first.
 
     Returns (rows, skipped) where each row is (name, mape, rmsle, smape).
-    Malformed report files are skipped, not fatal.
+    Malformed reports, and those with a negative or non-finite metric, are skipped, not fatal.
     """
-    rows = []
-    skipped = []
-    baseline = None
+    rows, skipped, baseline = [], [], []
     for run_dir in run_dirs:
-        path = Path(run_dir) / "report.kv"
         try:
-            kv = em.read_report_kv(path)
-            row = (Path(run_dir).name, float(kv["mape"]), float(kv["rmsle"]), float(kv["smape"]))
+            kv = em.read_report_kv(Path(run_dir) / "report.kv")
+            found = [(Path(run_dir).name, *(float(kv[name]) for name in em.METRICS))]
+            if "baseline_mape" in kv:
+                found.append(("mean-baseline",
+                              *(float(kv["baseline_" + name]) for name in em.METRICS)))
+            if not all(0 <= v < math.inf for _, *values in found for v in values):
+                raise ValueError(f"a metric is not finite and non-negative: {found}")
         except (OSError, ValueError, KeyError, DomainError):
             skipped.append(str(run_dir))
             continue
-        rows.append(row)
-        if baseline is None and "baseline_mape" in kv:
-            baseline = ("mean-baseline", float(kv["baseline_mape"]),
-                        float(kv["baseline_rmsle"]), float(kv["baseline_smape"]))
-    if baseline is not None:
-        rows.append(baseline)
-    rows.sort(key=lambda r: r[1])
+        rows.append(found[0])
+        baseline = baseline or found[1:]
+    rows = sorted(rows + baseline, key=lambda r: r[1])
     if percent:
         rows = [(n, 100 * a, 100 * b, 100 * c) for n, a, b, c in rows]
     return rows, skipped
 
 
 def format_table(rows) -> str:
-    lines = ["model,mape,rmsle,smape"]
-    for name, a, b, c in rows:
-        lines.append(f"{name},{a:.12g},{b:.12g},{c:.12g}")
-    return "\n".join(lines) + "\n"
+    return table_text(("model", *em.METRICS),
+                      [(name, *(format(v, ".12g") for v in values)) for name, *values in rows])
 
 
 ATTENTION_SWEEP = (

@@ -87,7 +87,8 @@ class TrainResult:
     head: HeadParams
     y_mean: float
     y_std: float
-    curve: list  # one row (0, train_mse, val_mse) in standardized units
+    train_mse: float  # the fit's mean squared errors, in standardized units
+    val_mse: float
     ridge_lambda: float  # the penalty the leave-one-out error chose
 
 
@@ -97,8 +98,8 @@ def fit_head(frames_by_sample, lstm_p, ssa_p, mask, y, train_idx, val_idx, *,
     encoder's features (``head_design``), with the penalty from
     ``RIDGE_GRID`` whose leave-one-out error over the train plots is least
     (the first on a tie). The validation plots play no part in the fit.
-    The result's curve is one row, epoch 0; ``pretrain_batch`` bounds each
-    forward-only encoder pass (``contrastive.encode_chunks``).
+    ``pretrain_batch`` bounds each forward-only encoder pass
+    (``contrastive.encode_chunks``).
     """
     sel = np.flatnonzero(np.asarray(mask, dtype=bool))
     if sel.size == 0:
@@ -121,6 +122,6 @@ def fit_head(frames_by_sample, lstm_p, ssa_p, mask, y, train_idx, val_idx, *,
     with tc.no_grad():
         preds = predict_yield(Tensor(feats), head)[1].data
     err = (preds - y_known) ** 2
-    row = (0, float(np.mean(err[:n_train])), float(np.mean(err[n_train:])))
-    return TrainResult(head=head, y_mean=y_mean, y_std=y_std, curve=[row],
-                       ridge_lambda=RIDGE_GRID[best])
+    return TrainResult(head=head, y_mean=y_mean, y_std=y_std,
+                       train_mse=float(np.mean(err[:n_train])),
+                       val_mse=float(np.mean(err[n_train:])), ridge_lambda=RIDGE_GRID[best])

@@ -139,6 +139,15 @@ class TestConfig:
         out = parse_overrides("# a comment\n\nseed=3  # trailing\n")
         assert out == {"seed": 3}
 
+    def test_key_set_twice_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("eo_iters=2\n# the later value once won\neo_iters=3\n")
+        assert main(["pipeline", "--data", str(tmp_path / "none.mtms"),
+                     "--out", str(tmp_path / "r"), "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: line 3: 'eo_iters' is set again, first on line 1\n")
+        assert not (tmp_path / "r").exists()
+
 
 class TestSynthCommand:
     def test_writes_loadable_dataset(self, tmp_path, capsys):
@@ -349,7 +358,7 @@ class TestPipelineCommand:
     def test_bad_config_value_exits_2_before_any_write(self, tiny_dataset, fast_config,
                                                         tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(fast_config.read_text() + "beta_end=0.96\n")
+        cfg.write_text(fast_config.read_text().replace("beta_end=0.5", "beta_end=0.96"))
         run_dir = tmp_path / "r"
         assert main(["pipeline", "--data", str(tiny_dataset), "--out", str(run_dir),
                      "--config", str(cfg)]) == 2
@@ -413,7 +422,7 @@ class TestPipelineCommand:
         assert main(base + ["--config", str(fast_config)]) == 0
         before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
         changed = tmp_path / "changed.cfg"
-        changed.write_text(fast_config.read_text() + "eo_iters=7\n")
+        changed.write_text(fast_config.read_text().replace("eo_iters=5", "eo_iters=7"))
         assert main(base + ["--config", str(changed), "--stage", "train"]) == 2
         assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
         # the same config resumes, and the stage reproduces its artifacts
@@ -474,6 +483,19 @@ class TestPipelineCommand:
         capsys.readouterr()
         assert main(base + ["--config", str(cfg), "--stage", "evaluate"]) == 3
         assert "stage prerequisite missing" in capsys.readouterr().err
+
+    def test_resume_from_a_snapshot_that_sets_a_key_twice_exits_2(self, selected_run,
+                                                                   fast_config, tmp_path, capsys):
+        data, selected = selected_run
+        run_dir = tmp_path / "run"
+        shutil.copytree(selected, run_dir)
+        snapshot = run_dir / "config.txt"
+        snapshot.write_text(snapshot.read_text() + "seed=5\n")
+        assert main(["pipeline", "--data", str(data), "--out", str(run_dir),
+                     "--config", str(fast_config), "--seed", "5", "--stage", "train"]) == 2
+        assert "its config.txt line 20: 'seed' is set again, first on line 1" in (
+            capsys.readouterr().err)
+        assert not (run_dir / "model.ckpt").exists()
 
     def test_resume_against_other_data_exits_2(self, tiny_dataset, fast_config, tmp_path):
         run_dir = tmp_path / "run"
@@ -614,6 +636,26 @@ class TestReportCommand:
     def test_empty_input_exits_2(self):
         assert main(["report"]) == 2
 
+    @pytest.mark.parametrize("good,bad", [
+        ("mape=0.125", "mape=nan"), ("rmsle=0.5", "rmsle=inf"), ("mape=0.125", "mape=-0.5"),
+        ("baseline_smape=0.875", "baseline_smape=nan"),
+        ("smape=0.375", "smape=0.375\nsmape=0.25")],
+        ids=["nan", "inf", "negative", "baseline_nan", "repeated_key"])
+    def test_report_with_a_bad_metric_skipped_with_warning(self, good, bad, tmp_path, capsys):
+        # a NaN would print and sort at random; a key set twice has no one value
+        text = ("mape=0.125\nrmsle=0.5\nsmape=0.375\n"
+                "baseline_mape=0.75\nbaseline_rmsle=0.625\nbaseline_smape=0.875\n")
+        runs = [str(tmp_path / name) for name in ("good", "bad")]
+        for run, kv in zip(runs, (text, text.replace(good, bad))):
+            Path(run).mkdir()
+            Path(run, "report.kv").write_text(kv)
+        out = tmp_path / "t.txt"
+        assert main(["report", *runs, "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == out.read_text() == (
+            "model,mape,rmsle,smape\ngood,0.125,0.5,0.375\nmean-baseline,0.75,0.625,0.875\n")
+        assert f"warning: skipped malformed or missing report in {runs[1]}" in captured.err
+
     def test_malformed_run_skipped_with_warning(self, tmp_path, capsys):
         bad = tmp_path / "bad"
         bad.mkdir()
@@ -736,3 +778,20 @@ class TestBenchPairs:
         summary = out["ingest-s2/seed1"]
         assert set(summary["sources"]) == set(summary["results"]) == set(sides)
         assert all(len(rows) == bench.PAIRS for rows in summary["results"].values())
+
+    def test_a_finished_run_is_read_by_the_recording_process(self, fast_config, tmp_path):
+        # the probe's figures come from the run's files, whichever tree made
+        # them; 20 plots leave two held-out plots for the criterion-5 statistics
+        bench = _script("bench")
+        data, run_dir = tmp_path / "s2.mtms", tmp_path / "run"
+        assert main(["synth", "--source", "S2", "--plots", "20", "--t-steps", "4",
+                     "--height", "8", "--width", "8", "--seed", "5", "--out", str(data)]) == 0
+        assert main(["pipeline", "--data", str(data), "--out", str(run_dir),
+                     "--config", str(fast_config), "--seed", "5"]) == 0
+        row = bench.read_run(run_dir, {"pipeline_s": 3.0, "stage_s": {"pretrain": 2.0}})
+        kv = em.read_report_kv(run_dir / "report.kv")
+        assert row["load_and_prep_s"] == 1.0
+        assert row["mape_ratio"] == float(kv["mape"]) / float(kv["baseline_mape"])
+        assert row["ridge_lambda"] in pr.RIDGE_GRID
+        assert row["mask"] == (run_dir / "mask.txt").read_text().splitlines()[0]
+        assert sorted(row["digests"]) == sorted(p.name for p in run_dir.iterdir())

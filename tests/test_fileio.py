@@ -1,7 +1,8 @@
 """The container codec under corruption: every one-byte mutation of a dataset or
 a checkpoint is refused with an error the CLI exits 3 on, or loads what was
 saved; the corruptions once seen to crash the loaders are explicit cases. The
-array evaluation of FNV-1a-64 agrees with the per-byte definition."""
+array evaluation of FNV-1a-64 agrees with the per-byte definition. The text
+codec of run files writes exact bytes and names the line it rejects."""
 
 import tracemalloc
 
@@ -365,3 +366,33 @@ class TestContainerStream:
             path.write_bytes(bytes(bad))
             with pytest.raises(ChecksumMismatchError):
                 sd.load_dataset(path)
+
+
+class TestTextCodec:
+    def test_kv_bytes(self):
+        text = fileio.kv_text({"n": 6, "mape": 0.1 + 0.2, "source": "S2"})
+        assert text == "n=6\nmape=0.30000000000000004\nsource=S2\n"
+
+    def test_table_bytes(self):
+        text = fileio.table_text(("epoch", "loss"), enumerate([2.5, 0.1 + 0.2]),
+                                 ["ridge_lambda=1e-06"])
+        assert text == "epoch,loss\n0,2.5\n1,0.30000000000000004\n# ridge_lambda=1e-06\n"
+
+    def test_kv_round_trip(self):
+        values = {"n": 6, "mape": 0.1 + 0.2, "tiny": 5e-324, "source": "S2", "dims": "6 10 10 12"}
+        back = fileio.parse_kv(fileio.kv_text(values))
+        assert back == {key: str(value) for key, value in values.items()}
+        assert float(back["mape"]) == 0.1 + 0.2 and float(back["tiny"]) == 5e-324
+
+    def test_blank_lines_and_comments_skipped(self):
+        assert fileio.parse_kv("# head\n\n a = 1  # note\n\tb=x\n") == {"a": "1", "b": "x"}
+
+    @pytest.mark.parametrize("text,message", [
+        ("a=1\nb 2\n", "line 2: expected key=value, got 'b 2'"),
+        ("a=1\n\n=2\n", "line 3: expected key=value, got '=2'"),
+        ("a=1\nb=2\n# c\na=3\n", "line 4: 'a' is set again, first on line 1"),
+    ], ids=["no_equals", "no_key", "repeated_key"])
+    def test_malformed_line_rejected_with_its_number(self, text, message):
+        with pytest.raises(ValueError) as err:
+            fileio.parse_kv(text)
+        assert str(err.value) == message

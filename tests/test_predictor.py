@@ -119,7 +119,7 @@ class TestHeadWarmup:
         assert not np.any(res.head.w.data) and res.head.b.data == 0.0
         # every penalty fits the zero targets exactly: the first one wins the tie
         assert res.ridge_lambda == pr.RIDGE_GRID[0]
-        assert res.curve == [(0, 0.0, float(np.mean((y[10:] - 1500.0) ** 2)))]
+        assert (res.train_mse, res.val_mse) == (0.0, float(np.mean((y[10:] - 1500.0) ** 2)))
 
     @pytest.mark.parametrize("pretrain_batch", [1, 3, 7])
     def test_fit_head_matches_per_plot_encoding(self, pretrain_batch):
@@ -153,10 +153,11 @@ class TestHeadWarmup:
         with tc.no_grad():
             preds = pr.predict_yield(Tensor(feats), warm.head)[1].data
         np.testing.assert_allclose(preds, x @ w, rtol=0, atol=1e-12)
-        # the fit's one curve row holds the train and validation MSE of those predictions
+        # the fit's train and validation MSE are those of its predictions
         y_star = (y - warm.y_mean) / warm.y_std
         err = (preds - y_star) ** 2
-        assert warm.curve == [(0, float(np.mean(err[:10])), float(np.mean(err[10:])))]
+        assert (warm.train_mse, warm.val_mse) == (float(np.mean(err[:10])),
+                                                  float(np.mean(err[10:])))
         # the penalty is the grid's least leave-one-out error over the train plots
         errs = [pr.ridge_loo(x[:10], y_star[:10], lam)[1] for lam in pr.RIDGE_GRID]
         assert warm.ridge_lambda == pr.RIDGE_GRID[int(np.argmin(errs))]
@@ -171,8 +172,8 @@ class TestHeadWarmup:
         assert heads[0].head.named().keys() == heads[1].head.named().keys()
         for name, a in heads[0].head.named().items():
             assert a.tobytes() == heads[1].head.named()[name].tobytes()
-        assert heads[0].curve[0][1] == heads[1].curve[0][1]
-        assert heads[0].curve[0][2] != heads[1].curve[0][2]
+        assert heads[0].train_mse == heads[1].train_mse
+        assert heads[0].val_mse != heads[1].val_mse
 
     def test_learns_signal_better_than_mean(self):
         lstm, ssa, frames, y = tiny_encoder_setup(seed=4)
