@@ -99,7 +99,7 @@ def cmd_report(args) -> int:
         raise DomainError("no readable reports among the given run directories")
     table = format_table(rows)
     sys.stdout.write(table)
-    print(f"runs={len(rows)} skipped={len(skipped)}", file=sys.stderr)
+    print(f"runs={len(args.run_dirs) - len(skipped)} skipped={len(skipped)}", file=sys.stderr)
     if args.out is not None:
         Path(args.out).write_text(table)
     return 0

@@ -655,6 +655,7 @@ class TestReportCommand:
         assert captured.out == out.read_text() == (
             "model,mape,rmsle,smape\ngood,0.125,0.5,0.375\nmean-baseline,0.75,0.625,0.875\n")
         assert f"warning: skipped malformed or missing report in {runs[1]}" in captured.err
+        assert "runs=1 skipped=1" in captured.err  # the baseline row is not a run
 
     def test_malformed_run_skipped_with_warning(self, tmp_path, capsys):
         bad = tmp_path / "bad"
