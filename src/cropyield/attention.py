@@ -68,7 +68,7 @@ class SsaParams(tc.ParamTree):
         return self.w_temporal.data.shape[0]
 
 
-def init_ssa_params(channels: int, rng, *, groups: int, history: int = HISTORY,
+def init_ssa_params(channels: int, rng, *, groups: int,
                     attention_mode: str = ATTENTION_MODES[0],
                     conv_mode: str = CONV_MODES[0]) -> SsaParams:
     if channels % SE_REDUCTION != 0:
@@ -85,7 +85,7 @@ def init_ssa_params(channels: int, rng, *, groups: int, history: int = HISTORY,
         se_w1=tc.param(rng.uniform(-s_se1, s_se1, size=(mid, channels))),
         se_w2=tc.param(rng.uniform(-s_se2, s_se2, size=(channels, mid))),
         groups=groups,
-        w_temporal=tc.param(np.full(history, 1.0 / history)),
+        w_temporal=tc.param(np.full(HISTORY, 1.0 / HISTORY)),
         conv_kernel=tc.param(rng.uniform(-s_conv, s_conv, size=conv_shape)),
         conv_bias=tc.param(np.zeros(channels)),
         expert_0=tc.param(rng.uniform(-s_conv, s_conv, size=conv_shape)),

@@ -1,9 +1,10 @@
 """Run configuration: the settable values of a run in one flat dataclass.
 
-The method's fixed hyperparameters are not among them: they are constants
-of the modules that use them (``attention.SE_REDUCTION``,
-``diffusion.BETA_START``, ...) or the defaults of the functions that take
-them.
+The method's fixed hyperparameters are not among them: they are module
+constants of the modules that use them (``attention.SE_REDUCTION``,
+``diffusion.BETA_START``, ``diffusion.DENOISER_LR``, ``contrastive.TAU``,
+``contrastive.EMBED_DIM``, ``eo.PROBE_RIDGE``, ``eo.SPARSITY_WEIGHT``, ...),
+and no function takes one as a parameter.
 
 Configs live on disk as flat ``key=value`` text. Unknown keys are rejected
 rather than ignored, and the fully resolved config (defaults + file +

@@ -26,6 +26,9 @@ from . import tensor as tc
 from .errors import DomainError, ShapeMismatchError
 from .tensor import Tensor
 
+TAU = 0.22  # NT-Xent temperature of pre-training
+EMBED_DIM = 16  # size of the projected embedding the loss compares
+
 
 def embed_sequence(frames, lstm_p: cl.ConvLstmParams, ssa_p: at.SsaParams,
                    proj: Tensor) -> Tensor:
@@ -114,9 +117,9 @@ def _view_batch(frames_by_sample, idx, views, rng):
 
 def pretrain_encoder(frames_by_sample, train_idx, val_idx, views, seed_rng, *,
                      epochs: int, lr: float, batch_size: int, hidden_channels: int,
-                     shuffle_groups: int, attention_mode: str, conv_mode: str,
-                     tau: float = 0.22, embed_dim: int = 16) -> PretrainResult:
-    """SGD on the contrastive objective; returns params, history, held-out stats.
+                     shuffle_groups: int, attention_mode: str, conv_mode: str) -> PretrainResult:
+    """SGD on the contrastive objective, at temperature ``TAU`` over
+    ``EMBED_DIM``-sized embeddings; returns params, history, held-out stats.
 
     ``frames_by_sample[i]`` is a [T,C,H,W] array (already preprocessed);
     ``views(frames, rng) -> (v1, v2)`` makes its two views from the phase's
@@ -127,7 +130,7 @@ def pretrain_encoder(frames_by_sample, train_idx, val_idx, views, seed_rng, *,
     feat_channels = 2 * hidden_channels
     ssa_p = at.init_ssa_params(hidden_channels, seed_rng, groups=shuffle_groups,
                                attention_mode=attention_mode, conv_mode=conv_mode)
-    proj = tc.param(seed_rng.uniform(-1.0, 1.0, size=(embed_dim, feat_channels))
+    proj = tc.param(seed_rng.uniform(-1.0, 1.0, size=(EMBED_DIM, feat_channels))
                     / math.sqrt(feat_channels))
     params = lstm_p.parameters() + ssa_p.parameters() + [proj]
 
@@ -135,7 +138,7 @@ def pretrain_encoder(frames_by_sample, train_idx, val_idx, views, seed_rng, *,
         emb = embed_sequence(_view_batch(frames_by_sample, idx_batch, views, rng),
                              lstm_p, ssa_p, proj)
         n = len(idx_batch)
-        return contrastive_loss(emb[:n], emb[n:], tau)
+        return contrastive_loss(emb[:n], emb[n:], TAU)
 
     def epoch_batches(rng):  # a one-sample chunk has no negative pair
         return [b for b in tc.minibatches(train_idx, batch_size, rng) if len(b) >= 2]

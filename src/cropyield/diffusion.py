@@ -24,6 +24,7 @@ BETA_START = 0.95  # beta_1 of the linear schedule: the first step keeps most of
 SIGMA_SCALE = 0.1  # reverse-step noise, as a fraction of the forward step's
 DENOISER_HIDDEN = 8  # channels of the denoiser's hidden layer
 CONSISTENCY_WEIGHT = 0.1  # weight of the trajectory penalty in the denoiser's training loss
+DENOISER_LR = 0.001  # SGD step size of the denoiser's training
 
 
 @dataclass(frozen=True)
@@ -49,9 +50,8 @@ class NoiseSchedule:
         return float(self.betas[t - 1])
 
 
-def linear_schedule(*, steps: int, beta_end: float,
-                    beta_start: float = BETA_START) -> NoiseSchedule:
-    return NoiseSchedule(tuple(np.linspace(beta_start, beta_end, steps)))
+def linear_schedule(*, steps: int, beta_end: float) -> NoiseSchedule:
+    return NoiseSchedule(tuple(np.linspace(BETA_START, beta_end, steps)))
 
 
 @dataclass
@@ -164,10 +164,10 @@ def augment_pair(frames: np.ndarray, den, rng):
     return z[:, 0], z[:, 1]
 
 
-def train_denoiser(frames, sched: NoiseSchedule, rng, *, epochs: int, lr: float = 0.001):
-    """SGD on the diffusion objective over a list of [C,H,W] frames, with
-    ``DENOISER_HIDDEN`` hidden channels and the trajectory penalty weighted
-    by ``CONSISTENCY_WEIGHT``.
+def train_denoiser(frames, sched: NoiseSchedule, rng, *, epochs: int):
+    """SGD at ``DENOISER_LR`` on the diffusion objective over a list of
+    [C,H,W] frames, with ``DENOISER_HIDDEN`` hidden channels and the
+    trajectory penalty weighted by ``CONSISTENCY_WEIGHT``.
 
     Returns the trained denoiser and the per-epoch mean loss.
     """
@@ -179,7 +179,7 @@ def train_denoiser(frames, sched: NoiseSchedule, rng, *, epochs: int, lr: float 
         for (i,) in tc.minibatches(range(len(frames)), 1, rng):
             epoch_loss += tc.sgd_step(
                 params, lambda: diffusion_loss(frames[i], den, CONSISTENCY_WEIGHT, rng),
-                lr, "denoiser training",
+                DENOISER_LR, "denoiser training",
             )
         history.append(epoch_loss / len(frames))
     return den, history

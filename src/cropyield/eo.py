@@ -1,6 +1,6 @@
 """Equilibrium-optimizer feature selection over pooled encoder features.
 
-The population is one ``[n_particles, dim]`` array of positions in the unit
+The population is one ``[N_PARTICLES, dim]`` array of positions in the unit
 box, thresholded at 0.5 into binary masks for fitness evaluation. The four
 best particles form the equilibrium pool whose coordinatewise mean is the
 global attractor; each particle then moves by a random multiple of its
@@ -35,6 +35,8 @@ FEATURE_SELECTORS = ("eo", "none")
 N_PARTICLES = 20  # population size
 ALPHA = 0.5  # weight of the last move in the generation term
 LAM = 1.0  # weight of the generation term in each move
+PROBE_RIDGE = 1e-2  # ridge penalty of the feature-selection probe
+SPARSITY_WEIGHT = 0.01  # weight of the mask density in the probe's fitness
 
 
 def position_update(position: np.ndarray, prev_position, p_avg: np.ndarray,
@@ -63,8 +65,7 @@ class EoResult:
     history: list  # best-ever fitness after each iteration (including iteration 0)
 
 
-def run_eo(dim: int, fitness_fn, *, max_iter: int, seed: int,
-           n_particles: int = N_PARTICLES) -> EoResult:
+def run_eo(dim: int, fitness_fn, *, max_iter: int, seed: int) -> EoResult:
     """Full optimization loop; returns the best mask ever seen and its fitness.
 
     ``fitness_fn`` must be deterministic: masks are scored in particle order,
@@ -74,8 +75,6 @@ def run_eo(dim: int, fitness_fn, *, max_iter: int, seed: int,
     """
     if dim < 1:
         raise DomainError(f"dim must be >= 1, got {dim}")
-    if n_particles < 4:
-        raise DomainError(f"equilibrium pool needs >= 4 particles, got {n_particles}")
     scores = {}
 
     def score(masks: np.ndarray) -> np.ndarray:
@@ -89,12 +88,12 @@ def run_eo(dim: int, fitness_fn, *, max_iter: int, seed: int,
         return fit
 
     rng = rng_for(seed, "eo")
-    pos, prev = rng.random((n_particles, dim)), None
+    pos, prev = rng.random((N_PARTICLES, dim)), None
     history = []
     for it in range(max_iter + 1):
         if it:
             # per particle: one step size, then one sign draw per coordinate
-            draws = rng.random((n_particles, 1 + dim))
+            draws = rng.random((N_PARTICLES, 1 + dim))
             signs = np.where(draws[:, 1:] < 0.5, -1.0, 1.0)
             pos, prev = position_update(pos, prev, p_avg, draws[:, :1], signs, ALPHA, LAM), pos
         masks = pos >= 0.5
@@ -120,10 +119,10 @@ def ridge_solve(x: np.ndarray, y: np.ndarray, lam: float, what: str) -> np.ndarr
     return np.linalg.solve(x.T @ x + reg, x.T @ y)
 
 
-def make_probe_fitness(features: np.ndarray, y: np.ndarray, train_idx, val_idx,
-                       ridge: float = 1e-2, sparsity_weight: float = 0.01):
+def make_probe_fitness(features: np.ndarray, y: np.ndarray, train_idx, val_idx):
     """Fitness for pipeline feature selection: validation MSE of a ridge probe
-    on the masked features plus a small mask-density penalty."""
+    (penalty ``PROBE_RIDGE``) on the masked features plus ``SPARSITY_WEIGHT``
+    times the mask density."""
     features = np.asarray(features, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     tr = np.asarray(train_idx, dtype=np.intp)
@@ -133,8 +132,8 @@ def make_probe_fitness(features: np.ndarray, y: np.ndarray, train_idx, val_idx,
         cols = np.flatnonzero(mask)
         x_tr = np.column_stack([features[tr][:, cols], np.ones(len(tr))])
         x_va = np.column_stack([features[va][:, cols], np.ones(len(va))])
-        w = ridge_solve(x_tr, y[tr], ridge, "feature-selection probe")
+        w = ridge_solve(x_tr, y[tr], PROBE_RIDGE, "feature-selection probe")
         val_mse = float(np.mean((x_va @ w - y[va]) ** 2))
-        return val_mse + sparsity_weight * float(mask.mean())
+        return val_mse + SPARSITY_WEIGHT * float(mask.mean())
 
     return fitness

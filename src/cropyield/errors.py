@@ -38,7 +38,8 @@ class ChecksumMismatchError(DataFormatError):
 
 
 class StagePrerequisiteError(CropYieldError):
-    """A resumed pipeline stage is missing an upstream artifact."""
+    """A resumed pipeline stage is missing an upstream artifact, or its run
+    directory holds stage artifacts without both snapshots."""
 
 
 class GraphConsumedError(CropYieldError):

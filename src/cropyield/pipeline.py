@@ -12,7 +12,9 @@ Invoking a single stage resumes from the artifacts earlier stages left
 behind; a missing upstream artifact is an explicit error rather than a
 silent recompute, and a resume under a config or from a dataset that
 differs from the directory's snapshot (``config.txt``, ``data.txt``) is
-refused, so resumed runs stay attributable to both.
+refused, so resumed runs stay attributable to both. A resume into a
+directory that holds stage artifacts but lacks either snapshot is refused
+too. Every refusal comes before the resume writes anything.
 """
 
 from __future__ import annotations
@@ -47,16 +49,31 @@ _ARTIFACTS = {
     "evaluate": ("report.txt", "report.kv"),
 }
 
+# the earlier stages whose artifacts each stage reads
+_READS = {"pretrain": (), "select": ("pretrain",), "train": ("pretrain", "select"),
+          "evaluate": ("train",)}
+
 
 def stage_artifacts(run_dir: Path, stage: str):
     return [Path(run_dir) / name for name in _ARTIFACTS[stage]]
 
 
-def _require_stage(run_dir: Path, stage: str):
-    missing = [p.name for p in stage_artifacts(run_dir, stage) if not p.exists()]
-    if missing:
+def _require_resumable(run_dir: Path, stage: str, snapshots) -> None:
+    """Refuse to resume ``stage`` in ``run_dir`` without the artifacts of the
+    stages it reads, or where stage artifacts lie without both ``snapshots``:
+    those artifacts are attributable to no config or dataset."""
+    for name in _READS[stage]:
+        missing = [p.name for p in stage_artifacts(run_dir, name) if not p.exists()]
+        if missing:
+            raise StagePrerequisiteError(
+                f"stage prerequisite missing: {name!r} artifacts {missing} not found in {run_dir}"
+            )
+    held = [p.name for name in STAGES for p in stage_artifacts(run_dir, name) if p.exists()]
+    absent = [p.name for p in snapshots if not p.exists()]
+    if held and absent:
         raise StagePrerequisiteError(
-            f"stage prerequisite missing: {stage!r} artifacts {missing} not found in {run_dir}"
+            f"cannot resume stage {stage!r} in {run_dir}: it holds {', '.join(held)} but no "
+            f"{' or '.join(absent)}; run the full pipeline or use a new run directory"
         )
 
 
@@ -120,7 +137,6 @@ def run_stage_pretrain(run_dir: Path, ds: sd.Dataset, frames, cfg: RunConfig) ->
 
 
 def run_stage_select(run_dir: Path, ds: sd.Dataset, frames, cfg: RunConfig) -> None:
-    _require_stage(run_dir, "pretrain")
     lstm, ssa = _load_encoder(load_checkpoint(run_dir / "pretrain.ckpt"), cfg)
     rows = ds.split.train + ds.split.val  # the probe reads no test plot
     feats = ct.encode_chunks([frames[i] for i in rows], lstm, ssa, cfg.batch_size)
@@ -161,8 +177,6 @@ def load_mask(run_dir: Path, dim: int) -> tuple[np.ndarray, float]:
 
 
 def run_stage_train(run_dir: Path, ds: sd.Dataset, frames, cfg: RunConfig) -> None:
-    _require_stage(run_dir, "pretrain")
-    _require_stage(run_dir, "select")
     lstm, ssa = _load_encoder(load_checkpoint(run_dir / "pretrain.ckpt"), cfg)
     mask, _ = load_mask(run_dir, 2 * cfg.hidden_channels)
     y = np.array([s.y for s in ds.samples])
@@ -203,7 +217,6 @@ class YieldModel:
 
 
 def run_stage_evaluate(run_dir: Path, ds: sd.Dataset, frames, cfg: RunConfig) -> None:
-    _require_stage(run_dir, "train")
     model = YieldModel.load(run_dir, cfg)
     test = ds.split.test
     # the baseline predicts the train-split mean yield, which fit_head stored
@@ -250,7 +263,9 @@ def run_pipeline(cfg: RunConfig, data_path, out_dir, stage: str | None = None) -
     """Execute the full pipeline, or exactly one stage resuming from artifacts.
 
     A resume is refused, before anything is written, when the run directory
-    was made under another config or from another dataset.
+    was made under another config or from another dataset, when an artifact
+    of a stage it reads is missing, or when the directory holds stage
+    artifacts but not both snapshots.
     """
     if stage is not None and stage not in STAGES:
         raise DomainError(f"unknown stage {stage!r}, expected one of {STAGES}")
@@ -263,6 +278,7 @@ def run_pipeline(cfg: RunConfig, data_path, out_dir, stage: str | None = None) -
     bound = _data_text(data_path, ds)
     if stage is not None:
         _refuse_other(binding, bound, f"resume stage {stage!r}", "dataset")
+        _require_resumable(run_dir, stage, (snapshot, binding))
     run_dir.mkdir(parents=True, exist_ok=True)  # only once the data has loaded and a resume fits
     if stage is None:  # a failed run must leave no earlier run's artifacts under its config
         for name in STAGES:

@@ -71,7 +71,7 @@ def test_criterion_1_gradient_suite():
 
     worst["convlstm_step"] = max(tc.grad_check(lstm_loss, t) for t in p.parameters())
 
-    ssa = at.init_ssa_params(4, np.random.default_rng(102), groups=2, history=2)
+    ssa = at.init_ssa_params(4, np.random.default_rng(102), groups=2)
     h_t = rng.normal(size=(4, 6, 6)) * 0.5
     hist = [rng.normal(size=(4, 6, 6)) * 0.5 for _ in range(2)]
 
@@ -81,7 +81,7 @@ def test_criterion_1_gradient_suite():
 
     worst["ssa_forward"] = max(tc.grad_check(ssa_loss, t) for t in ssa.parameters())
 
-    sched = df.linear_schedule(steps=6, beta_start=0.95, beta_end=0.4)
+    sched = df.linear_schedule(steps=6, beta_end=0.4)
     den = df.init_denoiser(2, 3, sched, np.random.default_rng(103))
     z0 = rng.normal(size=(2, 5, 5)) * 0.5
     worst["diffusion_loss"] = max(
@@ -197,7 +197,7 @@ def test_criterion_4_planted_mask_recovery():
     for seed in range(10):
         planted = np.random.default_rng(1000 + seed).random(dim) >= 0.5
         fitness = lambda mask: float(np.sum(mask != planted))
-        res = eo.run_eo(dim, fitness, n_particles=20, max_iter=100, seed=seed)
+        res = eo.run_eo(dim, fitness, max_iter=100, seed=seed)
         monotone &= res.history == sorted(res.history, reverse=True)
         wins += res.best_fitness == 0.0
     elapsed = time.perf_counter() - t0

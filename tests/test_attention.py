@@ -75,8 +75,9 @@ class TestChannelShuffle:
 
 
 class TestTemporalAttention:
-    def test_single_term(self):
-        p = make_params(history=1)
+    def test_single_term(self, monkeypatch):
+        monkeypatch.setattr(at, "HISTORY", 1)
+        p = make_params()
         h = Tensor(np.random.default_rng(6).normal(size=(1, 4, 5, 5)))
         got = at.temporal_attention([h], p)
         attended = at.channel_shuffle(at.se_attention(h, p.se_w1, p.se_w2), p.groups)

@@ -81,7 +81,7 @@ class TestConfig:
 
     # finetune_lr and train_lr went with the encoder fine-tune; percent is a
     # view of the report (`report --percent`), not part of a run; the method's
-    # fixed hyperparameters are module constants and function defaults
+    # fixed hyperparameters are module constants
     @pytest.mark.parametrize("key", [
         "no_such_knob", "finetune_lr", "train_lr", "percent",
         "yield_noise", "beta_start", "lambda_consistency", "augment_depth", "sigma_scale",
@@ -315,6 +315,38 @@ class TestPipelineCommand:
         code = main(["pipeline", "--data", str(tiny_dataset), "--out", str(tmp_path / "empty"),
                      "--config", str(fast_config), "--stage", "train"])
         assert code == 3
+
+    def test_missing_prerequisite_writes_nothing(self, tiny_dataset, fast_config, tmp_path,
+                                                 capsys):
+        # a refused resume leaves no snapshot that would bind the directory
+        # to its config: a resume under another config still starts there
+        run_dir = tmp_path / "fresh"
+        base = ["pipeline", "--data", str(tiny_dataset), "--out", str(run_dir), "--seed", "5"]
+        assert main(base + ["--config", str(fast_config), "--stage", "evaluate"]) == 3
+        assert "stage prerequisite missing: 'train' artifacts" in capsys.readouterr().err
+        assert not run_dir.exists()
+        other = tmp_path / "other.cfg"
+        other.write_text(fast_config.read_text() + "batch_size=4\n")
+        assert main(base + ["--config", str(other), "--stage", "pretrain"]) == 0
+
+    @pytest.mark.parametrize("snapshot", ["config.txt", "data.txt"])
+    def test_resume_without_a_snapshot_exits_3(self, tiny_dataset, fast_config, tmp_path,
+                                               capsys, snapshot):
+        # artifacts that a snapshot no longer binds are attributable to no
+        # config or dataset: without config.txt, a resume under the defaults
+        # would evaluate the hidden_channels=2 model and write hidden_channels=8
+        run_dir = tmp_path / "r"
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text(fast_config.read_text() + "hidden_channels=2\n")
+        base = ["pipeline", "--data", str(tiny_dataset), "--out", str(run_dir), "--seed", "5"]
+        assert main(base + ["--config", str(cfg)]) == 0
+        (run_dir / snapshot).unlink()
+        before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+        capsys.readouterr()
+        resume = [] if snapshot == "config.txt" else ["--config", str(cfg)]
+        assert main(base + resume + ["--stage", "evaluate"]) == 3
+        assert "holds pretrain.ckpt" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
 
     def test_missing_dataset_exits_3(self, fast_config, tmp_path):
         code = main(["pipeline", "--data", str(tmp_path / "nope.mtms"),

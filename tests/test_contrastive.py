@@ -255,24 +255,25 @@ def test_holdout_similarities_match_the_interleaved_layout(n, batch_size, c_in, 
     assert repr(got) == repr(want)
 
 
-def test_pretrain_raise_names_its_stage():
+def test_pretrain_raise_names_its_stage(monkeypatch):
+    monkeypatch.setattr(ct, "EMBED_DIM", 4)
     rng = np.random.default_rng(7)
     frames = [rng.normal(size=(3, 2, 5, 5)) for _ in range(4)]
     frames[2][1, 0, 0, 0] = np.nan
     with np.errstate(invalid="ignore"), \
             pytest.raises(NumericalError, match="^contrastive pre-training diverged"):
         ct.pretrain_encoder(frames, [0, 1, 2, 3], [], jitter_views, np.random.default_rng(8),
-                            epochs=1, lr=0.01, batch_size=4, hidden_channels=4, **PAPER_ENCODER,
-                            embed_dim=4)
+                            epochs=1, lr=0.01, batch_size=4, hidden_channels=4, **PAPER_ENCODER)
 
 
-def test_uniform_loss_reads_the_batches_that_ran():
+def test_uniform_loss_reads_the_batches_that_ran(monkeypatch):
+    monkeypatch.setattr(ct, "EMBED_DIM", 4)
     # 3 train samples and batch_size 8: one minibatch of 3, so log 3, not log 8
     rng = np.random.default_rng(15)
     frames = [rng.normal(size=(3, 2, 5, 5)) for _ in range(3)]
     got = ct.pretrain_encoder(frames, [0, 1, 2], [], jitter_views, np.random.default_rng(16),
                               epochs=0, lr=0.01, batch_size=8, hidden_channels=4,
-                              **PAPER_ENCODER, embed_dim=4)
+                              **PAPER_ENCODER)
     assert got.stats["uniform_loss"] == math.log(3)
 
 
@@ -296,9 +297,10 @@ def test_views_are_drawn_per_sample_in_minibatch_order(monkeypatch):
         return jitter_views(f, rng)
 
     monkeypatch.setattr(tc, "minibatches", recording_minibatches)
+    monkeypatch.setattr(ct, "EMBED_DIM", 4)
     ct.pretrain_encoder(frames, train, val, recording_views, np.random.default_rng(18),
                         epochs=1, lr=0.01, batch_size=3, hidden_channels=4,
-                        **PAPER_ENCODER, embed_dim=4)
+                        **PAPER_ENCODER)
     assert len(shuffles) == 2  # the epoch-0 evaluation and one epoch
     assert [len(b) for b in shuffles[0][0]] == [3, 3, 2]
     holdout_rng = calls[-1][1]
@@ -639,15 +641,18 @@ def _per_view_pretrain(frames_by_sample, train_idx, val_idx, views, seed_rng,
     return history, stats, {**lstm.named(), **ssa.named(), "projection": proj.data}
 
 
-def test_pretraining_matches_the_per_view_loop():
+def test_pretraining_matches_the_per_view_loop(monkeypatch):
     # 9 train samples in minibatches of 4: chunks of 4 and 4, and a single
     # sample that no minibatch keeps
     rng = np.random.default_rng(11)
     frames = [rng.normal(size=(4, 3, 6, 6)) for _ in range(12)]
-    kw = dict(epochs=2, lr=0.05, batch_size=4, tau=0.5, embed_dim=6, hidden_channels=4)
+    kw = dict(epochs=2, lr=0.05, batch_size=4, hidden_channels=4)
     train, val = list(range(9)), [9, 10, 11]
     history, stats, named = _per_view_pretrain(frames, train, val, jitter_views,
-                                               np.random.default_rng(12), **kw)
+                                               np.random.default_rng(12), tau=0.5, embed_dim=6,
+                                               **kw)
+    monkeypatch.setattr(ct, "TAU", 0.5)
+    monkeypatch.setattr(ct, "EMBED_DIM", 6)
     got = ct.pretrain_encoder(frames, train, val, jitter_views, np.random.default_rng(12), **kw,
                               **PAPER_ENCODER)
     # the epoch-0 evaluation precedes any update: the same bits

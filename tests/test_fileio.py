@@ -12,8 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cropyield import fileio
+from cropyield import pipeline as pl
 from cropyield import synthdata as sd
 from cropyield.cli import main
+from cropyield.config import RunConfig, config_text
 from cropyield.errors import (
     ChecksumMismatchError,
     ConfigError,
@@ -164,6 +166,10 @@ class TestReproducedCorruptions:
         data, run = tmp_path / "good.mtms", tmp_path / "run"
         data.write_bytes(_dataset_bytes(tmp_path))
         run.mkdir()
+        # the snapshots a pretrain under the defaults writes: the resume is refused only
+        # for its checkpoint
+        (run / "config.txt").write_text(config_text(RunConfig()))
+        (run / "data.txt").write_text(pl._data_text(data, sd.load_dataset(data)))
         for name in ("pretrain_loss.txt", "pretrain_stats.kv"):
             (run / name).write_text("")
         (run / "pretrain.ckpt").write_bytes(_checkpoint_bytes(tmp_path, CHECKPOINT_CASES[case]))
